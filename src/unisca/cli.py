@@ -2,8 +2,9 @@
 
 Subcommands: gen, fit, eval, retrieve, scatter, sweep. Every output directory
 receives the effective config echo and seed; re-running with that echo
-reproduces the numeric outputs bit-identically in MMD mode. `eval` exits
-nonzero when a configured threshold fails, so pipelines can gate on it.
+reproduces the numeric outputs bit-identically in MMD mode (tests/test_golden.py
+checks this for every mode). `eval` exits nonzero when a configured threshold
+fails, so pipelines can gate on it.
 """
 
 from __future__ import annotations
@@ -91,6 +92,21 @@ def _solver_config(cfg: dict, dataset=None) -> solver.SolverConfig:
     return sc
 
 
+def _run_fit(cfg: dict, x1: np.ndarray, x2: np.ndarray,
+             dataset: datagen.SyntheticDataset | None) -> solver.FitResult:
+    """Fit in the configured mode; weak supervision samples its anchors from
+    the dataset's hidden alignment."""
+    sc = _solver_config(cfg, dataset)
+    anchors = None
+    if sc.mode == "weakly_supervised":
+        if dataset is None:
+            raise ValidationError("weak supervision requires a dataset directory")
+        pairs = datagen.sample_anchors(dataset, cfg.get("anchors", sc.d_c),
+                                       substream(sc.seed, "cli", "anchors"))
+        anchors = solver.AnchorSet(pairs)
+    return solver.fit(x1, x2, sc, anchors=anchors)
+
+
 def cmd_fit(args) -> int:
     cfg = _effective_config(args)
     if args.emb1 or args.emb2:
@@ -106,19 +122,7 @@ def cmd_fit(args) -> int:
             raise ValidationError("fit needs --data or --emb1/--emb2")
         dataset = datagen.load_dataset(args.data)
         x1, x2 = dataset.x1, dataset.x2
-    sc = _solver_config(cfg, dataset)
-    anchors = None
-    if sc.mode == "weakly_supervised":
-        if dataset is None:
-            raise ValidationError("weak supervision requires a dataset directory")
-        count = cfg.get("anchors", sc.d_c)
-        pairs = datagen.sample_anchors(dataset, count,
-                                       substream(sc.seed, "cli", "anchors"))
-        anchors = solver.AnchorSet(pairs)
-    if sc.mode == "with_private":
-        result = solver.fit_with_private(x1, x2, sc)
-    else:
-        result = solver.fit(x1, x2, sc, anchors=anchors)
+    result = _run_fit(cfg, x1, x2, dataset)
     solver.save_model(result, args.out)
     cfgmod.dump_config(cfg, os.path.join(args.out, "config.json"))
     log.info("model written to %s (%.1fs, final matcher %.4g)",
@@ -212,16 +216,7 @@ def _sweep_one(cfg: dict, seed: int, out_root: str) -> dict:
     data_dir = os.path.join(sub, "data")
     datagen.save_dataset(dataset, data_dir, seed=seed,
                          manifest_extra={"config": run_cfg})
-    sc = _solver_config(run_cfg, dataset)
-    anchors = None
-    if sc.mode == "weakly_supervised":
-        pairs = datagen.sample_anchors(dataset, run_cfg.get("anchors", sc.d_c),
-                                       substream(seed, "cli", "anchors"))
-        anchors = solver.AnchorSet(pairs)
-    if sc.mode == "with_private":
-        result = solver.fit_with_private(dataset.x1, dataset.x2, sc)
-    else:
-        result = solver.fit(dataset.x1, dataset.x2, sc, anchors=anchors)
+    result = _run_fit(run_cfg, dataset.x1, dataset.x2, dataset)
     model_dir = os.path.join(sub, "model")
     solver.save_model(result, model_dir)
     cfgmod.dump_config(run_cfg, os.path.join(model_dir, "config.json"))

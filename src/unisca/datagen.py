@@ -128,11 +128,6 @@ class DistributionSpec:
         return cls(d["kind"], tuple(float(v) for v in params))
 
 
-def sample_distribution(spec: DistributionSpec, n: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    return spec.sample(n, rng)
-
-
 @dataclass(frozen=True)
 class LatentSpec:
     """Marginals of the shared code and of each modality's private code."""
@@ -402,6 +397,10 @@ def save_dataset(dataset: SyntheticDataset, directory: str,
         "mean1": (dataset.mean1.reshape(1, -1), "train column means modality 1"),
         "mean2": (dataset.mean2.reshape(1, -1), "train column means modality 2"),
     }
+    for name, a in (("P1_test", dataset.p1_test), ("P2_test", dataset.p2_test)):
+        if a is not None:
+            mats[name] = (a, f"ground-truth private codes modality {name[1]} "
+                             "(held-out)")
     for name, (a, role) in mats.items():
         matio.write_matrix(directory, name, a, role=role)
     matio.write_matrix(directory, "alignment", dataset.alignment.reshape(-1, 1),
@@ -437,6 +436,12 @@ def load_dataset(directory: str) -> SyntheticDataset:
     if manifest.get("kind") != "unisca-dataset":
         raise ValidationError(f"{directory} is not a dataset directory")
     get = lambda name: matio.read_matrix(directory, name)[0]
+
+    def optional(name):  # held-out private codes; older directories lack them
+        if os.path.exists(os.path.join(directory, name + ".bin")):
+            return get(name)
+        return None
+
     a1, a2 = get("A1"), get("A2")
     mixing = MixingModel(a1, a2, homogeneous=bool(manifest.get("homogeneous", False)))
     latent = (LatentSpec.from_dict(manifest["latent"])
@@ -445,6 +450,7 @@ def load_dataset(directory: str) -> SyntheticDataset:
         x1=get("X1"), x2=get("X2"), c=get("C"), p1=get("P1"), p2=get("P2"),
         alignment=get("alignment").reshape(-1).astype(np.int64),
         x1_test=get("X1_test"), x2_test=get("X2_test"), c_test=get("C_test"),
+        p1_test=optional("P1_test"), p2_test=optional("P2_test"),
         mixing=mixing, mean1=get("mean1").reshape(-1), mean2=get("mean2").reshape(-1),
         latent=latent,
     )

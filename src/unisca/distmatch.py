@@ -244,10 +244,6 @@ class Discriminator:
             dinput = dinput * drop
         return grads, dinput
 
-    def snapshot(self) -> dict:
-        return {f"W{i}": w.copy() for i, w in enumerate(self.weights)} | \
-               {f"b{i}": b.copy() for i, b in enumerate(self.biases)}
-
 
 def _half_loss_and_dz(p: np.ndarray, p_raw: np.ndarray, real: bool,
                       smoothing: float, count: int):

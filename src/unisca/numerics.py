@@ -148,11 +148,6 @@ class AdamState:
         return param - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Functional wrapper around AdamState.step (state is advanced in place)."""
-    return state.step(param, grad)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference gradient oracle
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 All modes minimize a matcher divergence between the two projected views plus
 a squared whitening penalty per projection; the weakly supervised mode adds a
 squared anchor-pair penalty, the private mode adds whitening and HSIC terms
-for the private heads, and the homogeneous mode ties the two projections to a
-single matrix.
+for the private heads, a classifier fit adds the cross-entropy of a softmax
+head on view 1, and the homogeneous mode ties the two projections to a single
+matrix. One loop, `_train`, minimizes any such list of terms, in every mode
+and in the warm start; the same terms give the checkpoint objective, recorded
+at epoch 0, every checkpoint_every epochs and after the last epoch.
 
 Optimization runs in whitened coordinates (Q = Q~ W with W the data whitening
 matrix), which makes Adam's step size meaningful across data scales, and in
@@ -37,6 +40,16 @@ MODES = ("unaligned", "homogeneous", "weakly_supervised", "with_private")
 MATCHERS = ("mmd", "adversarial")
 
 TRACE_COLUMNS = ("epoch", "matcher", "rq1", "rq2", "anchor", "hsic", "total")
+
+# Per-step sums behind a trace row: the weighted terms of TRACE_COLUMNS plus
+# the classifier's cross-entropy, which only enters `total`.
+_SUMS = TRACE_COLUMNS[1:-1] + ("classifier",)
+
+# Lower bounds of the integer and weight fields of SolverConfig.
+_MINIMUMS = {"d_c": 1, "batch": 2, "epochs": 1, "restarts": 1,
+             "warm_epochs": 0, "warm_batch": 2, "warm_slices": 1,
+             "checkpoint_every": 1, "checkpoint_rows": 4, "select_rows": 4,
+             "lambda_whiten": 0, "beta": 0, "omega": 0, "rho": 0, "gamma": 0}
 
 
 class DivergenceError(RuntimeError):
@@ -93,21 +106,9 @@ class SolverConfig:
         if self.matcher not in MATCHERS:
             raise ValidationError(
                 f"matcher must be one of {MATCHERS}, got '{self.matcher}'")
-        if self.d_c < 1:
-            raise ValidationError("d_c must be >= 1")
-        if self.batch < 2:
-            raise ValidationError("batch must be >= 2")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
-        if self.warm_epochs < 0:
-            raise ValidationError("warm_epochs must be >= 0")
-        if self.warm_batch < 2:
-            raise ValidationError("warm_batch must be >= 2")
-        for name in ("lambda_whiten", "beta", "omega", "rho", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        for name, low in _MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}")
         self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
 
     def to_dict(self) -> dict:
@@ -165,8 +166,9 @@ class FitResult:
     In homogeneous mode q1 and q2 are the same object. The trace has one row
     per traced epoch with the weighted loss terms (columns TRACE_COLUMNS);
     `total` additionally absorbs the classifier term when one is trained.
-    Checkpoints hold the matcher-based objective on a large fixed subsample,
-    evaluated every checkpoint_every epochs of the traced phase.
+    Checkpoints hold (epoch, objective) pairs: every term of the fit,
+    classifier included, evaluated on a fixed leading subsample at epoch 0,
+    every checkpoint_every epochs and after the last epoch, in every mode.
     """
 
     q1: Projection
@@ -228,7 +230,6 @@ def quantile_match(u: np.ndarray, v: np.ndarray, directions: np.ndarray
     grad_u = np.zeros_like(u)
     grad_v = np.zeros_like(v)
     value = 0.0
-    rows = np.arange(b)
     for i in range(k):
         o1 = np.argsort(a1[:, i], kind="stable")
         o2 = np.argsort(a2[:, i], kind="stable")
@@ -303,39 +304,6 @@ def _haar_init(rank: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return q[:, :k].T
 
 
-class _Matcher:
-    """Uniform interface over MMD and the adversarial loss for the fit loop."""
-
-    def __init__(self, cfg: SolverConfig, u0: np.ndarray, v0: np.ndarray,
-                 rng: np.random.Generator):
-        self.kind = cfg.matcher
-        self.kernel = KernelSpec(cfg.bandwidth).resolve(u0, v0)
-        if self.kind == "mmd":
-            self.disc = None
-        else:
-            self.disc = Discriminator(
-                cfg.d_c, hidden=cfg.disc_hidden, lr=cfg.lr_f,
-                label_smoothing=cfg.label_smoothing,
-                input_dropout=cfg.disc_input_dropout, rng=rng)
-            self.steps = cfg.disc_steps
-
-    def step(self, u: np.ndarray, v: np.ndarray):
-        """Matcher value and gradients w.r.t. u, v; updates f when adversarial."""
-        if self.kind == "mmd":
-            return mmd2_unbiased(u, v, self.kernel)
-        for _ in range(self.steps):
-            discriminator_step(self.disc, u, v)
-        loss, _, gu, gv = gan_value_and_grads(self.disc, u, v)
-        return loss, gu, gv
-
-    def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
-        if self.kind == "mmd":
-            value, _, _ = mmd2_unbiased(u, v, self.kernel)
-        else:
-            value, _, _, _ = gan_value_and_grads(self.disc, u, v)
-        return value
-
-
 def _epoch_batches(n1: int, n2: int, batch: int, rng: np.random.Generator):
     """Independent without-replacement minibatch index streams for one epoch."""
     b = min(batch, n1, n2)
@@ -358,10 +326,189 @@ def _resolve_anchors(anchors, cfg, n1, n2):
     return pairs
 
 
-def _guard(term: str, value: float, epoch: int) -> float:
+def _guard(term: str, value: float, epoch: int) -> None:
     if not np.isfinite(value):
         raise DivergenceError(f"{term} became non-finite at epoch {epoch}")
-    return value
+
+
+# ---------------------------------------------------------------------------
+# Objective terms
+#
+# A term is a (name, fn) pair. fn(p, b1, b2, rows, train) sees the parameters
+# p by slot (q1, q2, qp1, qp2, W, b) and whitened rows b1 = z1[rows], b2 of
+# each view; it returns its weighted value, its shares of the _SUMS columns
+# and (slot, gradient) pairs. train=False evaluates a checkpoint. Gradients
+# add per slot in term order, which fixes the floating-point sums.
+# ---------------------------------------------------------------------------
+
+class _Matcher:
+    """The configured divergence between the projected shared views; the
+    adversarial one trains its discriminator before each training step."""
+
+    def __init__(self, cfg: SolverConfig, u0: np.ndarray, v0: np.ndarray,
+                 rng: np.random.Generator):
+        self.kernel = KernelSpec(cfg.bandwidth).resolve(u0, v0)
+        if cfg.matcher == "mmd":
+            self.disc = None
+        else:
+            self.disc = Discriminator(
+                cfg.d_c, hidden=cfg.disc_hidden, lr=cfg.lr_f,
+                label_smoothing=cfg.label_smoothing,
+                input_dropout=cfg.disc_input_dropout, rng=rng)
+            self.steps = cfg.disc_steps
+
+    def __call__(self, p, b1, b2, rows, train):
+        u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
+        if self.disc is None:
+            value, gu, gv = mmd2_unbiased(u, v, self.kernel)
+        else:
+            if train:
+                for _ in range(self.steps):
+                    discriminator_step(self.disc, u, v)
+            value, _, gu, gv = gan_value_and_grads(self.disc, u, v)
+        return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
+
+
+def _quantile_term(cfg: SolverConfig, rng: np.random.Generator):
+    """The warm-start matcher: quantile_match along fresh random slices."""
+    def term(p, b1, b2, rows, train):
+        dirs = rng.normal(size=(cfg.warm_slices, cfg.d_c))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        value, gu, gv = quantile_match(b1 @ p["q1"].T, b2 @ p["q2"].T, dirs)
+        return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
+    return "warm-start quantile matcher", term
+
+
+def _whitening_term(name: str, w: float, s1: str, s2: str, v1: _View,
+                    v2: _View):
+    """w * (R(Q_s1) + R(Q_s2)) for one head per view."""
+    def term(p, b1, b2, rows, train):
+        r1, g1 = whitening_penalty(p[s1], v1.sz)
+        r2, g2 = whitening_penalty(p[s2], v2.sz)
+        return (w * (r1 + r2), {"rq1": w * r1, "rq2": w * r2},
+                ((s1, w * g1), (s2, w * g2)))
+    return name, term
+
+
+def _anchor_term(beta: float, pairs: np.ndarray, v1: _View, v2: _View):
+    """beta * sum over anchor pairs of ||Q1 x1_l - Q2 x2_l||^2."""
+    x1a, x2a = v1.z[pairs[:, 0]], v2.z[pairs[:, 1]]
+
+    def term(p, b1, b2, rows, train):
+        value, g1, g2 = anchor_penalty(p["q1"], p["q2"], x1a, x2a)
+        return (beta * value, {"anchor": beta * value},
+                (("q1", beta * g1), ("q2", beta * g2)))
+    return "anchor penalty", term
+
+
+def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
+    """rho * sum over views of HSIC(shared, private projection); bandwidths
+    frozen from the projections p0; checkpoints use at most 1024 rows."""
+    kc1, kp1, kc2, kp2 = (KernelSpec().resolve(v.z[:1000] @ p0[slot].T)
+                          for v, slot in ((v1, "q1"), (v1, "qp1"),
+                                          (v2, "q2"), (v2, "qp2")))
+
+    def term(p, b1, b2, rows, train):
+        if not train:
+            b1, b2 = b1[:1024], b2[:1024]
+        h1, gc1, gp1 = hsic_biased(b1 @ p["q1"].T, b1 @ p["qp1"].T, kc1, kp1)
+        h2, gc2, gp2 = hsic_biased(b2 @ p["q2"].T, b2 @ p["qp2"].T, kc2, kp2)
+        value = rho * (h1 + h2)
+        return value, {"hsic": value}, (
+            ("q1", rho * gc1.T @ b1), ("qp1", rho * gp1.T @ b1),
+            ("q2", rho * gc2.T @ b2), ("qp2", rho * gp2.T @ b2))
+    return "hsic", term
+
+
+def _classifier_term(gamma: float, labels: np.ndarray):
+    """gamma * softmax cross-entropy of the linear head W u + b on view 1."""
+    def term(p, b1, b2, rows, train):
+        u = b1 @ p["q1"].T
+        ce, d_logits = _cross_entropy(u, p["W"], p["b"], labels[rows])
+        return gamma * ce, {"classifier": gamma * ce}, (
+            ("W", gamma * d_logits.T @ u), ("b", gamma * d_logits.sum(axis=0)),
+            ("q1", (gamma * d_logits @ p["W"]).T @ b1))
+    return "classifier cross-entropy", term
+
+
+def _constraints(cfg: SolverConfig, v1: _View, v2: _View, pairs) -> list:
+    """The terms every phase adds to its matcher: shared-head whitening and,
+    with anchors, the anchor penalty."""
+    terms = [_whitening_term("whitening penalty", cfg.lambda_whiten, "q1",
+                             "q2", v1, v2)]
+    if pairs is not None:
+        terms.append(_anchor_term(cfg.beta, pairs, v1, v2))
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# The training loop
+# ---------------------------------------------------------------------------
+
+class _Block:
+    """One Adam state for the parameters in `slots`; a tied block (q1 and q2
+    in homogeneous mode) steps on the sum of their gradients. The learning
+    rate at epoch e is lr * decay**e."""
+
+    def __init__(self, slots: tuple, lr: float, decay: float = 1.0):
+        self.slots, self.lr, self.decay = slots, lr, decay
+        self.adam = AdamState(lr=lr)
+
+
+def _shared_blocks(lr: float, tied: bool) -> list:
+    if tied:
+        return [_Block(("q1", "q2"), lr)]
+    return [_Block(("q1",), lr), _Block(("q2",), lr)]
+
+
+def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
+           rng_batch: np.random.Generator, batch: int, epochs: int,
+           checkpoint: tuple[int, int] | None = None):
+    """Adam on the sum of `terms`, updating the parameters `p` in place.
+
+    Returns the trace (TRACE_COLUMNS) and, with checkpoint=(every, rows),
+    the (epoch, objective) checkpoints on the leading `rows` rows.
+    """
+    checkpoints = []
+
+    def record(epoch: int) -> None:
+        rows = min(checkpoint[1], v1.n, v2.n)
+        z1, z2 = v1.z[:rows], v2.z[:rows]
+        value = 0.0
+        for _, term in terms:
+            value += term(p, z1, z2, slice(0, rows), False)[0]
+        checkpoints.append((epoch, value))
+
+    if checkpoint:
+        record(0)
+    trace = np.zeros((epochs, len(TRACE_COLUMNS)))
+    for epoch in range(epochs):
+        for blk in blocks:
+            blk.adam.lr = blk.lr * (blk.decay ** epoch)
+        sums = np.zeros(len(_SUMS))
+        steps = 0
+        for idx1, idx2 in _epoch_batches(v1.n, v2.n, batch, rng_batch):
+            b1, b2 = v1.z[idx1], v2.z[idx2]
+            row, grads = np.zeros(len(_SUMS)), {}
+            for name, term in terms:
+                value, columns, term_grads = term(p, b1, b2, idx1, True)
+                _guard(name, value, epoch)
+                for column, share in columns.items():
+                    row[_SUMS.index(column)] += share
+                for slot, g in term_grads:
+                    grads[slot] = grads[slot] + g if slot in grads else g
+            for blk in blocks:
+                first, *rest = blk.slots
+                g = sum((grads[slot] for slot in rest), grads[first])
+                p.update(dict.fromkeys(blk.slots, blk.adam.step(p[first], g)))
+            sums += row
+            steps += 1
+        mean = sums / steps
+        trace[epoch] = (epoch, *mean[:-1], mean.sum())
+        if checkpoint and ((epoch + 1) % checkpoint[0] == 0
+                           or epoch == epochs - 1):
+            record(epoch + 1)
+    return trace, checkpoints
 
 
 def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, kernel: KernelSpec,
@@ -392,62 +539,39 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, kernel: KernelSpec,
     best, best_score = None, np.inf
     for restart in range(cfg.restarts):
         if restart == 0:
-            q1, q2 = q1_spec.copy(), q2_spec.copy()
+            q1, q2 = q1_spec, q2_spec
         elif homogeneous:
             q1 = _haar_init(min(v1.rank, v2.rank), d_c, rng_init)
             q2 = q1
         else:
             q1 = _haar_init(v1.rank, d_c, rng_init)
             q2 = _haar_init(v2.rank, d_c, rng_init)
-        adam1 = AdamState(lr=cfg.lr_q)
-        adam2 = None if homogeneous else AdamState(lr=cfg.lr_q)
-        for epoch in range(cfg.warm_epochs):
-            for idx1, idx2 in _epoch_batches(v1.n, v2.n, cfg.warm_batch,
-                                             rng_batch):
-                b1, b2 = v1.z[idx1], v2.z[idx2]
-                dirs = rng_batch.normal(size=(cfg.warm_slices, d_c))
-                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                loss, gu, gv = quantile_match(b1 @ q1.T, b2 @ q2.T, dirs)
-                _guard("warm-start quantile matcher", loss, epoch)
-                g1 = gu.T @ b1 + cfg.lambda_whiten * whitening_penalty(q1, v1.sz)[1]
-                g2 = gv.T @ b2 + cfg.lambda_whiten * whitening_penalty(q2, v2.sz)[1]
-                if pairs is not None:
-                    _, ga1, ga2 = anchor_penalty(
-                        q1, q2, v1.z[pairs[:, 0]], v2.z[pairs[:, 1]])
-                    g1 += cfg.beta * ga1
-                    g2 += cfg.beta * ga2
-                if homogeneous:
-                    q1 = adam1.step(q1, g1 + g2)
-                    q2 = q1
-                else:
-                    q1 = adam1.step(q1, g1)
-                    q2 = adam2.step(q2, g2)
-        s = score(q1, q2)
+        p = {"q1": q1, "q2": q2}
+        terms = [_quantile_term(cfg, rng_batch),
+                 *_constraints(cfg, v1, v2, pairs)]
+        _train(p, _shared_blocks(cfg.lr_q, homogeneous), terms, v1, v2,
+               rng_batch, cfg.warm_batch, cfg.warm_epochs)
+        s = score(p["q1"], p["q2"])
         if s < best_score:
-            best, best_score = (q1, q2), s
+            best, best_score = (p["q1"], p["q2"]), s
     return best
 
 
-# ---------------------------------------------------------------------------
-# Main fit (unaligned / homogeneous / weakly supervised)
-# ---------------------------------------------------------------------------
-
-def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
-        anchors: AnchorSet | None = None) -> FitResult:
-    """Learn the shared-component projections by distribution matching.
-
-    Minimizes matcher(Q1 x1, Q2 x2) + lambda (R(Q1) + R(Q2)), plus
-    beta * sum_l ||Q1 x1_l - Q2 x2_l||^2 over anchor pairs when provided.
-    Homogeneous mode trains a single matrix against both covariance
-    penalties. The kernel bandwidth is frozen from the initial projections;
-    the warm start (see SolverConfig) picks the starting point, after which
-    the configured matcher drives the traced epochs.
-    """
+def _fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
+         anchors: AnchorSet | None = None,
+         labels1: np.ndarray | None = None) -> FitResult:
+    """Set up the views, the warm start and the term list for cfg.mode (plus
+    a classifier head when labels1 is given), then train."""
     t0 = time.perf_counter()
     homogeneous = cfg.mode == "homogeneous"
+    private = cfg.mode == "with_private"
+    if private and (cfg.d_p1 < 1 or cfg.d_p2 < 1):
+        raise ValidationError("with_private requires d_p1 >= 1 and d_p2 >= 1")
     v1, v2, pooled = _prepare_views(x1, x2, homogeneous)
     pairs = _resolve_anchors(anchors, cfg, v1.n, v2.n)
 
+    # Draw order is part of the replay contract: probes, private heads, then
+    # the warm start's draws from rng_init.
     rng_init = substream(cfg.seed, "solver", "init")
     rng_batch = substream(cfg.seed, "solver", "batches")
     rng_disc = substream(cfg.seed, "solver", "disc")
@@ -458,80 +582,64 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
         v2.rank, slice(0, d_c), 0.0, rng_init, "Q2")
     matcher = _Matcher(cfg, v1.z[:1000] @ probe1.T, v2.z[:1000] @ probe2.T,
                        rng_disc)
+    p = {}
+    if private:
+        p["qp1"] = _block_init(v1.rank, slice(d_c, d_c + cfg.d_p1),
+                               cfg.init_noise, rng_init, "QP1")
+        p["qp2"] = _block_init(v2.rank, slice(d_c, d_c + cfg.d_p2),
+                               cfg.init_noise, rng_init, "QP2")
+    p["q1"], p["q2"] = _warm_start(cfg, v1, v2, matcher.kernel, pairs,
+                                   homogeneous, rng_init, rng_batch)
 
-    q1, q2 = _warm_start(cfg, v1, v2, matcher.kernel, pairs, homogeneous,
-                         rng_init, rng_batch)
-    adam1 = AdamState(lr=cfg.lr_q)
-    adam2 = None if homogeneous else AdamState(lr=cfg.lr_q)
+    blocks = _shared_blocks(cfg.lr_q, homogeneous)
+    terms = [("matcher", matcher), *_constraints(cfg, v1, v2, pairs)]
+    if private:
+        blocks += [_Block(("qp1",), cfg.lr_p), _Block(("qp2",), cfg.lr_p)]
+        terms += [_whitening_term("private whitening penalty", cfg.omega,
+                                  "qp1", "qp2", v1, v2),
+                  _hsic_term(cfg.rho, p, v1, v2)]
+    if labels1 is not None:
+        n_classes = int(labels1.max()) + 1
+        p["W"], p["b"] = np.zeros((n_classes, d_c)), np.zeros(n_classes)
+        blocks += [_Block(("W",), cfg.lr_clf, cfg.clf_decay),
+                   _Block(("b",), cfg.lr_clf, cfg.clf_decay)]
+        terms.append(_classifier_term(cfg.gamma, labels1))
+    trace, checkpoints = _train(p, blocks, terms, v1, v2, rng_batch,
+                                cfg.batch, cfg.epochs,
+                                (cfg.checkpoint_every, cfg.checkpoint_rows))
 
-    nck = min(cfg.checkpoint_rows, v1.n, v2.n)
-
-    def checkpoint_loss() -> float:
-        value = matcher.evaluate(v1.z[:nck] @ q1.T, v2.z[:nck] @ q2.T)
-        value += cfg.lambda_whiten * (whitening_penalty(q1, v1.sz)[0]
-                                      + whitening_penalty(q2, v2.sz)[0])
-        if pairs is not None:
-            value += cfg.beta * anchor_penalty(
-                q1, q2, v1.z[pairs[:, 0]], v2.z[pairs[:, 1]])[0]
-        return value
-
-    checkpoints = [(0, checkpoint_loss())]
-    trace = np.zeros((cfg.epochs, len(TRACE_COLUMNS)))
-    init_matcher = None
-
-    for epoch in range(cfg.epochs):
-        sums = np.zeros(5)  # matcher, rq1, rq2, anchor, hsic
-        steps = 0
-        for idx1, idx2 in _epoch_batches(v1.n, v2.n, cfg.batch, rng_batch):
-            b1, b2 = v1.z[idx1], v2.z[idx2]
-            loss_m, gu, gv = matcher.step(b1 @ q1.T, b2 @ q2.T)
-            _guard("matcher", loss_m, epoch)
-            if init_matcher is None:
-                init_matcher = loss_m
-            elif loss_m > 10.0 * max(abs(init_matcher), 1.0):
-                raise DivergenceError(
-                    f"matcher loss {loss_m:.3g} exceeds 10x its initial value "
-                    f"{init_matcher:.3g} at epoch {epoch}")
-            r1, gr1 = whitening_penalty(q1, v1.sz)
-            r2, gr2 = whitening_penalty(q2, v2.sz)
-            _guard("whitening penalty", r1 + r2, epoch)
-            g1 = gu.T @ b1 + cfg.lambda_whiten * gr1
-            g2 = gv.T @ b2 + cfg.lambda_whiten * gr2
-            a_val = 0.0
-            if pairs is not None:
-                a_val, ga1, ga2 = anchor_penalty(
-                    q1, q2, v1.z[pairs[:, 0]], v2.z[pairs[:, 1]])
-                _guard("anchor penalty", a_val, epoch)
-                g1 += cfg.beta * ga1
-                g2 += cfg.beta * ga2
-            if homogeneous:
-                q1 = adam1.step(q1, g1 + g2)
-                q2 = q1
-            else:
-                q1 = adam1.step(q1, g1)
-                q2 = adam2.step(q2, g2)
-            sums += (loss_m, cfg.lambda_whiten * r1, cfg.lambda_whiten * r2,
-                     cfg.beta * a_val, 0.0)
-            steps += 1
-        mean = sums / steps
-        trace[epoch] = (epoch, *mean, mean.sum())
-        if (epoch + 1) % cfg.checkpoint_every == 0 or epoch == cfg.epochs - 1:
-            checkpoints.append((epoch + 1, checkpoint_loss()))
-
-    if homogeneous:
-        p1 = Projection(q1 @ v1.w, pooled)
-        p2 = p1
-    else:
-        p1 = Projection(q1 @ v1.w, v1.sigma)
-        p2 = Projection(q2 @ v2.w, v2.sigma)
-    return FitResult(q1=p1, q2=p2, trace=trace, checkpoints=checkpoints,
-                     wall_clock=time.perf_counter() - t0, config=replace(cfg),
-                     discriminator=matcher.disc)
+    proj1 = Projection(p["q1"] @ v1.w, pooled if homogeneous else v1.sigma)
+    proj2 = proj1 if homogeneous else Projection(p["q2"] @ v2.w, v2.sigma)
+    result = FitResult(q1=proj1, q2=proj2, trace=trace,
+                       checkpoints=checkpoints, config=replace(cfg),
+                       discriminator=matcher.disc)
+    if private:
+        result.qp1 = Projection(p["qp1"] @ v1.w, v1.sigma)
+        result.qp2 = Projection(p["qp2"] @ v2.w, v2.sigma)
+    if labels1 is not None:
+        result.classifier = (p["W"], p["b"])
+    result.wall_clock = time.perf_counter() - t0
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Private-component extraction
+# Public fits
 # ---------------------------------------------------------------------------
+
+def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
+        anchors: AnchorSet | None = None) -> FitResult:
+    """Learn the shared-component projections by distribution matching.
+
+    Minimizes matcher(Q1 x1, Q2 x2) + lambda (R(Q1) + R(Q2)), plus
+    beta * sum_l ||Q1 x1_l - Q2 x2_l||^2 over anchor pairs when provided.
+    Homogeneous mode trains a single matrix against both covariance
+    penalties; with_private mode adds the private heads (see
+    fit_with_private). The kernel bandwidth is frozen from the initial
+    projections; the warm start (see SolverConfig) picks the starting point,
+    after which the configured matcher drives the traced epochs.
+    """
+    return _fit(x1, x2, cfg, anchors=anchors)
+
 
 def fit_with_private(x1: np.ndarray, x2: np.ndarray,
                      cfg: SolverConfig) -> FitResult:
@@ -541,112 +649,13 @@ def fit_with_private(x1: np.ndarray, x2: np.ndarray,
     omega R(Q_P) terms + rho * HSIC(Q_C x, Q_P x) per modality. The private
     heads start from the next whitening rows and only join once the warm
     start has placed the shared heads; HSIC kernel bandwidths are frozen from
-    the initial projections.
+    the initial projections. Requires mode 'with_private'.
     """
-    t0 = time.perf_counter()
-    if cfg.d_p1 < 1 or cfg.d_p2 < 1:
-        raise ValidationError("with_private requires d_p1 >= 1 and d_p2 >= 1")
-    v1 = _View(x1, "X1")
-    v2 = _View(x2, "X2")
+    if cfg.mode != "with_private":
+        raise ValidationError(
+            f"fit_with_private requires mode 'with_private', got '{cfg.mode}'")
+    return _fit(x1, x2, cfg)
 
-    rng_init = substream(cfg.seed, "solver", "init")
-    rng_batch = substream(cfg.seed, "solver", "batches")
-    rng_disc = substream(cfg.seed, "solver", "disc")
-
-    d_c = cfg.d_c
-    probe1 = _block_init(v1.rank, slice(0, d_c), 0.0, rng_init, "QC1")
-    probe2 = _block_init(v2.rank, slice(0, d_c), 0.0, rng_init, "QC2")
-    matcher = _Matcher(cfg, v1.z[:1000] @ probe1.T, v2.z[:1000] @ probe2.T,
-                       rng_disc)
-
-    qp1 = _block_init(v1.rank, slice(d_c, d_c + cfg.d_p1), cfg.init_noise,
-                      rng_init, "QP1")
-    qp2 = _block_init(v2.rank, slice(d_c, d_c + cfg.d_p2), cfg.init_noise,
-                      rng_init, "QP2")
-    qc1, qc2 = _warm_start(cfg, v1, v2, matcher.kernel, None, False,
-                           rng_init, rng_batch)
-
-    kc1 = KernelSpec().resolve(v1.z[:1000] @ qc1.T)
-    kp1 = KernelSpec().resolve(v1.z[:1000] @ qp1.T)
-    kc2 = KernelSpec().resolve(v2.z[:1000] @ qc2.T)
-    kp2 = KernelSpec().resolve(v2.z[:1000] @ qp2.T)
-
-    adams = {name: AdamState(lr=cfg.lr_q if name.startswith("qc") else cfg.lr_p)
-             for name in ("qc1", "qc2", "qp1", "qp2")}
-
-    trace = np.zeros((cfg.epochs, len(TRACE_COLUMNS)))
-    nck = min(cfg.checkpoint_rows, v1.n, v2.n)
-    nh = min(nck, 1024)
-
-    def checkpoint_loss() -> float:
-        value = matcher.evaluate(v1.z[:nck] @ qc1.T, v2.z[:nck] @ qc2.T)
-        value += cfg.lambda_whiten * (whitening_penalty(qc1, v1.sz)[0]
-                                      + whitening_penalty(qc2, v2.sz)[0])
-        value += cfg.omega * (whitening_penalty(qp1, v1.sz)[0]
-                              + whitening_penalty(qp2, v2.sz)[0])
-        value += cfg.rho * (hsic_biased(v1.z[:nh] @ qc1.T, v1.z[:nh] @ qp1.T,
-                                        kc1, kp1)[0]
-                            + hsic_biased(v2.z[:nh] @ qc2.T, v2.z[:nh] @ qp2.T,
-                                          kc2, kp2)[0])
-        return value
-
-    checkpoints = [(0, checkpoint_loss())]
-    init_matcher = None
-
-    for epoch in range(cfg.epochs):
-        sums = np.zeros(5)
-        steps = 0
-        for idx1, idx2 in _epoch_batches(v1.n, v2.n, cfg.batch, rng_batch):
-            b1, b2 = v1.z[idx1], v2.z[idx2]
-            u1, w1p = b1 @ qc1.T, b1 @ qp1.T
-            u2, w2p = b2 @ qc2.T, b2 @ qp2.T
-            loss_m, gu, gv = matcher.step(u1, u2)
-            _guard("matcher", loss_m, epoch)
-            if init_matcher is None:
-                init_matcher = loss_m
-            elif loss_m > 10.0 * max(abs(init_matcher), 1.0):
-                raise DivergenceError(
-                    f"matcher loss {loss_m:.3g} exceeds 10x its initial value "
-                    f"at epoch {epoch}")
-            h1, ghc1, ghp1 = hsic_biased(u1, w1p, kc1, kp1)
-            h2, ghc2, ghp2 = hsic_biased(u2, w2p, kc2, kp2)
-            _guard("hsic", h1 + h2, epoch)
-
-            rc1, grc1 = whitening_penalty(qc1, v1.sz)
-            rc2, grc2 = whitening_penalty(qc2, v2.sz)
-            rp1, grp1 = whitening_penalty(qp1, v1.sz)
-            rp2, grp2 = whitening_penalty(qp2, v2.sz)
-
-            g_qc1 = gu.T @ b1 + cfg.lambda_whiten * grc1 + cfg.rho * ghc1.T @ b1
-            g_qc2 = gv.T @ b2 + cfg.lambda_whiten * grc2 + cfg.rho * ghc2.T @ b2
-            g_qp1 = cfg.omega * grp1 + cfg.rho * ghp1.T @ b1
-            g_qp2 = cfg.omega * grp2 + cfg.rho * ghp2.T @ b2
-
-            qc1 = adams["qc1"].step(qc1, g_qc1)
-            qc2 = adams["qc2"].step(qc2, g_qc2)
-            qp1 = adams["qp1"].step(qp1, g_qp1)
-            qp2 = adams["qp2"].step(qp2, g_qp2)
-
-            sums += (loss_m,
-                     cfg.lambda_whiten * rc1 + cfg.omega * rp1,
-                     cfg.lambda_whiten * rc2 + cfg.omega * rp2,
-                     0.0, cfg.rho * (h1 + h2))
-            steps += 1
-        mean = sums / steps
-        trace[epoch] = (epoch, *mean, mean.sum())
-
-    checkpoints.append((cfg.epochs, checkpoint_loss()))
-    return FitResult(
-        q1=Projection(qc1 @ v1.w, v1.sigma), q2=Projection(qc2 @ v2.w, v2.sigma),
-        qp1=Projection(qp1 @ v1.w, v1.sigma), qp2=Projection(qp2 @ v2.w, v2.sigma),
-        trace=trace, checkpoints=checkpoints,
-        wall_clock=time.perf_counter() - t0, config=replace(cfg),
-        discriminator=matcher.disc)
-
-
-# ---------------------------------------------------------------------------
-# Classifier head (homogeneous domain-adaptation style)
-# ---------------------------------------------------------------------------
 
 def fit_with_classifier(x1: np.ndarray, labels1: np.ndarray, x2: np.ndarray,
                         cfg: SolverConfig) -> FitResult:
@@ -656,7 +665,6 @@ def fit_with_classifier(x1: np.ndarray, labels1: np.ndarray, x2: np.ndarray,
     the classifier learning rate decays by clf_decay each epoch. The returned
     classifier predicts labels for projected view-2 data.
     """
-    t0 = time.perf_counter()
     if cfg.mode != "homogeneous":
         raise ValidationError("fit_with_classifier requires homogeneous mode")
     labels1 = np.asarray(labels1)
@@ -664,71 +672,7 @@ def fit_with_classifier(x1: np.ndarray, labels1: np.ndarray, x2: np.ndarray,
         raise ValidationError("labels must be one integer per row of X1")
     if labels1.min() < 0:
         raise ValidationError("labels must be non-negative")
-    n_classes = int(labels1.max()) + 1
-    v1, v2, pooled = _prepare_views(x1, x2, homogeneous=True)
-
-    rng_init = substream(cfg.seed, "solver", "init")
-    rng_batch = substream(cfg.seed, "solver", "batches")
-    rng_disc = substream(cfg.seed, "solver", "disc")
-
-    d_c = cfg.d_c
-    probe = _block_init(v1.rank, slice(0, d_c), 0.0, rng_init, "Q")
-    matcher = _Matcher(cfg, v1.z[:1000] @ probe.T, v2.z[:1000] @ probe.T,
-                       rng_disc)
-    q, _ = _warm_start(cfg, v1, v2, matcher.kernel, None, True,
-                       rng_init, rng_batch)
-    w = np.zeros((n_classes, d_c))
-    bias = np.zeros(n_classes)
-
-    adam_q = AdamState(lr=cfg.lr_q)
-    adam_w = AdamState(lr=cfg.lr_clf)
-    adam_b = AdamState(lr=cfg.lr_clf)
-
-    trace = np.zeros((cfg.epochs, len(TRACE_COLUMNS)))
-    init_matcher = None
-
-    for epoch in range(cfg.epochs):
-        lr_now = cfg.lr_clf * (cfg.clf_decay ** epoch)
-        adam_w.lr = lr_now
-        adam_b.lr = lr_now
-        sums = np.zeros(6)  # matcher, rq1, rq2, anchor, hsic, ce
-        steps = 0
-        for idx1, idx2 in _epoch_batches(v1.n, v2.n, cfg.batch, rng_batch):
-            b1, b2 = v1.z[idx1], v2.z[idx2]
-            u, v = b1 @ q.T, b2 @ q.T
-            loss_m, gu, gv = matcher.step(u, v)
-            _guard("matcher", loss_m, epoch)
-            if init_matcher is None:
-                init_matcher = loss_m
-            elif loss_m > 10.0 * max(abs(init_matcher), 1.0):
-                raise DivergenceError(
-                    f"matcher loss {loss_m:.3g} exceeds 10x its initial value "
-                    f"at epoch {epoch}")
-            r1, gr1 = whitening_penalty(q, v1.sz)
-            r2, gr2 = whitening_penalty(q, v2.sz)
-
-            ce, d_logits = _cross_entropy(u, w, bias, labels1[idx1])
-            _guard("classifier cross-entropy", ce, epoch)
-            g_w = cfg.gamma * d_logits.T @ u
-            g_b = cfg.gamma * d_logits.sum(axis=0)
-            g_u = cfg.gamma * d_logits @ w
-
-            g_q = (gu + g_u).T @ b1 + gv.T @ b2 \
-                + cfg.lambda_whiten * (gr1 + gr2)
-            q = adam_q.step(q, g_q)
-            w = adam_w.step(w, g_w)
-            bias = adam_b.step(bias, g_b)
-
-            sums += (loss_m, cfg.lambda_whiten * r1, cfg.lambda_whiten * r2,
-                     0.0, 0.0, cfg.gamma * ce)
-            steps += 1
-        mean = sums / steps
-        trace[epoch] = (epoch, *mean[:5], mean.sum())
-
-    proj = Projection(q @ v1.w, pooled)
-    return FitResult(q1=proj, q2=proj, classifier=(w, bias), trace=trace,
-                     wall_clock=time.perf_counter() - t0, config=replace(cfg),
-                     discriminator=matcher.disc)
+    return _fit(x1, x2, cfg, labels1=labels1)
 
 
 def _cross_entropy(u: np.ndarray, w: np.ndarray, b: np.ndarray,

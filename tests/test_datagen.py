@@ -223,10 +223,21 @@ class TestSerialization:
         save_dataset(ds, str(tmp_path / "d"), seed=17)
         back = load_dataset(str(tmp_path / "d"))
         for field in ("x1", "x2", "c", "p1", "p2", "x1_test", "x2_test",
-                      "c_test", "alignment", "mean1", "mean2"):
+                      "c_test", "p1_test", "p2_test", "alignment", "mean1",
+                      "mean2"):
             assert np.array_equal(getattr(ds, field), getattr(back, field)), field
         assert np.array_equal(ds.mixing.a1, back.mixing.a1)
         assert back.latent == ds.latent
+
+    def test_loads_directory_without_private_test_codes(self, tmp_path):
+        ds, _ = _quick_dataset(200)
+        save_dataset(ds, str(tmp_path / "d"), seed=17)
+        for name in ("P1_test", "P2_test"):
+            for ext in (".bin", ".json"):
+                (tmp_path / "d" / (name + ext)).unlink()
+        back = load_dataset(str(tmp_path / "d"))
+        assert back.p1_test is None and back.p2_test is None
+        assert np.array_equal(ds.x1_test, back.x1_test)
 
     def test_manifest_contents(self, tmp_path):
         ds, _ = _quick_dataset(150)

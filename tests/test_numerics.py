@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unisca.numerics import (AdamState, DegenerateCovarianceError,
-                             ValidationError, adam_step, empirical_covariance,
+                             ValidationError, empirical_covariance,
                              grad_check, substream, sym_eig, whitening_matrix)
 
 
@@ -86,12 +86,12 @@ class TestAdam:
         state = AdamState(lr=0.1)
         p = np.array([1.0, -2.0])
         for _ in range(5):
-            p = adam_step(state, p, np.zeros(2))
+            p = state.step(p, np.zeros(2))
         np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_one_step_hand_value(self):
         state = AdamState(lr=0.1)
-        p = adam_step(state, np.array([0.0]), np.array([1.0]))
+        p = state.step(np.array([0.0]), np.array([1.0]))
         # m_hat = 1, v_hat = 1 -> step = 0.1 / (1 + 1e-8)
         np.testing.assert_allclose(p, [-0.1 / (1.0 + 1e-8)], rtol=1e-12)
         assert state.t == 1
@@ -103,13 +103,13 @@ class TestAdam:
             state = AdamState(lr=0.01)
             p = np.zeros((3, 2))
             for g in grads:
-                p = adam_step(state, p, g)
+                p = state.step(p, g)
             outs.append(p.copy())
         assert np.array_equal(outs[0], outs[1])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            adam_step(AdamState(lr=0.1), np.zeros(2), np.zeros(3))
+            AdamState(lr=0.1).step(np.zeros(2), np.zeros(3))
 
 
 class TestGradCheck:
