@@ -668,7 +668,8 @@ def fit_with_classifier(x1: np.ndarray, labels1: np.ndarray, x2: np.ndarray,
     if cfg.mode != "homogeneous":
         raise ValidationError("fit_with_classifier requires homogeneous mode")
     labels1 = np.asarray(labels1)
-    if labels1.ndim != 1 or labels1.shape[0] != x1.shape[0]:
+    if labels1.ndim != 1 or labels1.shape[0] != x1.shape[0] \
+            or labels1.dtype.kind not in "iu":
         raise ValidationError("labels must be one integer per row of X1")
     if labels1.min() < 0:
         raise ValidationError("labels must be non-negative")

@@ -38,6 +38,18 @@ def test_private_mode_needs_private_dimensions():
                                 solver.SolverConfig(d_c=2, d_p1=1, d_p2=1))
 
 
+@pytest.mark.parametrize("labels", [
+    lambda ds: (ds.c[:, 0] > 0).astype(float),
+    lambda ds: (ds.c[:-1, 0] > 0).astype(np.int64),
+    lambda ds: -np.ones(ds.x1.shape[0], dtype=np.int64),
+])
+def test_classifier_rejects_bad_labels(labels):
+    ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
+    cfg = solver.SolverConfig(d_c=2, mode="homogeneous", **TINY)
+    with pytest.raises(ValidationError, match="labels"):
+        solver.fit_with_classifier(ds.x1, labels(ds), ds.x2, cfg)
+
+
 def _blow_up(entry):
     """Run `entry` with a shared-head learning rate so large that the first
     Adam step throws the projections out of floating-point range."""
