@@ -15,14 +15,16 @@ two stages: a cheap multi-restart warm start that matches sorted quantiles
 along random slices (a Wasserstein-style realization of the same
 distribution-matching constraint), followed by the configured matcher as the
 traced training phase. Restart selection uses a frozen two-bandwidth MMD
-score on a large deterministic subsample. Covariances and kernel bandwidths
-are frozen before the first step, so every run is replay-deterministic under
-its seed.
+score on a large deterministic subsample; the score is value-only and summed
+in row blocks, so it forms no n x n Gram matrix. Covariances and kernel
+bandwidths are frozen before the first step, so every run is
+replay-deterministic under its seed.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -35,6 +37,8 @@ from .distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                         mmd2_unbiased)
 from .numerics import (AdamState, ValidationError, check_matrix,
                        empirical_covariance, substream, whitening_matrix)
+
+log = logging.getLogger("unisca")
 
 MODES = ("unaligned", "homogeneous", "weakly_supervised", "with_private")
 MATCHERS = ("mmd", "adversarial")
@@ -519,7 +523,10 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, kernel: KernelSpec,
     Restart 0 starts from the whitening-plus-noise block; later restarts use
     seeded random orthonormal frames. Candidates are scored by the frozen
     kernel's MMD plus a half-bandwidth MMD on a large leading subsample, which
-    separates true matches from scale-local spurious ones.
+    separates true matches from scale-local spurious ones. The score is
+    value-only: each MMD is summed in row blocks without gradients or n x n
+    Gram matrices. Each restart's score and the chosen restart are logged at
+    DEBUG.
     """
     d_c = cfg.d_c
     q1_spec = _block_init(v1.rank, slice(0, d_c), cfg.init_noise, rng_init,
@@ -534,9 +541,10 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, kernel: KernelSpec,
 
     def score(q1, q2):
         u, v = v1.z[:ns] @ q1.T, v2.z[:ns] @ q2.T
-        return mmd2_unbiased(u, v, kernel)[0] + mmd2_unbiased(u, v, fine)[0]
+        return (mmd2_unbiased(u, v, kernel, grad=False)[0]
+                + mmd2_unbiased(u, v, fine, grad=False)[0])
 
-    best, best_score = None, np.inf
+    best, best_score, best_restart = None, np.inf, -1
     for restart in range(cfg.restarts):
         if restart == 0:
             q1, q2 = q1_spec, q2_spec
@@ -552,8 +560,11 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, kernel: KernelSpec,
         _train(p, _shared_blocks(cfg.lr_q, homogeneous), terms, v1, v2,
                rng_batch, cfg.warm_batch, cfg.warm_epochs)
         s = score(p["q1"], p["q2"])
+        log.debug("warm start restart %d: score %.6g", restart, s)
         if s < best_score:
-            best, best_score = (p["q1"], p["q2"]), s
+            best, best_score, best_restart = (p["q1"], p["q2"]), s, restart
+    log.debug("warm start chose restart %d of %d (score %.6g)",
+              best_restart, cfg.restarts, best_score)
     return best
 
 

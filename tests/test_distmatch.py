@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,66 @@ class TestMMD:
         with pytest.raises(ValidationError):
             mmd2_unbiased(rng.normal(size=(1, 2)), rng.normal(size=(5, 2)),
                           KernelSpec(1.0))
+
+
+class TestMMDValueOnly:
+    """grad=False sums the Grams in blocks of 512 rows; its value must agree
+    with the gradient path's, also at and across block boundaries."""
+
+    @staticmethod
+    def _both(x, y, k):
+        return mmd2_unbiased(x, y, k)[0], mmd2_unbiased(x, y, k, grad=False)[0]
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (511, 512), (512, 512),
+                                     (513, 1025), (1200, 600)])
+    def test_matches_gradient_path(self, rng, m, n):
+        x = rng.normal(size=(m, 2))
+        y = rng.normal(size=(n, 2)) + 0.5
+        full, value = self._both(x, y, KernelSpec(0.8))
+        assert value == pytest.approx(full, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("bandwidth", [1e-3, 1e3])
+    def test_matches_at_extreme_bandwidths(self, rng, bandwidth):
+        x = rng.normal(size=(700, 3))
+        y = rng.normal(size=(600, 3))
+        full, value = self._both(x, y, KernelSpec(bandwidth))
+        assert value == pytest.approx(full, rel=0, abs=1e-12)
+
+    def test_matches_on_coincident_points(self, rng):
+        x = np.repeat(rng.normal(size=(10, 2)), 60, axis=0)
+        full, value = self._both(x, x.copy(), KernelSpec(1.0))
+        assert value == pytest.approx(full, rel=0, abs=1e-12)
+
+    def test_returns_no_gradients(self, rng):
+        _, gx, gy = mmd2_unbiased(rng.normal(size=(20, 2)),
+                                  rng.normal(size=(30, 2)), KernelSpec(1.0),
+                                  grad=False)
+        assert gx is None and gy is None
+
+    @pytest.mark.parametrize("x,y,kernel", [
+        (np.array([[0.0, np.nan], [1.0, 2.0]]), np.ones((3, 2)), KernelSpec(1.0)),
+        (np.ones((1, 2)), np.ones((5, 2)), KernelSpec(1.0)),
+        (np.ones((4, 2)), np.ones((4, 3)), KernelSpec(1.0)),
+        (np.ones((4, 2)), np.ones((4, 2)), KernelSpec()),
+    ], ids=["nan", "one-row", "dimension", "unresolved"])
+    def test_rejects_what_the_gradient_path_rejects(self, x, y, kernel):
+        with pytest.raises(ValidationError) as full:
+            mmd2_unbiased(x, y, kernel)
+        with pytest.raises(ValidationError, match=re.escape(str(full.value))):
+            mmd2_unbiased(x, y, kernel, grad=False)
+
+    def test_forms_no_square_gram(self, rng):
+        # One 4096 x 4096 float64 matrix is 128 MiB; the gradient path's peak
+        # is 512 MiB, the blocked sums' about 32 MiB.
+        x = rng.normal(size=(4096, 2))
+        y = rng.normal(size=(4096, 2))
+        tracemalloc.start()
+        try:
+            mmd2_unbiased(x, y, KernelSpec(1.0), grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestHSIC:

@@ -1,4 +1,7 @@
-"""Fit entry points: mode routing, divergence and config validation."""
+"""Fit entry points: mode routing, divergence, config validation, the warm
+start's DEBUG log and the classifier head's predictions."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -82,3 +85,47 @@ def test_divergence_names_the_term(entry):
 def test_config_rejects_values_below_minimum(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be >="):
         solver.SolverConfig(d_c=2, **{field: value})
+
+
+def test_warm_start_logs_restart_scores_at_debug(caplog):
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    cfg = solver.SolverConfig(d_c=ds.d_c, **{**TINY, "restarts": 3,
+                                             "warm_epochs": 1})
+    with caplog.at_level(logging.INFO, logger="unisca"):
+        quiet = solver.fit(ds.x1, ds.x2, cfg)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="unisca"):
+        loud = solver.fit(ds.x1, ds.x2, cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "unisca" and r.levelno == logging.DEBUG]
+    for restart in range(3):
+        assert any(m.startswith(f"warm start restart {restart}: score ")
+                   for m in lines)
+    assert sum(m.startswith("warm start chose restart ") for m in lines) == 1
+    assert np.array_equal(quiet.q1.matrix, loud.q1.matrix)
+    assert np.array_equal(quiet.q2.matrix, loud.q2.matrix)
+    assert np.array_equal(quiet.trace, loud.trace)
+    assert quiet.checkpoints == loud.checkpoints
+
+
+def test_classify_applies_the_head_and_survives_a_round_trip(tmp_path):
+    ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
+    labels = (ds.c[:, 0] > 0).astype(np.int64)
+    cfg = solver.SolverConfig(d_c=ds.d_c, mode="homogeneous", **TINY)
+    result = solver.fit_with_classifier(ds.x1, labels, ds.x2, cfg)
+    w, b = result.classifier
+    predicted = solver.classify(result, ds.x1)
+    assert np.issubdtype(predicted.dtype, np.integer)
+    assert np.array_equal(
+        predicted, np.argmax(result.q1.apply(ds.x1) @ w.T + b, axis=1))
+    solver.save_model(result, str(tmp_path))
+    loaded = solver.load_model(str(tmp_path))
+    assert np.array_equal(solver.classify(loaded, ds.x1), predicted)
+
+
+def test_classify_needs_a_classifier_head():
+    ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
+    cfg = solver.SolverConfig(d_c=ds.d_c, mode="homogeneous", **TINY)
+    result = solver.fit(ds.x1, ds.x2, cfg)
+    with pytest.raises(ValidationError, match="classifier"):
+        solver.classify(result, ds.x1)
