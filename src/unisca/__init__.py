@@ -1,14 +1,12 @@
 """Shared component analysis for unaligned multimodal linear mixtures."""
 
-from .baselines import CcaResult, IcaResult, cca_fit, fastica, ica_match
 from .datagen import (DistributionSpec, LatentSpec, MixingModel, MixingTemplate,
                       SyntheticDataset, generate_dataset, preset,
                       sample_anchors)
 from .distmatch import (Discriminator, KernelSpec, gan_value_and_grads,
                         hsic_biased, mmd2_unbiased)
-from .metrics import (IdentReport, abs_pearson, evaluate_fit, knn_accuracy,
-                      leakage, pair_match_error, retrieval_precision,
-                      theta_consistency)
+from .metrics import (IdentReport, abs_pearson, evaluate_fit, leakage,
+                      pair_match_error, retrieval_precision, theta_consistency)
 from .numerics import (AdamState, empirical_covariance, grad_check, substream,
                        sym_eig, whitening_matrix)
 from .solver import (AnchorSet, DivergenceError, FitResult, Projection,

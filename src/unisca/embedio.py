@@ -1,20 +1,17 @@
-"""Readers and writers for real-world embedding data.
+"""Readers for real-world embedding data.
 
 Covers the word-vector text layout (header "N d", then one token and d values
-per line), rectangular numeric CSV matrices, integer label files, and
-two-column retrieval dictionaries. Readers are lossless: centering and any
-other modeling steps happen downstream in the solver.
+per line) and two-column retrieval dictionaries. Readers are lossless:
+centering and any other modeling steps happen downstream in the solver.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import matio
 from .numerics import ValidationError
 
 
@@ -22,20 +19,12 @@ from .numerics import ValidationError
 class EmbeddingTable:
     tokens: list
     matrix: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.tokens) != self.matrix.shape[0]:
             raise ValidationError("token count must equal row count")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValidationError("tokens must be unique")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def index(self) -> dict:
-        return {t: i for i, t in enumerate(self.tokens)}
 
 
 def read_vec_text(path: str, max_rows: int | None = None) -> EmbeddingTable:
@@ -72,82 +61,7 @@ def read_vec_text(path: str, max_rows: int | None = None) -> EmbeddingTable:
             tokens.append(token)
             rows.append(values)
     matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
-    return EmbeddingTable(tokens=tokens, matrix=matrix,
-                          provenance={"source": path, "n": len(tokens), "d": dim})
-
-
-def write_vec_text(table: EmbeddingTable, path: str) -> None:
-    """Inverse of read_vec_text, 17 significant digits per value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.tokens)} {table.dim}\n")
-        for token, row in zip(table.tokens, table.matrix):
-            fh.write(token + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def save_table(table: EmbeddingTable, directory: str, name: str = "embeddings") -> None:
-    matio.write_matrix(directory, name, table.matrix, role="embedding table",
-                       meta={"tokens": table.tokens})
-    with open(os.path.join(directory, name + ".tokens"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(table.tokens))
-        if table.tokens:
-            fh.write("\n")
-
-
-def load_table(directory: str, name: str = "embeddings") -> EmbeddingTable:
-    matrix, header = matio.read_matrix(directory, name)
-    with open(os.path.join(directory, name + ".tokens"), encoding="utf-8") as fh:
-        tokens = fh.read().splitlines()
-    return EmbeddingTable(tokens=tokens, matrix=matrix,
-                          provenance={"source": directory, **header.get("meta", {})})
-
-
-def read_matrix_csv(path: str) -> np.ndarray:
-    """Rectangular numeric CSV (no header) to a float64 matrix."""
-    rows = []
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ValidationError(
-                    f"{path}: ragged row {lineno} ({len(parts)} != {width} fields)")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: non-numeric value on row {lineno}") \
-                    from exc
-    if not rows:
-        raise ValidationError(f"{path}: empty matrix file")
-    return np.array(rows, dtype=np.float64)
-
-
-def read_labels(path: str, num_classes: int | None = None) -> np.ndarray:
-    """One integer label per line, 0-based; validated against num_classes."""
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: non-integer label on line {lineno}") from exc
-            if value < 0:
-                raise ValidationError(f"{path}: negative label on line {lineno}")
-            if num_classes is not None and value >= num_classes:
-                raise ValidationError(
-                    f"{path}: label {value} out of range on line {lineno}")
-            labels.append(value)
-    if not labels:
-        raise ValidationError(f"{path}: empty label file")
-    return np.array(labels, dtype=np.int64)
+    return EmbeddingTable(tokens=tokens, matrix=matrix)
 
 
 def read_dictionary(path: str) -> dict:

@@ -4,7 +4,7 @@ The synthetic metrics score a fit against hidden ground truth: how much
 private-subspace mass survives in Q A (leakage), whether both modalities
 landed on the same shared transform (theta consistency), and whether held-out
 aligned pairs project to the same point (pair match error). The retrieval
-metrics (k-NN accuracy, NN/CSLS precision@k) operate on embeddings alone.
+metric (NN/CSLS precision@k) operates on embeddings alone.
 """
 
 from __future__ import annotations
@@ -57,26 +57,6 @@ def pair_match_error(q1: np.ndarray, x1_test: np.ndarray, q2: np.ndarray,
     if den == 0.0:
         raise ValidationError("projected test data is identically zero")
     return float(num / den)
-
-
-def knn_accuracy(queries: np.ndarray, references: np.ndarray,
-                 truth: np.ndarray, k: int) -> float:
-    """Fraction of queries whose true counterpart is among the k nearest
-    references under Euclidean distance."""
-    queries = check_matrix(queries, "queries")
-    references = check_matrix(references, "references")
-    truth = np.asarray(truth, dtype=np.int64)
-    n_ref = references.shape[0]
-    if k < 1 or k > n_ref:
-        raise ValidationError(f"k={k} out of range for {n_ref} references")
-    if truth.shape[0] != queries.shape[0]:
-        raise ValidationError("truth alignment length mismatch")
-    d2 = (np.einsum("ij,ij->i", queries, queries)[:, None]
-          + np.einsum("ij,ij->i", references, references)[None, :]
-          - 2.0 * queries @ references.T)
-    topk = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
-    hits = (topk == truth[:, None]).any(axis=1)
-    return float(hits.mean())
 
 
 def _l2_normalize(e: np.ndarray, name: str) -> np.ndarray:
@@ -149,7 +129,6 @@ class IdentReport:
     pair_match_error: float
     whitening_residual1: float
     whitening_residual2: float
-    ica_correlations: list = field(default_factory=list)
     private_pearson: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -159,7 +138,6 @@ class IdentReport:
             "pair_match_error": self.pair_match_error,
             "whitening_residual": [self.whitening_residual1,
                                    self.whitening_residual2],
-            "ica_correlations": list(self.ica_correlations),
             "private_pearson": list(self.private_pearson),
         }
 

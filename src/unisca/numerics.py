@@ -1,6 +1,6 @@
 """Dense linear algebra, seeded randomness, Adam, and a finite-difference oracle.
 
-Everything downstream (data generation, matchers, solvers, baselines) builds on
+Everything downstream (data generation, matchers, solvers) builds on
 the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
 """
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -49,11 +50,22 @@ TRACE_COLUMNS = ("epoch", "matcher", "rq1", "rq2", "anchor", "hsic", "total")
 # the classifier's cross-entropy, which only enters `total`.
 _SUMS = TRACE_COLUMNS[1:-1] + ("classifier",)
 
-# Lower bounds of the integer and weight fields of SolverConfig.
-_MINIMUMS = {"d_c": 1, "batch": 2, "epochs": 1, "restarts": 1,
-             "warm_epochs": 0, "warm_batch": 2, "warm_slices": 1,
-             "checkpoint_every": 1, "checkpoint_rows": 4, "select_rows": 4,
-             "lambda_whiten": 0, "beta": 0, "omega": 0, "rho": 0, "gamma": 0}
+# Bounds on the numeric fields of SolverConfig, the same ones the config
+# schema states: (comparison a valid value passes, its symbol, {field: bound}).
+# A tuple field is checked item by item; a None field is unset and skipped.
+_BOUNDS = (
+    (operator.ge, ">=", {
+        "d_c": 1, "batch": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
+        "warm_batch": 2, "warm_slices": 1, "checkpoint_every": 1,
+        "checkpoint_rows": 4, "select_rows": 4, "lambda_whiten": 0,
+        "beta": 0, "omega": 0, "rho": 0, "gamma": 0, "d_p1": 0, "d_p2": 0,
+        "disc_hidden": 1, "disc_steps": 1, "disc_input_dropout": 0,
+        "label_smoothing": 0, "init_noise": 0}),
+    (operator.gt, ">", {
+        "lr_q": 0, "lr_f": 0, "lr_p": 0, "lr_clf": 0, "clf_decay": 0,
+        "bandwidth": 0}),
+    (operator.le, "<=", {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
+)
 
 
 class DivergenceError(RuntimeError):
@@ -110,10 +122,13 @@ class SolverConfig:
         if self.matcher not in MATCHERS:
             raise ValidationError(
                 f"matcher must be one of {MATCHERS}, got '{self.matcher}'")
-        for name, low in _MINIMUMS.items():
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be >= {low}")
         self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
+        for holds, symbol, bounds in _BOUNDS:
+            for name, bound in bounds.items():
+                value = getattr(self, name)
+                values = value if isinstance(value, tuple) else (value,)
+                if not all(v is None or holds(v, bound) for v in values):
+                    raise ValidationError(f"{name} must be {symbol} {bound}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -17,16 +17,3 @@ def small_dataset(seed=5, n=3000, preset="thm1b", homogeneous=False, d1=None, d2
     mixing = tmpl.realize(latent, substream(seed, "datagen", "mixing"))
     return datagen.generate_dataset(
         latent, mixing, n, substream(seed, "datagen", "samples"))
-
-
-def independent_latents(seed=11, n=4000):
-    """All-independent latent coordinates with pairwise distinct marginals."""
-    latent = datagen.LatentSpec(
-        shared=(datagen.DistributionSpec.mixture([(0.5, -3.0, 1.0), (0.5, 3.0, 1.0)]),
-                datagen.DistributionSpec.gamma(1.0, 3.0)),
-        private1=(datagen.DistributionSpec.laplace(0.0, 2.0),),
-        private2=(datagen.DistributionSpec.uniform(-4.0, 4.0),),
-    )
-    mixing = datagen.MixingModel.random(latent, substream(seed, "datagen", "mixing"))
-    return datagen.generate_dataset(
-        latent, mixing, n, substream(seed, "datagen", "samples")), latent

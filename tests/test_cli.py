@@ -2,7 +2,10 @@
 
 import json
 
-from unisca import cli
+import numpy as np
+import pytest
+
+from unisca import cli, datagen
 
 
 def test_gen_fit_eval_reports_private_pearson(tmp_path):
@@ -23,3 +26,73 @@ def test_gen_fit_eval_reports_private_pearson(tmp_path):
     report = json.loads((tmp_path / "model" / "report.json").read_text())
     pearson = report["report"]["private_pearson"]
     assert len(pearson) == 2 and all(0.0 <= r <= 1.0 for r in pearson)
+
+
+def _config(tmp_path, thresholds=None) -> str:
+    """A tiny unaligned experiment; returns the config path."""
+    config = {
+        "version": 1, "seed": 3,
+        "data": {"preset": "thm1a", "n": 600},
+        "solver": {"d_c": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
+                   "batch": 200, "checkpoint_rows": 300, "select_rows": 300},
+        "eval": {"thresholds": thresholds or {}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_scatter_exports_true_and_recovered_components(tmp_path):
+    cfg = _config(tmp_path)
+    data, model = str(tmp_path / "data"), str(tmp_path / "model")
+    out = tmp_path / "scatter.csv"
+    assert cli.main(["gen", "--config", cfg, "--out", data]) == 0
+    assert cli.main(["fit", "--config", cfg, "--data", data,
+                     "--out", model]) == 0
+    assert cli.main(["scatter", "--model", model, "--data", data,
+                     "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header.split(",") == ["c_0", "c_1", "chat1_0", "chat1_1",
+                                 "chat2_0", "chat2_1"]
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert values.shape == (datagen.load_dataset(data).c_test.shape[0], 6)
+    assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("bound,code", [(0.0, 1), (1e6, 0)])
+def test_sweep_gates_the_whitening_residual(tmp_path, capsys, bound, code):
+    cfg = _config(tmp_path, {"whitening_residual": bound})
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", cfg, "--seeds", "2",
+                     "--out", str(out)]) == code
+    assert "median whitening_residual" in capsys.readouterr().out
+    summary = json.loads((out / "sweep.json").read_text())
+    assert summary["seeds"] == [3, 4]
+    assert len(summary["medians"]["whitening_residual"]) == 2
+
+
+def test_fit_and_retrieve_on_word_vector_files(tmp_path):
+    queries, references = tmp_path / "q.vec", tmp_path / "r.vec"
+    queries.write_text("5 3\na 1.0 0.2 -0.5\nb -0.3 1.1 0.4\nc 0.7 -0.9 0.1\n"
+                       "d -1.2 0.3 0.8\ne 0.1 -0.6 -1.0\n")
+    references.write_text("5 3\nA 0.9 0.1 -0.4\nB -0.2 1.2 0.5\n"
+                          "C 0.8 -1.0 0.2\nD -1.1 0.2 0.9\nE 0.2 -0.5 -1.1\n")
+    dictionary = tmp_path / "dict.txt"
+    dictionary.write_text("0 0\n1 1\n2 2\n3 3\n4 4\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "seed": 0,
+        "solver": {"d_c": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
+                   "batch": 5, "checkpoint_rows": 5, "select_rows": 5}}))
+    model, out = str(tmp_path / "model"), tmp_path / "retrieval.json"
+    assert cli.main(["fit", "--config", str(cfg), "--emb1", str(queries),
+                     "--emb2", str(references), "--out", model]) == 0
+    assert cli.main(["retrieve", "--model", model, "--queries", str(queries),
+                     "--references", str(references),
+                     "--dictionary", str(dictionary), "--ks", "1,5",
+                     "--out", str(out)]) == 0
+    table = json.loads(out.read_text())
+    assert sorted(table) == ["csls@1", "csls@5", "nn@1", "nn@5"]
+    assert all(0.0 <= p <= 100.0 for p in table.values())
+    # k equal to the reference count always finds the translation.
+    assert table["nn@5"] == table["csls@5"] == 100.0

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from unisca import matio
-from unisca.embedio import (EmbeddingTable, load_table, read_dictionary,
-                            read_labels, read_matrix_csv, read_vec_text,
-                            save_table, write_vec_text)
+from unisca.embedio import EmbeddingTable, read_dictionary, read_vec_text
 from unisca.numerics import ValidationError
 
 
@@ -48,64 +46,9 @@ class TestVecText:
         assert t.tokens == ["a", "b"]
         np.testing.assert_array_equal(t.matrix[:, 0], [1.0, 3.0])
 
-    def test_text_roundtrip_exact(self, tmp_path, rng):
-        t = EmbeddingTable(tokens=[f"w{i}" for i in range(7)],
-                           matrix=rng.normal(size=(7, 4)) * 1e3)
-        path = tmp_path / "out.vec"
-        write_vec_text(t, str(path))
-        back = read_vec_text(str(path))
-        assert back.tokens == t.tokens
-        # 17 significant digits round-trip float64 exactly
-        assert np.array_equal(back.matrix, t.matrix)
-
-    def test_binary_roundtrip_exact(self, tmp_path, rng):
-        t = EmbeddingTable(tokens=["x", "y"], matrix=rng.normal(size=(2, 5)))
-        save_table(t, str(tmp_path))
-        back = load_table(str(tmp_path))
-        assert back.tokens == t.tokens
-        assert np.array_equal(back.matrix, t.matrix)
-
     def test_duplicate_tokens_rejected(self, rng):
         with pytest.raises(ValidationError):
             EmbeddingTable(tokens=["a", "a"], matrix=rng.normal(size=(2, 2)))
-
-
-class TestCsvAndLabels:
-    def test_small_matrix(self, tmp_path):
-        p = tmp_path / "m.csv"
-        p.write_text("1,2\n3,4\n")
-        np.testing.assert_array_equal(read_matrix_csv(str(p)), [[1, 2], [3, 4]])
-
-    def test_ragged_names_row(self, tmp_path):
-        p = tmp_path / "m.csv"
-        p.write_text("1,2\n3\n")
-        with pytest.raises(ValidationError, match="row 2"):
-            read_matrix_csv(str(p))
-
-    def test_empty_is_error(self, tmp_path):
-        p = tmp_path / "m.csv"
-        p.write_text("")
-        with pytest.raises(ValidationError, match="empty"):
-            read_matrix_csv(str(p))
-
-    def test_labels(self, tmp_path):
-        p = tmp_path / "l.txt"
-        p.write_text("0\n2\n1\n")
-        np.testing.assert_array_equal(read_labels(str(p)), [0, 2, 1])
-        with pytest.raises(ValidationError, match="out of range"):
-            read_labels(str(p), num_classes=2)
-
-    def test_non_integer_label(self, tmp_path):
-        p = tmp_path / "l.txt"
-        p.write_text("0\n1.5\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            read_labels(str(p))
-
-    def test_negative_label(self, tmp_path):
-        p = tmp_path / "l.txt"
-        p.write_text("-1\n")
-        with pytest.raises(ValidationError, match="negative"):
-            read_labels(str(p))
 
 
 class TestDictionary:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from unisca.metrics import (abs_pearson, knn_accuracy, leakage,
-                            pair_match_error, retrieval_precision,
-                            theta_consistency)
+from unisca.metrics import (abs_pearson, leakage, pair_match_error,
+                            retrieval_precision, theta_consistency)
 from unisca.numerics import ValidationError, substream
 
 
@@ -68,32 +67,6 @@ class TestPairMatchError:
         q1 = np.eye(2)
         q2 = np.diag([-1.0, 1.0])
         assert pair_match_error(q1, x, q2, x) > 0.5
-
-
-class TestKnn:
-    def test_exact_match(self, rng):
-        e = rng.normal(size=(30, 4))
-        assert knn_accuracy(e, e, np.arange(30), 1) == 1.0
-
-    def test_chance_level(self):
-        r = substream(0, "tests", "knn-chance")
-        q = r.normal(size=(1000, 8))
-        ref = r.normal(size=(1000, 8))
-        acc = knn_accuracy(q, ref, np.arange(1000), 1)
-        assert acc <= 0.01
-
-    def test_monotone_in_k(self, rng):
-        q = rng.normal(size=(80, 3))
-        ref = rng.normal(size=(120, 3))
-        truth = rng.integers(0, 120, size=80)
-        accs = [knn_accuracy(q, ref, truth, k) for k in (1, 5, 20, 120)]
-        assert all(a <= b for a, b in zip(accs, accs[1:]))
-        assert accs[-1] == 1.0
-
-    def test_k_out_of_range(self, rng):
-        e = rng.normal(size=(5, 2))
-        with pytest.raises(ValidationError):
-            knn_accuracy(e, e, np.arange(5), 6)
 
 
 def _csls_oracle(queries, references, k_csls):

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from unisca import solver
+from unisca import config, solver
 from unisca.numerics import ValidationError
 
 from conftest import small_dataset
@@ -85,6 +85,32 @@ def test_divergence_names_the_term(entry):
 def test_config_rejects_values_below_minimum(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be >="):
         solver.SolverConfig(d_c=2, **{field: value})
+
+
+def _schema_bounds():
+    """(field, value just past the bound, value at or inside it) for every
+    numeric bound the config schema puts on a solver field."""
+    cases = []
+    for name, spec in config._SOLVER_SCHEMA["properties"].items():
+        wrap = (lambda v: (v,)) if "items" in spec else (lambda v: v)
+        spec = spec.get("items", spec)
+        step = 1 if spec.get("type") == "integer" else 1e-6
+        for keyword, past, inside in (("minimum", -step, 0),
+                                      ("exclusiveMinimum", 0, step),
+                                      ("maximum", step, 0)):
+            if keyword in spec:
+                bound = spec[keyword]
+                cases.append(pytest.param(
+                    name, wrap(bound + past), wrap(bound + inside),
+                    id=f"{name}-{keyword}"))
+    return cases
+
+
+@pytest.mark.parametrize("field,past,inside", _schema_bounds())
+def test_config_holds_every_schema_bound(field, past, inside):
+    solver.SolverConfig(**{"d_c": 2, field: inside})
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        solver.SolverConfig(**{"d_c": 2, field: past})
 
 
 def test_warm_start_logs_restart_scores_at_debug(caplog):
