@@ -10,7 +10,7 @@ threshold fails, so pipelines can gate on it.
 from __future__ import annotations
 
 import argparse
-import json
+import copy
 import logging
 import os
 import sys
@@ -34,14 +34,14 @@ def _setup_logging() -> None:
 
 
 def _effective_config(args) -> dict:
-    doc = cfgmod.load_config(args.config) if getattr(args, "config", None) else None
+    doc = cfgmod.load_config(args.config) if args.config else None
     merged = cfgmod.merged_with_defaults(doc)
     if getattr(args, "preset", None):
         merged["data"]["preset"] = args.preset
         merged["data"].pop("latent", None)
     if getattr(args, "n", None):
         merged["data"]["n"] = args.n
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         merged["seed"] = args.seed
     return cfgmod.validate_config(merged)
 
@@ -51,21 +51,16 @@ def _build_dataset(cfg: dict) -> datagen.SyntheticDataset:
     data = cfg["data"]
     if "latent" in data:
         latent = datagen.LatentSpec.from_dict(data["latent"])
-        template = datagen.MixingTemplate(
-            d1=data.get("d1"), d2=data.get("d2"),
-            homogeneous=data.get("homogeneous", False))
     else:
-        latent, template = datagen.preset(
-            data.get("preset", "thm1a"), substream(seed, "datagen", "preset"))
-        template = datagen.MixingTemplate(
-            d1=data.get("d1", template.d1), d2=data.get("d2", template.d2),
-            homogeneous=data.get("homogeneous", template.homogeneous))
+        latent, _ = datagen.preset(data["preset"],
+                                   substream(seed, "datagen", "preset"))
+    # Settings the config leaves out keep the defaults of datagen.
+    template = datagen.MixingTemplate(
+        **{k: data[k] for k in ("d1", "d2", "homogeneous") if k in data})
     mixing = template.realize(latent, substream(seed, "datagen", "mixing"))
     return datagen.generate_dataset(
-        latent, mixing, data.get("n", 100000),
-        substream(seed, "datagen", "samples"),
-        test_fraction=data.get("test_fraction", 0.05),
-        shuffle=data.get("shuffle", True))
+        latent, mixing, data["n"], substream(seed, "datagen", "samples"),
+        **{k: data[k] for k in ("test_fraction", "shuffle") if k in data})
 
 
 def cmd_gen(args) -> int:
@@ -73,7 +68,7 @@ def cmd_gen(args) -> int:
     dataset = _build_dataset(cfg)
     datagen.save_dataset(dataset, args.out, seed=cfg["seed"],
                          manifest_extra={"config": cfg}, csv=args.csv)
-    cfgmod.dump_config(cfg, os.path.join(args.out, "config.json"))
+    matio.write_json(os.path.join(args.out, "config.json"), cfg)
     log.info("dataset written to %s (%d train / %d test rows)",
              args.out, dataset.x1.shape[0], dataset.x1_test.shape[0])
     return 0
@@ -82,7 +77,7 @@ def cmd_gen(args) -> int:
 def _solver_config(cfg: dict, dataset=None) -> solver.SolverConfig:
     section = dict(cfg.get("solver", {}))
     section.setdefault("seed", cfg["seed"])
-    sc = solver.SolverConfig.from_dict(section)
+    sc = solver.SolverConfig(**section)
     if dataset is not None and sc.mode == "with_private":
         if sc.d_p1 == 0:
             sc.d_p1 = dataset.p1.shape[1]
@@ -123,7 +118,7 @@ def cmd_fit(args) -> int:
         x1, x2 = dataset.x1, dataset.x2
     result = _run_fit(cfg, x1, x2, dataset)
     solver.save_model(result, args.out)
-    cfgmod.dump_config(cfg, os.path.join(args.out, "config.json"))
+    matio.write_json(os.path.join(args.out, "config.json"), cfg)
     log.info("model written to %s (%.1fs, final matcher %.4g)",
              args.out, result.wall_clock, result.trace[-1, 1])
     return 0
@@ -159,9 +154,7 @@ def cmd_eval(args) -> int:
     doc = {"report": report.to_dict(), "thresholds": thresholds}
     doc["passed"] = _gate(doc["report"], thresholds)
     out = args.out or os.path.join(args.model, "report.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    matio.write_json(out, doc)
     log.info("report written to %s", out)
     return 0 if all(doc["passed"].values()) else 1
 
@@ -175,7 +168,11 @@ def cmd_retrieve(args) -> int:
     xr = references.matrix - references.matrix.mean(axis=0)
     eq = result.q1.apply(xq)
     er = result.q2.apply(xr)
-    ks = [int(k) for k in args.ks.split(",")]
+    try:
+        ks = [int(k) for k in args.ks.split(",")]
+    except ValueError as exc:
+        raise ValidationError(
+            f"--ks must be comma-separated integers, got '{args.ks}'") from exc
     table = {}
     for scorer in ("nn", "csls"):
         for k in ks:
@@ -186,9 +183,7 @@ def cmd_retrieve(args) -> int:
         row = "".join(f"{table[f'{scorer}@{k}']:<10.1f}" for k in ks)
         print(f"{scorer:8s}{row}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        matio.write_json(args.out, table)
     return 0
 
 
@@ -214,7 +209,7 @@ def cmd_scatter(args) -> int:
 
 def _sweep_one(cfg: dict, seed: int, out_root: str) -> dict:
     sub = os.path.join(out_root, f"seed-{seed}")
-    run_cfg = json.loads(json.dumps(cfg))
+    run_cfg = copy.deepcopy(cfg)
     run_cfg["seed"] = seed
     dataset = _build_dataset(run_cfg)
     data_dir = os.path.join(sub, "data")
@@ -223,16 +218,17 @@ def _sweep_one(cfg: dict, seed: int, out_root: str) -> dict:
     result = _run_fit(run_cfg, dataset.x1, dataset.x2, dataset)
     model_dir = os.path.join(sub, "model")
     solver.save_model(result, model_dir)
-    cfgmod.dump_config(run_cfg, os.path.join(model_dir, "config.json"))
+    matio.write_json(os.path.join(model_dir, "config.json"), run_cfg)
     report = metrics.evaluate_fit(result, dataset)
-    with open(os.path.join(sub, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    matio.write_json(os.path.join(sub, "report.json"), report.to_dict())
     log.info("seed %d done (pair_match_error %.3f)", seed,
              report.pair_match_error)
     return report.to_dict()
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _effective_config(args)
     base = cfg["seed"]
     seeds = [base + i for i in range(args.seeds)]
@@ -249,9 +245,7 @@ def cmd_sweep(args) -> int:
     passed = _gate(medians, thresholds, label="median ")
     summary = {"seeds": seeds, "medians": medians, "reports": reports,
                "thresholds": thresholds}
-    with open(os.path.join(args.out, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    matio.write_json(os.path.join(args.out, "sweep.json"), summary)
     return 0 if all(passed.values()) else 1
 
 
@@ -261,11 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shared component recovery from unaligned multimodal mixtures")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, seed=True):
-        if config:
-            p.add_argument("--config", help="experiment config JSON")
-        if seed:
-            p.add_argument("--seed", type=int, help="override config seed")
+    def common(p):
+        p.add_argument("--config", help="experiment config JSON")
+        p.add_argument("--seed", type=int, help="override config seed")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset directory")
     common(p)

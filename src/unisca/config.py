@@ -1,19 +1,23 @@
 """Experiment configuration: a schema-validated JSON document.
 
 One document describes a whole experiment (data generation, solver settings,
-evaluation thresholds, output location); each CLI command consumes its
-section. Unknown keys are rejected so typos fail loudly, and the effective
-config is echoed verbatim into every output directory for reproducibility.
+evaluation thresholds); each CLI command consumes its section. The solver
+section's schema is derived from `SolverConfig`, which declares every setting,
+its type and its bounds once. Unknown keys are rejected so typos fail loudly,
+and the effective config is echoed verbatim into every output directory for
+reproducibility.
 """
 
 from __future__ import annotations
 
-import json
+import copy
+import dataclasses
 
 import jsonschema
 
+from . import matio
 from .numerics import ValidationError
-from .solver import MATCHERS, MODES
+from .solver import _BOUNDS, _CHOICES, SolverConfig
 
 CONFIG_VERSION = 1
 
@@ -27,50 +31,36 @@ _DISTRIBUTION_SCHEMA = {
     "additionalProperties": False,
 }
 
-_SOLVER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "d_c": {"type": "integer", "minimum": 1},
-        "mode": {"enum": list(MODES)},
-        "matcher": {"enum": list(MATCHERS)},
-        "lambda_whiten": {"type": "number", "minimum": 0},
-        "beta": {"type": "number", "minimum": 0},
-        "omega": {"type": "number", "minimum": 0},
-        "rho": {"type": "number", "minimum": 0},
-        "gamma": {"type": "number", "minimum": 0},
-        "lr_q": {"type": "number", "exclusiveMinimum": 0},
-        "lr_f": {"type": "number", "exclusiveMinimum": 0},
-        "lr_p": {"type": "number", "exclusiveMinimum": 0},
-        "lr_clf": {"type": "number", "exclusiveMinimum": 0},
-        "clf_decay": {"type": "number", "exclusiveMinimum": 0},
-        "batch": {"type": "integer", "minimum": 2},
-        "epochs": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "d_p1": {"type": "integer", "minimum": 0},
-        "d_p2": {"type": "integer", "minimum": 0},
-        "bandwidth": {"type": ["number", "null"], "exclusiveMinimum": 0},
-        "disc_hidden": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "disc_steps": {"type": "integer", "minimum": 1},
-        "disc_input_dropout": {"type": "number", "minimum": 0, "maximum": 0.99},
-        "label_smoothing": {"type": "number", "minimum": 0, "maximum": 0.5},
-        "init_noise": {"type": "number", "minimum": 0},
-        "restarts": {"type": "integer", "minimum": 1},
-        "warm_epochs": {"type": "integer", "minimum": 0},
-        "warm_slices": {"type": "integer", "minimum": 1},
-        "warm_batch": {"type": "integer", "minimum": 2},
-        "checkpoint_every": {"type": "integer", "minimum": 1},
-        "checkpoint_rows": {"type": "integer", "minimum": 4},
-        "select_rows": {"type": "integer", "minimum": 4},
-    },
-    "additionalProperties": False,
-}
+# JSON Schema type of each SolverConfig annotation.
+_TYPES = {"int": {"type": "integer"}, "float": {"type": "number"},
+          "float | None": {"type": ["number", "null"]},
+          "tuple": {"type": "array", "items": {"type": "integer"}}}
+
+
+def _solver_schema() -> dict:
+    """The solver section, read off SolverConfig: a type per field annotation,
+    an enum per choice field, and each of its bounds under the bound's keyword
+    (on the items of a tuple field)."""
+    props = {}
+    for f in dataclasses.fields(SolverConfig):
+        if f.name in _CHOICES:
+            props[f.name] = {"enum": list(_CHOICES[f.name])}
+        else:
+            props[f.name] = copy.deepcopy(_TYPES[f.type])
+    for _, _, keyword, bounds in _BOUNDS:
+        for name, bound in bounds.items():
+            spec = props[name]
+            spec.get("items", spec)[keyword] = bound
+    return {"type": "object", "properties": props, "additionalProperties": False}
+
+
+_SOLVER_SCHEMA = _solver_schema()
 
 _SCHEMA = {
     "type": "object",
     "properties": {
         "version": {"const": CONFIG_VERSION},
         "seed": {"type": "integer"},
-        "output": {"type": "string"},
         "data": {
             "type": "object",
             "properties": {
@@ -112,14 +102,6 @@ _SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "retrieval": {
-            "type": "object",
-            "properties": {
-                "k_csls": {"type": "integer", "minimum": 1},
-                "ks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            },
-            "additionalProperties": False,
-        },
     },
     "required": ["version"],
     "additionalProperties": False,
@@ -146,20 +128,12 @@ def validate_config(doc: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return validate_config(doc)
-
-
-def dump_config(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return validate_config(matio.read_json(path))
 
 
 def merged_with_defaults(doc: dict | None) -> dict:
     """Overlay a (possibly partial) config onto the defaults, then validate."""
-    merged = json.loads(json.dumps(DEFAULT_CONFIG))
+    merged = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in (doc or {}).items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key] = {**merged[key], **value}

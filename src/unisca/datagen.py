@@ -10,6 +10,7 @@ centered observation matrices.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,6 +170,9 @@ def _check_full_column_rank(a: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} is not full column rank")
 
 
+_RANK_RETRIES = 20  # draws MixingModel.random tries for full column rank
+
+
 @dataclass
 class MixingModel:
     """Ground-truth mixing matrices, one per modality (identical if homogeneous)."""
@@ -189,7 +193,7 @@ class MixingModel:
     @classmethod
     def random(cls, latent: LatentSpec, rng: np.random.Generator,
                d1: int | None = None, d2: int | None = None,
-               homogeneous: bool = False, max_retries: int = 20) -> "MixingModel":
+               homogeneous: bool = False) -> "MixingModel":
         """Draw standard-normal mixing matrices, redrawing on rank failure.
 
         Observation dims default to the latent dims (square mixing).
@@ -200,7 +204,7 @@ class MixingModel:
         d2 = k2 if d2 is None else int(d2)
         if homogeneous and (k1 != k2 or d1 != d2):
             raise ValidationError("homogeneous mixing requires equal dimensions")
-        for _ in range(max_retries):
+        for _ in range(_RANK_RETRIES):
             a1 = rng.normal(size=(d1, k1))
             a2 = a1.copy() if homogeneous else rng.normal(size=(d2, k2))
             try:
@@ -379,9 +383,6 @@ def preset(name: str, rng: np.random.Generator | None = None
 def save_dataset(dataset: SyntheticDataset, directory: str,
                  seed: int | None = None, manifest_extra: dict | None = None,
                  csv: bool = False) -> None:
-    import json
-    import os
-
     os.makedirs(directory, exist_ok=True)
     mats = {
         "X1": (dataset.x1, "observations modality 1 (train, centered)"),
@@ -417,9 +418,7 @@ def save_dataset(dataset: SyntheticDataset, directory: str,
         "latent": dataset.latent.to_dict() if dataset.latent else None,
     }
     manifest.update(manifest_extra or {})
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    matio.write_json(os.path.join(directory, "manifest.json"), manifest)
     if csv:
         matio.write_csv(os.path.join(directory, "X1.csv"), dataset.x1,
                         [f"x{i}" for i in range(dataset.x1.shape[1])])
@@ -428,11 +427,7 @@ def save_dataset(dataset: SyntheticDataset, directory: str,
 
 
 def load_dataset(directory: str) -> SyntheticDataset:
-    import json
-    import os
-
-    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = matio.read_json(os.path.join(directory, "manifest.json"))
     if manifest.get("kind") != "unisca-dataset":
         raise ValidationError(f"{directory} is not a dataset directory")
     get = lambda name: matio.read_matrix(directory, name)[0]

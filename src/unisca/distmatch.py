@@ -18,6 +18,8 @@ import numpy as np
 from .numerics import AdamState, ValidationError, check_matrix
 
 _PROB_FLOOR = 1e-7
+_RESOLVE_POOL = 2000  # most points KernelSpec.resolve pools for its median
+_LEAK = 0.2  # negative-side slope of the discriminator's leaky ReLU
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +37,16 @@ class KernelSpec:
             if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
                 raise ValidationError("kernel bandwidth must be finite and > 0")
 
-    def resolve(self, *sample_sets: np.ndarray, limit: int = 2000) -> "KernelSpec":
+    def resolve(self, *sample_sets: np.ndarray) -> "KernelSpec":
         """Freeze the bandwidth: median pairwise distance over a pooled subsample.
 
-        Each set contributes its leading rows so the pool has at most `limit`
-        points; with zero median distance (e.g. constant inputs) the bandwidth
-        falls back to 1.0.
+        Each set contributes its leading rows so the pool has at most
+        _RESOLVE_POOL points; with zero median distance (e.g. constant inputs)
+        the bandwidth falls back to 1.0.
         """
         if self.bandwidth is not None:
             return self
-        per = max(1, limit // max(1, len(sample_sets)))
+        per = max(1, _RESOLVE_POOL // max(1, len(sample_sets)))
         pool = np.vstack([np.asarray(s, dtype=np.float64)[:per] for s in sample_sets])
         d2 = _sqdist(pool, pool)
         iu = np.triu_indices(pool.shape[0], k=1)
@@ -204,21 +206,17 @@ DEFAULT_HIDDEN = (1024, 521, 512, 256, 128, 64)
 class Discriminator:
     """Fully connected net mapping features to a probability in (0, 1).
 
-    Hidden activations are leaky ReLU (slope 0.2 by default), the output is a
+    Hidden activations are leaky ReLU (slope _LEAK), the output is a
     sigmoid, and weights start at Glorot-uniform scale. Forward/backward are
     written out by hand so gradients w.r.t. both parameters and inputs are
     exact. Optional input dropout is applied only when `train=True`.
     """
 
     def __init__(self, in_dim: int, hidden: tuple = DEFAULT_HIDDEN,
-                 lr: float = 8e-5, slope: float = 0.2,
-                 label_smoothing: float = 0.2, input_dropout: float = 0.0,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 lr: float = 8e-5, label_smoothing: float = 0.2,
+                 input_dropout: float = 0.0, *, rng: np.random.Generator):
         self.in_dim = int(in_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        self.slope = float(slope)
         self.label_smoothing = float(label_smoothing)
         self.input_dropout = float(input_dropout)
         self._rng = rng
@@ -252,7 +250,7 @@ class Discriminator:
             z = a @ w.T + b
             pre.append(z)
             if i < len(self.weights) - 1:
-                a = np.where(z > 0, z, self.slope * z)
+                a = np.where(z > 0, z, _LEAK * z)
                 acts.append(a)
         p_raw = 1.0 / (1.0 + np.exp(-pre[-1][:, 0]))
         p = np.clip(p_raw, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
@@ -277,7 +275,7 @@ class Discriminator:
             grads[2 * i + 1] = dz.sum(axis=0)
             da = dz @ self.weights[i]
             if i > 0:
-                dz = da * np.where(pre[i - 1] > 0, 1.0, self.slope)
+                dz = da * np.where(pre[i - 1] > 0, 1.0, _LEAK)
             else:
                 dinput = da
         if drop is not None:

@@ -27,8 +27,11 @@ class EmbeddingTable:
             raise ValidationError("tokens must be unique")
 
 
-def read_vec_text(path: str, max_rows: int | None = None) -> EmbeddingTable:
-    """Parse a word-vector text file; duplicate tokens keep the first row."""
+def read_vec_text(path: str) -> EmbeddingTable:
+    """Parse a word-vector text file; duplicate tokens keep the first row.
+
+    Trailing whitespace on a line (a final space, a CRLF line end) is ignored.
+    """
     tokens: list = []
     seen = set()
     rows = []
@@ -40,11 +43,10 @@ def read_vec_text(path: str, max_rows: int | None = None) -> EmbeddingTable:
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric header") from exc
-        limit = count if max_rows is None else min(count, max_rows)
         for lineno, line in enumerate(fh, start=2):
-            if len(tokens) >= limit:
+            if len(tokens) >= count:
                 break
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise ValidationError(
                     f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}")

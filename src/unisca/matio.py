@@ -1,9 +1,10 @@
 """Shared on-disk matrix format: raw little-endian float64 plus a JSON header.
 
 A matrix named `foo` in directory `d` is stored as `d/foo.bin` (row-major
-float64, little-endian) and `d/foo.json` describing shape, role, and any
-caller-supplied metadata. Datasets, fitted models, and embedding tables all
-reuse this format, so a header is enough to reload any artifact.
+float64, little-endian) and `d/foo.json` describing shape, dtype and role.
+Datasets and fitted models reuse this format, so a header is enough to reload
+any artifact. Every JSON file the package writes or reads goes through
+`write_json` and `read_json`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,20 @@ from .numerics import ValidationError
 DTYPE = "<f8"
 
 
+def write_json(path: str, doc) -> None:
+    """Write `doc` indented by 2 with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_matrix(directory: str, name: str, a: np.ndarray, role: str = "",
-                 meta: dict | None = None, dtype: str = DTYPE) -> None:
+                 dtype: str = DTYPE) -> None:
     a = np.ascontiguousarray(np.asarray(a, dtype=np.dtype(dtype)))
     os.makedirs(directory, exist_ok=True)
     header = {
@@ -28,11 +41,8 @@ def write_matrix(directory: str, name: str, a: np.ndarray, role: str = "",
         "dtype": dtype,
         "order": "C",
         "role": role,
-        "meta": meta or {},
     }
-    with open(os.path.join(directory, name + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, name + ".json"), header)
     a.tofile(os.path.join(directory, name + ".bin"))
 
 
@@ -42,8 +52,7 @@ def read_matrix(directory: str, name: str) -> tuple[np.ndarray, dict]:
     path_bin = os.path.join(directory, name + ".bin")
     if not os.path.exists(path_json) or not os.path.exists(path_bin):
         raise FileNotFoundError(f"matrix '{name}' not found in {directory}")
-    with open(path_json, encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = read_json(path_json)
     shape = tuple(int(s) for s in header["shape"])
     data = np.fromfile(path_bin, dtype=np.dtype(header.get("dtype", DTYPE)))
     expected = int(np.prod(shape)) if shape else data.size

@@ -9,7 +9,6 @@ metric (NN/CSLS precision@k) operates on embeddings alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +79,8 @@ def retrieval_precision(queries: np.ndarray, references: np.ndarray,
     """
     if scorer not in ("nn", "csls"):
         raise ValidationError(f"unknown scorer '{scorer}'")
+    if k < 1 or k_csls < 1:
+        raise ValidationError(f"k and k_csls must be >= 1, got {k} and {k_csls}")
     if not dictionary:
         raise ValidationError("empty retrieval dictionary")
     eq = _l2_normalize(queries, "queries")
@@ -140,9 +141,6 @@ class IdentReport:
                                    self.whitening_residual2],
             "private_pearson": list(self.private_pearson),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def evaluate_fit(result, dataset) -> IdentReport:

@@ -23,7 +23,6 @@ replay-deterministic under its seed.
 
 from __future__ import annotations
 
-import json
 import logging
 import operator
 import os
@@ -43,6 +42,7 @@ log = logging.getLogger("unisca")
 
 MODES = ("unaligned", "homogeneous", "weakly_supervised", "with_private")
 MATCHERS = ("mmd", "adversarial")
+_CHOICES = {"mode": MODES, "matcher": MATCHERS}  # SolverConfig's str fields
 
 TRACE_COLUMNS = ("epoch", "matcher", "rq1", "rq2", "anchor", "hsic", "total")
 
@@ -50,21 +50,23 @@ TRACE_COLUMNS = ("epoch", "matcher", "rq1", "rq2", "anchor", "hsic", "total")
 # the classifier's cross-entropy, which only enters `total`.
 _SUMS = TRACE_COLUMNS[1:-1] + ("classifier",)
 
-# Bounds on the numeric fields of SolverConfig, the same ones the config
-# schema states: (comparison a valid value passes, its symbol, {field: bound}).
-# A tuple field is checked item by item; a None field is unset and skipped.
+# Bounds on the numeric fields of SolverConfig, from which the config schema
+# is derived: (comparison a valid value passes, its symbol, its JSON Schema
+# keyword, {field: bound}). A tuple field is checked item by item; a None
+# field is unset and skipped.
 _BOUNDS = (
-    (operator.ge, ">=", {
+    (operator.ge, ">=", "minimum", {
         "d_c": 1, "batch": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
         "warm_batch": 2, "warm_slices": 1, "checkpoint_every": 1,
         "checkpoint_rows": 4, "select_rows": 4, "lambda_whiten": 0,
         "beta": 0, "omega": 0, "rho": 0, "gamma": 0, "d_p1": 0, "d_p2": 0,
         "disc_hidden": 1, "disc_steps": 1, "disc_input_dropout": 0,
         "label_smoothing": 0, "init_noise": 0}),
-    (operator.gt, ">", {
+    (operator.gt, ">", "exclusiveMinimum", {
         "lr_q": 0, "lr_f": 0, "lr_p": 0, "lr_clf": 0, "clf_decay": 0,
         "bandwidth": 0}),
-    (operator.le, "<=", {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
+    (operator.le, "<=", "maximum",
+     {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
 )
 
 
@@ -117,13 +119,12 @@ class SolverConfig:
     select_rows: int = 4096
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got '{self.mode}'")
-        if self.matcher not in MATCHERS:
-            raise ValidationError(
-                f"matcher must be one of {MATCHERS}, got '{self.matcher}'")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValidationError(f"{name} must be one of {choices}, "
+                                      f"got '{getattr(self, name)}'")
         self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
-        for holds, symbol, bounds in _BOUNDS:
+        for holds, symbol, _, bounds in _BOUNDS:
             for name, bound in bounds.items():
                 value = getattr(self, name)
                 values = value if isinstance(value, tuple) else (value,)
@@ -134,13 +135,6 @@ class SolverConfig:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
         d["disc_hidden"] = list(self.disc_hidden)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        d = dict(d)
-        if "disc_hidden" in d:
-            d["disc_hidden"] = tuple(d["disc_hidden"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -770,20 +764,16 @@ def save_model(result: FitResult, directory: str) -> None:
         "config": result.config.to_dict() if result.config else None,
         "checkpoints": [[int(e), float(v)] for e, v in result.checkpoints],
     }
-    with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(directory, "timing.json"), "w", encoding="utf-8") as fh:
-        json.dump({"wall_clock_seconds": result.wall_clock}, fh)
-        fh.write("\n")
+    matio.write_json(os.path.join(directory, "model.json"), meta)
+    matio.write_json(os.path.join(directory, "timing.json"),
+                     {"wall_clock_seconds": result.wall_clock})
 
 
 def load_model(directory: str) -> FitResult:
-    with open(os.path.join(directory, "model.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = matio.read_json(os.path.join(directory, "model.json"))
     if meta.get("kind") != "unisca-model":
         raise ValidationError(f"{directory} is not a model directory")
-    cfg = SolverConfig.from_dict(meta["config"]) if meta.get("config") else None
+    cfg = SolverConfig(**meta["config"]) if meta.get("config") else None
     q1 = Projection(matio.read_matrix(directory, "Q1")[0],
                     matio.read_matrix(directory, "Sigma1")[0])
     if meta["homogeneous"]:

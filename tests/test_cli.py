@@ -71,7 +71,19 @@ def test_sweep_gates_the_whitening_residual(tmp_path, capsys, bound, code):
     assert len(summary["medians"]["whitening_residual"]) == 2
 
 
-def test_fit_and_retrieve_on_word_vector_files(tmp_path):
+@pytest.mark.parametrize("thresholds", [None, {"leakage": 1.0}])
+def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, thresholds):
+    cfg = _config(tmp_path, thresholds)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", cfg, "--seeds", "0",
+                     "--out", str(out)]) == 2
+    assert "--seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _word_vector_model(tmp_path) -> list:
+    """Fit a model on two tiny word-vector files; returns the `retrieve`
+    arguments that score it against them."""
     queries, references = tmp_path / "q.vec", tmp_path / "r.vec"
     queries.write_text("5 3\na 1.0 0.2 -0.5\nb -0.3 1.1 0.4\nc 0.7 -0.9 0.1\n"
                        "d -1.2 0.3 0.8\ne 0.1 -0.6 -1.0\n")
@@ -84,15 +96,31 @@ def test_fit_and_retrieve_on_word_vector_files(tmp_path):
         "version": 1, "seed": 0,
         "solver": {"d_c": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
                    "batch": 5, "checkpoint_rows": 5, "select_rows": 5}}))
-    model, out = str(tmp_path / "model"), tmp_path / "retrieval.json"
+    model = str(tmp_path / "model")
     assert cli.main(["fit", "--config", str(cfg), "--emb1", str(queries),
                      "--emb2", str(references), "--out", model]) == 0
-    assert cli.main(["retrieve", "--model", model, "--queries", str(queries),
-                     "--references", str(references),
-                     "--dictionary", str(dictionary), "--ks", "1,5",
-                     "--out", str(out)]) == 0
+    return ["retrieve", "--model", model, "--queries", str(queries),
+            "--references", str(references), "--dictionary", str(dictionary)]
+
+
+def test_fit_and_retrieve_on_word_vector_files(tmp_path):
+    out = tmp_path / "retrieval.json"
+    assert cli.main(_word_vector_model(tmp_path)
+                    + ["--ks", "1,5", "--out", str(out)]) == 0
     table = json.loads(out.read_text())
     assert sorted(table) == ["csls@1", "csls@5", "nn@1", "nn@5"]
     assert all(0.0 <= p <= 100.0 for p in table.values())
     # k equal to the reference count always finds the translation.
     assert table["nn@5"] == table["csls@5"] == 100.0
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--ks", "1,x"], "--ks must be comma-separated integers"),
+    (["--ks", "0,1"], "k and k_csls must be >= 1"),
+    (["--k-csls", "0"], "k and k_csls must be >= 1"),
+])
+def test_retrieve_rejects_bad_k(tmp_path, capsys, flags, message):
+    argv = _word_vector_model(tmp_path) + flags
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -20,11 +20,13 @@ class TestVecText:
         with pytest.raises(ValidationError, match=":3"):
             read_vec_text(str(p))
 
-    def test_max_rows(self, tmp_path):
+    @pytest.mark.parametrize("end", [" \n", "\r\n", " \r\n"])
+    def test_trailing_whitespace_ignored(self, tmp_path, end):
         p = tmp_path / "v.vec"
-        p.write_text("2 3\na 1 2 3\nb 4 5 6\n")
-        t = read_vec_text(str(p), max_rows=1)
-        assert t.tokens == ["a"]
+        p.write_bytes(f"2 3{end}a 1 2 3{end}b 4 5 6{end}".encode())
+        t = read_vec_text(str(p))
+        assert t.tokens == ["a", "b"]
+        np.testing.assert_array_equal(t.matrix, [[1, 2, 3], [4, 5, 6]])
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "v.vec"
@@ -66,12 +68,21 @@ class TestDictionary:
 
 
 class TestMatio:
+    def test_json_layout(self, tmp_path):
+        path = str(tmp_path / "doc.json")
+        matio.write_json(path, {"b": [1, 2], "a": {"y": None, "x": 0.5}})
+        assert (tmp_path / "doc.json").read_text() == (
+            '{\n  "a": {\n    "x": 0.5,\n    "y": null\n  },\n'
+            '  "b": [\n    1,\n    2\n  ]\n}\n')
+        assert matio.read_json(path) == {"a": {"x": 0.5, "y": None}, "b": [1, 2]}
+
     def test_roundtrip_and_header(self, tmp_path, rng):
         a = rng.normal(size=(6, 3))
         matio.write_matrix(str(tmp_path), "A", a, role="test")
         back, header = matio.read_matrix(str(tmp_path), "A")
         assert np.array_equal(a, back)
-        assert header["shape"] == [6, 3] and header["role"] == "test"
+        assert header == {"name": "A", "shape": [6, 3], "dtype": "<f8",
+                          "order": "C", "role": "test"}
 
     def test_integer_dtype(self, tmp_path):
         a = np.arange(10, dtype=np.int64).reshape(5, 2)

@@ -123,6 +123,13 @@ class TestRetrieval:
         b = retrieval_precision(q * scale, ref, d, 3, "nn")
         assert a == b
 
+    @pytest.mark.parametrize("k,k_csls", [(0, 10), (1, 0)])
+    @pytest.mark.parametrize("scorer", ["nn", "csls"])
+    def test_k_below_one_rejected(self, rng, scorer, k, k_csls):
+        e = rng.normal(size=(5, 3))
+        with pytest.raises(ValidationError, match="k and k_csls must be >= 1"):
+            retrieval_precision(e, e, {0: {0}}, k, scorer, k_csls=k_csls)
+
     def test_zero_norm_rejected(self, rng):
         q = rng.normal(size=(4, 3))
         q[1] = 0.0

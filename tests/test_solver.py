@@ -113,6 +113,18 @@ def test_config_holds_every_schema_bound(field, past, inside):
         solver.SolverConfig(**{"d_c": 2, field: past})
 
 
+def test_default_solver_config_passes_the_derived_schema():
+    doc = {"version": 1, "solver": solver.SolverConfig(d_c=2).to_dict()}
+    assert config.validate_config(doc) is doc
+
+
+@pytest.mark.parametrize("key,value", [
+    ("output", "runs/a"), ("retrieval", {"ks": [1, 5], "k_csls": 10})])
+def test_config_rejects_keys_nothing_reads(key, value):
+    with pytest.raises(ValidationError, match="Additional properties"):
+        config.validate_config({"version": 1, key: value})
+
+
 def test_warm_start_logs_restart_scores_at_debug(caplog):
     ds = small_dataset(seed=1, n=600, preset="thm1a")
     cfg = solver.SolverConfig(d_c=ds.d_c, **{**TINY, "restarts": 3,
