@@ -7,6 +7,10 @@ Three matchers/penalties:
 
 All gradients returned here are exact derivatives of the returned value, so
 they can be verified against central finite differences.
+
+MMD and HSIC form every RBF Gram in place through `_gram` and read it only
+through products with a few columns, so no centred or rescaled copy of a
+Gram is made; the value-only MMD sums Grams of at most _BLOCK rows.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ _LEAK = 0.2  # negative-side slope of the discriminator's leaky ReLU
 
 
 # ---------------------------------------------------------------------------
-# Gaussian RBF kernel
+# Gaussian RBF kernel, its Gram engine, unbiased MMD^2 and biased HSIC
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -33,9 +37,9 @@ class KernelSpec:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth is not None:
-            if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
-                raise ValidationError("kernel bandwidth must be finite and > 0")
+        b = self.bandwidth
+        if b is not None and not (np.isfinite(b) and b > 0):
+            raise ValidationError("kernel bandwidth must be finite and > 0")
 
     def resolve(self, *sample_sets: np.ndarray) -> "KernelSpec":
         """Freeze the bandwidth: median pairwise distance over a pooled subsample.
@@ -48,9 +52,9 @@ class KernelSpec:
             return self
         per = max(1, _RESOLVE_POOL // max(1, len(sample_sets)))
         pool = np.vstack([np.asarray(s, dtype=np.float64)[:per] for s in sample_sets])
-        d2 = _sqdist(pool, pool)
-        iu = np.triu_indices(pool.shape[0], k=1)
-        dists = np.sqrt(d2[iu])
+        p2 = _sqnorms(pool)
+        d2 = np.maximum(p2[:, None] + p2[None, :] - 2.0 * (pool @ pool.T), 0.0)
+        dists = np.sqrt(d2[np.triu_indices(pool.shape[0], k=1)])
         med = float(np.median(dists)) if dists.size else 0.0
         return KernelSpec(bandwidth=med if med > 0 else 1.0)
 
@@ -60,45 +64,38 @@ class KernelSpec:
         return self.bandwidth
 
 
-def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x2 = np.einsum("ij,ij->i", x, x)
-    y2 = np.einsum("ij,ij->i", y, y)
-    d2 = x2[:, None] + y2[None, :] - 2.0 * (x @ y.T)
-    return np.maximum(d2, 0.0)
+_BLOCK = 512  # rows of a Gram block in the value-only MMD
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(_sqdist(x, y) / (-2.0 * sigma * sigma))
+def _sqnorms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
 
 
-# ---------------------------------------------------------------------------
-# Unbiased MMD^2
-# ---------------------------------------------------------------------------
-
-# Rows of a Gram block formed at once by the value-only MMD path.
-_BLOCK = 512
+def _gram(x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray,
+          sig: float) -> np.ndarray:
+    """exp(-|x_i - y_j|^2 / (2 sig^2)) from the rows' squared norms x2, y2,
+    formed in place in the buffer of x @ y.T."""
+    out = x @ y.T
+    out *= -2.0
+    out += x2[:, None]
+    out += y2[None, :]
+    np.maximum(out, 0.0, out=out)
+    out /= -2.0 * sig * sig
+    np.exp(out, out=out)
+    return out
 
 
 def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None) -> float:
-    """Sum of the RBF Gram k(x_i, y_j), built _BLOCK rows at a time in place.
-
-    With y None the sum is over pairs i != j of x; only blocks on or above the
-    diagonal are formed, and the strictly upper part is counted twice.
-    """
+    """Sum of the Gram of x against y, _BLOCK rows at a time. With y None the
+    sum is over pairs i != j of x: only blocks on or above the diagonal are
+    formed, and the strictly upper part is counted twice."""
     within = y is None
-    y = x if within else y
-    x2 = np.einsum("ij,ij->i", x, x)
-    y2 = x2 if within else np.einsum("ij,ij->i", y, y)
+    x2 = _sqnorms(x)
+    y, y2 = (x, x2) if within else (y, _sqnorms(y))
     total = 0.0
     for i in range(0, x.shape[0], _BLOCK):
         j = i if within else 0
-        out = x[i:i + _BLOCK] @ y[j:].T
-        out *= -2.0
-        out += x2[i:i + _BLOCK, None]
-        out += y2[None, j:]
-        np.maximum(out, 0.0, out=out)
-        out /= -2.0 * sig * sig
-        np.exp(out, out=out)
+        out = _gram(x[i:i + _BLOCK], y[j:], x2[i:i + _BLOCK], y2[j:], sig)
         if within:
             rows = out.shape[0]
             diag = out[:, :rows]
@@ -108,54 +105,66 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None) -> float:
     return total
 
 
+def _pull(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_j k(a_i, b_j) (a_i - b_j), from p = K @ [b, ..., 1]."""
+    return p[:, -1:] * a - p[:, :a.shape[1]]
+
+
+def _within(x: np.ndarray, x2: np.ndarray, xe: np.ndarray,
+            sig: float) -> np.ndarray:
+    """K @ xe for the Gram K of x with its diagonal dropped."""
+    k = _gram(x, x, x2, x2, sig)
+    np.fill_diagonal(k, 0.0)
+    return k @ xe
+
+
 def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                   grad: bool = True
                   ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """U-statistic estimate of MMD^2 and its gradients w.r.t. both sample sets.
 
     Off-diagonal within-set kernel means minus twice the cross mean; may be
-    negative. Gradients treat the (frozen) bandwidth as a constant. With
-    grad=False only the value is computed, as blocked sums that never hold an
-    n x n matrix, and both gradients are None; the value then agrees with the
-    gradient path's to within a few ulps, not bit for bit.
+    negative. Gradients treat the (frozen) bandwidth as a constant and come
+    from one product K @ [x, 1] per Gram, which gives K x and the row sums, so
+    one n x n matrix is held at a time. grad=False sums the value over row
+    blocks, within a few ulps of the gradient path's, and returns no gradients.
     """
-    x = check_matrix(x, "X")
-    y = check_matrix(y, "Y")
+    x, y = check_matrix(x, "X"), check_matrix(y, "Y")
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
         raise ValidationError("MMD needs at least 2 samples per set")
     if x.shape[1] != y.shape[1]:
         raise ValidationError("sample sets must share a dimension")
     sig = kernel.require()
-    cxx = 1.0 / (m * (m - 1))
-    cyy = 1.0 / (n * (n - 1))
-    cxy = 2.0 / (m * n)
+    cxx, cyy, cxy = 1.0 / (m * (m - 1)), 1.0 / (n * (n - 1)), 2.0 / (m * n)
     if not grad:
         value = (cxx * _gram_sum(x, sig) + cyy * _gram_sum(y, sig)
                  - cxy * _gram_sum(x, sig, y))
         return float(value), None, None
 
-    kxx = rbf_kernel(x, x, sig)
-    np.fill_diagonal(kxx, 0.0)
-    kyy = rbf_kernel(y, y, sig)
-    np.fill_diagonal(kyy, 0.0)
-    kxy = rbf_kernel(x, y, sig)
-    value = cxx * kxx.sum() + cyy * kyy.sum() - cxy * kxy.sum()
-
-    inv = 1.0 / (sig * sig)
+    x2, y2 = _sqnorms(x), _sqnorms(y)
+    xe, ye = np.hstack([x, np.ones((m, 1))]), np.hstack([y, np.ones((n, 1))])
+    pxx, pyy = _within(x, x2, xe, sig), _within(y, y2, ye, sig)
+    kxy = _gram(x, y, x2, y2, sig)
+    pxy, pyx = kxy @ ye, kxy.T @ xe
+    value = (cxx * pxx[:, -1].sum() + cyy * pyy[:, -1].sum()
+             - cxy * pxy[:, -1].sum())
     # d k(a,b)/da = -k(a,b) (a-b)/sigma^2; within-set terms pick up a factor 2.
-    sx = kxx.sum(axis=1)
-    grad_x = -2.0 * cxx * inv * (sx[:, None] * x - kxx @ x)
-    grad_x += cxy * inv * (kxy.sum(axis=1)[:, None] * x - kxy @ y)
-    sy = kyy.sum(axis=1)
-    grad_y = -2.0 * cyy * inv * (sy[:, None] * y - kyy @ y)
-    grad_y += cxy * inv * (kxy.sum(axis=0)[:, None] * y - kxy.T @ x)
+    inv = 1.0 / (sig * sig)
+    grad_x = inv * (cxy * _pull(pxy, x) - 2.0 * cxx * _pull(pxx, x))
+    grad_y = inv * (cxy * _pull(pyx, y) - 2.0 * cyy * _pull(pyy, y))
     return float(value), grad_x, grad_y
 
 
-# ---------------------------------------------------------------------------
-# Biased HSIC
-# ---------------------------------------------------------------------------
+def _hsic_grad(u, sig, klp, kp, r):
+    """d/du of tr(K H L H)/m^2, K the Gram of u and r = L 1, from
+    klp = (K o L) @ [u, ..., 1] and kp = K @ [u, 1, r o u, r]: with c = 1/m,
+    HLH o K = K o L + (c^2 1.r - c r_i - c r_j) K_ij."""
+    d, c = u.shape[1], 1.0 / u.shape[0]
+    g = _pull(klp, u) - c * _pull(kp[:, d + 1:], u)
+    g += (c * c * r.sum() - c * r)[:, None] * _pull(kp[:, :d + 1], u)
+    return (-2.0 * c * c / (sig * sig)) * g
+
 
 def hsic_biased(u: np.ndarray, v: np.ndarray,
                 kernel_u: KernelSpec | None = None,
@@ -165,35 +174,31 @@ def hsic_biased(u: np.ndarray, v: np.ndarray,
 
     Kernels default to the median heuristic resolved on the inputs; pass
     frozen KernelSpecs when the penalty must stay stationary across steps.
+    No centred matrix is formed: with s = K 1 and r = L 1, tr(KHLH) =
+    sum(K o L) - (2/m) s.r + (1.s)(1.r)/m^2, and the gradients come from
+    K @ [u, 1, r o u, r], L @ [v, 1, s o v, s] and (K o L) @ [u, v, 1].
     """
-    u = check_matrix(u, "U")
-    v = check_matrix(v, "V")
+    u, v = check_matrix(u, "U"), check_matrix(v, "V")
     m = u.shape[0]
     if v.shape[0] != m:
         raise ValidationError("HSIC inputs must have equal row counts")
     if m < 4:
         raise ValidationError("HSIC needs at least 4 rows")
-    ku = (kernel_u or KernelSpec()).resolve(u)
-    kv = (kernel_v or KernelSpec()).resolve(v)
-    sig_u, sig_v = ku.require(), kv.require()
-
-    k = rbf_kernel(u, u, sig_u)
-    l = rbf_kernel(v, v, sig_v)
-    hk = k - k.mean(axis=0, keepdims=True)
-    hkh = hk - hk.mean(axis=1, keepdims=True)
-    hl = l - l.mean(axis=0, keepdims=True)
-    hlh = hl - hl.mean(axis=1, keepdims=True)
-    value = float(np.sum(k * hlh)) / (m * m)
-
-    gu = hlh / (m * m)          # d value / d K, symmetric
-    mu = gu * k
-    su = mu.sum(axis=1)
-    grad_u = (-2.0 / (sig_u * sig_u)) * (su[:, None] * u - mu @ u)
-    gv = hkh / (m * m)
-    mv = gv * l
-    sv = mv.sum(axis=1)
-    grad_v = (-2.0 / (sig_v * sig_v)) * (sv[:, None] * v - mv @ v)
-    return value, grad_u, grad_v
+    sig_u = (kernel_u or KernelSpec()).resolve(u).require()
+    sig_v = (kernel_v or KernelSpec()).resolve(v).require()
+    u2, v2 = _sqnorms(u), _sqnorms(v)
+    k, l = _gram(u, u, u2, u2, sig_u), _gram(v, v, v2, v2, sig_v)
+    s, r = k.sum(axis=1), l.sum(axis=1)
+    one = np.ones((m, 1))
+    kp = k @ np.hstack([u, one, r[:, None] * u, r[:, None]])
+    lp = l @ np.hstack([v, one, s[:, None] * v, s[:, None]])
+    k *= l
+    klp = k @ np.hstack([u, v, one])
+    t = klp[:, -1].sum()
+    value = (t - 2.0 * (s @ r) / m + s.sum() * r.sum() / (m * m)) / (m * m)
+    grad_u = _hsic_grad(u, sig_u, klp, kp, r)
+    grad_v = _hsic_grad(v, sig_v, klp[:, u.shape[1]:], lp, s)
+    return float(value), grad_u, grad_v
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +248,7 @@ class Discriminator:
             keep = 1.0 - self.input_dropout
             drop = (self._rng.random(x.shape) < keep) / keep
             x = x * drop
-        acts = [x]
-        pre = []
-        a = x
+        acts, pre, a = [x], [], x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w.T + b
             pre.append(z)
@@ -258,8 +261,7 @@ class Discriminator:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1), strictly clamped away from the endpoints."""
-        p, _ = self._forward(x)
-        return p
+        return self._forward(x)[0]
 
     def _backward(self, cache, dz_out: np.ndarray):
         """Backprop a gradient at the output pre-activation down to the input.
@@ -324,10 +326,7 @@ def discriminator_step(f: Discriminator, u: np.ndarray, v: np.ndarray) -> float:
     """One ascent step on the label-smoothed adversarial value; returns it."""
     loss, param_grads, _, _ = gan_value_and_grads(
         f, u, v, smoothing=f.label_smoothing, train=True)
-    params = []
-    for w, b in zip(f.weights, f.biases):
-        params.extend((w, b))
-    for i, (p, g) in enumerate(zip(params, param_grads)):
-        updated = f.adam[i].step(p, -g)
-        p[...] = updated
+    params = [a for pair in zip(f.weights, f.biases) for a in pair]
+    for adam, p, g in zip(f.adam, params, param_grads):
+        p[...] = adam.step(p, -g)
     return loss

@@ -7,7 +7,8 @@ for the private heads, a classifier fit adds the cross-entropy of a softmax
 head on view 1, and the homogeneous mode ties the two projections to a single
 matrix. One loop, `_train`, minimizes any such list of terms, in every mode
 and in the warm start; the same terms give the checkpoint objective, recorded
-at epoch 0, every checkpoint_every epochs and after the last epoch.
+at epoch 0, every checkpoint_every epochs and after the last epoch. A
+checkpoint reads only values, so its MMD is the value-only, row-blocked one.
 
 Optimization runs in whitened coordinates (Q = Q~ W with W the data whitening
 matrix), which makes Adam's step size meaningful across data scales, and in
@@ -350,13 +351,15 @@ def _guard(term: str, value: float, epoch: int) -> None:
 # A term is a (name, fn) pair. fn(p, b1, b2, rows, train) sees the parameters
 # p by slot (q1, q2, qp1, qp2, W, b) and whitened rows b1 = z1[rows], b2 of
 # each view; it returns its weighted value, its shares of the _SUMS columns
-# and (slot, gradient) pairs. train=False evaluates a checkpoint. Gradients
+# and (slot, gradient) pairs. train=False evaluates a checkpoint, where only
+# the value is read: the MMD matcher then computes no gradients. Gradients
 # add per slot in term order, which fixes the floating-point sums.
 # ---------------------------------------------------------------------------
 
 class _Matcher:
     """The configured divergence between the projected shared views; the
-    adversarial one trains its discriminator before each training step."""
+    adversarial one trains its discriminator before each training step. At a
+    checkpoint the MMD is value-only, summed in row blocks."""
 
     def __init__(self, cfg: SolverConfig, u0: np.ndarray, v0: np.ndarray,
                  rng: np.random.Generator):
@@ -373,6 +376,9 @@ class _Matcher:
     def __call__(self, p, b1, b2, rows, train):
         u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
         if self.disc is None:
+            if not train:
+                value = mmd2_unbiased(u, v, self.kernel, grad=False)[0]
+                return value, {"matcher": value}, ()
             value, gu, gv = mmd2_unbiased(u, v, self.kernel)
         else:
             if train:

@@ -69,6 +69,15 @@ class TestMMD:
                           KernelSpec(1.0))
 
 
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMMDValueOnly:
     """grad=False sums the Grams in blocks of 512 rows; its value must agree
     with the gradient path's, also at and across block boundaries."""
@@ -116,17 +125,150 @@ class TestMMDValueOnly:
             mmd2_unbiased(x, y, kernel, grad=False)
 
     def test_forms_no_square_gram(self, rng):
-        # One 4096 x 4096 float64 matrix is 128 MiB; the gradient path's peak
-        # is 512 MiB, the blocked sums' about 32 MiB.
+        # One 4096 x 4096 float64 matrix is 128 MiB, which the gradient path
+        # holds; the blocked sums peak at about 32 MiB.
         x = rng.normal(size=(4096, 2))
         y = rng.normal(size=(4096, 2))
-        tracemalloc.start()
-        try:
-            mmd2_unbiased(x, y, KernelSpec(1.0), grad=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0), grad=False))
         assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Full-matrix reference: the MMD and HSIC formulas written over whole Gram
+# and centred matrices, with row sums and products taken separately. The
+# squared distances are summed in the engine's order, so both sides see the
+# same kernel entries and the comparison measures the reductions; at small
+# bandwidths the norm expansion itself is only good to about
+# eps |x|^2 / sigma^2 in any order.
+# ---------------------------------------------------------------------------
+
+def ref_gram(x, y, sig):
+    x2 = np.einsum("ij,ij->i", x, x)
+    y2 = np.einsum("ij,ij->i", y, y)
+    d2 = np.maximum(-2.0 * (x @ y.T) + x2[:, None] + y2[None, :], 0.0)
+    return np.exp(d2 / (-2.0 * sig * sig))
+
+
+def ref_mmd(x, y, sig):
+    """Also returns, per gradient, the size of the terms it subtracts: the
+    largest Gram row sum times the largest coordinate, over sigma^2."""
+    m, n = x.shape[0], y.shape[0]
+    cxx, cyy, cxy = 1.0 / (m * (m - 1)), 1.0 / (n * (n - 1)), 2.0 / (m * n)
+    kxx = ref_gram(x, x, sig)
+    np.fill_diagonal(kxx, 0.0)
+    kyy = ref_gram(y, y, sig)
+    np.fill_diagonal(kyy, 0.0)
+    kxy = ref_gram(x, y, sig)
+    value = cxx * kxx.sum() + cyy * kyy.sum() - cxy * kxy.sum()
+    inv = 1.0 / (sig * sig)
+    grad_x = -2.0 * cxx * inv * (kxx.sum(axis=1)[:, None] * x - kxx @ x)
+    grad_x += cxy * inv * (kxy.sum(axis=1)[:, None] * x - kxy @ y)
+    grad_y = -2.0 * cyy * inv * (kyy.sum(axis=1)[:, None] * y - kyy @ y)
+    grad_y += cxy * inv * (kxy.sum(axis=0)[:, None] * y - kxy.T @ x)
+    top = max(np.abs(x).max(), np.abs(y).max())
+    scale_x = inv * top * (2.0 * cxx * kxx.sum(axis=1).max()
+                           + cxy * kxy.sum(axis=1).max())
+    scale_y = inv * top * (2.0 * cyy * kyy.sum(axis=1).max()
+                           + cxy * kxy.sum(axis=0).max())
+    return float(value), grad_x, grad_y, scale_x, scale_y
+
+
+def ref_hsic(u, v, sig_u, sig_v):
+    """Also returns, per gradient, the largest term the centring identity
+    subtracts, (2 / (m sigma)^2) t_i |u_i| with t the row sums of K o L."""
+    m = u.shape[0]
+    k, l = ref_gram(u, u, sig_u), ref_gram(v, v, sig_v)
+    hk = k - k.mean(axis=0, keepdims=True)
+    hkh = hk - hk.mean(axis=1, keepdims=True)
+    hl = l - l.mean(axis=0, keepdims=True)
+    hlh = hl - hl.mean(axis=1, keepdims=True)
+    value = float(np.sum(k * hlh)) / (m * m)
+    mu = hlh / (m * m) * k
+    grad_u = (-2.0 / (sig_u * sig_u)) * (mu.sum(axis=1)[:, None] * u - mu @ u)
+    mv = hkh / (m * m) * l
+    grad_v = (-2.0 / (sig_v * sig_v)) * (mv.sum(axis=1)[:, None] * v - mv @ v)
+    t = (k * l).sum(axis=1).max()
+    return (value, grad_u, grad_v,
+            2.0 * t * np.abs(u).max() / (m * sig_u) ** 2,
+            2.0 * t * np.abs(v).max() / (m * sig_v) ** 2)
+
+
+def _assert_within(got, want, scale, what):
+    """|got - want| <= 1e-12 * scale everywhere."""
+    err = float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+    assert err <= 1e-12 * scale, f"{what}: {err:.3g} > 1e-12 x {scale:.3g}"
+
+
+def _check(got, want):
+    """Both values are sums of kernel means in [0, 1], so they are held to
+    1e-12 absolute; each gradient to 1e-12 of the largest term it subtracts
+    (a gradient can cancel to far below its terms, as at a matched pair of
+    distributions)."""
+    _assert_within(got[0], want[0], 1.0, "value")
+    _assert_within(got[1], want[1], want[3], "first gradient")
+    _assert_within(got[2], want[2], want[4], "second gradient")
+
+
+def _check_mmd(x, y, sig):
+    _check(mmd2_unbiased(x, y, KernelSpec(sig)), ref_mmd(x, y, sig))
+
+
+def _check_hsic(u, v, sig_u, sig_v):
+    _check(hsic_biased(u, v, KernelSpec(sig_u), KernelSpec(sig_v)),
+           ref_hsic(u, v, sig_u, sig_v))
+
+
+class TestAgainstFullMatrixReference:
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (511, 511), (512, 512),
+                                     (513, 513), (1000, 1000), (1025, 1025),
+                                     (2048, 2048), (3, 1025), (1000, 513)])
+    def test_mmd_at_block_and_buffer_sizes(self, rng, m, n):
+        _check_mmd(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)) + 0.5, 0.8)
+
+    @pytest.mark.parametrize("sig", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_mmd_across_bandwidths(self, rng, sig):
+        _check_mmd(rng.normal(size=(600, 2)), rng.normal(size=(500, 2)) + 0.5, sig)
+
+    def test_mmd_on_coincident_points(self, rng):
+        x = np.repeat(rng.normal(size=(10, 2)), 60, axis=0)
+        _check_mmd(x, x.copy(), 1.0)
+        _check_mmd(x, np.vstack([x[:300], rng.normal(size=(200, 2))]), 0.5)
+
+    @pytest.mark.parametrize("m", [4, 5, 511, 512, 513, 1000, 1025, 2048])
+    def test_hsic_at_block_and_buffer_sizes(self, rng, m):
+        u = rng.normal(size=(m, 2))
+        _check_hsic(u, rng.normal(size=(m, 2)) + u ** 2, 0.8, 1.3)
+
+    @pytest.mark.parametrize("sig", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_hsic_across_bandwidths(self, rng, sig):
+        u = rng.normal(size=(600, 2))
+        _check_hsic(u, rng.normal(size=(600, 2)) + u ** 2, sig, sig)
+
+    def test_hsic_on_coincident_points(self, rng):
+        u = np.repeat(rng.normal(size=(10, 2)), 60, axis=0)
+        _check_hsic(u, u[:, :1] ** 2, 1.0, 0.7)
+        _check_hsic(u, np.ones((600, 1)), 1.0, 1.0)
+
+    @pytest.mark.parametrize("du,dv", [(1, 3), (3, 1), (2, 5)])
+    def test_hsic_with_views_of_different_widths(self, rng, du, dv):
+        u = rng.normal(size=(300, du))
+        v = rng.normal(size=(300, dv)) + np.sin(u[:, :1])
+        _check_hsic(u, v, 1.1, 0.9)
+
+
+class TestMemory:
+    """tracemalloc peaks; one 2048 x 2048 float64 matrix is 32 MiB."""
+
+    def test_mmd_gradient_path_holds_one_gram(self, rng):
+        # The three-Gram body peaked at 128 MiB.
+        x, y = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
+        assert _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0))) < 48 * 2**20
+
+    def test_hsic_holds_two_grams(self, rng):
+        # With centred copies it peaked at 80 MiB; two 1024-row Grams are 16.
+        u, v = rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
+        assert _peak_bytes(lambda: hsic_biased(u, v, KernelSpec(1.0),
+                                               KernelSpec(1.0))) < 24 * 2**20
 
 
 class TestHSIC:
