@@ -36,10 +36,10 @@ def _setup_logging() -> None:
 def _effective_config(args) -> dict:
     doc = cfgmod.load_config(args.config) if args.config else None
     merged = cfgmod.merged_with_defaults(doc)
-    if getattr(args, "preset", None):
+    if getattr(args, "preset", None) is not None:
         merged["data"]["preset"] = args.preset
         merged["data"].pop("latent", None)
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         merged["data"]["n"] = args.n
     if args.seed is not None:
         merged["seed"] = args.seed

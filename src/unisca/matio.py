@@ -28,7 +28,10 @@ def write_json(path: str, doc) -> None:
 
 def read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def write_matrix(directory: str, name: str, a: np.ndarray, role: str = "",

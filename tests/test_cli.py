@@ -81,6 +81,28 @@ def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, thresholds):
     assert not out.exists()
 
 
+def test_config_that_is_not_json_is_an_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1,')
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad} is not valid JSON" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--n", "0"], "config invalid at data/n"),
+    (["--preset", ""], "unknown preset ''"),
+])
+def test_gen_rejects_empty_overrides(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--config", _config(tmp_path), *flags,
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _word_vector_model(tmp_path) -> list:
     """Fit a model on two tiny word-vector files; returns the `retrieve`
     arguments that score it against them."""
