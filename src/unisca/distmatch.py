@@ -11,6 +11,11 @@ they can be verified against central finite differences.
 MMD and HSIC form every RBF Gram in place through `_gram` and read it only
 through products with a few columns, so no centred or rescaled copy of a
 Gram is made; the value-only MMD sums Grams of at most _BLOCK rows.
+
+The discriminator's backward pass forms only what its caller reads
+(`gan_value_and_grads(..., grads=...)`): `discriminator_step` takes the
+parameter gradients, the projection update the input gradients, and a
+checkpoint the value alone, from forward passes that keep no activations.
 """
 
 from __future__ import annotations
@@ -214,7 +219,11 @@ class Discriminator:
     Hidden activations are leaky ReLU (slope _LEAK), the output is a
     sigmoid, and weights start at Glorot-uniform scale. Forward/backward are
     written out by hand so gradients w.r.t. both parameters and inputs are
-    exact. Optional input dropout is applied only when `train=True`.
+    exact; the backward pass forms only the ones asked for. It reads only
+    the post-activations: since 0 < _LEAK < 1, a hidden unit's output is
+    max(z, _LEAK z), positive exactly where its pre-activation z is, so its
+    sign gives the slope. Optional input dropout is applied only when
+    `train=True`.
     """
 
     def __init__(self, in_dim: int, hidden: tuple = DEFAULT_HIDDEN,
@@ -238,51 +247,60 @@ class Discriminator:
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def _forward(self, x: np.ndarray, train: bool = False):
+    def _forward(self, x: np.ndarray, train: bool = False, keep: bool = False):
+        """(clamped probabilities, raw sigmoid, cache). With keep the cache
+        holds what the backward pass reads: the post-activations, the
+        (dropped-out) input first, and the dropout scale. Without it the
+        cache is None and each layer's output is dropped once the next one
+        is formed."""
         x = check_matrix(x, "discriminator input")
         if x.shape[1] != self.in_dim:
             raise ValidationError(
                 f"discriminator expects {self.in_dim} features, got {x.shape[1]}")
         drop = None
         if train and self.input_dropout > 0.0:
-            keep = 1.0 - self.input_dropout
-            drop = (self._rng.random(x.shape) < keep) / keep
+            keep_p = 1.0 - self.input_dropout
+            drop = (self._rng.random(x.shape) < keep_p) / keep_p
             x = x * drop
-        acts, pre, a = [x], [], x
+        acts, a = [x], x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            pre.append(z)
+            a = a @ w.T
+            a += b
             if i < len(self.weights) - 1:
-                a = np.where(z > 0, z, _LEAK * z)
-                acts.append(a)
-        p_raw = 1.0 / (1.0 + np.exp(-pre[-1][:, 0]))
+                np.maximum(a, _LEAK * a, out=a)
+                if keep:
+                    acts.append(a)
+        p_raw = 1.0 / (1.0 + np.exp(-a[:, 0]))
         p = np.clip(p_raw, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        return p, (acts, pre, p_raw, drop)
+        return p, p_raw, ((acts, drop) if keep else None)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1), strictly clamped away from the endpoints."""
         return self._forward(x)[0]
 
-    def _backward(self, cache, dz_out: np.ndarray):
+    def _backward(self, cache, dz_out: np.ndarray, params: bool = True,
+                  inputs: bool = True):
         """Backprop a gradient at the output pre-activation down to the input.
 
         Returns (param_grads, input_grad) where param_grads interleaves
-        (dW_0, db_0, dW_1, db_1, ...) matching self.adam's layout.
+        (dW_0, db_0, dW_1, db_1, ...) matching self.adam's layout. With
+        params False the dz.T @ acts products are skipped and param_grads is
+        None; with inputs False the pass stops before the product with the
+        first layer's weights and input_grad is None.
         """
-        acts, pre, _, drop = cache
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
+        acts, drop = cache
+        grads = [None] * (2 * len(self.weights)) if params else None
         dz = dz_out[:, None]
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = dz.T @ acts[i]
-            grads[2 * i + 1] = dz.sum(axis=0)
-            da = dz @ self.weights[i]
+            if params:
+                grads[2 * i] = dz.T @ acts[i]
+                grads[2 * i + 1] = dz.sum(axis=0)
+            if i == 0 and not inputs:
+                return grads, None
+            dz = dz @ self.weights[i]
             if i > 0:
-                dz = da * np.where(pre[i - 1] > 0, 1.0, _LEAK)
-            else:
-                dinput = da
-        if drop is not None:
-            dinput = dinput * drop
-        return grads, dinput
+                dz *= np.maximum(acts[i] > 0, _LEAK)
+        return grads, (dz if drop is None else dz * drop)
 
 
 def _half_loss_and_dz(p: np.ndarray, p_raw: np.ndarray, real: bool,
@@ -304,28 +322,46 @@ def _half_loss_and_dz(p: np.ndarray, p_raw: np.ndarray, real: bool,
     return float(loss), dz * inside
 
 
-def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
-                        smoothing: float = 0.0, train: bool = False):
-    """Adversarial value mean log f(u) + mean log(1 - f(v)) and all gradients.
+# gan_value_and_grads' grads= -> (parameter grads formed, input grads formed)
+_GRADS = {"all": (True, True), "params": (True, False),
+          "inputs": (False, True), "none": (False, False)}
 
-    Returns (loss, param_grads, grad_u, grad_v). `smoothing` > 0 smooths the
-    targets (used for the discriminator's own update); the projection update
-    uses the plain value. `train=True` enables input dropout.
+
+def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
+                        smoothing: float = 0.0, train: bool = False, *,
+                        grads: str = "all"):
+    """Adversarial value mean log f(u) + mean log(1 - f(v)) and its gradients.
+
+    Returns (loss, param_grads, grad_u, grad_v). `grads` names what is
+    formed: "all", "params" (the discriminator's own step), "inputs" (the
+    projection update) or "none" (a checkpoint's value: forward passes only,
+    no cache kept); a slot not formed is None. The value and every formed
+    gradient are the same bytes whichever are asked for. Each view is
+    forwarded and backpropagated before the next, so one view's cache is held
+    at a time. `smoothing` > 0 smooths the targets (used for the
+    discriminator's own update); the projection update uses the plain value.
+    `train=True` enables input dropout.
     """
-    pu, cache_u = f._forward(u, train=train)
-    pv, cache_v = f._forward(v, train=train)
-    lu, dzu = _half_loss_and_dz(pu, cache_u[2], True, smoothing, u.shape[0])
-    lv, dzv = _half_loss_and_dz(pv, cache_v[2], False, smoothing, v.shape[0])
-    grads_u, din_u = f._backward(cache_u, dzu)
-    grads_v, din_v = f._backward(cache_v, dzv)
-    param_grads = [gu + gv for gu, gv in zip(grads_u, grads_v)]
+    params, inputs = _GRADS[grads]
+
+    def side(x, real):
+        p, p_raw, cache = f._forward(x, train=train, keep=params or inputs)
+        loss, dz = _half_loss_and_dz(p, p_raw, real, smoothing, x.shape[0])
+        if cache is None:
+            return loss, None, None
+        return (loss, *f._backward(cache, dz, params, inputs))
+
+    lu, gu, din_u = side(u, True)
+    lv, gv, din_v = side(v, False)
+    param_grads = [a + b for a, b in zip(gu, gv)] if params else None
     return lu + lv, param_grads, din_u, din_v
 
 
 def discriminator_step(f: Discriminator, u: np.ndarray, v: np.ndarray) -> float:
-    """One ascent step on the label-smoothed adversarial value; returns it."""
+    """One ascent step on the label-smoothed adversarial value; returns it.
+    Only the parameter gradients are formed."""
     loss, param_grads, _, _ = gan_value_and_grads(
-        f, u, v, smoothing=f.label_smoothing, train=True)
+        f, u, v, smoothing=f.label_smoothing, train=True, grads="params")
     params = [a for pair in zip(f.weights, f.biases) for a in pair]
     for adam, p, g in zip(f.adam, params, param_grads):
         p[...] = adam.step(p, -g)

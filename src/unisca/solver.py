@@ -8,7 +8,11 @@ head on view 1, and the homogeneous mode ties the two projections to a single
 matrix. One loop, `_train`, minimizes any such list of terms, in every mode
 and in the warm start; the same terms give the checkpoint objective, recorded
 at epoch 0, every checkpoint_every epochs and after the last epoch. A
-checkpoint reads only values, so its MMD is the value-only, row-blocked one.
+checkpoint reads only values, so its MMD is the value-only, row-blocked one
+and its adversarial value runs the discriminator forward only. A training
+step forms only the gradients it reads: the discriminator's own step its
+parameter gradients, the projection update the discriminator's input
+gradients.
 
 Optimization runs in whitened coordinates (Q = Q~ W with W the data whitening
 matrix), which makes Adam's step size meaningful across data scales, and in
@@ -17,13 +21,15 @@ along random slices (a Wasserstein-style realization of the same
 distribution-matching constraint), followed by the configured matcher as the
 traced training phase. Restart selection uses a frozen two-bandwidth MMD
 score on a large deterministic subsample; the score is value-only and summed
-in row blocks, so it forms no n x n Gram matrix. Covariances and kernel
-bandwidths are frozen before the first step, so every run is
-replay-deterministic under its seed.
+in row blocks, so it forms no n x n Gram matrix. Covariances are frozen
+before the first step and kernel bandwidths are fixed by the data's probe
+projections, resolved on first read (an adversarial fit without a warm start
+never reads the MMD one), so every run is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import operator
 import os
@@ -352,18 +358,25 @@ def _guard(term: str, value: float, epoch: int) -> None:
 # p by slot (q1, q2, qp1, qp2, W, b) and whitened rows b1 = z1[rows], b2 of
 # each view; it returns its weighted value, its shares of the _SUMS columns
 # and (slot, gradient) pairs. train=False evaluates a checkpoint, where only
-# the value is read: the MMD matcher then computes no gradients. Gradients
+# the value is read: the matcher then computes no gradients. Gradients
 # add per slot in term order, which fixes the floating-point sums.
 # ---------------------------------------------------------------------------
 
 class _Matcher:
-    """The configured divergence between the projected shared views; the
-    adversarial one trains its discriminator before each training step. At a
-    checkpoint the MMD is value-only, summed in row blocks."""
+    """The configured divergence between the projected shared views.
+
+    The adversarial one trains its discriminator before each training step
+    (parameter gradients only), then takes the value and the gradients at
+    the projected views (input gradients only). At a checkpoint either
+    matcher is value-only: the MMD summed in row blocks, the adversarial
+    value from forward passes alone. `kernel` is the MMD kernel, its
+    bandwidth resolved from the probe projections u0, v0 on first read; the
+    MMD matcher and the warm start's restart score read it.
+    """
 
     def __init__(self, cfg: SolverConfig, u0: np.ndarray, v0: np.ndarray,
                  rng: np.random.Generator):
-        self.kernel = KernelSpec(cfg.bandwidth).resolve(u0, v0)
+        self._bandwidth, self._u0, self._v0 = cfg.bandwidth, u0, v0
         if cfg.matcher == "mmd":
             self.disc = None
         else:
@@ -373,18 +386,25 @@ class _Matcher:
                 input_dropout=cfg.disc_input_dropout, rng=rng)
             self.steps = cfg.disc_steps
 
+    @functools.cached_property
+    def kernel(self) -> KernelSpec:
+        return KernelSpec(self._bandwidth).resolve(self._u0, self._v0)
+
     def __call__(self, p, b1, b2, rows, train):
         u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
-        if self.disc is None:
-            if not train:
+        if not train:
+            if self.disc is None:
                 value = mmd2_unbiased(u, v, self.kernel, grad=False)[0]
-                return value, {"matcher": value}, ()
+            else:
+                value = gan_value_and_grads(self.disc, u, v, grads="none")[0]
+            return value, {"matcher": value}, ()
+        if self.disc is None:
             value, gu, gv = mmd2_unbiased(u, v, self.kernel)
         else:
-            if train:
-                for _ in range(self.steps):
-                    discriminator_step(self.disc, u, v)
-            value, _, gu, gv = gan_value_and_grads(self.disc, u, v)
+            for _ in range(self.steps):
+                discriminator_step(self.disc, u, v)
+            value, _, gu, gv = gan_value_and_grads(self.disc, u, v,
+                                                   grads="inputs")
         return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
 
 
@@ -530,18 +550,18 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
     return trace, checkpoints
 
 
-def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, kernel: KernelSpec,
+def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
                 pairs, homogeneous: bool, rng_init: np.random.Generator,
                 rng_batch: np.random.Generator):
     """Multi-restart quantile warm start; returns the best starting point.
 
     Restart 0 starts from the whitening-plus-noise block; later restarts use
-    seeded random orthonormal frames. Candidates are scored by the frozen
-    kernel's MMD plus a half-bandwidth MMD on a large leading subsample, which
-    separates true matches from scale-local spurious ones. The score is
-    value-only: each MMD is summed in row blocks without gradients or n x n
-    Gram matrices. Each restart's score and the chosen restart are logged at
-    DEBUG.
+    seeded random orthonormal frames. Candidates are scored by the MMD at
+    the matcher's frozen kernel plus a half-bandwidth MMD on a large leading
+    subsample, which separates true matches from scale-local spurious ones.
+    The score is value-only: each MMD is summed in row blocks without
+    gradients or n x n Gram matrices. Each restart's score and the chosen
+    restart are logged at DEBUG.
     """
     d_c = cfg.d_c
     q1_spec = _block_init(v1.rank, slice(0, d_c), cfg.init_noise, rng_init,
@@ -551,6 +571,7 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, kernel: KernelSpec,
     if cfg.warm_epochs == 0 and cfg.restarts == 1:
         return q1_spec, q2_spec
 
+    kernel = matcher.kernel
     fine = KernelSpec(kernel.require() * 0.5)
     ns = min(cfg.select_rows, v1.n, v2.n)
 
@@ -614,7 +635,7 @@ def _fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
                                cfg.init_noise, rng_init, "QP1")
         p["qp2"] = _block_init(v2.rank, slice(d_c, d_c + cfg.d_p2),
                                cfg.init_noise, rng_init, "QP2")
-    p["q1"], p["q2"] = _warm_start(cfg, v1, v2, matcher.kernel, pairs,
+    p["q1"], p["q2"] = _warm_start(cfg, v1, v2, matcher, pairs,
                                    homogeneous, rng_init, rng_batch)
 
     blocks = _shared_blocks(cfg.lr_q, homogeneous)
@@ -660,9 +681,9 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     beta * sum_l ||Q1 x1_l - Q2 x2_l||^2 over anchor pairs when provided.
     Homogeneous mode trains a single matrix against both covariance
     penalties; with_private mode adds the private heads (see
-    fit_with_private). The kernel bandwidth is frozen from the initial
-    projections; the warm start (see SolverConfig) picks the starting point,
-    after which the configured matcher drives the traced epochs.
+    fit_with_private). The MMD kernel bandwidth is frozen from the initial
+    projections; the warm start (see SolverConfig) picks the starting
+    point, after which the configured matcher drives the traced epochs.
     """
     return _fit(x1, x2, cfg, anchors=anchors)
 

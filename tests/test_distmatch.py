@@ -1,11 +1,13 @@
+import copy
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from unisca.distmatch import (Discriminator, KernelSpec, discriminator_step,
-                              gan_value_and_grads, hsic_biased, mmd2_unbiased)
+from unisca.distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
+                              discriminator_step, gan_value_and_grads,
+                              hsic_biased, mmd2_unbiased)
 from unisca.numerics import ValidationError, substream
 
 
@@ -270,6 +272,15 @@ class TestMemory:
         assert _peak_bytes(lambda: hsic_biased(u, v, KernelSpec(1.0),
                                                KernelSpec(1.0))) < 24 * 2**20
 
+    def test_gan_value_only_keeps_no_activations(self, rng):
+        # Keeping every layer's pre- and post-activations for both views
+        # peaked at 214 MiB. Forward only, at most two 2048 x 1024 layer
+        # outputs (16 MiB each) are alive at once.
+        f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
+        u, v = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
+        assert _peak_bytes(
+            lambda: gan_value_and_grads(f, u, v, grads="none")) < 48 * 2**20
+
 
 class TestHSIC:
     def test_constant_input_zero(self, rng):
@@ -375,3 +386,52 @@ class TestDiscriminator:
         f = Discriminator(3, hidden=(4,), rng=rng)
         with pytest.raises(ValidationError):
             f.forward(rng.normal(size=(5, 2)))
+
+    @staticmethod
+    def _net_and_views(rng):
+        # The default network, with dropout so that a train=True call also
+        # shows whether every selection draws the same masks. A scaled output
+        # layer and a wide second view put some outputs into the probability
+        # clamp at both ends.
+        f = Discriminator(2, hidden=DEFAULT_HIDDEN, input_dropout=0.3, rng=rng)
+        f.weights[-1] *= 1000.0
+        return f, rng.normal(size=(48, 2)), 6.0 * rng.normal(size=(40, 2)) + 1.0
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("grads,kept", [("none", ()), ("params", (1,)),
+                                            ("inputs", (2, 3))])
+    def test_selected_gradients_are_the_full_call_bytes(self, rng, grads, kept,
+                                                        train):
+        f, u, v = self._net_and_views(rng)
+        g = copy.deepcopy(f)  # the same weights and dropout stream
+        full = gan_value_and_grads(f, u, v, 0.2, train)
+        part = gan_value_and_grads(g, u, v, 0.2, train, grads=grads)
+        assert np.float64(part[0]).tobytes() == np.float64(full[0]).tobytes()
+        for slot in (1, 2, 3):
+            if slot not in kept:
+                assert part[slot] is None, slot
+                continue
+            got = part[slot] if slot > 1 else np.concatenate(
+                [a.ravel() for a in part[slot]])
+            want = full[slot] if slot > 1 else np.concatenate(
+                [a.ravel() for a in full[slot]])
+            assert got.tobytes() == want.tobytes(), slot
+
+    def test_step_equals_a_step_on_the_full_call(self, rng):
+        f, u, v = self._net_and_views(rng)
+        g = copy.deepcopy(f)
+        discriminator_step(f, u, v)
+        _, grads, _, _ = gan_value_and_grads(g, u, v, g.label_smoothing,
+                                             train=True)
+        params = [a for pair in zip(g.weights, g.biases) for a in pair]
+        for adam, p, grad in zip(g.adam, params, grads):
+            p[...] = adam.step(p, -grad)
+        for a, b in zip(f.weights + f.biases, g.weights + g.biases):
+            assert a.tobytes() == b.tobytes()
+
+    def test_forward_keeps_no_cache_and_matches_the_cached_pass(self, rng):
+        f, u, _ = self._net_and_views(rng)
+        p, _, cache = f._forward(u)
+        assert cache is None
+        assert f.forward(u).tobytes() == p.tobytes()
+        assert f._forward(u, keep=True)[0].tobytes() == p.tobytes()

@@ -5,6 +5,8 @@ The outputs in tests/data/golden_fits.npz were written by this file's
 random draws or floating-point sums in the solver shows here. Checkpoints
 follow one schedule in every mode (epoch 0, every checkpoint_every epochs,
 the last epoch); the stored ones must reappear byte for byte among them.
+Each fit is also run twice in one process and must repeat itself byte for
+byte, checkpoints included.
 
 The file was regenerated once, when MMD and HSIC moved onto one in-place
 RBF Gram engine: the MMD gradient path reads each Gram through one product
@@ -154,9 +156,22 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.fixture(scope="module")
+def first_run():
+    """Each fit's first run in this process, made on first use; the golden
+    comparison and the replay check share it."""
+    runs = {}
+
+    def get(name: str) -> solver.FitResult:
+        if name not in runs:
+            runs[name] = FITS[name]()
+        return runs[name]
+    return get
+
+
 @pytest.mark.parametrize("name", sorted(FITS))
-def test_fit_replays_golden_outputs(name, golden):
-    result = FITS[name]()
+def test_fit_replays_golden_outputs(name, golden, first_run):
+    result = first_run(name)
     got = arrays(result)
     want = {k.split("/", 1)[1]: v for k, v in golden.items()
             if k.startswith(name + "/") and not k.endswith("/checkpoints")}
@@ -167,6 +182,18 @@ def test_fit_replays_golden_outputs(name, golden):
     found = dict(result.checkpoints)
     for epoch, value in golden[f"{name}/checkpoints"]:
         assert _same_bytes(np.float64(found[int(epoch)]), value), (name, epoch)
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_replays_itself_in_one_process(name, first_run):
+    # State left behind by an earlier fit (a cached bandwidth, a random
+    # stream, a buffer reused in place) would show in the second run.
+    first, second = first_run(name), FITS[name]()
+    a, b = arrays(first), arrays(second)
+    assert sorted(a) == sorted(b)
+    for key in a:
+        assert _same_bytes(a[key], b[key]), f"{name}/{key}"
+    assert _same_bytes(np.array(first.checkpoints), np.array(second.checkpoints))
 
 
 if __name__ == "__main__":

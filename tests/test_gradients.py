@@ -5,6 +5,9 @@ bound of 1e-4 is far above what correct gradients produce (~1e-10) and far
 below what any sign/scale mistake would produce.
 """
 
+import itertools
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
@@ -52,11 +55,12 @@ def test_gan_input_gradients(rng):
     f = Discriminator(d, hidden=(6, 4), lr=1e-3, rng=rng)
     u = rng.normal(size=(rng.integers(2, 5), d))
     v = rng.normal(size=(rng.integers(2, 5), d))
-    err_u = grad_check(
-        lambda a: (gan_value_and_grads(f, a, v)[0], gan_value_and_grads(f, a, v)[2]), u)
-    err_v = grad_check(
-        lambda a: (gan_value_and_grads(f, u, a)[0], gan_value_and_grads(f, u, a)[3]), v)
-    assert err_u <= TOL and err_v <= TOL
+    for grads in ("all", "inputs"):  # the full call and the generator pass's
+        err_u = grad_check(
+            lambda a: itemgetter(0, 2)(gan_value_and_grads(f, a, v, grads=grads)), u)
+        err_v = grad_check(
+            lambda a: itemgetter(0, 3)(gan_value_and_grads(f, u, a, grads=grads)), v)
+        assert err_u <= TOL and err_v <= TOL, grads
 
 
 @pytest.mark.parametrize("rng", _rngs("gan-params"))
@@ -69,14 +73,15 @@ def test_gan_parameter_gradients(rng):
     params = []
     for w, b in zip(f.weights, f.biases):
         params.extend((w, b))
-    for ti, p in enumerate(params):
-        def fn(a, ti=ti):
+    for ti, grads in itertools.product(range(len(params)), ("all", "params")):
+        def fn(a, ti=ti, grads=grads):
             old = params[ti].copy()
             params[ti][...] = a
-            loss, pg, _, _ = gan_value_and_grads(f, u, v, smoothing=smoothing)
+            loss, pg, _, _ = gan_value_and_grads(f, u, v, smoothing=smoothing,
+                                                 grads=grads)
             params[ti][...] = old
             return loss, pg[ti]
-        assert grad_check(fn, p.copy()) <= TOL
+        assert grad_check(fn, params[ti].copy()) <= TOL, (ti, grads)
 
 
 @pytest.mark.parametrize("rng", _rngs("rq"))
