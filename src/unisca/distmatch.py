@@ -10,7 +10,8 @@ they can be verified against central finite differences.
 
 MMD and HSIC form every RBF Gram in place through `_gram` and read it only
 through products with a few columns, so no centred or rescaled copy of a
-Gram is made; the value-only MMD sums Grams of at most _BLOCK rows.
+Gram is made. Every MMD value and gradient comes from one loop over strips
+of at most _BLOCK rows, `_gram_sum`, so no MMD call forms an n x n Gram.
 
 The discriminator's backward pass forms only what its caller reads
 (`gan_value_and_grads(..., grads=...)`): `discriminator_step` takes the
@@ -69,7 +70,7 @@ class KernelSpec:
         return self.bandwidth
 
 
-_BLOCK = 512  # rows of a Gram block in the value-only MMD
+_BLOCK = 512  # rows of a Gram strip in every MMD value and gradient
 
 
 def _sqnorms(x: np.ndarray) -> np.ndarray:
@@ -90,37 +91,39 @@ def _gram(x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray,
     return out
 
 
-def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None) -> float:
-    """Sum of the Gram of x against y, _BLOCK rows at a time. With y None the
-    sum is over pairs i != j of x: only blocks on or above the diagonal are
-    formed, and the strictly upper part is counted twice."""
+def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
+              xe: np.ndarray | None = None, ye: np.ndarray | None = None):
+    """(sum of K, K @ ye, K.T @ xe) for the Gram K of x against y, from
+    strips of _BLOCK rows of x; the products are None without xe. With y
+    None, K is x's Gram less its diagonal: only strips on or above it are
+    formed, and their strictly upper part counts twice and, transposed,
+    gives the later rows their products; both products are then K @ xe."""
     within = y is None
     x2 = _sqnorms(x)
-    y, y2 = (x, x2) if within else (y, _sqnorms(y))
+    y, y2, ye = (x, x2, xe) if within else (y, _sqnorms(y), ye)
+    px = None if xe is None else np.zeros((x.shape[0], ye.shape[1]))
+    py = px if within or px is None else np.zeros((y.shape[0], xe.shape[1]))
     total = 0.0
     for i in range(0, x.shape[0], _BLOCK):
         j = i if within else 0
         out = _gram(x[i:i + _BLOCK], y[j:], x2[i:i + _BLOCK], y2[j:], sig)
+        rows = out.shape[0]
+        k = rows if within else 0  # y's rows j + k on take this strip's K.T
         if within:
-            rows = out.shape[0]
             diag = out[:, :rows]
             total += 2.0 * out[:, rows:].sum() + (diag.sum() - np.trace(diag))
+            np.fill_diagonal(diag, 0.0)
         else:
             total += out.sum()
-    return total
+        if px is not None:
+            px[i:i + rows] += out @ ye[j:]
+            py[j + k:] += out[:, k:].T @ xe[i:i + rows]
+    return total, px, py
 
 
 def _pull(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """sum_j k(a_i, b_j) (a_i - b_j), from p = K @ [b, ..., 1]."""
     return p[:, -1:] * a - p[:, :a.shape[1]]
-
-
-def _within(x: np.ndarray, x2: np.ndarray, xe: np.ndarray,
-            sig: float) -> np.ndarray:
-    """K @ xe for the Gram K of x with its diagonal dropped."""
-    k = _gram(x, x, x2, x2, sig)
-    np.fill_diagonal(k, 0.0)
-    return k @ xe
 
 
 def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
@@ -129,10 +132,10 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     """U-statistic estimate of MMD^2 and its gradients w.r.t. both sample sets.
 
     Off-diagonal within-set kernel means minus twice the cross mean; may be
-    negative. Gradients treat the (frozen) bandwidth as a constant and come
-    from one product K @ [x, 1] per Gram, which gives K x and the row sums, so
-    one n x n matrix is held at a time. grad=False sums the value over row
-    blocks, within a few ulps of the gradient path's, and returns no gradients.
+    negative. Every value comes from `_gram_sum`'s strips, so grad=False
+    returns the same value, with no gradients. Gradients treat the (frozen)
+    bandwidth as a constant and come from the same strips' products with
+    [x, 1] and [y, 1], which give K x and the row sums.
     """
     x, y = check_matrix(x, "X"), check_matrix(y, "Y")
     m, n = x.shape[0], y.shape[0]
@@ -142,23 +145,19 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise ValidationError("sample sets must share a dimension")
     sig = kernel.require()
     cxx, cyy, cxy = 1.0 / (m * (m - 1)), 1.0 / (n * (n - 1)), 2.0 / (m * n)
+    xe, ye = ((np.hstack([x, np.ones((m, 1))]), np.hstack([y, np.ones((n, 1))]))
+              if grad else (None, None))
+    sxx, pxx, _ = _gram_sum(x, sig, xe=xe)
+    syy, pyy, _ = _gram_sum(y, sig, xe=ye)
+    sxy, pxy, pyx = _gram_sum(x, sig, y, xe, ye)
+    value = float(cxx * sxx + cyy * syy - cxy * sxy)
     if not grad:
-        value = (cxx * _gram_sum(x, sig) + cyy * _gram_sum(y, sig)
-                 - cxy * _gram_sum(x, sig, y))
-        return float(value), None, None
-
-    x2, y2 = _sqnorms(x), _sqnorms(y)
-    xe, ye = np.hstack([x, np.ones((m, 1))]), np.hstack([y, np.ones((n, 1))])
-    pxx, pyy = _within(x, x2, xe, sig), _within(y, y2, ye, sig)
-    kxy = _gram(x, y, x2, y2, sig)
-    pxy, pyx = kxy @ ye, kxy.T @ xe
-    value = (cxx * pxx[:, -1].sum() + cyy * pyy[:, -1].sum()
-             - cxy * pxy[:, -1].sum())
+        return value, None, None
     # d k(a,b)/da = -k(a,b) (a-b)/sigma^2; within-set terms pick up a factor 2.
     inv = 1.0 / (sig * sig)
     grad_x = inv * (cxy * _pull(pxy, x) - 2.0 * cxx * _pull(pxx, x))
     grad_y = inv * (cxy * _pull(pyx, y) - 2.0 * cyy * _pull(pyy, y))
-    return float(value), grad_x, grad_y
+    return value, grad_x, grad_y
 
 
 def _hsic_grad(u, sig, klp, kp, r):

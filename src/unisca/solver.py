@@ -8,11 +8,10 @@ head on view 1, and the homogeneous mode ties the two projections to a single
 matrix. One loop, `_train`, minimizes any such list of terms, in every mode
 and in the warm start; the same terms give the checkpoint objective, recorded
 at epoch 0, every checkpoint_every epochs and after the last epoch. A
-checkpoint reads only values, so its MMD is the value-only, row-blocked one
-and its adversarial value runs the discriminator forward only. A training
-step forms only the gradients it reads: the discriminator's own step its
-parameter gradients, the projection update the discriminator's input
-gradients.
+checkpoint reads only values, so its MMD is the value-only one and its
+adversarial value runs the discriminator forward only. A training step forms
+only the gradients it reads: the discriminator's own step its parameter
+gradients, the projection update the discriminator's input gradients.
 
 Optimization runs in whitened coordinates (Q = Q~ W with W the data whitening
 matrix), which makes Adam's step size meaningful across data scales, and in
@@ -20,11 +19,12 @@ two stages: a cheap multi-restart warm start that matches sorted quantiles
 along random slices (a Wasserstein-style realization of the same
 distribution-matching constraint), followed by the configured matcher as the
 traced training phase. Restart selection uses a frozen two-bandwidth MMD
-score on a large deterministic subsample; the score is value-only and summed
-in row blocks, so it forms no n x n Gram matrix. Covariances are frozen
-before the first step and kernel bandwidths are fixed by the data's probe
-projections, resolved on first read (an adversarial fit without a warm start
-never reads the MMD one), so every run is replay-deterministic under its seed.
+score on a large deterministic subsample; the score is value-only. Every
+MMD, a step's value and gradients included, is summed over 512-row strips,
+so no MMD call forms an n x n Gram matrix. Covariances are frozen before the
+first step and kernel bandwidths are fixed by the data's probe projections,
+resolved on first read (an adversarial fit without a warm start never reads
+the MMD one), so every run is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
