@@ -75,7 +75,8 @@ def retrieval_precision(queries: np.ndarray, references: np.ndarray,
     2 cos(x, y) - r2(x) - r1(y), where r2(x) is x's mean cosine to its k_csls
     nearest references and r1(y) is y's mean cosine to its k_csls nearest
     queries, which demotes hub vectors. A query counts as correct if any of
-    its dictionary translations appears in the top k.
+    its dictionary translations appears in the top k. A dictionary id outside
+    the queries' or references' rows is an error.
     """
     if scorer not in ("nn", "csls"):
         raise ValidationError(f"unknown scorer '{scorer}'")
@@ -102,6 +103,9 @@ def retrieval_precision(queries: np.ndarray, references: np.ndarray,
             raise ValidationError(f"dictionary query id {qi} out of range")
         targets = {int(t) for t in (correct if isinstance(correct, (set, list, tuple))
                                     else [correct])}
+        for t in sorted(targets):
+            if t < 0 or t >= er.shape[0]:
+                raise ValidationError(f"dictionary reference id {t} out of range")
         total += 1
         if targets & set(top[qi].tolist()):
             hits += 1

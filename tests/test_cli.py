@@ -146,3 +146,11 @@ def test_retrieve_rejects_bad_k(tmp_path, capsys, flags, message):
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_retrieve_rejects_out_of_range_reference_id(tmp_path, capsys):
+    argv = _word_vector_model(tmp_path)
+    (tmp_path / "dict.txt").write_text("0 0\n1 1\n2 99\n")
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "error: dictionary reference id 99 out of range" in capsys.readouterr().err

@@ -130,6 +130,15 @@ class TestRetrieval:
         with pytest.raises(ValidationError, match="k and k_csls must be >= 1"):
             retrieval_precision(e, e, {0: {0}}, k, scorer, k_csls=k_csls)
 
+    @pytest.mark.parametrize("kind,bad", [("query", 3), ("query", -1),
+                                          ("reference", 99), ("reference", -1)])
+    def test_out_of_range_ids_rejected(self, rng, kind, bad):
+        e = rng.normal(size=(3, 2))
+        d = {0: {0}, 1: {1}, **({bad: {2}} if kind == "query" else {2: {bad}})}
+        with pytest.raises(ValidationError,
+                           match=f"dictionary {kind} id {bad} out of range"):
+            retrieval_precision(e, e, d, 1, "nn")
+
     def test_zero_norm_rejected(self, rng):
         q = rng.normal(size=(4, 3))
         q[1] = 0.0
