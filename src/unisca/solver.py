@@ -278,19 +278,24 @@ def _check_centered(x: np.ndarray, name: str) -> np.ndarray:
 
 
 class _View:
-    """One modality: frozen covariance, whitening map, whitened data."""
+    """One modality: frozen covariance, whitening map, whitened data. The
+    map is the view's own unless `own_map` is False, in which case the
+    caller passes one to `whiten`."""
 
-    def __init__(self, x: np.ndarray, name: str,
-                 w: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, name: str, own_map: bool = True):
         self.x = _check_centered(x, name)
         self.n = x.shape[0]
         self.sigma = empirical_covariance(self.x, center=False)
-        self.w = whitening_matrix(self.sigma) if w is None else w
-        self.z = self.x @ self.w.T
-        self.rank = self.w.shape[0]
+        if own_map:
+            self.whiten(whitening_matrix(self.sigma))
+
+    def whiten(self, w: np.ndarray) -> None:
+        self.w = w
+        self.z = self.x @ w.T
+        self.rank = w.shape[0]
         # covariance of z; identity up to whitening round-off, kept exact so
         # the reported penalty equals the original-space R(Q)
-        self.sz = self.w @ self.sigma @ self.w.T
+        self.sz = w @ self.sigma @ w.T
 
 
 def _prepare_views(x1: np.ndarray, x2: np.ndarray, homogeneous: bool
@@ -301,11 +306,12 @@ def _prepare_views(x1: np.ndarray, x2: np.ndarray, homogeneous: bool
         return _View(x1, "X1"), _View(x2, "X2"), None
     if x1.shape[1] != x2.shape[1]:
         raise ValidationError("homogeneous mode requires equal data dimensions")
-    s1 = empirical_covariance(_check_centered(x1, "X1"), center=False)
-    s2 = empirical_covariance(_check_centered(x2, "X2"), center=False)
-    pooled = 0.5 * (s1 + s2)
+    v1, v2 = _View(x1, "X1", own_map=False), _View(x2, "X2", own_map=False)
+    pooled = 0.5 * (v1.sigma + v2.sigma)
     w = whitening_matrix(pooled)
-    return _View(x1, "X1", w=w), _View(x2, "X2", w=w), pooled
+    v1.whiten(w)
+    v2.whiten(w)
+    return v1, v2, pooled
 
 
 def _block_init(rank: int, rows: slice, noise: float,

@@ -53,6 +53,18 @@ def test_classifier_rejects_bad_labels(labels):
         solver.fit_with_classifier(ds.x1, labels(ds), ds.x2, cfg)
 
 
+@pytest.mark.parametrize("mode", ["unaligned", "homogeneous"])
+def test_fit_forms_each_view_covariance_once(monkeypatch, mode):
+    # Homogeneous mode pools the two views' covariances; it once formed each
+    # a second time to build the views after pooling.
+    ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
+    calls, real = [], solver.empirical_covariance
+    monkeypatch.setattr(solver, "empirical_covariance",
+                        lambda x, **kw: calls.append(x.shape) or real(x, **kw))
+    solver.fit(ds.x1, ds.x2, solver.SolverConfig(d_c=2, mode=mode, **TINY))
+    assert calls == [ds.x1.shape, ds.x2.shape]
+
+
 def _blow_up(entry):
     """Run `entry` with a shared-head learning rate so large that the first
     Adam step throws the projections out of floating-point range."""
