@@ -4,7 +4,8 @@ A matrix named `foo` in directory `d` is stored as `d/foo.bin` (row-major
 float64, little-endian) and `d/foo.json` describing shape, dtype and role.
 Datasets and fitted models reuse this format, so a header is enough to reload
 any artifact. Every JSON file the package writes or reads goes through
-`write_json` and `read_json`.
+`write_json` and `read_json`, and every CSV file through `write_csv` and
+`read_csv`.
 """
 
 from __future__ import annotations
@@ -74,3 +75,20 @@ def write_csv(path: str, a: np.ndarray, columns: list[str]) -> None:
         fh.write(",".join(columns) + "\n")
         for row in a:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_csv(path: str) -> tuple[np.ndarray, list[str]]:
+    """The array and column names of a file `write_csv` wrote; a file with
+    only its header gives zero rows."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().strip().splitlines()
+    if not lines:
+        raise ValidationError(f"{path}: CSV file has no header")
+    columns = lines[0].split(",")
+    try:
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise ValidationError(f"{path}: non-numeric CSV value") from exc
+    if any(len(row) != len(columns) for row in rows):
+        raise ValidationError(f"{path}: a row does not hold {len(columns)} values")
+    return np.array(rows, dtype=np.float64).reshape(-1, len(columns)), columns

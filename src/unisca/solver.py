@@ -831,16 +831,8 @@ def load_model(directory: str) -> FitResult:
         for i in range(len(disc.weights)):
             disc.weights[i] = matio.read_matrix(directory, f"disc_W{i}")[0]
             disc.biases[i] = matio.read_matrix(directory, f"disc_b{i}")[0].reshape(-1)
-    trace = _read_trace(os.path.join(directory, "loss_trace.csv"))
+    trace = matio.read_csv(os.path.join(directory, "loss_trace.csv"))[0]
     checkpoints = [tuple(c) for c in meta.get("checkpoints", [])]
     return FitResult(q1=q1, q2=q2, qp1=qp1, qp2=qp2, classifier=classifier,
                      trace=trace, checkpoints=checkpoints, config=cfg,
                      discriminator=disc)
-
-
-def _read_trace(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().strip().splitlines()
-    if len(lines) <= 1:
-        return np.zeros((0, len(TRACE_COLUMNS)))
-    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])

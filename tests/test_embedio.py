@@ -76,6 +76,25 @@ class TestMatio:
             '  "b": [\n    1,\n    2\n  ]\n}\n')
         assert matio.read_json(path) == {"a": {"x": 0.5, "y": None}, "b": [1, 2]}
 
+    @pytest.mark.parametrize("rows", [5, 0])
+    def test_csv_roundtrip(self, tmp_path, rng, rows):
+        a = rng.normal(size=(rows, 3))
+        a[:2, 0] = [np.nan, -np.inf][:rows]
+        path = str(tmp_path / "t.csv")
+        matio.write_csv(path, a, ["x", "y", "z"])
+        back, columns = matio.read_csv(path)
+        assert columns == ["x", "y", "z"]
+        assert back.shape == (rows, 3) and back.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "no header"), ("a,b\n1.0\n", "does not hold 2 values"),
+        ("a,b\n1.0,x\n", "non-numeric")])
+    def test_csv_rejects_malformed_files(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            matio.read_csv(str(path))
+
     def test_roundtrip_and_header(self, tmp_path, rng):
         a = rng.normal(size=(6, 3))
         matio.write_matrix(str(tmp_path), "A", a, role="test")

@@ -171,6 +171,7 @@ def test_classify_applies_the_head_and_survives_a_round_trip(tmp_path):
     solver.save_model(result, str(tmp_path))
     loaded = solver.load_model(str(tmp_path))
     assert np.array_equal(solver.classify(loaded, ds.x1), predicted)
+    assert loaded.trace.tobytes() == result.trace.tobytes()
 
 
 def test_classify_needs_a_classifier_head():
