@@ -278,16 +278,13 @@ def _check_centered(x: np.ndarray, name: str) -> np.ndarray:
 
 
 class _View:
-    """One modality: frozen covariance, whitening map, whitened data. The
-    map is the view's own unless `own_map` is False, in which case the
-    caller passes one to `whiten`."""
+    """One modality: frozen covariance, whitening map, whitened data; the
+    map is set by `whiten`."""
 
-    def __init__(self, x: np.ndarray, name: str, own_map: bool = True):
+    def __init__(self, x: np.ndarray, name: str):
         self.x = _check_centered(x, name)
         self.n = x.shape[0]
         self.sigma = empirical_covariance(self.x, center=False)
-        if own_map:
-            self.whiten(whitening_matrix(self.sigma))
 
     def whiten(self, w: np.ndarray) -> None:
         self.w = w
@@ -300,17 +297,16 @@ class _View:
 
 def _prepare_views(x1: np.ndarray, x2: np.ndarray, homogeneous: bool
                    ) -> tuple[_View, _View, np.ndarray | None]:
-    """Per-view whitened coordinates; homogeneous mode shares a pooled map
-    so that one parameter matrix is one original-space projection."""
-    if not homogeneous:
-        return _View(x1, "X1"), _View(x2, "X2"), None
-    if x1.shape[1] != x2.shape[1]:
+    """Per-view whitened coordinates; homogeneous mode shares a map of the
+    pooled covariance so that one parameter matrix is one original-space
+    projection."""
+    if homogeneous and x1.shape[1] != x2.shape[1]:
         raise ValidationError("homogeneous mode requires equal data dimensions")
-    v1, v2 = _View(x1, "X1", own_map=False), _View(x2, "X2", own_map=False)
-    pooled = 0.5 * (v1.sigma + v2.sigma)
-    w = whitening_matrix(pooled)
-    v1.whiten(w)
-    v2.whiten(w)
+    v1, v2 = _View(x1, "X1"), _View(x2, "X2")
+    pooled = 0.5 * (v1.sigma + v2.sigma) if homogeneous else None
+    shared = None if pooled is None else whitening_matrix(pooled)
+    for v in (v1, v2):
+        v.whiten(whitening_matrix(v.sigma) if shared is None else shared)
     return v1, v2, pooled
 
 
