@@ -262,8 +262,8 @@ class TestMemory:
 
     def test_mmd_gradient_path_holds_two_strips(self, rng):
         # The three-Gram body peaked at 128 MiB and the one-Gram body at
-        # 32.5. In strips of 512 rows a 512 x 2048 Gram strip is 8 MiB, and
-        # at most two are alive at once, the old one while the next forms.
+        # 32.5 MiB. A 512 x 2048 Gram strip is 8 MiB, and at most two are
+        # alive at once, the old one while the next forms.
         x, y = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
         assert _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0))) < 24 * 2**20
 
