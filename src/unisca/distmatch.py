@@ -118,6 +118,7 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
         if px is not None:
             px[i:i + rows] += out @ ye[j:]
             py[j + k:] += out[:, k:].T @ xe[i:i + rows]
+        out = diag = None  # free this strip before the next one forms
     return total, px, py
 
 
