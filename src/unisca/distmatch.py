@@ -60,7 +60,7 @@ class KernelSpec:
         pool = np.vstack([np.asarray(s, dtype=np.float64)[:per] for s in sample_sets])
         p2 = _sqnorms(pool)
         d2 = np.maximum(p2[:, None] + p2[None, :] - 2.0 * (pool @ pool.T), 0.0)
-        dists = np.sqrt(d2[np.triu_indices(pool.shape[0], k=1)])
+        dists = np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), 1)])
         med = float(np.median(dists)) if dists.size else 0.0
         return KernelSpec(bandwidth=med if med > 0 else 1.0)
 

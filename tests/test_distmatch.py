@@ -267,6 +267,13 @@ class TestMemory:
         x, y = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
         assert _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0))) < 12 * 2**20
 
+    def test_resolve_indexes_the_triangle_with_a_mask(self, rng):
+        # The 2000-point pool's squared distances are 30.5 MiB and the upper
+        # triangle's distances 15 MiB; np.triu_indices' two index arrays
+        # (15 MiB each) took the peak to 76 MiB.
+        a, b = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
+        assert _peak_bytes(lambda: KernelSpec().resolve(a, b)) < 68 * 2**20
+
     def test_hsic_holds_two_grams(self, rng):
         # With centred copies it peaked at 80 MiB; two 1024-row Grams are 16.
         u, v = rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
