@@ -7,6 +7,7 @@ centering and any other modeling steps happen downstream in the solver.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +31,10 @@ class EmbeddingTable:
 def read_vec_text(path: str) -> EmbeddingTable:
     """Parse a word-vector text file; duplicate tokens keep the first row.
 
-    Trailing whitespace on a line (a final space, a CRLF line end) is ignored.
+    The header's row count is the number of data lines read, duplicates
+    included; lines after them are ignored, and a file that ends before them
+    is an error. Trailing whitespace on a line (a final space, a CRLF line
+    end) is ignored.
     """
     tokens: list = []
     seen = set()
@@ -43,9 +47,10 @@ def read_vec_text(path: str) -> EmbeddingTable:
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric header") from exc
-        for lineno, line in enumerate(fh, start=2):
-            if len(tokens) >= count:
-                break
+        if count < 0 or dim < 0:
+            raise ValidationError(f"{path}: negative size in header {header!r}")
+        lineno = 1
+        for lineno, line in enumerate(itertools.islice(fh, count), start=2):
             parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise ValidationError(
@@ -62,6 +67,9 @@ def read_vec_text(path: str) -> EmbeddingTable:
             seen.add(token)
             tokens.append(token)
             rows.append(values)
+        if lineno - 1 < count:
+            raise ValidationError(
+                f"{path}: header states {count} rows, file ends after {lineno - 1}")
     matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
     return EmbeddingTable(tokens=tokens, matrix=matrix)
 

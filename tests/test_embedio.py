@@ -34,6 +34,12 @@ class TestVecText:
         with pytest.raises(ValidationError, match="header"):
             read_vec_text(str(p))
 
+    def test_negative_header_count(self, tmp_path):
+        p = tmp_path / "v.vec"
+        p.write_text("-1 3\na 1 2 3\n")
+        with pytest.raises(ValidationError, match="negative size in header"):
+            read_vec_text(str(p))
+
     def test_non_numeric_field(self, tmp_path):
         p = tmp_path / "v.vec"
         p.write_text("1 2\na 1 x\n")
@@ -47,6 +53,24 @@ class TestVecText:
             t = read_vec_text(str(p))
         assert t.tokens == ["a", "b"]
         np.testing.assert_array_equal(t.matrix[:, 0], [1.0, 3.0])
+
+    @pytest.mark.parametrize("text,count,held", [
+        ("3 2\na 1 2\nb 3 4\n", 3, 2), ("1 2\n", 1, 0),
+        ("4 1\na 1\na 2\nb 3\n", 4, 3)], ids=["short", "empty", "duplicate"])
+    @pytest.mark.filterwarnings("ignore:.*duplicate token")
+    def test_file_shorter_than_header_rejected(self, tmp_path, text, count, held):
+        # A duplicate line counts as one of the header's rows.
+        p = tmp_path / "v.vec"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=(
+                f"v.vec: header states {count} rows, file ends after {held}")):
+            read_vec_text(str(p))
+
+    def test_lines_after_header_count_ignored(self, tmp_path):
+        p = tmp_path / "v.vec"
+        p.write_text("1 2\na 1 2\nnot a row\n")
+        t = read_vec_text(str(p))
+        assert t.tokens == ["a"]
 
     def test_duplicate_tokens_rejected(self, rng):
         with pytest.raises(ValidationError):
