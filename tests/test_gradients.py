@@ -14,7 +14,8 @@ import pytest
 from unisca.distmatch import (Discriminator, KernelSpec, gan_value_and_grads,
                               hsic_biased, mmd2_unbiased)
 from unisca.numerics import grad_check, substream
-from unisca.solver import _cross_entropy, anchor_penalty, whitening_penalty
+from unisca.solver import (_cross_entropy, anchor_penalty, quantile_match,
+                           whitening_penalty)
 
 TOL = 1e-4
 N_INSTANCES = 20
@@ -82,6 +83,20 @@ def test_gan_parameter_gradients(rng):
             params[ti][...] = old
             return loss, pg[ti]
         assert grad_check(fn, params[ti].copy()) <= TOL, (ti, grads)
+
+
+@pytest.mark.parametrize("rng", _rngs("quantile"))
+def test_quantile_match_gradients(rng):
+    # Piecewise quadratic; random draws put no two projections within a
+    # step of each other, so the sort order is fixed across each probe.
+    b, d, k = rng.integers(3, 9), rng.integers(1, 4), rng.integers(1, 6)
+    u = rng.normal(size=(b, d))
+    v = rng.normal(size=(b, d))
+    dirs = rng.normal(size=(k, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    err_u = grad_check(lambda a: quantile_match(a, v, dirs)[:2], u)
+    err_v = grad_check(lambda a: itemgetter(0, 2)(quantile_match(u, a, dirs)), v)
+    assert err_u <= TOL and err_v <= TOL
 
 
 @pytest.mark.parametrize("rng", _rngs("rq"))

@@ -1,5 +1,6 @@
 """Fit entry points: mode routing, divergence, config validation, the warm
-start's DEBUG log and the classifier head's predictions."""
+start's quantile matcher and DEBUG log, and the classifier head's
+predictions."""
 
 import logging
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from unisca import config, solver
-from unisca.numerics import ValidationError
+from unisca.numerics import ValidationError, substream
 
 from conftest import small_dataset
 
@@ -156,6 +157,53 @@ def test_warm_start_logs_restart_scores_at_debug(caplog):
     assert np.array_equal(quiet.q2.matrix, loud.q2.matrix)
     assert np.array_equal(quiet.trace, loud.trace)
     assert quiet.checkpoints == loud.checkpoints
+
+
+def _quantile_match_per_slice(u, v, directions):
+    """quantile_match written one slice at a time, with its own sorts and
+    outer-product gradient updates."""
+    b, k = u.shape[0], directions.shape[0]
+    a1, a2 = u @ directions.T, v @ directions.T
+    grad_u, grad_v, value = np.zeros_like(u), np.zeros_like(v), 0.0
+    for i in range(k):
+        o1 = np.argsort(a1[:, i], kind="stable")
+        o2 = np.argsort(a2[:, i], kind="stable")
+        gap = a1[o1, i] - a2[o2, i]
+        value += float(gap @ gap) / b
+        du, dv = np.zeros(b), np.zeros(b)
+        du[o1] = 2.0 * gap / b
+        dv[o2] = -2.0 * gap / b
+        grad_u += np.outer(du, directions[i])
+        grad_v += np.outer(dv, directions[i])
+    return value / k, grad_u / k, grad_v / k
+
+
+@pytest.mark.parametrize("b", [2, 3, 400, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 24])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_quantile_match_agrees_with_per_slice_loop(b, d, k, ties):
+    rng = substream(b * 100 + d * 10 + k, "tests", "quantile")
+    u = rng.normal(size=(b, d))
+    v = 1.5 * rng.normal(size=(b, d)) + 0.3
+    if ties:  # repeated rows tie on every slice; the stable order breaks them
+        u = u[rng.integers(0, max(1, b // 3), size=b)]
+        v = v[rng.integers(0, max(1, b // 3), size=b)]
+    dirs = rng.normal(size=(k, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    value, gu, gv = solver.quantile_match(u, v, dirs)
+    want, wu, wv = _quantile_match_per_slice(u, v, dirs)
+    assert abs(value - want) <= 1e-12 * abs(want)
+    for got, ref in ((gu, wu), (gv, wv)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_quantile_match_needs_equal_batches(rng):
+    dirs = np.eye(2)
+    with pytest.raises(ValidationError, match="equal batch sizes"):
+        solver.quantile_match(rng.normal(size=(5, 2)), rng.normal(size=(6, 2)),
+                              dirs)
 
 
 def test_classify_applies_the_head_and_survives_a_round_trip(tmp_path):
