@@ -10,8 +10,7 @@ from .metrics import (IdentReport, abs_pearson, evaluate_fit, leakage,
 from .numerics import (AdamState, empirical_covariance, grad_check, substream,
                        sym_eig, whitening_matrix)
 from .solver import (AnchorSet, DivergenceError, FitResult, Projection,
-                     SolverConfig, anchor_penalty, classify, fit,
-                     fit_with_classifier, fit_with_private, load_model,
-                     save_model, whitening_penalty)
+                     SolverConfig, anchor_penalty, fit, fit_with_private,
+                     load_model, save_model, whitening_penalty)
 
 __version__ = "0.1.0"

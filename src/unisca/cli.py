@@ -229,6 +229,8 @@ def _sweep_one(cfg: dict, seed: int, out_root: str) -> dict:
 def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _effective_config(args)
     base = cfg["seed"]
     seeds = [base + i for i in range(args.seeds)]

@@ -3,11 +3,10 @@
 All modes minimize a matcher divergence between the two projected views plus
 a squared whitening penalty per projection; the weakly supervised mode adds a
 squared anchor-pair penalty, the private mode adds whitening and HSIC terms
-for the private heads, a classifier fit adds the cross-entropy of a softmax
-head on view 1, and the homogeneous mode ties the two projections to a single
-matrix. One loop, `_train`, minimizes any such list of terms, in every mode
-and in the warm start; the same terms give the checkpoint objective, recorded
-at epoch 0, every checkpoint_every epochs and after the last epoch. A
+for the private heads, and the homogeneous mode ties the two projections to a
+single matrix. One loop, `_train`, minimizes any such list of terms, in every
+mode and in the warm start; the same terms give the checkpoint objective,
+recorded at epoch 0, every checkpoint_every epochs and after the last epoch. A
 checkpoint reads only values, so its MMD is the value-only one and its
 adversarial value runs the discriminator forward only. A training step forms
 only the gradients it reads: the discriminator's own step its parameter
@@ -53,9 +52,8 @@ _CHOICES = {"mode": MODES, "matcher": MATCHERS}  # SolverConfig's str fields
 
 TRACE_COLUMNS = ("epoch", "matcher", "rq1", "rq2", "anchor", "hsic", "total")
 
-# Per-step sums behind a trace row: the weighted terms of TRACE_COLUMNS plus
-# the classifier's cross-entropy, which only enters `total`.
-_SUMS = TRACE_COLUMNS[1:-1] + ("classifier",)
+# Per-step sums behind a trace row: its weighted terms, whose sum is `total`.
+_SUMS = TRACE_COLUMNS[1:-1]
 
 # Bounds on the numeric fields of SolverConfig, from which the config schema
 # is derived: (comparison a valid value passes, its symbol, its JSON Schema
@@ -66,12 +64,11 @@ _BOUNDS = (
         "d_c": 1, "batch": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
         "warm_batch": 2, "warm_slices": 1, "checkpoint_every": 1,
         "checkpoint_rows": 4, "select_rows": 4, "lambda_whiten": 0,
-        "beta": 0, "omega": 0, "rho": 0, "gamma": 0, "d_p1": 0, "d_p2": 0,
+        "beta": 0, "omega": 0, "rho": 0, "d_p1": 0, "d_p2": 0,
         "disc_hidden": 1, "disc_steps": 1, "disc_input_dropout": 0,
         "label_smoothing": 0, "init_noise": 0}),
     (operator.gt, ">", "exclusiveMinimum", {
-        "lr_q": 0, "lr_f": 0, "lr_p": 0, "lr_clf": 0, "clf_decay": 0,
-        "bandwidth": 0}),
+        "lr_q": 0, "lr_f": 0, "lr_p": 0, "bandwidth": 0}),
     (operator.le, "<=", "maximum",
      {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
 )
@@ -86,7 +83,7 @@ class SolverConfig:
     """Everything a fit depends on besides the data itself.
 
     Defaults follow the synthetic-study settings (lr 0.009 / 0.00008, batch
-    1000, 50 epochs, lambda 0.1, beta 0.01, omega 10, rho 50, gamma 0.1).
+    1000, 50 epochs, lambda 0.1, beta 0.01, omega 10, rho 50).
     `restarts`/`warm_epochs` control the quantile warm start that chooses the
     starting point for the traced epochs; restarts=1 with warm_epochs=0
     reduces to plain whitening-plus-noise initialization. Mode-specific
@@ -100,12 +97,9 @@ class SolverConfig:
     beta: float = 0.01
     omega: float = 10.0
     rho: float = 50.0
-    gamma: float = 0.1
     lr_q: float = 0.009
     lr_f: float = 0.00008
     lr_p: float = 0.001
-    lr_clf: float = 0.02
-    clf_decay: float = 0.75
     batch: int = 1000
     epochs: int = 50
     seed: int = 0
@@ -152,7 +146,11 @@ class Projection:
     covariance: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.matrix.T
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.matrix.shape[1]:
+            raise ValidationError(f"data has {x.shape[-1]} columns, the "
+                                  f"projection expects {self.matrix.shape[1]}")
+        return x @ self.matrix.T
 
     def whitening_residual(self) -> float:
         m = self.matrix @ self.covariance @ self.matrix.T
@@ -184,18 +182,16 @@ class FitResult:
     """Learned projections plus the per-epoch loss trace and config echo.
 
     In homogeneous mode q1 and q2 are the same object. The trace has one row
-    per traced epoch with the weighted loss terms (columns TRACE_COLUMNS);
-    `total` additionally absorbs the classifier term when one is trained.
-    Checkpoints hold (epoch, objective) pairs: every term of the fit,
-    classifier included, evaluated on a fixed leading subsample at epoch 0,
-    every checkpoint_every epochs and after the last epoch, in every mode.
+    per traced epoch with the weighted loss terms (columns TRACE_COLUMNS),
+    `total` being their sum. Checkpoints hold (epoch, objective) pairs: every
+    term of the fit evaluated on a fixed leading subsample at epoch 0, every
+    checkpoint_every epochs and after the last epoch, in every mode.
     """
 
     q1: Projection
     q2: Projection
     qp1: Projection | None = None
     qp2: Projection | None = None
-    classifier: tuple[np.ndarray, np.ndarray] | None = None
     trace: np.ndarray = field(default_factory=lambda: np.zeros((0, 7)))
     checkpoints: list = field(default_factory=list)
     wall_clock: float = 0.0
@@ -350,12 +346,12 @@ def _guard(term: str, value: float, epoch: int) -> None:
 # ---------------------------------------------------------------------------
 # Objective terms
 #
-# A term is a (name, fn) pair. fn(p, b1, b2, rows, train) sees the parameters
-# p by slot (q1, q2, qp1, qp2, W, b) and whitened rows b1 = z1[rows], b2 of
-# each view; it returns its weighted value, its shares of the _SUMS columns
-# and (slot, gradient) pairs. train=False evaluates a checkpoint, where only
-# the value is read: the matcher then computes no gradients. Gradients
-# add per slot in term order, which fixes the floating-point sums.
+# A term is a (name, fn) pair. fn(p, b1, b2, train) sees the parameters p by
+# slot (q1, q2, qp1, qp2) and a batch of whitened rows b1, b2 of each view; it
+# returns its weighted value, its shares of the _SUMS columns and (slot,
+# gradient) pairs. train=False evaluates a checkpoint, where only the value is
+# read: the matcher then computes no gradients. Gradients add per slot in term
+# order, which fixes the floating-point sums.
 # ---------------------------------------------------------------------------
 
 class _Matcher:
@@ -386,7 +382,7 @@ class _Matcher:
     def kernel(self) -> KernelSpec:
         return KernelSpec(self._bandwidth).resolve(self._u0, self._v0)
 
-    def __call__(self, p, b1, b2, rows, train):
+    def __call__(self, p, b1, b2, train):
         u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
         if not train:
             if self.disc is None:
@@ -406,7 +402,7 @@ class _Matcher:
 
 def _quantile_term(cfg: SolverConfig, rng: np.random.Generator):
     """The warm-start matcher: quantile_match along fresh random slices."""
-    def term(p, b1, b2, rows, train):
+    def term(p, b1, b2, train):
         dirs = rng.normal(size=(cfg.warm_slices, cfg.d_c))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         value, gu, gv = quantile_match(b1 @ p["q1"].T, b2 @ p["q2"].T, dirs)
@@ -417,7 +413,7 @@ def _quantile_term(cfg: SolverConfig, rng: np.random.Generator):
 def _whitening_term(name: str, w: float, s1: str, s2: str, v1: _View,
                     v2: _View):
     """w * (R(Q_s1) + R(Q_s2)) for one head per view."""
-    def term(p, b1, b2, rows, train):
+    def term(p, b1, b2, train):
         r1, g1 = whitening_penalty(p[s1], v1.sz)
         r2, g2 = whitening_penalty(p[s2], v2.sz)
         return (w * (r1 + r2), {"rq1": w * r1, "rq2": w * r2},
@@ -429,7 +425,7 @@ def _anchor_term(beta: float, pairs: np.ndarray, v1: _View, v2: _View):
     """beta * sum over anchor pairs of ||Q1 x1_l - Q2 x2_l||^2."""
     x1a, x2a = v1.z[pairs[:, 0]], v2.z[pairs[:, 1]]
 
-    def term(p, b1, b2, rows, train):
+    def term(p, b1, b2, train):
         value, g1, g2 = anchor_penalty(p["q1"], p["q2"], x1a, x2a)
         return (beta * value, {"anchor": beta * value},
                 (("q1", beta * g1), ("q2", beta * g2)))
@@ -443,7 +439,7 @@ def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
                           for v, slot in ((v1, "q1"), (v1, "qp1"),
                                           (v2, "q2"), (v2, "qp2")))
 
-    def term(p, b1, b2, rows, train):
+    def term(p, b1, b2, train):
         if not train:
             b1, b2 = b1[:1024], b2[:1024]
         h1, gc1, gp1 = hsic_biased(b1 @ p["q1"].T, b1 @ p["qp1"].T, kc1, kp1)
@@ -453,17 +449,6 @@ def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
             ("q1", rho * gc1.T @ b1), ("qp1", rho * gp1.T @ b1),
             ("q2", rho * gc2.T @ b2), ("qp2", rho * gp2.T @ b2))
     return "hsic", term
-
-
-def _classifier_term(gamma: float, labels: np.ndarray):
-    """gamma * softmax cross-entropy of the linear head W u + b on view 1."""
-    def term(p, b1, b2, rows, train):
-        u = b1 @ p["q1"].T
-        ce, d_logits = _cross_entropy(u, p["W"], p["b"], labels[rows])
-        return gamma * ce, {"classifier": gamma * ce}, (
-            ("W", gamma * d_logits.T @ u), ("b", gamma * d_logits.sum(axis=0)),
-            ("q1", (gamma * d_logits @ p["W"]).T @ b1))
-    return "classifier cross-entropy", term
 
 
 def _constraints(cfg: SolverConfig, v1: _View, v2: _View, pairs) -> list:
@@ -482,11 +467,10 @@ def _constraints(cfg: SolverConfig, v1: _View, v2: _View, pairs) -> list:
 
 class _Block:
     """One Adam state for the parameters in `slots`; a tied block (q1 and q2
-    in homogeneous mode) steps on the sum of their gradients. The learning
-    rate at epoch e is lr * decay**e."""
+    in homogeneous mode) steps on the sum of their gradients."""
 
-    def __init__(self, slots: tuple, lr: float, decay: float = 1.0):
-        self.slots, self.lr, self.decay = slots, lr, decay
+    def __init__(self, slots: tuple, lr: float):
+        self.slots = slots
         self.adam = AdamState(lr=lr)
 
 
@@ -511,22 +495,20 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
         z1, z2 = v1.z[:rows], v2.z[:rows]
         value = 0.0
         for _, term in terms:
-            value += term(p, z1, z2, slice(0, rows), False)[0]
+            value += term(p, z1, z2, False)[0]
         checkpoints.append((epoch, value))
 
     if checkpoint:
         record(0)
     trace = np.zeros((epochs, len(TRACE_COLUMNS)))
     for epoch in range(epochs):
-        for blk in blocks:
-            blk.adam.lr = blk.lr * (blk.decay ** epoch)
         sums = np.zeros(len(_SUMS))
         steps = 0
         for idx1, idx2 in _epoch_batches(v1.n, v2.n, batch, rng_batch):
             b1, b2 = v1.z[idx1], v2.z[idx2]
             row, grads = np.zeros(len(_SUMS)), {}
             for name, term in terms:
-                value, columns, term_grads = term(p, b1, b2, idx1, True)
+                value, columns, term_grads = term(p, b1, b2, True)
                 _guard(name, value, epoch)
                 for column, share in columns.items():
                     row[_SUMS.index(column)] += share
@@ -539,7 +521,7 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
             sums += row
             steps += 1
         mean = sums / steps
-        trace[epoch] = (epoch, *mean[:-1], mean.sum())
+        trace[epoch] = (epoch, *mean, mean.sum())
         if checkpoint and ((epoch + 1) % checkpoint[0] == 0
                            or epoch == epochs - 1):
             record(epoch + 1)
@@ -601,10 +583,9 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
 
 
 def _fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
-         anchors: AnchorSet | None = None,
-         labels1: np.ndarray | None = None) -> FitResult:
-    """Set up the views, the warm start and the term list for cfg.mode (plus
-    a classifier head when labels1 is given), then train."""
+         anchors: AnchorSet | None = None) -> FitResult:
+    """Set up the views, the warm start and the term list for cfg.mode, then
+    train."""
     t0 = time.perf_counter()
     homogeneous = cfg.mode == "homogeneous"
     private = cfg.mode == "with_private"
@@ -641,12 +622,6 @@ def _fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
         terms += [_whitening_term("private whitening penalty", cfg.omega,
                                   "qp1", "qp2", v1, v2),
                   _hsic_term(cfg.rho, p, v1, v2)]
-    if labels1 is not None:
-        n_classes = int(labels1.max()) + 1
-        p["W"], p["b"] = np.zeros((n_classes, d_c)), np.zeros(n_classes)
-        blocks += [_Block(("W",), cfg.lr_clf, cfg.clf_decay),
-                   _Block(("b",), cfg.lr_clf, cfg.clf_decay)]
-        terms.append(_classifier_term(cfg.gamma, labels1))
     trace, checkpoints = _train(p, blocks, terms, v1, v2, rng_batch,
                                 cfg.batch, cfg.epochs,
                                 (cfg.checkpoint_every, cfg.checkpoint_rows))
@@ -659,8 +634,6 @@ def _fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     if private:
         result.qp1 = Projection(p["qp1"] @ v1.w, v1.sigma)
         result.qp2 = Projection(p["qp2"] @ v2.w, v2.sigma)
-    if labels1 is not None:
-        result.classifier = (p["W"], p["b"])
     result.wall_clock = time.perf_counter() - t0
     return result
 
@@ -700,50 +673,6 @@ def fit_with_private(x1: np.ndarray, x2: np.ndarray,
     return _fit(x1, x2, cfg)
 
 
-def fit_with_classifier(x1: np.ndarray, labels1: np.ndarray, x2: np.ndarray,
-                        cfg: SolverConfig) -> FitResult:
-    """Homogeneous fit with a jointly trained linear softmax head on view 1.
-
-    Adds gamma * CE(softmax(W Q x1 + b), labels) to the matching objective;
-    the classifier learning rate decays by clf_decay each epoch. The returned
-    classifier predicts labels for projected view-2 data.
-    """
-    if cfg.mode != "homogeneous":
-        raise ValidationError("fit_with_classifier requires homogeneous mode")
-    labels1 = np.asarray(labels1)
-    if labels1.ndim != 1 or labels1.shape[0] != x1.shape[0] \
-            or labels1.dtype.kind not in "iu":
-        raise ValidationError("labels must be one integer per row of X1")
-    if labels1.min() < 0:
-        raise ValidationError("labels must be non-negative")
-    return _fit(x1, x2, cfg, labels1=labels1)
-
-
-def _cross_entropy(u: np.ndarray, w: np.ndarray, b: np.ndarray,
-                   labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and gradient w.r.t. the logits."""
-    if labels.max() >= w.shape[0]:
-        raise ValidationError("label out of range for classifier head")
-    logits = u @ w.T + b
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    n = u.shape[0]
-    ce = -float(np.mean(np.log(np.maximum(probs[np.arange(n), labels], 1e-300))))
-    d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
-    return ce, d_logits / n
-
-
-def classify(result: FitResult, x: np.ndarray) -> np.ndarray:
-    """Predict labels for (centered) observations using the trained head."""
-    if result.classifier is None:
-        raise ValidationError("fit result has no classifier head")
-    w, b = result.classifier
-    logits = result.q1.apply(x) @ w.T + b
-    return np.argmax(logits, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Model directory serialization
 # ---------------------------------------------------------------------------
@@ -762,11 +691,6 @@ def save_model(result: FitResult, directory: str) -> None:
         if proj is not None:
             matio.write_matrix(directory, name, proj.matrix,
                                role=f"private projection {name[-1]}")
-    if result.classifier is not None:
-        w, b = result.classifier
-        matio.write_matrix(directory, "clf_W", w, role="classifier weights")
-        matio.write_matrix(directory, "clf_b", b.reshape(1, -1),
-                           role="classifier bias")
     if result.discriminator is not None:
         f = result.discriminator
         for i, (wt, bs) in enumerate(zip(f.weights, f.biases)):
@@ -780,7 +704,6 @@ def save_model(result: FitResult, directory: str) -> None:
         "version": 1,
         "homogeneous": result.homogeneous,
         "has_private": result.qp1 is not None,
-        "has_classifier": result.classifier is not None,
         "has_discriminator": result.discriminator is not None,
         "disc_hidden": (list(result.discriminator.hidden)
                         if result.discriminator else None),
@@ -796,7 +719,15 @@ def load_model(directory: str) -> FitResult:
     meta = matio.read_json(os.path.join(directory, "model.json"))
     if meta.get("kind") != "unisca-model":
         raise ValidationError(f"{directory} is not a model directory")
-    cfg = SolverConfig(**meta["config"]) if meta.get("config") else None
+    cfg = None
+    if meta.get("config"):
+        unknown = sorted(set(meta["config"]).difference(
+            SolverConfig.__dataclass_fields__))
+        if unknown:
+            raise ValidationError(
+                f"{directory}: model config has unknown keys {unknown}; "
+                "refit the model")
+        cfg = SolverConfig(**meta["config"])
     q1 = Projection(matio.read_matrix(directory, "Q1")[0],
                     matio.read_matrix(directory, "Sigma1")[0])
     if meta["homogeneous"]:
@@ -808,10 +739,6 @@ def load_model(directory: str) -> FitResult:
     if meta.get("has_private"):
         qp1 = Projection(matio.read_matrix(directory, "QP1")[0], q1.covariance)
         qp2 = Projection(matio.read_matrix(directory, "QP2")[0], q2.covariance)
-    classifier = None
-    if meta.get("has_classifier"):
-        classifier = (matio.read_matrix(directory, "clf_W")[0],
-                      matio.read_matrix(directory, "clf_b")[0].reshape(-1))
     disc = None
     if meta.get("has_discriminator") and cfg is not None:
         disc = Discriminator(q1.matrix.shape[0], hidden=tuple(meta["disc_hidden"]),
@@ -823,6 +750,5 @@ def load_model(directory: str) -> FitResult:
             disc.biases[i] = matio.read_matrix(directory, f"disc_b{i}")[0].reshape(-1)
     trace = matio.read_csv(os.path.join(directory, "loss_trace.csv"))[0]
     checkpoints = [tuple(c) for c in meta.get("checkpoints", [])]
-    return FitResult(q1=q1, q2=q2, qp1=qp1, qp2=qp2, classifier=classifier,
-                     trace=trace, checkpoints=checkpoints, config=cfg,
-                     discriminator=disc)
+    return FitResult(q1=q1, q2=q2, qp1=qp1, qp2=qp2, trace=trace,
+                     checkpoints=checkpoints, config=cfg, discriminator=disc)

@@ -81,6 +81,44 @@ def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, thresholds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", _config(tmp_path), "--seeds", "1",
+                     "--jobs", jobs, "--out", str(out)]) == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_setting_a_deleted_solver_field_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"version": 1, "solver": {"d_c": 2, "gamma": 0.1}}))
+    out = tmp_path / "model"
+    assert cli.main(["fit", "--config", str(cfg), "--data",
+                     str(tmp_path / "data"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config invalid at solver") and "gamma" in err
+    assert not out.exists()
+
+
+def test_eval_names_model_config_keys_it_does_not_know(tmp_path, capsys):
+    cfg = _config(tmp_path)
+    data, model = str(tmp_path / "data"), tmp_path / "model"
+    assert cli.main(["gen", "--config", cfg, "--out", data]) == 0
+    assert cli.main(["fit", "--config", cfg, "--data", data,
+                     "--out", str(model)]) == 0
+    meta = json.loads((model / "model.json").read_text())
+    # A model directory written while SolverConfig still had `gamma`.
+    meta["config"].update(bogus=1, gamma=0.1)
+    (model / "model.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(model), "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: model config has unknown keys "
+                          "['bogus', 'gamma']; refit the model")
+    assert "Traceback" not in err and not (model / "report.json").exists()
+
+
 def test_config_that_is_not_json_is_an_error_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1,')
@@ -154,3 +192,37 @@ def test_retrieve_rejects_out_of_range_reference_id(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert "error: dictionary reference id 99 out of range" in capsys.readouterr().err
+
+
+def _five_column_data(tmp_path) -> str:
+    """Generate a tiny thm1a dataset mixed into five columns per view."""
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"version": 1, "seed": 3, "data": {
+        "preset": "thm1a", "n": 600, "d1": 5, "d2": 5}}))
+    data = str(tmp_path / "wide")
+    assert cli.main(["gen", "--config", str(cfg), "--out", data]) == 0
+    return data
+
+
+def test_scatter_rejects_data_of_another_width(tmp_path, capsys):
+    argv = _word_vector_model(tmp_path)
+    model = argv[argv.index("--model") + 1]
+    data, out = _five_column_data(tmp_path), tmp_path / "scatter.csv"
+    capsys.readouterr()
+    assert cli.main(["scatter", "--model", model, "--data", data,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data has 5 columns, the projection expects 3")
+    assert not out.exists()
+
+
+def test_retrieve_rejects_vectors_of_another_width(tmp_path, capsys):
+    argv = _word_vector_model(tmp_path)
+    data, model = _five_column_data(tmp_path), str(tmp_path / "wide-model")
+    assert cli.main(["fit", "--config", _config(tmp_path), "--data", data,
+                     "--out", model]) == 0
+    argv[argv.index("--model") + 1] = model
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data has 3 columns, the projection expects 5")

@@ -1,4 +1,4 @@
-"""Golden replay: six small fits, one per training mode, against stored outputs.
+"""Golden replay: five small fits, one per training mode, against stored outputs.
 
 The outputs in tests/data/golden_fits.npz were written by this file's
 `write_golden` and are compared byte for byte, so any change to the order of
@@ -27,9 +27,14 @@ the value's sum and of the gradient accumulation moved. Arrays moved by
 at most 8.9e-16 absolute (`classifier/Q1`, `homogeneous/Q1`) and 1.2e-13
 relative (`unaligned/checkpoints`, values near zero); every fit chose the
 same warm-start restart, and `with_private` and the adversarial
-projections stayed byte-identical. Regenerate the file only for a change
-that is meant to alter the numbers, and say so, with the largest
-difference per array that `--diff` prints:
+projections stayed byte-identical.
+
+Until the solver's classifier head was deleted the file also held a sixth
+fit, a homogeneous fit with that head. Its six `classifier/*` arrays were
+dropped by rewriting the file from its own remaining arrays, not from a
+fresh run, so every remaining array kept its bytes. Regenerate the file
+only for a change that is meant to alter the numbers, and say so, with the
+largest difference per array that `--diff` prints:
 
     PYTHONPATH=src python tests/test_golden.py --diff
     PYTHONPATH=src python tests/test_golden.py --write
@@ -88,16 +93,9 @@ def _with_private():
     return solver.fit_with_private(ds.x1, ds.x2, cfg)
 
 
-def _classifier():
-    ds = small_dataset(seed=1, n=1200, preset="thm1b", homogeneous=True)
-    labels = (ds.c[:, 0] > 0).astype(np.int64)
-    cfg = solver.SolverConfig(d_c=ds.d_c, mode="homogeneous", **COMMON)
-    return solver.fit_with_classifier(ds.x1, labels, ds.x2, cfg)
-
-
 FITS = {"unaligned": _unaligned, "weakly_supervised": _weakly_supervised,
         "adversarial": _adversarial, "homogeneous": _homogeneous,
-        "with_private": _with_private, "classifier": _classifier}
+        "with_private": _with_private}
 
 
 def arrays(result: solver.FitResult) -> dict[str, np.ndarray]:
@@ -106,8 +104,6 @@ def arrays(result: solver.FitResult) -> dict[str, np.ndarray]:
            "trace": result.trace}
     if result.qp1 is not None:
         out["QP1"], out["QP2"] = result.qp1.matrix, result.qp2.matrix
-    if result.classifier is not None:
-        out["W"], out["b"] = result.classifier
     if result.discriminator is not None:
         for i, (w, b) in enumerate(zip(result.discriminator.weights,
                                        result.discriminator.biases)):

@@ -14,8 +14,7 @@ import pytest
 from unisca.distmatch import (Discriminator, KernelSpec, gan_value_and_grads,
                               hsic_biased, mmd2_unbiased)
 from unisca.numerics import grad_check, substream
-from unisca.solver import (_cross_entropy, anchor_penalty, quantile_match,
-                           whitening_penalty)
+from unisca.solver import anchor_penalty, quantile_match, whitening_penalty
 
 TOL = 1e-4
 N_INSTANCES = 20
@@ -122,23 +121,3 @@ def test_anchor_penalty_gradients(rng):
         lambda a: (anchor_penalty(q1, a, x1a, x2a)[0],
                    anchor_penalty(q1, a, x1a, x2a)[2]), q2)
     assert err1 <= TOL and err2 <= TOL
-
-
-@pytest.mark.parametrize("rng", _rngs("ce"))
-def test_cross_entropy_gradients(rng):
-    n, d, k = rng.integers(2, 6), rng.integers(1, 4), rng.integers(2, 5)
-    u = rng.normal(size=(n, d))
-    w = rng.normal(size=(k, d))
-    b = rng.normal(size=k)
-    labels = rng.integers(0, k, size=n)
-
-    def by_w(a):
-        ce, dl = _cross_entropy(u, a, b, labels)
-        return ce, dl.T @ u
-
-    def by_u(a):
-        ce, dl = _cross_entropy(a, w, b, labels)
-        return ce, dl @ w
-
-    assert grad_check(by_w, w) <= TOL
-    assert grad_check(by_u, u) <= TOL

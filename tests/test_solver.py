@@ -1,6 +1,6 @@
 """Fit entry points: mode routing, divergence, config validation, the warm
-start's quantile matcher and DEBUG log, and the classifier head's
-predictions."""
+start's quantile matcher and DEBUG log, and the model directory's save/load
+round trip."""
 
 import logging
 
@@ -42,18 +42,6 @@ def test_private_mode_needs_private_dimensions():
                                 solver.SolverConfig(d_c=2, d_p1=1, d_p2=1))
 
 
-@pytest.mark.parametrize("labels", [
-    lambda ds: (ds.c[:, 0] > 0).astype(float),
-    lambda ds: (ds.c[:-1, 0] > 0).astype(np.int64),
-    lambda ds: -np.ones(ds.x1.shape[0], dtype=np.int64),
-])
-def test_classifier_rejects_bad_labels(labels):
-    ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
-    cfg = solver.SolverConfig(d_c=2, mode="homogeneous", **TINY)
-    with pytest.raises(ValidationError, match="labels"):
-        solver.fit_with_classifier(ds.x1, labels(ds), ds.x2, cfg)
-
-
 @pytest.mark.parametrize("mode", ["unaligned", "homogeneous"])
 def test_fit_forms_each_view_covariance_once(monkeypatch, mode):
     # Homogeneous mode pools the two views' covariances; it once formed each
@@ -69,11 +57,6 @@ def test_fit_forms_each_view_covariance_once(monkeypatch, mode):
 def _blow_up(entry):
     """Run `entry` with a shared-head learning rate so large that the first
     Adam step throws the projections out of floating-point range."""
-    if entry == "fit_with_classifier":
-        ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
-        cfg = solver.SolverConfig(d_c=2, mode="homogeneous", lr_q=1e150, **TINY)
-        labels = (ds.c[:, 0] > 0).astype(np.int64)
-        return solver.fit_with_classifier(ds.x1, labels, ds.x2, cfg)
     ds = small_dataset(seed=1, n=600, preset="private-appxG")
     if entry == "fit_with_private":
         return solver.fit_with_private(ds.x1, ds.x2, _private_config(lr_q=1e150))
@@ -82,8 +65,7 @@ def _blow_up(entry):
     return solver.fit(ds.x1, ds.x2, cfg)
 
 
-@pytest.mark.parametrize("entry", ["fit", "warm_start", "fit_with_private",
-                                   "fit_with_classifier"])
+@pytest.mark.parametrize("entry", ["fit", "warm_start", "fit_with_private"])
 def test_divergence_names_the_term(entry):
     with np.errstate(all="ignore"):
         with pytest.raises(solver.DivergenceError,
@@ -206,25 +188,44 @@ def test_quantile_match_needs_equal_batches(rng):
                               dirs)
 
 
-def test_classify_applies_the_head_and_survives_a_round_trip(tmp_path):
-    ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
-    labels = (ds.c[:, 0] > 0).astype(np.int64)
-    cfg = solver.SolverConfig(d_c=ds.d_c, mode="homogeneous", **TINY)
-    result = solver.fit_with_classifier(ds.x1, labels, ds.x2, cfg)
-    w, b = result.classifier
-    predicted = solver.classify(result, ds.x1)
-    assert np.issubdtype(predicted.dtype, np.integer)
-    assert np.array_equal(
-        predicted, np.argmax(result.q1.apply(ds.x1) @ w.T + b, axis=1))
+def _round_trip_fit(mode):
+    if mode == "with_private":
+        ds = small_dataset(seed=1, n=600, preset="private-appxG")
+        return solver.fit_with_private(ds.x1, ds.x2, _private_config())
+    ds = small_dataset(seed=1, n=600, preset="thm1b",
+                       homogeneous=mode == "homogeneous")
+    extra = ({"matcher": "adversarial", "disc_hidden": (8,)}
+             if mode == "adversarial" else {"mode": mode})
+    return solver.fit(ds.x1, ds.x2, solver.SolverConfig(d_c=2, **extra, **TINY))
+
+
+def _saved_arrays(result):
+    """Every array a model directory stores, by the name it is stored under."""
+    out = {"Q1": result.q1.matrix, "Q2": result.q2.matrix,
+           "Sigma1": result.q1.covariance, "Sigma2": result.q2.covariance,
+           "trace": result.trace,
+           "checkpoints": np.array(result.checkpoints, dtype=np.float64)}
+    if result.qp1 is not None:
+        out["QP1"], out["QP2"] = result.qp1.matrix, result.qp2.matrix
+    if result.discriminator is not None:
+        for i, (w, b) in enumerate(zip(result.discriminator.weights,
+                                       result.discriminator.biases)):
+            out[f"disc_W{i}"], out[f"disc_b{i}"] = w, b
+    return out
+
+
+@pytest.mark.parametrize("mode", ["unaligned", "homogeneous", "with_private",
+                                  "adversarial"])
+def test_save_load_round_trip_keeps_every_array(tmp_path, mode):
+    result = _round_trip_fit(mode)
     solver.save_model(result, str(tmp_path))
     loaded = solver.load_model(str(tmp_path))
-    assert np.array_equal(solver.classify(loaded, ds.x1), predicted)
-    assert loaded.trace.tobytes() == result.trace.tobytes()
-
-
-def test_classify_needs_a_classifier_head():
-    ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
-    cfg = solver.SolverConfig(d_c=ds.d_c, mode="homogeneous", **TINY)
-    result = solver.fit(ds.x1, ds.x2, cfg)
-    with pytest.raises(ValidationError, match="classifier"):
-        solver.classify(result, ds.x1)
+    want, got = _saved_arrays(result), _saved_arrays(loaded)
+    assert sorted(got) == sorted(want)
+    assert ("QP1" in want) == (mode == "with_private")
+    assert ("disc_W0" in want) == (mode == "adversarial")
+    for key, a in want.items():
+        assert got[key].shape == a.shape, key
+        assert got[key].tobytes() == a.tobytes(), key
+    assert loaded.homogeneous == result.homogeneous
+    assert loaded.config == result.config
