@@ -34,8 +34,8 @@ def _setup_logging() -> None:
 
 
 def _effective_config(args) -> dict:
-    doc = cfgmod.load_config(args.config) if args.config else None
-    merged = cfgmod.merged_with_defaults(doc)
+    merged = cfgmod.merged_with_defaults(
+        matio.read_json(args.config) if args.config else None)
     if getattr(args, "preset", None) is not None:
         merged["data"]["preset"] = args.preset
         merged["data"].pop("latent", None)
@@ -124,18 +124,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
-# How each metric an eval threshold may bound is read from a report dict
-# (IdentReport.to_dict() or the per-seed medians of sweep): the per-view
-# metrics are bounded by their worse view.
-_GATED = {"leakage": max, "theta_rel_diff": float, "pair_match_error": float,
-          "whitening_residual": max}
-
-
 def _gate(values: dict, thresholds: dict, label: str = "") -> dict:
     """Print PASS/FAIL for each threshold and return {metric: passed}."""
     passed = {}
     for name, bound in thresholds.items():
-        value = _GATED[name](values[name])
+        value = cfgmod.GATED[name](values[name])
         passed[name] = bool(value <= bound)
         print(f"{'PASS' if passed[name] else 'FAIL'} {label}{name}: "
               f"{value:.4f} (threshold {bound})")
@@ -149,7 +142,7 @@ def cmd_eval(args) -> int:
     thresholds = {}
     cfg_path = args.config or os.path.join(args.model, "config.json")
     if os.path.exists(cfg_path):
-        cfg = cfgmod.load_config(cfg_path)
+        cfg = cfgmod.validate_config(matio.read_json(cfg_path))
         thresholds = cfg.get("eval", {}).get("thresholds", {})
     doc = {"report": report.to_dict(), "thresholds": thresholds}
     doc["passed"] = _gate(doc["report"], thresholds)
@@ -242,7 +235,7 @@ def cmd_sweep(args) -> int:
         reports = [_sweep_one(cfg, s, args.out) for s in seeds]
     # Per-view metrics take their median view by view.
     medians = {name: np.median([r[name] for r in reports], axis=0).tolist()
-               for name in _GATED}
+               for name in cfgmod.GATED}
     thresholds = cfg.get("eval", {}).get("thresholds", {})
     passed = _gate(medians, thresholds, label="median ")
     summary = {"seeds": seeds, "medians": medians, "reports": reports,

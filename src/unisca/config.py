@@ -1,142 +1,126 @@
-"""Experiment configuration: a schema-validated JSON document.
+"""Experiment configuration: one JSON document, checked key by key.
 
-One document describes a whole experiment (data generation, solver settings,
-evaluation thresholds); each CLI command consumes its section. The solver
-section's schema is derived from `SolverConfig`, which declares every setting,
-its type and its bounds once. Unknown keys are rejected so typos fail loudly,
-and the effective config is echoed verbatim into every output directory for
-reproducibility.
+One document describes a whole experiment; each CLI command consumes its
+section. Each key is declared once: the solver section by `SolverConfig`'s
+field annotations, `_CHOICES` and `_BOUNDS`; the latent marginals by
+`datagen.LatentSpec.from_dict`; the eval thresholds by `GATED`; the root,
+`data` and `eval` by `_SECTIONS`. An integer takes no float, a number no
+boolean, and no object an unknown key; each fault reads `config invalid at
+<path>: <reason>`. The effective config is echoed into every output directory.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import operator
 
-import jsonschema
-
-from . import matio
-from .numerics import ValidationError
+from . import datagen
+from .numerics import ValidationError, check_keys
 from .solver import _BOUNDS, _CHOICES, SolverConfig
 
 CONFIG_VERSION = 1
 
-_DISTRIBUTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"type": "string"},
-        "params": {"type": "array"},
-    },
-    "required": ["kind", "params"],
-    "additionalProperties": False,
+# How a threshold's metric is read from a report dict (IdentReport.to_dict()
+# or sweep's per-seed medians): a per-view metric is bounded by its worse view.
+GATED = {"leakage": max, "theta_rel_diff": float, "pair_match_error": float,
+         "whitening_residual": max}
+
+_NULL, _OBJECT = type(None), (dict,)
+_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+          str: "a string", dict: "an object", list: "an array", _NULL: "null"}
+# Types of SolverConfig's annotations; a tuple field is a list of integers.
+_ANNOTATED = {"int": (int,), "float": (float,), "float | None": (float, _NULL),
+              "str": (str,), "tuple": (list,)}
+_KEY_BOUNDS = ((operator.ge, ">=", {"anchors": 0, "n": 2, "d1": 1, "d2": 1,
+                                    "test_fraction": 0, **dict.fromkeys(GATED, 0)}),
+               (operator.le, "<=", {"test_fraction": 0.5}))
+
+# Each object of the document by path: its keys' types, bounds (in the form
+# of solver._BOUNDS) and choices.
+_SECTIONS = {
+    "<root>": ({"version": (int,), "seed": (int,), "data": _OBJECT,
+                "solver": _OBJECT, "anchors": (int,), "eval": _OBJECT},
+               _KEY_BOUNDS, {"version": (CONFIG_VERSION,)}),
+    "data": ({"preset": (str,), "n": (int,), "d1": (int, _NULL),
+              "d2": (int, _NULL), "homogeneous": (bool,),
+              "test_fraction": (float,), "shuffle": (bool,), "latent": _OBJECT},
+             _KEY_BOUNDS, {}),
+    "solver": ({f.name: _ANNOTATED[f.type]
+                for f in dataclasses.fields(SolverConfig)}, _BOUNDS, _CHOICES),
+    "eval": ({"thresholds": _OBJECT}, (), {}),
+    "eval/thresholds": (dict.fromkeys(GATED, (float,)), _KEY_BOUNDS, {}),
 }
 
-# JSON Schema type of each SolverConfig annotation.
-_TYPES = {"int": {"type": "integer"}, "float": {"type": "number"},
-          "float | None": {"type": ["number", "null"]},
-          "tuple": {"type": "array", "items": {"type": "integer"}}}
+DEFAULT_CONFIG = {"version": CONFIG_VERSION, "seed": 0, "solver": {"d_c": 2},
+                  "data": {"preset": "thm1a", "n": 100000}, "eval": {"thresholds": {}}}
 
 
-def _solver_schema() -> dict:
-    """The solver section, read off SolverConfig: a type per field annotation,
-    an enum per choice field, and each of its bounds under the bound's keyword
-    (on the items of a tuple field)."""
-    props = {}
-    for f in dataclasses.fields(SolverConfig):
-        if f.name in _CHOICES:
-            props[f.name] = {"enum": list(_CHOICES[f.name])}
-        else:
-            props[f.name] = copy.deepcopy(_TYPES[f.type])
-    for _, _, keyword, bounds in _BOUNDS:
-        for name, bound in bounds.items():
-            spec = props[name]
-            spec.get("items", spec)[keyword] = bound
-    return {"type": "object", "properties": props, "additionalProperties": False}
+def _typed(value, types: tuple) -> bool:
+    """Whether a JSON value has one of `types` (an int is a float, a bool neither)."""
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or float in types and isinstance(value, int)
 
 
-_SOLVER_SCHEMA = _solver_schema()
+def _check(value, types: tuple, bounds, key: str, where: str) -> None:
+    """Check the value of `key` against its types and its bounds."""
+    if not _typed(value, types):
+        expected = " or ".join(_NAMES[t] for t in types)
+        raise ValidationError(f"{where}: expected {expected}, got {value!r}")
+    if isinstance(value, list):  # a tuple field's integers, bound one by one
+        for i, item in enumerate(value):
+            _check(item, (int,), bounds, key, f"{where}/{i}")
+    elif value is not None:
+        for holds, symbol, limits in bounds:
+            if key in limits and not holds(value, limits[key]):
+                raise ValidationError(
+                    f"{where}: {value!r} is not {symbol} {limits[key]}")
 
-_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "version": {"const": CONFIG_VERSION},
-        "seed": {"type": "integer"},
-        "data": {
-            "type": "object",
-            "properties": {
-                "preset": {"type": "string"},
-                "n": {"type": "integer", "minimum": 2},
-                "d1": {"type": ["integer", "null"], "minimum": 1},
-                "d2": {"type": ["integer", "null"], "minimum": 1},
-                "homogeneous": {"type": "boolean"},
-                "test_fraction": {"type": "number", "minimum": 0, "maximum": 0.5},
-                "shuffle": {"type": "boolean"},
-                "latent": {
-                    "type": "object",
-                    "properties": {
-                        "shared": {"type": "array", "items": _DISTRIBUTION_SCHEMA},
-                        "private1": {"type": "array", "items": _DISTRIBUTION_SCHEMA},
-                        "private2": {"type": "array", "items": _DISTRIBUTION_SCHEMA},
-                    },
-                    "required": ["shared"],
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "solver": _SOLVER_SCHEMA,
-        "anchors": {"type": "integer", "minimum": 0},
-        "eval": {
-            "type": "object",
-            "properties": {
-                "thresholds": {
-                    "type": "object",
-                    "properties": {
-                        "leakage": {"type": "number", "minimum": 0},
-                        "theta_rel_diff": {"type": "number", "minimum": 0},
-                        "pair_match_error": {"type": "number", "minimum": 0},
-                        "whitening_residual": {"type": "number", "minimum": 0},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["version"],
-    "additionalProperties": False,
-}
 
-DEFAULT_CONFIG = {
-    "version": CONFIG_VERSION,
-    "seed": 0,
-    "data": {"preset": "thm1a", "n": 100000},
-    "solver": {"d_c": 2},
-    "eval": {"thresholds": {}},
-}
+def _check_section(section: dict, where: str) -> None:
+    """Check an object's keys against _SECTIONS, and its subsections."""
+    types, bounds, choices = _SECTIONS[where]
+    check_keys(section, where, optional=types)
+    for key, value in section.items():
+        at = key if where == "<root>" else f"{where}/{key}"
+        _check(value, types[key], bounds, key, at)
+        if key in choices and value not in choices[key]:
+            raise ValidationError(f"{at}: expected one of {list(choices[key])}, "
+                                  f"got {value!r}")
+        if at == "data/latent":
+            datagen.LatentSpec.from_dict(value, at)
+        elif isinstance(value, dict):
+            _check_section(value, at)
+
+
+def _check_version(doc) -> None:
+    if not isinstance(doc, dict) or "version" not in doc:
+        raise ValidationError("config is missing the mandatory 'version' field")
 
 
 def validate_config(doc: dict) -> dict:
-    if "version" not in doc:
-        raise ValidationError("config is missing the mandatory 'version' field")
+    """Return doc once every key passes its declaration; otherwise raise
+    ValidationError naming the path of the first key at fault."""
+    _check_version(doc)
     try:
-        jsonschema.validate(doc, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValidationError(f"config invalid at {path}: {exc.message}") from exc
+        _check_section(doc, "<root>")
+    except ValidationError as exc:
+        raise ValidationError(f"config invalid at {exc}") from exc
     return doc
 
 
-def load_config(path: str) -> dict:
-    return validate_config(matio.read_json(path))
-
-
 def merged_with_defaults(doc: dict | None) -> dict:
-    """Overlay a (possibly partial) config onto the defaults, then validate."""
+    """Overlay a config file's document onto the defaults, section by section.
+    Only its version's presence is checked here: validate the result."""
     merged = copy.deepcopy(DEFAULT_CONFIG)
-    for key, value in (doc or {}).items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = {**merged[key], **value}
-        else:
+    if doc is not None:
+        _check_version(doc)
+        for key, value in doc.items():
+            if isinstance(merged.get(key), dict):
+                if not isinstance(value, dict):
+                    raise ValidationError(f"config invalid at {key}: expected "
+                                          f"an object, got {value!r}")
+                value = {**merged[key], **value}
             merged[key] = value
-    return validate_config(merged)
+    return merged

@@ -16,9 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matio
-from .numerics import ValidationError, check_matrix, substream
+from .numerics import ValidationError, check_keys, check_matrix, substream
 
 _KINDS = ("normal", "uniform", "laplace", "gamma", "beta", "vonmises", "mixture")
+
+
+def _numbers(values, count: int | None = None) -> bool:
+    """Whether values is a list of `count` (or any number of) finite numbers."""
+    return (isinstance(values, list) and count in (None, len(values))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -122,11 +129,22 @@ class DistributionSpec:
                                               for c in self.params]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DistributionSpec":
-        params = d["params"]
-        if d["kind"] == "mixture":
-            return cls.mixture(params)
-        return cls(d["kind"], tuple(float(v) for v in params))
+    def from_dict(cls, d: dict, where: str = "distribution") -> "DistributionSpec":
+        """Build from {"kind": ..., "params": [...]}, a mixture's params being
+        [w, mu, sigma] rows; a fault raises ValidationError("<where>...: ...")."""
+        check_keys(d, where, required=("kind", "params"))
+        kind, params = d["kind"], d["params"]
+        if kind not in _KINDS:
+            raise ValidationError(f"{where}/kind: {kind!r} is not one of {_KINDS}")
+        rows = params if kind == "mixture" and isinstance(params, list) else [params]
+        if not all(_numbers(r, 3 if kind == "mixture" else None) for r in rows):
+            raise ValidationError(f"{where}/params: expected finite numbers, "
+                                  f"got {params!r}")
+        try:
+            return (cls.mixture(params) if kind == "mixture"
+                    else cls(kind, tuple(float(v) for v in params)))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -149,19 +167,22 @@ class LatentSpec:
         return len(self.private1) if q == 1 else len(self.private2)
 
     def to_dict(self) -> dict:
-        return {
-            "shared": [s.to_dict() for s in self.shared],
-            "private1": [s.to_dict() for s in self.private1],
-            "private2": [s.to_dict() for s in self.private2],
-        }
+        return {name: [s.to_dict() for s in getattr(self, name)]
+                for name in ("shared", "private1", "private2")}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LatentSpec":
-        return cls(
-            shared=tuple(DistributionSpec.from_dict(s) for s in d["shared"]),
-            private1=tuple(DistributionSpec.from_dict(s) for s in d.get("private1", [])),
-            private2=tuple(DistributionSpec.from_dict(s) for s in d.get("private2", [])),
-        )
+    def from_dict(cls, d: dict, where: str = "latent") -> "LatentSpec":
+        """Build from {"shared": [...], "private1": [...], "private2": [...]},
+        only shared required; a fault raises ValidationError("<where>...: ...")."""
+        check_keys(d, where, required=("shared",), optional=("private1", "private2"))
+        for name, specs in d.items():
+            if not isinstance(specs, list) or not specs and name == "shared":
+                raise ValidationError(f"{where}/{name}: expected an array of "
+                                      f"distributions (one at least in shared), "
+                                      f"got {specs!r}")
+        return cls(**{name: tuple(DistributionSpec.from_dict(s, f"{where}/{name}/{i}")
+                                  for i, s in enumerate(specs))
+                      for name, specs in d.items()})
 
 
 def _check_full_column_rank(a: np.ndarray, name: str) -> None:

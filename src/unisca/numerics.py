@@ -34,6 +34,17 @@ def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def check_keys(doc, where: str, required=(), optional=()) -> None:
+    """Raise ValidationError("<where>: ...") unless doc is a dict holding
+    every `required` key and no key outside `required` and `optional`."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected an object, got {doc!r}")
+    for fault, keys in (("missing", set(required) - set(doc)),
+                        ("unknown", set(doc) - {*required, *optional})):
+        if keys:
+            raise ValidationError(f"{where}: {fault} keys {sorted(keys)}")
+
+
 # ---------------------------------------------------------------------------
 # Seeded randomness with named substreams
 # ---------------------------------------------------------------------------

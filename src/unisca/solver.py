@@ -55,22 +55,19 @@ TRACE_COLUMNS = ("epoch", "matcher", "rq1", "rq2", "anchor", "hsic", "total")
 # Per-step sums behind a trace row: its weighted terms, whose sum is `total`.
 _SUMS = TRACE_COLUMNS[1:-1]
 
-# Bounds on the numeric fields of SolverConfig, from which the config schema
-# is derived: (comparison a valid value passes, its symbol, its JSON Schema
-# keyword, {field: bound}). A tuple field is checked item by item; a None
-# field is unset and skipped.
+# Bounds on the numeric fields of SolverConfig, which the config check reads
+# too: (comparison a valid value passes, its symbol, {field: bound}). A tuple
+# field is checked item by item; a None field is unset and skipped.
 _BOUNDS = (
-    (operator.ge, ">=", "minimum", {
+    (operator.ge, ">=", {
         "d_c": 1, "batch": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
         "warm_batch": 2, "warm_slices": 1, "checkpoint_every": 1,
         "checkpoint_rows": 4, "select_rows": 4, "lambda_whiten": 0,
         "beta": 0, "omega": 0, "rho": 0, "d_p1": 0, "d_p2": 0,
         "disc_hidden": 1, "disc_steps": 1, "disc_input_dropout": 0,
         "label_smoothing": 0, "init_noise": 0}),
-    (operator.gt, ">", "exclusiveMinimum", {
-        "lr_q": 0, "lr_f": 0, "lr_p": 0, "bandwidth": 0}),
-    (operator.le, "<=", "maximum",
-     {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
+    (operator.gt, ">", {"lr_q": 0, "lr_f": 0, "lr_p": 0, "bandwidth": 0}),
+    (operator.le, "<=", {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
 )
 
 
@@ -125,7 +122,7 @@ class SolverConfig:
                 raise ValidationError(f"{name} must be one of {choices}, "
                                       f"got '{getattr(self, name)}'")
         self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
-        for holds, symbol, _, bounds in _BOUNDS:
+        for holds, symbol, bounds in _BOUNDS:
             for name, bound in bounds.items():
                 value = getattr(self, name)
                 values = value if isinstance(value, tuple) else (value,)
@@ -582,10 +579,22 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     return best
 
 
-def _fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
-         anchors: AnchorSet | None = None) -> FitResult:
-    """Set up the views, the warm start and the term list for cfg.mode, then
-    train."""
+# ---------------------------------------------------------------------------
+# Public fits
+# ---------------------------------------------------------------------------
+
+def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
+        anchors: AnchorSet | None = None) -> FitResult:
+    """Learn the shared-component projections by distribution matching.
+
+    Minimizes matcher(Q1 x1, Q2 x2) + lambda (R(Q1) + R(Q2)), plus
+    beta * sum_l ||Q1 x1_l - Q2 x2_l||^2 over anchor pairs when provided.
+    Homogeneous mode trains a single matrix against both covariance
+    penalties; with_private mode adds the private heads (see
+    fit_with_private). The MMD kernel bandwidth is frozen from the initial
+    projections; the warm start (see SolverConfig) picks the starting
+    point, after which the configured matcher drives the traced epochs.
+    """
     t0 = time.perf_counter()
     homogeneous = cfg.mode == "homogeneous"
     private = cfg.mode == "with_private"
@@ -638,25 +647,6 @@ def _fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     return result
 
 
-# ---------------------------------------------------------------------------
-# Public fits
-# ---------------------------------------------------------------------------
-
-def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
-        anchors: AnchorSet | None = None) -> FitResult:
-    """Learn the shared-component projections by distribution matching.
-
-    Minimizes matcher(Q1 x1, Q2 x2) + lambda (R(Q1) + R(Q2)), plus
-    beta * sum_l ||Q1 x1_l - Q2 x2_l||^2 over anchor pairs when provided.
-    Homogeneous mode trains a single matrix against both covariance
-    penalties; with_private mode adds the private heads (see
-    fit_with_private). The MMD kernel bandwidth is frozen from the initial
-    projections; the warm start (see SolverConfig) picks the starting
-    point, after which the configured matcher drives the traced epochs.
-    """
-    return _fit(x1, x2, cfg, anchors=anchors)
-
-
 def fit_with_private(x1: np.ndarray, x2: np.ndarray,
                      cfg: SolverConfig) -> FitResult:
     """Jointly learn shared projections and per-modality private heads.
@@ -670,7 +660,7 @@ def fit_with_private(x1: np.ndarray, x2: np.ndarray,
     if cfg.mode != "with_private":
         raise ValidationError(
             f"fit_with_private requires mode 'with_private', got '{cfg.mode}'")
-    return _fit(x1, x2, cfg)
+    return fit(x1, x2, cfg)
 
 
 # ---------------------------------------------------------------------------

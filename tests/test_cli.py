@@ -7,6 +7,8 @@ import pytest
 
 from unisca import cli, datagen
 
+from test_config import CRASHED
+
 
 def test_gen_fit_eval_reports_private_pearson(tmp_path):
     config = {
@@ -126,6 +128,16 @@ def test_config_that_is_not_json_is_an_error_line(tmp_path, capsys):
     assert cli.main(["gen", "--config", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{bad} is not valid JSON" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("doc,path", CRASHED)
+def test_gen_rejects_configs_that_once_crashed(tmp_path, capsys, doc, path):
+    cfg, out = tmp_path / "config.json", tmp_path / "data"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config invalid at {path}: ")
     assert "Traceback" not in err and not out.exists()
 
 

@@ -101,6 +101,46 @@ _REJECTED = [
     pytest.param(_doc(solver={"d_c": "2"}), "solver/d_c", id="d_c-string"),
 ]
 
+# Documents that once passed the check and then crashed the command with a
+# traceback: an integer key set to a float, or marginal parameters that are
+# not numbers.
+CRASHED = [
+    pytest.param(_doc(data={"n": 2.0}), "data/n", id="n-float"),
+    pytest.param(_doc(solver={"d_c": 2.0}), "solver/d_c", id="d_c-float"),
+    pytest.param(_doc(solver={"d_c": 2, "batch": 200.0}), "solver/batch",
+                 id="batch-float"),
+    pytest.param(_latent(shared=[{"kind": "mixture",
+                                  "params": [[1.0, 0.0]]}]),
+                 "data/latent/shared/0/params", id="mixture-short-component"),
+    pytest.param(_latent(shared=[{"kind": "normal", "params": ["a", "b"]}]),
+                 "data/latent/shared/0/params", id="params-strings"),
+    pytest.param(_latent(shared=[{"kind": "normal", "params": [0, None]}]),
+                 "data/latent/shared/0/params", id="params-null"),
+]
+
+_REJECTED += CRASHED + [
+    pytest.param(_doc(seed=True), "seed", id="seed-true"),
+    pytest.param(_doc(solver={"d_c": True}), "solver/d_c", id="d_c-true"),
+    pytest.param(_doc(solver={"d_c": 2, "lr_q": False}), "solver/lr_q",
+                 id="lr_q-false"),
+    pytest.param(_doc(solver={"d_c": 2, "disc_hidden": [8.0]}),
+                 "solver/disc_hidden/0", id="disc_hidden-float"),
+    pytest.param(_latent(shared=[{"kind": "mixture",
+                                  "params": [[float("nan"), 0.0, 1.0]]}]),
+                 "data/latent/shared/0/params", id="mixture-nan-weight"),
+    pytest.param(_latent(shared=[{"kind": "normal", "params": [0, True]}]),
+                 "data/latent/shared/0/params", id="params-true"),
+    pytest.param(_latent(shared=[{"kind": 1, "params": [0, 1]}]),
+                 "data/latent/shared/0/kind", id="kind-number"),
+    pytest.param(_latent(shared=[{"kind": "normal", "params": [0, -1]}]),
+                 "data/latent/shared/0", id="normal-negative-sigma"),
+    pytest.param(_latent(shared=[{"kind": "cauchy", "params": [0, 1]}]),
+                 "data/latent/shared/0/kind", id="kind-unknown"),
+    pytest.param(_latent(shared=[]), "data/latent/shared", id="shared-empty"),
+    pytest.param(_latent(shared=[_NORMAL], private1=_NORMAL),
+                 "data/latent/private1", id="private1-not-an-array"),
+]
+
 
 def _rejects(doc, path):
     with pytest.raises(ValidationError) as info:

@@ -1,4 +1,4 @@
-"""What `import unisca` loads."""
+"""What importing the package and its command line loads."""
 
 import os
 import subprocess
@@ -8,20 +8,20 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _import_unisca_without(module: str) -> None:
+def _import_without(package: str, module: str) -> None:
     subprocess.run(
         [sys.executable, "-c",
-         f"import sys, unisca; assert {module!r} not in sys.modules"],
+         f"import sys, {package}; assert {module!r} not in sys.modules"],
         env={**os.environ, "PYTHONPATH": SRC}, check=True, timeout=120)
 
 
 def test_import_leaves_scipy_out():
     # scipy is a test-only dependency (pyproject.toml), so the package must
     # import without it.
-    _import_unisca_without("scipy")
+    _import_without("unisca", "scipy")
 
 
 def test_import_leaves_jsonschema_out():
-    # Only the config schema (unisca.config, loaded by the CLI) needs
-    # jsonschema; the solver settings it checks are declared in unisca.solver.
-    _import_unisca_without("jsonschema")
+    # The config is checked against declarations in the package itself, so
+    # not even the command line, which loads unisca.config, needs jsonschema.
+    _import_without("unisca.cli", "jsonschema")

@@ -2,6 +2,7 @@
 start's quantile matcher and DEBUG log, and the model directory's save/load
 round trip."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -82,42 +83,38 @@ def test_config_rejects_values_below_minimum(field, value):
         solver.SolverConfig(d_c=2, **{field: value})
 
 
-def _schema_bounds():
+# The JSON-Schema keyword each comparison of solver._BOUNDS stands for, kept
+# as the case ids.
+_KEYWORDS = {">=": "minimum", ">": "exclusiveMinimum", "<=": "maximum"}
+
+
+def _bounds():
     """(field, value just past the bound, value at or inside it) for every
-    numeric bound the config schema puts on a solver field."""
+    bound solver._BOUNDS puts on a field (on the items of a tuple field)."""
+    types = {f.name: f.type for f in dataclasses.fields(solver.SolverConfig)}
     cases = []
-    for name, spec in config._SOLVER_SCHEMA["properties"].items():
-        wrap = (lambda v: (v,)) if "items" in spec else (lambda v: v)
-        spec = spec.get("items", spec)
-        step = 1 if spec.get("type") == "integer" else 1e-6
-        for keyword, past, inside in (("minimum", -step, 0),
-                                      ("exclusiveMinimum", 0, step),
-                                      ("maximum", step, 0)):
-            if keyword in spec:
-                bound = spec[keyword]
-                cases.append(pytest.param(
-                    name, wrap(bound + past), wrap(bound + inside),
-                    id=f"{name}-{keyword}"))
+    for _, symbol, bounds in solver._BOUNDS:
+        for name, bound in bounds.items():
+            wrap = (lambda v: (v,)) if types[name] == "tuple" else (lambda v: v)
+            step = 1 if types[name] in ("int", "tuple") else 1e-6
+            past, inside = {">=": (-step, 0), ">": (0, step),
+                            "<=": (step, 0)}[symbol]
+            cases.append(pytest.param(
+                name, wrap(bound + past), wrap(bound + inside),
+                id=f"{name}-{_KEYWORDS[symbol]}"))
     return cases
 
 
-@pytest.mark.parametrize("field,past,inside", _schema_bounds())
+@pytest.mark.parametrize("field,past,inside", _bounds())
 def test_config_holds_every_schema_bound(field, past, inside):
     solver.SolverConfig(**{"d_c": 2, field: inside})
     with pytest.raises(ValidationError, match=f"{field} must be"):
         solver.SolverConfig(**{"d_c": 2, field: past})
 
 
-def test_default_solver_config_passes_the_derived_schema():
+def test_default_solver_config_passes_the_config_check():
     doc = {"version": 1, "solver": solver.SolverConfig(d_c=2).to_dict()}
     assert config.validate_config(doc) is doc
-
-
-@pytest.mark.parametrize("key,value", [
-    ("output", "runs/a"), ("retrieval", {"ks": [1, 5], "k_csls": 10})])
-def test_config_rejects_keys_nothing_reads(key, value):
-    with pytest.raises(ValidationError, match="Additional properties"):
-        config.validate_config({"version": 1, key: value})
 
 
 def test_warm_start_logs_restart_scores_at_debug(caplog):
