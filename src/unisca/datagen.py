@@ -52,6 +52,8 @@ class DistributionSpec:
             if not p:
                 raise ValidationError("mixture needs at least one component")
             weights = [w for w, _, _ in p]
+            if not np.all(np.isfinite(p)):
+                raise ValidationError(f"mixture parameters must be finite, got {p}")
             if any(w <= 0 for w in weights):
                 raise ValidationError("mixture weights must be positive")
             if abs(sum(weights) - 1.0) > 1e-9:

@@ -52,16 +52,33 @@ class KernelSpec:
 
         Each set contributes its leading rows so the pool has at most
         _RESOLVE_POOL points; with zero median distance (e.g. constant inputs)
-        the bandwidth falls back to 1.0.
+        the bandwidth falls back to 1.0. The squared distances are formed in
+        the buffer of the pool's Gram, _BLOCK rows at a time, and only their
+        upper triangle is kept. As sqrt is monotone, the median distance is
+        the mean of the square roots of the one or two middle squared
+        distances, found by an in-place partition, which is what np.median
+        of all distances returns (NaN, as there, falls back to 1.0).
         """
         if self.bandwidth is not None:
             return self
         per = max(1, _RESOLVE_POOL // max(1, len(sample_sets)))
         pool = np.vstack([np.asarray(s, dtype=np.float64)[:per] for s in sample_sets])
+        n = pool.shape[0]
         p2 = _sqnorms(pool)
-        d2 = np.maximum(p2[:, None] + p2[None, :] - 2.0 * (pool @ pool.T), 0.0)
-        dists = np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), 1)])
-        med = float(np.median(dists)) if dists.size else 0.0
+        d2 = pool @ pool.T
+        d2 *= 2.0
+        for i in range(0, n, _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            np.subtract(p2[rows, None] + p2[None, :], d2[rows], out=d2[rows])
+        np.maximum(d2, 0.0, out=d2)
+        upper = np.concatenate([d2[i, i + 1:] for i in range(n)])
+        med = 0.0
+        if upper.size:
+            h = upper.size // 2
+            middle = [h - 1, h] if upper.size % 2 == 0 else [h]
+            upper.partition(middle + [-1])  # NaN sorts last
+            if not np.isnan(upper[-1]):
+                med = float(np.mean(np.sqrt(upper[middle[0]:h + 1])))
         return KernelSpec(bandwidth=med if med > 0 else 1.0)
 
     def require(self) -> float:

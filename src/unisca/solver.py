@@ -17,7 +17,10 @@ matrix), which makes Adam's step size meaningful across data scales, and in
 two stages: a cheap multi-restart warm start that matches sorted quantiles
 along random slices (a Wasserstein-style realization of the same
 distribution-matching constraint), followed by the configured matcher as the
-traced training phase. Restart selection uses a frozen two-bandwidth MMD
+traced training phase. A quantile step sorts its slices with the default-kind
+argsort, which is a quarter of the stable one's cost, and falls back to the
+stable sort only when a slice holds equal values, so its order and its bytes
+are the stable sort's. Restart selection uses a frozen two-bandwidth MMD
 score on a large deterministic subsample; the score is value-only. Every
 MMD, a step's value and gradients included, is summed over 512-row strips,
 so no MMD call forms an n x n Gram matrix. Covariances are frozen before the
@@ -33,7 +36,7 @@ import logging
 import operator
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +72,14 @@ _BOUNDS = (
     (operator.gt, ">", {"lr_q": 0, "lr_f": 0, "lr_p": 0, "bandwidth": 0}),
     (operator.le, "<=", {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
 )
+
+
+def _integer(name: str, value) -> int:
+    """`value` of integer field `name` as an int; a numpy integer passes, a
+    float or a bool is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DivergenceError(RuntimeError):
@@ -121,7 +132,11 @@ class SolverConfig:
             if getattr(self, name) not in choices:
                 raise ValidationError(f"{name} must be one of {choices}, "
                                       f"got '{getattr(self, name)}'")
-        self.disc_hidden = tuple(int(h) for h in self.disc_hidden)
+        for f in fields(self):
+            if f.type == "int":
+                setattr(self, f.name, _integer(f.name, getattr(self, f.name)))
+        self.disc_hidden = tuple(_integer("disc_hidden", h)
+                                 for h in self.disc_hidden)
         for holds, symbol, bounds in _BOUNDS:
             for name, bound in bounds.items():
                 value = getattr(self, name)
@@ -225,28 +240,43 @@ def anchor_penalty(q1: np.ndarray, q2: np.ndarray, x1a: np.ndarray,
     return value, 2.0 * d.T @ x1a, -2.0 * d.T @ x2a
 
 
+def _ranked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of `a` in ascending order: the flat index into `a` of
+    every rank, and the sorted values. The order is the stable argsort's,
+    from the default-kind argsort when every column's sorted values rise
+    strictly (the permutation is then unique); ties, signed zeros and NaN
+    fall back to the stable sort."""
+    k = a.shape[1]
+    cols = np.arange(k)
+    index = np.argsort(a, axis=0) * k + cols
+    values = a.ravel()[index]
+    if not np.all(values[1:] > values[:-1]):
+        index = np.argsort(a, axis=0, kind="stable") * k + cols
+        values = a.ravel()[index]
+    return index.ravel(), values
+
+
 def quantile_match(u: np.ndarray, v: np.ndarray, directions: np.ndarray
                    ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean squared sorted-quantile gap over 1-D slices, with gradients.
 
     Projects both sample sets on every unit direction at once, sorts all
-    slices in one stable argsort per set, and penalizes the squared gap
-    between equal ranks; requires equal sample counts. Each rank's gap goes
-    back to the row it came from, so each gradient is one product with the
+    slices of a set in one argsort (`_ranked`: equal values keep their row
+    order), and penalizes the squared gap between equal ranks; requires
+    equal sample counts. Each rank's gap goes back to the row it came from
+    by one flat-index assignment, so each gradient is one product with the
     directions. Used as the warm-start surrogate: its gradient stays
     informative at every scale where the two pushforwards differ.
     """
     if u.shape[0] != v.shape[0]:
         raise ValidationError("quantile matching needs equal batch sizes")
     b, k = u.shape[0], directions.shape[0]
-    a1 = u @ directions.T
-    a2 = v @ directions.T
-    o1 = np.argsort(a1, axis=0, kind="stable")
-    o2 = np.argsort(a2, axis=0, kind="stable")
-    gap = np.take_along_axis(a1, o1, 0) - np.take_along_axis(a2, o2, 0)
+    i1, s1 = _ranked(u @ directions.T)
+    i2, s2 = _ranked(v @ directions.T)
+    gap = s1 - s2
     du, dv = np.empty_like(gap), np.empty_like(gap)
-    np.put_along_axis(du, o1, 2.0 * gap / b, 0)
-    np.put_along_axis(dv, o2, -2.0 * gap / b, 0)
+    du.ravel()[i1] = (2.0 * gap / b).ravel()
+    dv.ravel()[i2] = (-2.0 * gap / b).ravel()
     value = float(np.sum(gap * gap)) / b
     return value / k, du @ directions / k, dv @ directions / k
 

@@ -99,6 +99,10 @@ class TestDistributions:
         lambda: DistributionSpec.vonmises(0, -2),
         lambda: DistributionSpec.mixture([(0.5, 0, 1), (0.4, 1, 1)]),
         lambda: DistributionSpec.mixture([(1.0, 0, -1)]),
+        lambda: DistributionSpec.mixture([(float("nan"), 0, 1)]),
+        lambda: DistributionSpec.mixture([(1.0, 0, float("nan"))]),
+        lambda: DistributionSpec.mixture([(1.0, float("nan"), 1)]),
+        lambda: DistributionSpec.mixture([(1.0, float("inf"), 1)]),
         lambda: DistributionSpec("cauchy", (0.0, 1.0)),
     ])
     def test_invalid_parameters_rejected(self, bad):

@@ -28,6 +28,35 @@ class TestKernelSpec:
         k = KernelSpec().resolve(np.ones((20, 2)))
         assert k.bandwidth == 1.0
 
+    @pytest.mark.parametrize("sets", [
+        pytest.param(lambda r: (r.normal(size=(3000, 2)),), id="2000-rows-even"),
+        pytest.param(lambda r: tuple(r.normal(size=(900, 3)) for _ in range(3)),
+                     id="1998-rows-odd"),
+        pytest.param(lambda r: (r.normal(size=(4, 2)),), id="6-pairs"),
+        pytest.param(lambda r: (r.normal(size=(3, 2)),), id="3-pairs"),
+        pytest.param(lambda r: (r.normal(size=(2, 1)),), id="1-pair"),
+        pytest.param(lambda r: (r.normal(size=(1, 2)),), id="one-row"),
+        pytest.param(lambda r: (np.full((30, 2), 2.5),), id="constant"),
+        pytest.param(lambda r: (r.normal(size=(10, 2))[r.integers(0, 4, 41)],),
+                     id="duplicated-rows"),
+        pytest.param(lambda r: (r.normal(size=(7, 2))[[0, 0, 0, 0, 0, 0, 1]],),
+                     id="zero-median"),
+        pytest.param(lambda r: (np.vstack([[np.inf, 0.0], r.normal(size=(9, 2))]),),
+                     id="non-finite"),
+    ])
+    def test_resolve_matches_the_median_of_all_distances(self, rng, sets):
+        # The formula resolve replaced: every pairwise distance, then
+        # np.median. An infinite coordinate makes NaN distances in both.
+        sets = sets(rng)
+        pool = np.vstack([s[:max(1, 2000 // len(sets))] for s in sets])
+        with np.errstate(invalid="ignore"):
+            p2 = np.einsum("ij,ij->i", pool, pool)
+            d2 = np.maximum(p2[:, None] + p2[None, :] - 2.0 * (pool @ pool.T), 0.0)
+            dists = np.sqrt(d2[np.triu(np.ones(d2.shape, dtype=bool), 1)])
+            med = float(np.median(dists)) if dists.size else 0.0
+            got = KernelSpec().resolve(*sets).bandwidth
+        assert got == (med if med > 0 else 1.0)
+
     def test_unresolved_rejected(self, rng):
         with pytest.raises(ValidationError):
             mmd2_unbiased(rng.normal(size=(4, 1)), rng.normal(size=(4, 1)),
@@ -267,12 +296,13 @@ class TestMemory:
         x, y = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
         assert _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0))) < 12 * 2**20
 
-    def test_resolve_indexes_the_triangle_with_a_mask(self, rng):
-        # The 2000-point pool's squared distances are 30.5 MiB and the upper
-        # triangle's distances 15 MiB; np.triu_indices' two index arrays
-        # (15 MiB each) took the peak to 76 MiB.
+    def test_resolve_holds_the_distances_and_their_triangle(self, rng):
+        # The 2000-point pool's squared distances (30.5 MiB, formed in the
+        # Gram's buffer) and their upper triangle (15 MiB) bound the peak at
+        # 46 MiB. Forming them from four full-size temporaries peaked at 62
+        # MiB, and np.triu_indices' two index arrays at 76.
         a, b = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
-        assert _peak_bytes(lambda: KernelSpec().resolve(a, b)) < 68 * 2**20
+        assert _peak_bytes(lambda: KernelSpec().resolve(a, b)) < 52 * 2**20
 
     def test_hsic_holds_two_grams(self, rng):
         # With centred copies it peaked at 80 MiB; two 1024-row Grams are 16.

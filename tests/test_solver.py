@@ -178,6 +178,59 @@ def test_quantile_match_agrees_with_per_slice_loop(b, d, k, ties):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _quantile_match_stable(u, v, directions):
+    """quantile_match as it was written with one stable argsort per set and
+    take_along_axis / put_along_axis for the gather and the scatter."""
+    b, k = u.shape[0], directions.shape[0]
+    a1, a2 = u @ directions.T, v @ directions.T
+    o1 = np.argsort(a1, axis=0, kind="stable")
+    o2 = np.argsort(a2, axis=0, kind="stable")
+    gap = np.take_along_axis(a1, o1, 0) - np.take_along_axis(a2, o2, 0)
+    du, dv = np.empty_like(gap), np.empty_like(gap)
+    np.put_along_axis(du, o1, 2.0 * gap / b, 0)
+    np.put_along_axis(dv, o2, -2.0 * gap / b, 0)
+    value = float(np.sum(gap * gap)) / b
+    return value / k, du @ directions / k, dv @ directions / k
+
+
+@pytest.mark.parametrize("b", [2, 3, 1000])
+@pytest.mark.parametrize("ties", ["distinct", "u", "both"])
+def test_quantile_match_is_byte_identical_to_the_stable_sort(b, ties):
+    # Repeated rows tie on every slice, so only the stable order is right
+    # for them; without ties the default-kind sort's order is the same.
+    rng = substream(b, "tests", f"quantile-stable-{ties}")
+    u, v = rng.normal(size=(b, 3)), rng.normal(size=(b, 3)) + 0.2
+    if ties != "distinct":
+        u = u[rng.integers(0, max(1, b // 3), size=b)]
+    if ties == "both":
+        v = v[rng.integers(0, max(1, b // 3), size=b)]
+    dirs = rng.normal(size=(24, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    value, gu, gv = solver.quantile_match(u, v, dirs)
+    want, wu, wv = _quantile_match_stable(u, v, dirs)
+    assert value == want
+    assert np.array_equal(gu, wu) and np.array_equal(gv, wv)
+
+
+@pytest.mark.parametrize("value,accepted", [
+    (2.0, False), (True, False), (np.int64(2), True), ("2", False)])
+def test_config_integer_fields_take_integers_only(value, accepted):
+    for name in ("d_c", "batch"):
+        if not accepted:
+            with pytest.raises(ValidationError,
+                               match=f"{name} must be an integer, got"):
+                solver.SolverConfig(**{"d_c": 2, name: value})
+            continue
+        cfg = solver.SolverConfig(**{"d_c": 2, name: value})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
+
+
+def test_config_disc_hidden_takes_integers_only():
+    assert solver.SolverConfig(d_c=2, disc_hidden=(np.int64(8),)).disc_hidden == (8,)
+    with pytest.raises(ValidationError, match="disc_hidden must be an integer"):
+        solver.SolverConfig(d_c=2, disc_hidden=(8.5,))
+
+
 def test_quantile_match_needs_equal_batches(rng):
     dirs = np.eye(2)
     with pytest.raises(ValidationError, match="equal batch sizes"):
