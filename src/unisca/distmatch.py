@@ -8,10 +8,14 @@ Three matchers/penalties:
 All gradients returned here are exact derivatives of the returned value, so
 they can be verified against central finite differences.
 
-MMD and HSIC form every RBF Gram in place through `_gram` and read it only
-through products with a few columns, so no centred or rescaled copy of a
-Gram is made. Every MMD value and gradient comes from one loop over strips
-of at most _BLOCK rows, `_gram_sum`, so no MMD call forms an n x n Gram.
+MMD and HSIC form every RBF Gram through `_gram`: one augmented product
+that gives -|x_i - y_j|^2 / (2 sigma^2) directly, then a clamp and an exp,
+both in place. They read it only through products with a few columns, so no
+centred or rescaled copy of a Gram is made. Every MMD value and gradient
+comes from one loop over strips of at most _BLOCK rows, `_gram_sum`, so no
+MMD call forms an n x n Gram. The two-scale kernel k_sigma + k_{sigma/2}
+(the warm start's restart score) takes the sigma/2 strip by squaring the
+sigma strip twice in place, as exp(-d^2 / (2 (sigma/2)^2)) = k_sigma^4.
 
 The discriminator's backward pass forms only what its caller reads
 (`gan_value_and_grads(..., grads=...)`): `discriminator_step` takes the
@@ -38,14 +42,22 @@ _LEAK = 0.2  # negative-side slope of the discriminator's leaky ReLU
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian RBF kernel; bandwidth None means median heuristic at resolve."""
+    """Gaussian RBF kernel; bandwidth None means median heuristic at resolve.
+
+    two_scale=True is the kernel k_sigma + k_{sigma/2}, whose MMD^2 is the
+    sum of the MMD^2 at both bandwidths. It is value-only and needs a
+    bandwidth: resolve() would return a one-scale kernel.
+    """
 
     bandwidth: float | None = None
+    two_scale: bool = False
 
     def __post_init__(self):
         b = self.bandwidth
         if b is not None and not (np.isfinite(b) and b > 0):
             raise ValidationError("kernel bandwidth must be finite and > 0")
+        if self.two_scale and b is None:
+            raise ValidationError("a two-scale kernel needs a bandwidth")
 
     def resolve(self, *sample_sets: np.ndarray) -> "KernelSpec":
         """Freeze the bandwidth: median pairwise distance over a pooled subsample.
@@ -94,48 +106,77 @@ def _sqnorms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _gram(x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray,
-          sig: float) -> np.ndarray:
-    """exp(-|x_i - y_j|^2 / (2 sig^2)) from the rows' squared norms x2, y2,
-    formed in place in the buffer of x @ y.T."""
-    out = x @ y.T
-    out *= -2.0
-    out += x2[:, None]
-    out += y2[None, :]
-    np.maximum(out, 0.0, out=out)
-    out /= -2.0 * sig * sig
+def _rows(x: np.ndarray) -> np.ndarray:
+    """[x, |x|^2, 1]: the row side of the one-product Gram."""
+    return np.hstack([x, _sqnorms(x)[:, None], np.ones((x.shape[0], 1))])
+
+
+def _cols(y: np.ndarray, sig: float) -> np.ndarray:
+    """c [-2y, 1, |y|^2] with c = -1/(2 sig^2): the column side of the
+    one-product Gram, so that _rows(x) @ _cols(y, sig).T holds
+    -|x_i - y_j|^2 / (2 sig^2)."""
+    c = -0.5 / (sig * sig)
+    return np.hstack([(-2.0 * c) * y, np.full((y.shape[0], 1), c),
+                      c * _sqnorms(y)[:, None]])
+
+
+def _gram(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+    """exp(-|x_i - y_j|^2 / (2 sig^2)) from xa = _rows(x), ya = _cols(y,
+    sig): one augmented product, a clamp at 0 (a distance is never negative)
+    and an exp, both in the product's buffer."""
+    out = xa @ ya.T
+    np.minimum(out, 0.0, out=out)
     np.exp(out, out=out)
     return out
 
 
+def _strip_sum(out: np.ndarray, k: int) -> float:
+    """Sum of a Gram strip. Within one set (k > 0) its first k columns are
+    the diagonal block: that block's diagonal counts not at all and the
+    columns right of it twice, so the strip stands for its mirror too."""
+    if not k:
+        return out.sum()
+    diag = out[:, :k]
+    return 2.0 * out[:, k:].sum() + (diag.sum() - np.trace(diag))
+
+
 def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
-              xe: np.ndarray | None = None, ye: np.ndarray | None = None):
+              xe: np.ndarray | None = None, ye: np.ndarray | None = None,
+              two_scale: bool = False):
     """(sum of K, K @ ye, K.T @ xe) for the Gram K of x against y, from
     strips of _BLOCK rows of x; the products are None without xe. With y
     None, K is x's Gram less its diagonal: only strips on or above it are
     formed, and their strictly upper part counts twice and, transposed,
-    gives the later rows their products; both products are then K @ xe."""
+    gives the later rows their products; both products are then K @ xe.
+
+    Each strip is one augmented product, clamp and exp (`_gram`) over
+    n x (d + 2) arrays formed once here. With two_scale, K is the sigma
+    Gram plus the sigma/2 one: each strip is summed, squared twice in place
+    and summed again. It takes no extension columns.
+    """
     within = y is None
-    x2 = _sqnorms(x)
-    y, y2, ye = (x, x2, xe) if within else (y, _sqnorms(y), ye)
+    xa = _rows(x)
+    ya = _cols(x if within else y, sig)
+    ye = xe if within else ye
     px = None if xe is None else np.zeros((x.shape[0], ye.shape[1]))
-    py = px if within or px is None else np.zeros((y.shape[0], xe.shape[1]))
+    py = px if within or px is None else np.zeros((ya.shape[0], xe.shape[1]))
     total = 0.0
     for i in range(0, x.shape[0], _BLOCK):
         j = i if within else 0
-        out = _gram(x[i:i + _BLOCK], y[j:], x2[i:i + _BLOCK], y2[j:], sig)
+        out = _gram(xa[i:i + _BLOCK], ya[j:])
         rows = out.shape[0]
         k = rows if within else 0  # y's rows j + k on take this strip's K.T
-        if within:
-            diag = out[:, :rows]
-            total += 2.0 * out[:, rows:].sum() + (diag.sum() - np.trace(diag))
-            np.fill_diagonal(diag, 0.0)
-        else:
-            total += out.sum()
+        total += _strip_sum(out, k)
+        if two_scale:
+            out *= out
+            out *= out
+            total += _strip_sum(out, k)
         if px is not None:
+            if within:
+                np.fill_diagonal(out[:, :rows], 0.0)
             px[i:i + rows] += out @ ye[j:]
             py[j + k:] += out[:, k:].T @ xe[i:i + rows]
-        out = diag = None  # free this strip before the next one forms
+        out = None  # free this strip before the next one forms
     return total, px, py
 
 
@@ -153,7 +194,9 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     negative. Every value comes from `_gram_sum`'s strips, so grad=False
     returns the same value, with no gradients. Gradients treat the (frozen)
     bandwidth as a constant and come from the same strips' products with
-    [x, 1] and [y, 1], which give K x and the row sums.
+    [x, 1] and [y, 1], which give K x and the row sums. A two-scale kernel
+    gives the MMD^2 at its bandwidth plus that at half of it, value-only:
+    grad=True with it is a ValidationError.
     """
     x, y = check_matrix(x, "X"), check_matrix(y, "Y")
     m, n = x.shape[0], y.shape[0]
@@ -162,12 +205,16 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     if x.shape[1] != y.shape[1]:
         raise ValidationError("sample sets must share a dimension")
     sig = kernel.require()
+    two = kernel.two_scale
+    if grad and two:
+        raise ValidationError("the two-scale kernel is value-only; "
+                              "call with grad=False")
     cxx, cyy, cxy = 1.0 / (m * (m - 1)), 1.0 / (n * (n - 1)), 2.0 / (m * n)
     xe, ye = ((np.hstack([x, np.ones((m, 1))]), np.hstack([y, np.ones((n, 1))]))
               if grad else (None, None))
-    sxx, pxx, _ = _gram_sum(x, sig, xe=xe)
-    syy, pyy, _ = _gram_sum(y, sig, xe=ye)
-    sxy, pxy, pyx = _gram_sum(x, sig, y, xe, ye)
+    sxx, pxx, _ = _gram_sum(x, sig, xe=xe, two_scale=two)
+    syy, pyy, _ = _gram_sum(y, sig, xe=ye, two_scale=two)
+    sxy, pxy, pyx = _gram_sum(x, sig, y, xe, ye, two_scale=two)
     value = float(cxx * sxx + cyy * syy - cxy * sxy)
     if not grad:
         return value, None, None
@@ -190,8 +237,8 @@ def _hsic_grad(u, sig, klp, kp, r):
 
 def hsic_biased(u: np.ndarray, v: np.ndarray,
                 kernel_u: KernelSpec | None = None,
-                kernel_v: KernelSpec | None = None
-                ) -> tuple[float, np.ndarray, np.ndarray]:
+                kernel_v: KernelSpec | None = None, grad: bool = True
+                ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Biased (V-statistic) HSIC tr(K H L H)/m^2 with gradients w.r.t. u and v.
 
     Kernels default to the median heuristic resolved on the inputs; pass
@@ -199,6 +246,8 @@ def hsic_biased(u: np.ndarray, v: np.ndarray,
     No centred matrix is formed: with s = K 1 and r = L 1, tr(KHLH) =
     sum(K o L) - (2/m) s.r + (1.s)(1.r)/m^2, and the gradients come from
     K @ [u, 1, r o u, r], L @ [v, 1, s o v, s] and (K o L) @ [u, v, 1].
+    grad=False forms only (K o L) @ 1 of these and returns no gradients.
+    Each Gram is one augmented product, clamp and exp (`_gram`).
     """
     u, v = check_matrix(u, "U"), check_matrix(v, "V")
     m = u.shape[0]
@@ -206,18 +255,22 @@ def hsic_biased(u: np.ndarray, v: np.ndarray,
         raise ValidationError("HSIC inputs must have equal row counts")
     if m < 4:
         raise ValidationError("HSIC needs at least 4 rows")
+    if any(kern is not None and kern.two_scale for kern in (kernel_u, kernel_v)):
+        raise ValidationError("HSIC takes one-scale kernels")
     sig_u = (kernel_u or KernelSpec()).resolve(u).require()
     sig_v = (kernel_v or KernelSpec()).resolve(v).require()
-    u2, v2 = _sqnorms(u), _sqnorms(v)
-    k, l = _gram(u, u, u2, u2, sig_u), _gram(v, v, v2, v2, sig_v)
+    k, l = _gram(_rows(u), _cols(u, sig_u)), _gram(_rows(v), _cols(v, sig_v))
     s, r = k.sum(axis=1), l.sum(axis=1)
     one = np.ones((m, 1))
-    kp = k @ np.hstack([u, one, r[:, None] * u, r[:, None]])
-    lp = l @ np.hstack([v, one, s[:, None] * v, s[:, None]])
+    if grad:
+        kp = k @ np.hstack([u, one, r[:, None] * u, r[:, None]])
+        lp = l @ np.hstack([v, one, s[:, None] * v, s[:, None]])
     k *= l
-    klp = k @ np.hstack([u, v, one])
+    klp = k @ (np.hstack([u, v, one]) if grad else one)
     t = klp[:, -1].sum()
     value = (t - 2.0 * (s @ r) / m + s.sum() * r.sum() / (m * m)) / (m * m)
+    if not grad:
+        return float(value), None, None
     grad_u = _hsic_grad(u, sig_u, klp, kp, r)
     grad_v = _hsic_grad(v, sig_v, klp[:, u.shape[1]:], lp, s)
     return float(value), grad_u, grad_v

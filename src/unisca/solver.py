@@ -564,8 +564,10 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     seeded random orthonormal frames. Candidates are scored by the MMD at
     the matcher's frozen kernel plus a half-bandwidth MMD on a large leading
     subsample, which separates true matches from scale-local spurious ones.
-    The score is value-only: each MMD is summed in row blocks without
-    gradients or n x n Gram matrices. Each restart's score and the chosen
+    The score is one value-only MMD under the two-scale kernel k_sigma +
+    k_{sigma/2}: each Gram strip is one augmented product, clamp and exp,
+    summed, then squared twice in place for sigma/2 and summed again, with
+    no gradients or n x n Gram matrices. Each restart's score and the chosen
     restart are logged at DEBUG.
     """
     d_c = cfg.d_c
@@ -576,14 +578,12 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     if cfg.warm_epochs == 0 and cfg.restarts == 1:
         return q1_spec, q2_spec
 
-    kernel = matcher.kernel
-    fine = KernelSpec(kernel.require() * 0.5)
+    kernel = KernelSpec(matcher.kernel.require(), two_scale=True)
     ns = min(cfg.select_rows, v1.n, v2.n)
 
     def score(q1, q2):
         u, v = v1.z[:ns] @ q1.T, v2.z[:ns] @ q2.T
-        return (mmd2_unbiased(u, v, kernel, grad=False)[0]
-                + mmd2_unbiased(u, v, fine, grad=False)[0])
+        return mmd2_unbiased(u, v, kernel, grad=False)[0]
 
     best, best_score, best_restart = None, np.inf, -1
     for restart in range(cfg.restarts):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from unisca.distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
-                              discriminator_step, gan_value_and_grads,
-                              hsic_biased, mmd2_unbiased)
+                              _cols, _gram, _rows, discriminator_step,
+                              gan_value_and_grads, hsic_biased, mmd2_unbiased)
 from unisca.numerics import ValidationError, substream
 
 
@@ -163,6 +163,78 @@ class TestMMDValueOnly:
         assert peak < 24 * 2**20
 
 
+class TestOneProductGram:
+    """_gram forms -|x - y|^2 / (2 sigma^2) as one product of augmented rows
+    [x, |x|^2, 1] and c [-2y, 1, |y|^2]. Far from the origin both it and the
+    norm expansion it replaced lose digits to cancelling squared norms; it
+    must lose no more than twice as many."""
+
+    @staticmethod
+    def _exact(x, y, sig):
+        d = x[:, None, :] - y[None, :, :]
+        return np.exp(np.einsum("ijk,ijk->ij", d, d) / (-2.0 * sig * sig))
+
+    @staticmethod
+    def _norm_expansion(x, y, sig):
+        x2, y2 = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+        d2 = np.maximum(-2.0 * (x @ y.T) + x2[:, None] + y2[None, :], 0.0)
+        return np.exp(d2 / (-2.0 * sig * sig))
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("sig", [0.5, 2.0])
+    def test_error_at_most_twice_the_norm_expansion(self, rng, offset, sig):
+        x = rng.normal(size=(300, 2)) + offset
+        y = rng.normal(size=(200, 2)) + offset + 0.3
+        exact = self._exact(x, y, sig)
+        old = np.abs(self._norm_expansion(x, y, sig) - exact).max()
+        new = np.abs(_gram(_rows(x), _cols(y, sig)) - exact).max()
+        assert new <= 2.0 * max(old, 1e-16), (new, old)
+
+    def test_coincident_points_give_one(self, rng):
+        x = rng.normal(size=(50, 3)) * 5.0
+        k = _gram(_rows(x), _cols(x, 0.7))
+        assert np.all(k <= 1.0)
+        np.testing.assert_allclose(np.diag(k), 1.0, rtol=0, atol=1e-12)
+
+
+class TestTwoScale:
+    """KernelSpec(sigma, two_scale=True) is k_sigma + k_{sigma/2}: its MMD^2
+    is the sum of the MMD^2 at sigma and at sigma/2, with the sigma/2 Gram
+    taken by squaring the sigma strip twice."""
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1025, 4096])
+    def test_equals_the_sum_of_both_bandwidths(self, rng, n):
+        x = rng.normal(size=(n, 2))
+        y = rng.normal(size=(n, 2)) * 1.2 + 0.3
+        two = mmd2_unbiased(x, y, KernelSpec(1.0, two_scale=True), grad=False)
+        one = (mmd2_unbiased(x, y, KernelSpec(1.0), grad=False)[0]
+               + mmd2_unbiased(x, y, KernelSpec(0.5), grad=False)[0])
+        assert abs(two[0] - one) <= 1e-15
+        assert two[1] is None and two[2] is None
+
+    def test_unequal_sets_and_coincident_points(self, rng):
+        x = np.repeat(rng.normal(size=(10, 2)), 60, axis=0)
+        y = np.vstack([x[:300], rng.normal(size=(213, 2))])
+        two = mmd2_unbiased(x, y, KernelSpec(0.7, two_scale=True), grad=False)[0]
+        one = (mmd2_unbiased(x, y, KernelSpec(0.7), grad=False)[0]
+               + mmd2_unbiased(x, y, KernelSpec(0.35), grad=False)[0])
+        assert abs(two - one) <= 1e-15
+
+    def test_gradient_is_rejected(self, rng):
+        x, y = rng.normal(size=(20, 2)), rng.normal(size=(30, 2))
+        with pytest.raises(ValidationError, match="value-only"):
+            mmd2_unbiased(x, y, KernelSpec(1.0, two_scale=True))
+
+    def test_needs_a_bandwidth(self):
+        with pytest.raises(ValidationError, match="needs a bandwidth"):
+            KernelSpec(two_scale=True)
+
+    def test_hsic_rejects_it(self, rng):
+        u, v = rng.normal(size=(20, 2)), rng.normal(size=(20, 1))
+        with pytest.raises(ValidationError, match="one-scale"):
+            hsic_biased(u, v, KernelSpec(1.0, two_scale=True), KernelSpec(1.0))
+
+
 # ---------------------------------------------------------------------------
 # Full-matrix reference: the MMD and HSIC formulas written over whole Gram
 # and centred matrices, with row sums and products taken separately. The
@@ -295,6 +367,14 @@ class TestMemory:
         # while the next formed peaked at 16.4.
         x, y = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
         assert _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0))) < 12 * 2**20
+
+    def test_two_scale_score_holds_one_strip(self, rng):
+        # A 512 x 4096 strip is 16 MiB. The sigma/2 Gram is squared in the
+        # sigma strip's buffer, so no second strip is alive.
+        x, y = rng.normal(size=(4096, 2)), rng.normal(size=(4096, 2))
+        kernel = KernelSpec(1.0, two_scale=True)
+        assert _peak_bytes(
+            lambda: mmd2_unbiased(x, y, kernel, grad=False)) < 20 * 2**20
 
     def test_resolve_holds_the_distances_and_their_triangle(self, rng):
         # The 2000-point pool's squared distances (30.5 MiB, formed in the

@@ -27,7 +27,13 @@ the value's sum and of the gradient accumulation moved. Arrays moved by
 at most 8.9e-16 absolute (`classifier/Q1`, `homogeneous/Q1`) and 1.2e-13
 relative (`unaligned/checkpoints`, values near zero); every fit chose the
 same warm-start restart, and `with_private` and the adversarial
-projections stayed byte-identical.
+projections stayed byte-identical. It was regenerated a fourth time when
+every RBF Gram became one product of augmented rows followed by a clamp
+and an exp, and the restart score one call under the two-scale kernel,
+whose sigma/2 Gram squares the sigma one twice. Arrays moved by at most
+5.8e-15 absolute (`with_private/checkpoints`) and 1.3e-13 relative
+(`unaligned/checkpoints`); the adversarial fit and the `with_private`
+and `homogeneous` projections stayed byte-identical.
 
 Until the solver's classifier head was deleted the file also held a sixth
 fit, a homogeneous fit with that head. Its six `classifier/*` arrays were
