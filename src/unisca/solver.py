@@ -461,7 +461,8 @@ def _anchor_term(beta: float, pairs: np.ndarray, v1: _View, v2: _View):
 
 def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
     """rho * sum over views of HSIC(shared, private projection); bandwidths
-    frozen from the projections p0; checkpoints use at most 1024 rows."""
+    frozen from the projections p0; checkpoints are value-only, on at most
+    1024 rows."""
     kc1, kp1, kc2, kp2 = (KernelSpec().resolve(v.z[:1000] @ p0[slot].T)
                           for v, slot in ((v1, "q1"), (v1, "qp1"),
                                           (v2, "q2"), (v2, "qp2")))
@@ -469,9 +470,13 @@ def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
     def term(p, b1, b2, train):
         if not train:
             b1, b2 = b1[:1024], b2[:1024]
-        h1, gc1, gp1 = hsic_biased(b1 @ p["q1"].T, b1 @ p["qp1"].T, kc1, kp1)
-        h2, gc2, gp2 = hsic_biased(b2 @ p["q2"].T, b2 @ p["qp2"].T, kc2, kp2)
+        h1, gc1, gp1 = hsic_biased(b1 @ p["q1"].T, b1 @ p["qp1"].T, kc1, kp1,
+                                   grad=train)
+        h2, gc2, gp2 = hsic_biased(b2 @ p["q2"].T, b2 @ p["qp2"].T, kc2, kp2,
+                                   grad=train)
         value = rho * (h1 + h2)
+        if not train:
+            return value, {"hsic": value}, ()
         return value, {"hsic": value}, (
             ("q1", rho * gc1.T @ b1), ("qp1", rho * gp1.T @ b1),
             ("q2", rho * gc2.T @ b2), ("qp2", rho * gp2.T @ b2))

@@ -431,6 +431,18 @@ class TestHSIC:
         v1 = hsic_biased(u[p], v[p], ku, kv)[0]
         assert abs(v0 - v1) <= 1e-12
 
+    @pytest.mark.parametrize("m", [4, 5, 511, 512, 513, 1024])
+    def test_value_only_matches_the_gradient_path(self, rng, m):
+        # grad=False sums K o L by a product with one column instead of the
+        # last of [u, v, 1], so the two values may differ in the last bits.
+        u = rng.normal(size=(m, 2))
+        v = rng.normal(size=(m, 1)) + u[:, :1] ** 2
+        ku, kv = KernelSpec(0.9), KernelSpec(1.1)
+        value, gu, gv = hsic_biased(u, v, ku, kv, grad=False)
+        assert gu is None and gv is None
+        assert abs(value - hsic_biased(u, v, ku, kv)[0]) <= 1e-15
+        assert abs(value - ref_hsic(u, v, 0.9, 1.1)[0]) <= 1e-12
+
     def test_row_mismatch(self, rng):
         with pytest.raises(ValidationError):
             hsic_biased(rng.normal(size=(8, 1)), rng.normal(size=(9, 1)))

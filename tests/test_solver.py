@@ -43,6 +43,18 @@ def test_private_mode_needs_private_dimensions():
                                 solver.SolverConfig(d_c=2, d_p1=1, d_p2=1))
 
 
+def test_private_checkpoints_form_no_hsic_gradients(monkeypatch):
+    ds = small_dataset(seed=1, n=600, preset="private-appxG")
+    calls, real = [], solver.hsic_biased
+    monkeypatch.setattr(solver, "hsic_biased", lambda u, *a, grad=True:
+                        calls.append((u.shape[0], grad)) or real(u, *a, grad=grad))
+    cfg = _private_config()
+    solver.fit(ds.x1, ds.x2, cfg)
+    # 3 batches of 200 rows an epoch, 2 views; checkpoints at epochs 0 and 2.
+    steps = [(200, True)] * (2 * 3 * cfg.epochs)
+    assert sorted(calls) == sorted(steps + [(300, False)] * 4)
+
+
 @pytest.mark.parametrize("mode", ["unaligned", "homogeneous"])
 def test_fit_forms_each_view_covariance_once(monkeypatch, mode):
     # Homogeneous mode pools the two views' covariances; it once formed each
