@@ -7,10 +7,12 @@ for the private heads, and the homogeneous mode ties the two projections to a
 single matrix. One loop, `_train`, minimizes any such list of terms, in every
 mode and in the warm start; the same terms give the checkpoint objective,
 recorded at epoch 0, every checkpoint_every epochs and after the last epoch. A
-checkpoint reads only values, so its MMD is the value-only one and its
-adversarial value runs the discriminator forward only. A training step forms
-only the gradients it reads: the discriminator's own step its parameter
-gradients, the projection update the discriminator's input gradients.
+checkpoint reads only values, so its MMD and HSIC are the value-only ones and
+its adversarial value runs the discriminator forward only. A training step
+forms only the gradients it reads: the discriminator's own step its parameter
+gradients, the projection update the discriminator's input gradients. A step
+whose term is not finite, or whose whitening penalty passes a bound no
+working fit comes near, raises DivergenceError naming the term and epoch.
 
 Optimization runs in whitened coordinates (Q = Q~ W with W the data whitening
 matrix), which makes Adam's step size meaningful across data scales, and in
@@ -20,8 +22,9 @@ distribution-matching constraint), followed by the configured matcher as the
 traced training phase. A quantile step sorts its slices with the default-kind
 argsort, which is a quarter of the stable one's cost, and falls back to the
 stable sort only when a slice holds equal values, so its order and its bytes
-are the stable sort's. Restart selection uses a frozen two-bandwidth MMD
-score on a large deterministic subsample; the score is value-only. Every
+are the stable sort's. Restart selection uses a value-only MMD on a large
+deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
+sigma frozen, which is the sum of the MMD at both bandwidths. Every
 MMD, a step's value and gradients included, is summed over 512-row strips,
 so no MMD call forms an n x n Gram matrix. Covariances are frozen before the
 first step and kernel bandwidths are fixed by the data's probe projections,
@@ -37,6 +40,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -365,21 +369,43 @@ def _resolve_anchors(anchors, cfg, n1, n2):
     return pairs
 
 
-def _guard(term: str, value: float, epoch: int) -> None:
+# Largest R(Q1) + R(Q2) a whitening term may reach. R(Q) = sum_i (l_i - 1)^2
+# over the eigenvalues l_i >= 0 of Q S Q^T, the projected codes' covariance,
+# which the penalty drives to I; an eigenvalue below 1 adds less than 1. Past
+# this bound one head's R exceeds 5e5, so at d_c <= 50 some l_i exceeds 100:
+# a projected standard deviation ten times the whitened scale at which the
+# matcher's kernel bandwidth was frozen. Fits at the defaults stay below 1
+# (at most 0.83, homogeneous); a step size that throws the projections
+# about passes 1e8 in its first epoch.
+_WHITENING_LIMIT = 1e6
+
+
+def _guard(term: str, value: float, epoch: int, limit: float) -> None:
     if not np.isfinite(value):
         raise DivergenceError(f"{term} became non-finite at epoch {epoch}")
+    if value > limit:
+        raise DivergenceError(
+            f"{term} reached {value:.3g}, above its bound {limit:.3g}, "
+            f"at epoch {epoch}")
 
 
 # ---------------------------------------------------------------------------
 # Objective terms
 #
-# A term is a (name, fn) pair. fn(p, b1, b2, train) sees the parameters p by
-# slot (q1, q2, qp1, qp2) and a batch of whitened rows b1, b2 of each view; it
-# returns its weighted value, its shares of the _SUMS columns and (slot,
-# gradient) pairs. train=False evaluates a checkpoint, where only the value is
-# read: the matcher then computes no gradients. Gradients add per slot in term
-# order, which fixes the floating-point sums.
+# A term is a _Term. fn(p, b1, b2, train) sees the parameters p by slot (q1,
+# q2, qp1, qp2) and a batch of whitened rows b1, b2 of each view; it returns
+# its weighted value, its shares of the _SUMS columns and (slot, gradient)
+# pairs. train=False evaluates a checkpoint, where only the value is read:
+# the matcher and HSIC then compute no gradients. Gradients add per slot in
+# term order, which fixes the floating-point sums. A training step whose
+# value is not finite or exceeds the term's limit raises DivergenceError.
 # ---------------------------------------------------------------------------
+
+class _Term(NamedTuple):
+    name: str
+    fn: Callable
+    limit: float = np.inf
+
 
 class _Matcher:
     """The configured divergence between the projected shared views.
@@ -434,18 +460,19 @@ def _quantile_term(cfg: SolverConfig, rng: np.random.Generator):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         value, gu, gv = quantile_match(b1 @ p["q1"].T, b2 @ p["q2"].T, dirs)
         return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
-    return "warm-start quantile matcher", term
+    return _Term("warm-start quantile matcher", term)
 
 
 def _whitening_term(name: str, w: float, s1: str, s2: str, v1: _View,
                     v2: _View):
-    """w * (R(Q_s1) + R(Q_s2)) for one head per view."""
+    """w * (R(Q_s1) + R(Q_s2)) for one head per view; R(Q_s1) + R(Q_s2)
+    past _WHITENING_LIMIT is a divergence."""
     def term(p, b1, b2, train):
         r1, g1 = whitening_penalty(p[s1], v1.sz)
         r2, g2 = whitening_penalty(p[s2], v2.sz)
         return (w * (r1 + r2), {"rq1": w * r1, "rq2": w * r2},
                 ((s1, w * g1), (s2, w * g2)))
-    return name, term
+    return _Term(name, term, w * _WHITENING_LIMIT)
 
 
 def _anchor_term(beta: float, pairs: np.ndarray, v1: _View, v2: _View):
@@ -456,7 +483,7 @@ def _anchor_term(beta: float, pairs: np.ndarray, v1: _View, v2: _View):
         value, g1, g2 = anchor_penalty(p["q1"], p["q2"], x1a, x2a)
         return (beta * value, {"anchor": beta * value},
                 (("q1", beta * g1), ("q2", beta * g2)))
-    return "anchor penalty", term
+    return _Term("anchor penalty", term)
 
 
 def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
@@ -480,7 +507,7 @@ def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
         return value, {"hsic": value}, (
             ("q1", rho * gc1.T @ b1), ("qp1", rho * gp1.T @ b1),
             ("q2", rho * gc2.T @ b2), ("qp2", rho * gp2.T @ b2))
-    return "hsic", term
+    return _Term("hsic", term)
 
 
 def _constraints(cfg: SolverConfig, v1: _View, v2: _View, pairs) -> list:
@@ -526,8 +553,8 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
         rows = min(checkpoint[1], v1.n, v2.n)
         z1, z2 = v1.z[:rows], v2.z[:rows]
         value = 0.0
-        for _, term in terms:
-            value += term(p, z1, z2, False)[0]
+        for term in terms:
+            value += term.fn(p, z1, z2, False)[0]
         checkpoints.append((epoch, value))
 
     if checkpoint:
@@ -539,9 +566,9 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
         for idx1, idx2 in _epoch_batches(v1.n, v2.n, batch, rng_batch):
             b1, b2 = v1.z[idx1], v2.z[idx2]
             row, grads = np.zeros(len(_SUMS)), {}
-            for name, term in terms:
+            for name, term, limit in terms:
                 value, columns, term_grads = term(p, b1, b2, True)
-                _guard(name, value, epoch)
+                _guard(name, value, epoch, limit)
                 for column, share in columns.items():
                     row[_SUMS.index(column)] += share
                 for slot, g in term_grads:
@@ -660,7 +687,7 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
                                    homogeneous, rng_init, rng_batch)
 
     blocks = _shared_blocks(cfg.lr_q, homogeneous)
-    terms = [("matcher", matcher), *_constraints(cfg, v1, v2, pairs)]
+    terms = [_Term("matcher", matcher), *_constraints(cfg, v1, v2, pairs)]
     if private:
         blocks += [_Block(("qp1",), cfg.lr_p), _Block(("qp2",), cfg.lr_p)]
         terms += [_whitening_term("private whitening penalty", cfg.omega,

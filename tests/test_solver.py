@@ -86,6 +86,26 @@ def test_divergence_names_the_term(entry):
             _blow_up(entry)
 
 
+@pytest.mark.parametrize("entry,term", [
+    ("fit", "whitening penalty"), ("warm_start", "whitening penalty"),
+    ("fit_with_private", "private whitening penalty")])
+def test_finite_blow_up_names_the_term_and_epoch(entry, term):
+    # At lr_q=100 the objective climbs from 4e-3 at epoch 0's checkpoint to
+    # about 1e8 while staying finite; without a bound the fit returned.
+    # Fits at the defaults keep each whitening penalty below 1.
+    if entry == "fit_with_private":
+        ds = small_dataset(seed=1, n=600, preset="private-appxG")
+        cfg = _private_config(epochs=20, lr_p=100.0)
+    else:
+        ds = small_dataset(seed=1, n=600, preset="thm1a")
+        warm = {"restarts": 2, "warm_epochs": 2} if entry == "warm_start" else {}
+        cfg = solver.SolverConfig(d_c=ds.d_c, lr_q=100.0,
+                                  **{**TINY, "epochs": 20, **warm})
+    with pytest.raises(solver.DivergenceError,
+                       match=rf"^{term} reached .*, above its bound .*, at epoch 0$"):
+        solver.fit(ds.x1, ds.x2, cfg)
+
+
 @pytest.mark.parametrize("field,value", [
     ("checkpoint_every", 0), ("warm_slices", 0), ("checkpoint_rows", 1),
     ("select_rows", 3), ("batch", 1), ("restarts", 0), ("rho", -1.0),
