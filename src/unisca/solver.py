@@ -371,7 +371,7 @@ def _resolve_anchors(anchors, cfg, n1, n2):
 
 # Largest R(Q1) + R(Q2) a whitening term may reach. R(Q) = sum_i (l_i - 1)^2
 # over the eigenvalues l_i >= 0 of Q S Q^T, the projected codes' covariance,
-# which the penalty drives to I; an eigenvalue below 1 adds less than 1. Past
+# which the penalty drives to I; an eigenvalue below 1 adds at most 1. Past
 # this bound one head's R exceeds 5e5, so at d_c <= 50 some l_i exceeds 100:
 # a projected standard deviation ten times the whitened scale at which the
 # matcher's kernel bandwidth was frozen. Fits at the defaults stay below 1
