@@ -292,18 +292,15 @@ class Discriminator:
     exact; the backward pass forms only the ones asked for. It reads only
     the post-activations: since 0 < _LEAK < 1, a hidden unit's output is
     max(z, _LEAK z), positive exactly where its pre-activation z is, so its
-    sign gives the slope. Optional input dropout is applied only when
-    `train=True`.
+    sign gives the slope.
     """
 
     def __init__(self, in_dim: int, hidden: tuple = DEFAULT_HIDDEN,
-                 lr: float = 8e-5, label_smoothing: float = 0.2,
-                 input_dropout: float = 0.0, *, rng: np.random.Generator):
+                 lr: float = 8e-5, label_smoothing: float = 0.2, *,
+                 rng: np.random.Generator):
         self.in_dim = int(in_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.label_smoothing = float(label_smoothing)
-        self.input_dropout = float(input_dropout)
-        self._rng = rng
         dims = [self.in_dim, *self.hidden, 1]
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -313,25 +310,15 @@ class Discriminator:
             self.biases.append(np.zeros(fan_out))
         self.adam = [AdamState(lr=lr) for _ in range(2 * len(self.weights))]
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def _forward(self, x: np.ndarray, train: bool = False, keep: bool = False):
+    def _forward(self, x: np.ndarray, keep: bool = False):
         """(clamped probabilities, raw sigmoid, cache). With keep the cache
-        holds what the backward pass reads: the post-activations, the
-        (dropped-out) input first, and the dropout scale. Without it the
-        cache is None and each layer's output is dropped once the next one
-        is formed."""
+        holds what the backward pass reads: the post-activations, the input
+        first. Without it the cache is None and each layer's output is
+        dropped once the next one is formed."""
         x = check_matrix(x, "discriminator input")
         if x.shape[1] != self.in_dim:
             raise ValidationError(
                 f"discriminator expects {self.in_dim} features, got {x.shape[1]}")
-        drop = None
-        if train and self.input_dropout > 0.0:
-            keep_p = 1.0 - self.input_dropout
-            drop = (self._rng.random(x.shape) < keep_p) / keep_p
-            x = x * drop
         acts, a = [x], x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w.T
@@ -342,13 +329,13 @@ class Discriminator:
                     acts.append(a)
         p_raw = 1.0 / (1.0 + np.exp(-a[:, 0]))
         p = np.clip(p_raw, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        return p, p_raw, ((acts, drop) if keep else None)
+        return p, p_raw, (acts if keep else None)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1), strictly clamped away from the endpoints."""
         return self._forward(x)[0]
 
-    def _backward(self, cache, dz_out: np.ndarray, params: bool = True,
+    def _backward(self, acts: list, dz_out: np.ndarray, params: bool = True,
                   inputs: bool = True):
         """Backprop a gradient at the output pre-activation down to the input.
 
@@ -358,7 +345,6 @@ class Discriminator:
         None; with inputs False the pass stops before the product with the
         first layer's weights and input_grad is None.
         """
-        acts, drop = cache
         grads = [None] * (2 * len(self.weights)) if params else None
         dz = dz_out[:, None]
         for i in range(len(self.weights) - 1, -1, -1):
@@ -370,7 +356,7 @@ class Discriminator:
             dz = dz @ self.weights[i]
             if i > 0:
                 dz *= np.maximum(acts[i] > 0, _LEAK)
-        return grads, (dz if drop is None else dz * drop)
+        return grads, dz
 
 
 def _half_loss_and_dz(p: np.ndarray, p_raw: np.ndarray, real: bool,
@@ -398,8 +384,7 @@ _GRADS = {"all": (True, True), "params": (True, False),
 
 
 def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
-                        smoothing: float = 0.0, train: bool = False, *,
-                        grads: str = "all"):
+                        smoothing: float = 0.0, *, grads: str = "all"):
     """Adversarial value mean log f(u) + mean log(1 - f(v)) and its gradients.
 
     Returns (loss, param_grads, grad_u, grad_v). `grads` names what is
@@ -410,12 +395,11 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
     forwarded and backpropagated before the next, so one view's cache is held
     at a time. `smoothing` > 0 smooths the targets (used for the
     discriminator's own update); the projection update uses the plain value.
-    `train=True` enables input dropout.
     """
     params, inputs = _GRADS[grads]
 
     def side(x, real):
-        p, p_raw, cache = f._forward(x, train=train, keep=params or inputs)
+        p, p_raw, cache = f._forward(x, keep=params or inputs)
         loss, dz = _half_loss_and_dz(p, p_raw, real, smoothing, x.shape[0])
         if cache is None:
             return loss, None, None
@@ -431,7 +415,7 @@ def discriminator_step(f: Discriminator, u: np.ndarray, v: np.ndarray) -> float:
     """One ascent step on the label-smoothed adversarial value; returns it.
     Only the parameter gradients are formed."""
     loss, param_grads, _, _ = gan_value_and_grads(
-        f, u, v, smoothing=f.label_smoothing, train=True, grads="params")
+        f, u, v, smoothing=f.label_smoothing, grads="params")
     params = [a for pair in zip(f.weights, f.biases) for a in pair]
     for adam, p, g in zip(f.adam, params, param_grads):
         p[...] = adam.step(p, -g)

@@ -12,7 +12,8 @@ its adversarial value runs the discriminator forward only. A training step
 forms only the gradients it reads: the discriminator's own step its parameter
 gradients, the projection update the discriminator's input gradients. A step
 whose term is not finite, or whose whitening penalty passes a bound no
-working fit comes near, raises DivergenceError naming the term and epoch.
+working fit comes near, raises DivergenceError naming the term, the epoch
+and the phase: a warm-start restart or the traced training.
 
 Optimization runs in whitened coordinates (Q = Q~ W with W the data whitening
 matrix), which makes Adam's step size meaningful across data scales, and in
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import numbers
 import operator
 import os
 import time
@@ -71,10 +73,10 @@ _BOUNDS = (
         "warm_batch": 2, "warm_slices": 1, "checkpoint_every": 1,
         "checkpoint_rows": 4, "select_rows": 4, "lambda_whiten": 0,
         "beta": 0, "omega": 0, "rho": 0, "d_p1": 0, "d_p2": 0,
-        "disc_hidden": 1, "disc_steps": 1, "disc_input_dropout": 0,
-        "label_smoothing": 0, "init_noise": 0}),
+        "disc_hidden": 1, "disc_steps": 1, "label_smoothing": 0,
+        "init_noise": 0}),
     (operator.gt, ">", {"lr_q": 0, "lr_f": 0, "lr_p": 0, "bandwidth": 0}),
-    (operator.le, "<=", {"disc_input_dropout": 0.99, "label_smoothing": 0.5}),
+    (operator.le, "<=", {"label_smoothing": 0.5}),
 )
 
 
@@ -84,6 +86,16 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(name: str, value, optional: bool) -> None:
+    """Check `value` of float field `name`: an int or a float passes (None
+    too if the field is optional), a bool or any other type is a
+    ValidationError."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 class DivergenceError(RuntimeError):
@@ -120,7 +132,6 @@ class SolverConfig:
     bandwidth: float | None = None
     disc_hidden: tuple = DEFAULT_HIDDEN
     disc_steps: int = 1
-    disc_input_dropout: float = 0.0
     label_smoothing: float = 0.2
     init_noise: float = 0.01
     restarts: int = 8
@@ -139,6 +150,11 @@ class SolverConfig:
         for f in fields(self):
             if f.type == "int":
                 setattr(self, f.name, _integer(f.name, getattr(self, f.name)))
+            elif f.type in ("float", "float | None"):
+                _number(f.name, getattr(self, f.name), f.type != "float")
+        if not isinstance(self.disc_hidden, (tuple, list)):
+            raise ValidationError("disc_hidden must be a sequence of integers, "
+                                  f"got {self.disc_hidden!r}")
         self.disc_hidden = tuple(_integer("disc_hidden", h)
                                  for h in self.disc_hidden)
         for holds, symbol, bounds in _BOUNDS:
@@ -380,13 +396,15 @@ def _resolve_anchors(anchors, cfg, n1, n2):
 _WHITENING_LIMIT = 1e6
 
 
-def _guard(term: str, value: float, epoch: int, limit: float) -> None:
+def _guard(term: str, value: float, epoch: int, phase: str,
+           limit: float) -> None:
     if not np.isfinite(value):
-        raise DivergenceError(f"{term} became non-finite at epoch {epoch}")
+        raise DivergenceError(
+            f"{term} became non-finite at epoch {epoch} of {phase}")
     if value > limit:
         raise DivergenceError(
             f"{term} reached {value:.3g}, above its bound {limit:.3g}, "
-            f"at epoch {epoch}")
+            f"at epoch {epoch} of {phase}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +445,7 @@ class _Matcher:
         else:
             self.disc = Discriminator(
                 cfg.d_c, hidden=cfg.disc_hidden, lr=cfg.lr_f,
-                label_smoothing=cfg.label_smoothing,
-                input_dropout=cfg.disc_input_dropout, rng=rng)
+                label_smoothing=cfg.label_smoothing, rng=rng)
             self.steps = cfg.disc_steps
 
     @functools.cached_property
@@ -541,11 +558,12 @@ def _shared_blocks(lr: float, tied: bool) -> list:
 
 def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
            rng_batch: np.random.Generator, batch: int, epochs: int,
-           checkpoint: tuple[int, int] | None = None):
+           phase: str, checkpoint: tuple[int, int] | None = None):
     """Adam on the sum of `terms`, updating the parameters `p` in place.
 
     Returns the trace (TRACE_COLUMNS) and, with checkpoint=(every, rows),
-    the (epoch, objective) checkpoints on the leading `rows` rows.
+    the (epoch, objective) checkpoints on the leading `rows` rows. Each phase
+    numbers its epochs from 0, so a DivergenceError ends with `phase`.
     """
     checkpoints = []
 
@@ -568,7 +586,7 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
             row, grads = np.zeros(len(_SUMS)), {}
             for name, term, limit in terms:
                 value, columns, term_grads = term(p, b1, b2, True)
-                _guard(name, value, epoch, limit)
+                _guard(name, value, epoch, phase, limit)
                 for column, share in columns.items():
                     row[_SUMS.index(column)] += share
                 for slot, g in term_grads:
@@ -631,7 +649,8 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         terms = [_quantile_term(cfg, rng_batch),
                  *_constraints(cfg, v1, v2, pairs)]
         _train(p, _shared_blocks(cfg.lr_q, homogeneous), terms, v1, v2,
-               rng_batch, cfg.warm_batch, cfg.warm_epochs)
+               rng_batch, cfg.warm_batch, cfg.warm_epochs,
+               f"warm-start restart {restart}")
         s = score(p["q1"], p["q2"])
         log.debug("warm start restart %d: score %.6g", restart, s)
         if s < best_score:
@@ -694,7 +713,7 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
                                   "qp1", "qp2", v1, v2),
                   _hsic_term(cfg.rho, p, v1, v2)]
     trace, checkpoints = _train(p, blocks, terms, v1, v2, rng_batch,
-                                cfg.batch, cfg.epochs,
+                                cfg.batch, cfg.epochs, "training",
                                 (cfg.checkpoint_every, cfg.checkpoint_rows))
 
     proj1 = Projection(p["q1"] @ v1.w, pooled if homogeneous else v1.sigma)
@@ -795,7 +814,6 @@ def load_model(directory: str) -> FitResult:
     if meta.get("has_discriminator") and cfg is not None:
         disc = Discriminator(q1.matrix.shape[0], hidden=tuple(meta["disc_hidden"]),
                              lr=cfg.lr_f, label_smoothing=cfg.label_smoothing,
-                             input_dropout=cfg.disc_input_dropout,
                              rng=substream(cfg.seed, "solver", "disc-reload"))
         for i in range(len(disc.weights)):
             disc.weights[i] = matio.read_matrix(directory, f"disc_W{i}")[0]

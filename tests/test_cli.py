@@ -92,15 +92,19 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+# Solver fields deleted since the first saved models.
+_DELETED_FIELDS = {"gamma": 0.1, "disc_input_dropout": 0.0}
+
+
 def test_config_setting_a_deleted_solver_field_is_an_error_line(tmp_path, capsys):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"version": 1, "solver": {"d_c": 2, "gamma": 0.1}}))
-    out = tmp_path / "model"
-    assert cli.main(["fit", "--config", str(cfg), "--data",
-                     str(tmp_path / "data"), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config invalid at solver") and "gamma" in err
-    assert not out.exists()
+    cfg, out = tmp_path / "config.json", tmp_path / "model"
+    for key, value in _DELETED_FIELDS.items():
+        cfg.write_text(json.dumps({"version": 1, "solver": {"d_c": 2, key: value}}))
+        assert cli.main(["fit", "--config", str(cfg), "--data",
+                         str(tmp_path / "data"), "--out", str(out)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid at solver") and key in err
+        assert not out.exists()
 
 
 def test_eval_names_model_config_keys_it_does_not_know(tmp_path, capsys):
@@ -110,15 +114,16 @@ def test_eval_names_model_config_keys_it_does_not_know(tmp_path, capsys):
     assert cli.main(["fit", "--config", cfg, "--data", data,
                      "--out", str(model)]) == 0
     meta = json.loads((model / "model.json").read_text())
-    # A model directory written while SolverConfig still had `gamma`.
-    meta["config"].update(bogus=1, gamma=0.1)
-    (model / "model.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert cli.main(["eval", "--model", str(model), "--data", data]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {model}: model config has unknown keys "
-                          "['bogus', 'gamma']; refit the model")
-    assert "Traceback" not in err and not (model / "report.json").exists()
+    # A model directory written while SolverConfig still had each field.
+    for key, value in _DELETED_FIELDS.items():
+        (model / "model.json").write_text(json.dumps(
+            {**meta, "config": {**meta["config"], "bogus": 1, key: value}}))
+        capsys.readouterr()
+        assert cli.main(["eval", "--model", str(model), "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: model config has unknown "
+                              f"keys {sorted(['bogus', key])}; refit the model")
+        assert "Traceback" not in err and not (model / "report.json").exists()
 
 
 def test_config_that_is_not_json_is_an_error_line(tmp_path, capsys):

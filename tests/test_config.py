@@ -31,10 +31,9 @@ _SOLVER_BOUNDS = [
     ("lambda_whiten", ">=", 0), ("beta", ">=", 0), ("omega", ">=", 0),
     ("rho", ">=", 0), ("d_p1", ">=", 0), ("d_p2", ">=", 0),
     ("disc_hidden", ">=", 1), ("disc_steps", ">=", 1),
-    ("disc_input_dropout", ">=", 0), ("label_smoothing", ">=", 0),
-    ("init_noise", ">=", 0),
+    ("label_smoothing", ">=", 0), ("init_noise", ">=", 0),
     ("lr_q", ">", 0), ("lr_f", ">", 0), ("lr_p", ">", 0), ("bandwidth", ">", 0),
-    ("disc_input_dropout", "<=", 0.99), ("label_smoothing", "<=", 0.5),
+    ("label_smoothing", "<=", 0.5),
 ]
 
 

@@ -92,7 +92,8 @@ def test_divergence_names_the_term(entry):
 def test_finite_blow_up_names_the_term_and_epoch(entry, term):
     # At lr_q=100 the objective climbs from 4e-3 at epoch 0's checkpoint to
     # about 1e8 while staying finite; without a bound the fit returned.
-    # Fits at the defaults keep each whitening penalty below 1.
+    # Fits at the defaults keep each whitening penalty below 1. Each phase
+    # numbers its epochs from 0, so only the phase tells the first two apart.
     if entry == "fit_with_private":
         ds = small_dataset(seed=1, n=600, preset="private-appxG")
         cfg = _private_config(epochs=20, lr_p=100.0)
@@ -101,8 +102,10 @@ def test_finite_blow_up_names_the_term_and_epoch(entry, term):
         warm = {"restarts": 2, "warm_epochs": 2} if entry == "warm_start" else {}
         cfg = solver.SolverConfig(d_c=ds.d_c, lr_q=100.0,
                                   **{**TINY, "epochs": 20, **warm})
+    phase = "warm-start restart 0" if entry == "warm_start" else "training"
     with pytest.raises(solver.DivergenceError,
-                       match=rf"^{term} reached .*, above its bound .*, at epoch 0$"):
+                       match=rf"^{term} reached .*, above its bound .*, "
+                             rf"at epoch 0 of {phase}$"):
         solver.fit(ds.x1, ds.x2, cfg)
 
 
@@ -255,6 +258,15 @@ def test_config_integer_fields_take_integers_only(value, accepted):
             continue
         cfg = solver.SolverConfig(**{"d_c": 2, name: value})
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr_q", "x"), ("bandwidth", "1"), ("lambda_whiten", True),
+    ("label_smoothing", None), ("disc_hidden", 5)])
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    # Each once escaped as a bare TypeError or was accepted.
+    with pytest.raises(ValidationError, match=f"^{field} must be a "):
+        solver.SolverConfig(**{"d_c": 2, field: value})
 
 
 def test_config_disc_hidden_takes_integers_only():
