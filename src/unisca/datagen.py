@@ -10,120 +10,84 @@ centered observation matrices.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matio
 from .numerics import ValidationError, check_keys, check_matrix, substream
 
-_KINDS = ("normal", "uniform", "laplace", "gamma", "beta", "vonmises", "mixture")
+# Each kind's parameter check and the message raised when it fails. A kind
+# other than mixture takes two parameters and is drawn by the numpy Generator
+# method of the same name, called with them in the order named here.
+_KINDS = {
+    "normal": (lambda mu, sigma: sigma > 0, "normal sigma must be > 0"),
+    "uniform": (lambda a, b: a < b, "uniform requires a < b"),
+    "laplace": (lambda mu, b: b > 0, "laplace scale must be > 0"),
+    "gamma": (lambda shape, scale: shape > 0 and scale > 0,
+              "gamma shape and scale must be > 0"),
+    "beta": (lambda a, b: a > 0 and b > 0, "beta shape parameters must be > 0"),
+    "vonmises": (lambda mu, kappa: kappa > 0, "vonmises concentration must be > 0"),
+    "mixture": (lambda *rows: all(w > 0 and s > 0 for w, _, s in rows)
+                and abs(sum(w for w, _, _ in rows) - 1.0) <= 1e-9,
+                "mixture weights must be positive and sum to 1, "
+                "and each sigma must be > 0"),
+}
 
 
-def _numbers(values, count: int | None = None) -> bool:
-    """Whether values is a list of `count` (or any number of) finite numbers."""
-    return (isinstance(values, list) and count in (None, len(values))
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in values))
+def _rows(kind: str, params) -> tuple | None:
+    """params as a tuple of float rows: one row of two, or a mixture's one or
+    more (w, mu, sigma) rows; None unless every entry is a finite number."""
+    width = 3 if kind == "mixture" else 2
+    rows = params if width == 3 else [params]
+    if not (isinstance(rows, (list, tuple)) and rows and all(
+            isinstance(r, (list, tuple)) and len(r) == width
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in r) for r in rows)):
+        return None
+    return tuple(tuple(float(v) for v in r) for r in rows)
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """Declarative 1-D marginal: a kind tag plus its parameter tuple.
 
-    Kinds and parameters:
+    Kinds are the names of numpy Generator methods, and a kind other than
+    mixture is drawn by that method with its two parameters in order:
       normal(mu, sigma)     uniform(a, b)       laplace(mu, b)
-      gamma(alpha, theta)   beta(alpha, beta)   vonmises(mu, kappa)
-      mixture(((w, mu, sigma), ...))
+      gamma(shape, scale)   beta(a, b)          vonmises(mu, kappa)
+    mixture(((w, mu, sigma), ...)) is a Gaussian mixture: each draw picks a
+    component with probability w, then draws normal(mu, sigma).
 
     Von Mises samples follow the usual wrapped convention and land in
-    [-pi, pi]. Parameters are validated at construction.
+    [-pi, pi]. Parameters are validated at construction and stored as floats,
+    so DistributionSpec("gamma", (1, 3)) == DistributionSpec("gamma", (1.0, 3.0)).
     """
 
     kind: str
     params: tuple
 
     def __post_init__(self):
-        k, p = self.kind, self.params
-        if k not in _KINDS:
-            raise ValidationError(f"unknown distribution kind '{k}'")
-        if k == "mixture":
-            if not p:
-                raise ValidationError("mixture needs at least one component")
-            weights = [w for w, _, _ in p]
-            if not np.all(np.isfinite(p)):
-                raise ValidationError(f"mixture parameters must be finite, got {p}")
-            if any(w <= 0 for w in weights):
-                raise ValidationError("mixture weights must be positive")
-            if abs(sum(weights) - 1.0) > 1e-9:
-                raise ValidationError("mixture weights must sum to 1")
-            if any(s <= 0 for _, _, s in p):
-                raise ValidationError("mixture component sigma must be > 0")
-            return
-        if len(p) != 2 or not all(np.isfinite(p)):
-            raise ValidationError(f"{k} expects 2 finite parameters, got {p}")
-        a, b = p
-        if k == "normal" and b <= 0:
-            raise ValidationError("normal sigma must be > 0")
-        if k == "uniform" and not a < b:
-            raise ValidationError("uniform requires a < b")
-        if k == "laplace" and b <= 0:
-            raise ValidationError("laplace scale must be > 0")
-        if k in ("gamma", "beta") and (a <= 0 or b <= 0):
-            raise ValidationError(f"{k} shape parameters must be > 0")
-        if k == "vonmises" and b <= 0:
-            raise ValidationError("vonmises concentration must be > 0")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ValidationError(f"unknown distribution kind {self.kind!r}")
+        rows = _rows(self.kind, self.params)
+        if rows is None:
+            shape = "(w, mu, sigma) rows" if self.kind == "mixture" else "2 parameters"
+            raise ValidationError(f"{self.kind} expects {shape} of finite numbers, "
+                                  f"got {self.params!r}")
+        params = rows if self.kind == "mixture" else rows[0]
+        check, message = _KINDS[self.kind]
+        if not check(*params):
+            raise ValidationError(message)
+        object.__setattr__(self, "params", params)
 
-    # -- constructors -------------------------------------------------------
-    @classmethod
-    def normal(cls, mu, sigma):
-        return cls("normal", (float(mu), float(sigma)))
-
-    @classmethod
-    def uniform(cls, a, b):
-        return cls("uniform", (float(a), float(b)))
-
-    @classmethod
-    def laplace(cls, mu, b):
-        return cls("laplace", (float(mu), float(b)))
-
-    @classmethod
-    def gamma(cls, alpha, theta):
-        return cls("gamma", (float(alpha), float(theta)))
-
-    @classmethod
-    def beta(cls, alpha, beta):
-        return cls("beta", (float(alpha), float(beta)))
-
-    @classmethod
-    def vonmises(cls, mu, kappa):
-        return cls("vonmises", (float(mu), float(kappa)))
-
-    @classmethod
-    def mixture(cls, components):
-        comps = tuple((float(w), float(m), float(s)) for w, m, s in components)
-        return cls("mixture", comps)
-
-    # -- sampling -----------------------------------------------------------
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        k, p = self.kind, self.params
-        if k == "normal":
-            return rng.normal(p[0], p[1], size=n)
-        if k == "uniform":
-            return rng.uniform(p[0], p[1], size=n)
-        if k == "laplace":
-            return rng.laplace(p[0], p[1], size=n)
-        if k == "gamma":
-            return rng.gamma(shape=p[0], scale=p[1], size=n)
-        if k == "beta":
-            return rng.beta(p[0], p[1], size=n)
-        if k == "vonmises":
-            return rng.vonmises(p[0], p[1], size=n)
-        weights = np.array([w for w, _, _ in p])
-        mus = np.array([m for _, m, _ in p])
-        sigmas = np.array([s for _, _, s in p])
-        comp = rng.choice(len(p), size=n, p=weights)
+        if self.kind != "mixture":
+            return getattr(rng, self.kind)(*self.params, size=n)
+        weights, mus, sigmas = np.array(self.params).T
+        comp = rng.choice(len(weights), size=n, p=weights)
         return rng.normal(mus[comp], sigmas[comp])
 
     def to_dict(self) -> dict:
@@ -136,15 +100,14 @@ class DistributionSpec:
         [w, mu, sigma] rows; a fault raises ValidationError("<where>...: ...")."""
         check_keys(d, where, required=("kind", "params"))
         kind, params = d["kind"], d["params"]
-        if kind not in _KINDS:
-            raise ValidationError(f"{where}/kind: {kind!r} is not one of {_KINDS}")
-        rows = params if kind == "mixture" and isinstance(params, list) else [params]
-        if not all(_numbers(r, 3 if kind == "mixture" else None) for r in rows):
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValidationError(f"{where}/kind: {kind!r} is not one of "
+                                  f"{tuple(_KINDS)}")
+        if _rows(kind, params) is None:
             raise ValidationError(f"{where}/params: expected finite numbers, "
                                   f"got {params!r}")
         try:
-            return (cls.mixture(params) if kind == "mixture"
-                    else cls(kind, tuple(float(v) for v in params)))
+            return cls(kind, params)
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
@@ -225,6 +188,11 @@ class MixingModel:
         k2 = latent.d_c + latent.d_p(2)
         d1 = k1 if d1 is None else int(d1)
         d2 = k2 if d2 is None else int(d2)
+        for q, d, k in ((1, d1, k1), (2, d2, k2)):
+            if d < k:  # a d x k matrix has rank at most d
+                raise ValidationError(
+                    f"d{q}={d} is below modality {q}'s latent count {k} "
+                    f"(d_c + d_p); its mixing matrix cannot have full column rank")
         if homogeneous and (k1 != k2 or d1 != d2):
             raise ValidationError("homogeneous mixing requires equal dimensions")
         for _ in range(_RANK_RETRIES):
@@ -364,35 +332,35 @@ def preset(name: str, rng: np.random.Generator | None = None
         if rng is None:
             rng = substream(0, "datagen", "preset-means")
         mus = rng.normal(0.0, np.sqrt(10.0), size=3)
-        gm = DistributionSpec.mixture([(1.0 / 3.0, m, np.sqrt(2.0)) for m in mus])
+        gm = DistributionSpec("mixture", [(1.0 / 3.0, m, np.sqrt(2.0)) for m in mus])
         latent = LatentSpec(
-            shared=(gm, DistributionSpec.gamma(1.0, 3.0)),
-            private1=(DistributionSpec.laplace(1.0, 6.5),),
-            private2=(DistributionSpec.uniform(-10.0, 10.0),),
+            shared=(gm, DistributionSpec("gamma", (1.0, 3.0))),
+            private1=(DistributionSpec("laplace", (1.0, 6.5)),),
+            private2=(DistributionSpec("uniform", (-10.0, 10.0)),),
         )
         return latent, MixingTemplate()
     if name == "thm1b":
-        vm = DistributionSpec.vonmises(2.5, 2.0)
+        vm = DistributionSpec("vonmises", (2.5, 2.0))
         latent = LatentSpec(
             shared=(vm, vm),
-            private1=(DistributionSpec.laplace(1.0, 6.5),),
-            private2=(DistributionSpec.gamma(0.5, 3.0),),
+            private1=(DistributionSpec("laplace", (1.0, 6.5)),),
+            private2=(DistributionSpec("gamma", (0.5, 3.0)),),
         )
         return latent, MixingTemplate()
     if name == "thm3-laplace":
-        lap = DistributionSpec.laplace(0.0, 6.5)
+        lap = DistributionSpec("laplace", (0.0, 6.5))
         latent = LatentSpec(
             shared=(lap, lap, lap),
-            private1=(DistributionSpec.uniform(-10.0, 10.0),),
-            private2=(DistributionSpec.gamma(0.5, 3.0),),
+            private1=(DistributionSpec("uniform", (-10.0, 10.0)),),
+            private2=(DistributionSpec("gamma", (0.5, 3.0)),),
         )
         return latent, MixingTemplate()
     if name == "private-appxG":
-        vm = DistributionSpec.vonmises(2.5, 2.0)
+        vm = DistributionSpec("vonmises", (2.5, 2.0))
         latent = LatentSpec(
             shared=(vm, vm),
-            private1=(DistributionSpec.beta(1.0, 3.0),),
-            private2=(DistributionSpec.gamma(0.5, 3.0),),
+            private1=(DistributionSpec("beta", (1.0, 3.0)),),
+            private2=(DistributionSpec("gamma", (0.5, 3.0)),),
         )
         return latent, MixingTemplate()
     raise ValidationError(

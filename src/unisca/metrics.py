@@ -51,6 +51,9 @@ def pair_match_error(q1: np.ndarray, x1_test: np.ndarray, q2: np.ndarray,
     v = check_matrix(x2_test, "X2_test") @ check_matrix(q2, "Q2").T
     if u.shape != v.shape:
         raise ValidationError("test views disagree after projection")
+    if u.shape[0] == 0:
+        raise ValidationError("no held-out test rows to score pairs on; "
+                              "generate the data with data.test_fraction > 0")
     num = np.linalg.norm(u - v, axis=1).mean()
     den = np.linalg.norm(u, axis=1).mean()
     if den == 0.0:

@@ -211,6 +211,23 @@ def test_retrieve_rejects_out_of_range_reference_id(tmp_path, capsys):
     assert "error: dictionary reference id 99 out of range" in capsys.readouterr().err
 
 
+def test_eval_without_held_out_rows_is_an_error_line(tmp_path, capsys):
+    with open(_config(tmp_path)) as f:
+        cfg = json.load(f)
+    cfg["data"]["test_fraction"] = 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    data, model = str(tmp_path / "data"), tmp_path / "model"
+    assert cli.main(["gen", "--config", str(path), "--out", data]) == 0
+    assert cli.main(["fit", "--config", str(path), "--data", data,
+                     "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(model), "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no held-out test rows")
+    assert "Traceback" not in err and not (model / "report.json").exists()
+
+
 def _five_column_data(tmp_path) -> str:
     """Generate a tiny thm1a dataset mixed into five columns per view."""
     cfg = tmp_path / "wide.json"

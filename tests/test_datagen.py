@@ -6,8 +6,8 @@ from scipy import integrate, special
 
 from unisca import datagen
 from unisca.datagen import (DistributionSpec, LatentSpec, MixingModel,
-                            MixingTemplate, generate_dataset, preset,
-                            sample_anchors, save_dataset, load_dataset)
+                            generate_dataset, preset, sample_anchors,
+                            save_dataset, load_dataset)
 from unisca.numerics import ValidationError, substream
 
 
@@ -45,14 +45,14 @@ def _analytic_moments(spec):
 
 
 MOMENT_SPECS = [
-    DistributionSpec.normal(1.5, 2.0),
-    DistributionSpec.uniform(-10.0, 10.0),
-    DistributionSpec.laplace(1.0, 6.5),
-    DistributionSpec.gamma(1.0, 3.0),
-    DistributionSpec.gamma(0.5, 3.0),
-    DistributionSpec.beta(1.0, 3.0),
-    DistributionSpec.vonmises(2.5, 2.0),
-    DistributionSpec.mixture([(0.2, -4.0, 1.0), (0.5, 0.0, 2.0), (0.3, 5.0, 1.5)]),
+    DistributionSpec("normal", (1.5, 2.0)),
+    DistributionSpec("uniform", (-10.0, 10.0)),
+    DistributionSpec("laplace", (1.0, 6.5)),
+    DistributionSpec("gamma", (1.0, 3.0)),
+    DistributionSpec("gamma", (0.5, 3.0)),
+    DistributionSpec("beta", (1.0, 3.0)),
+    DistributionSpec("vonmises", (2.5, 2.0)),
+    DistributionSpec("mixture", [(0.2, -4.0, 1.0), (0.5, 0.0, 2.0), (0.3, 5.0, 1.5)]),
 ]
 
 
@@ -69,52 +69,75 @@ class TestDistributions:
         assert abs(x.var() - var) <= 3.0 * se_var
 
     def test_uniform_example_bounds(self):
-        x = DistributionSpec.uniform(-10, 10).sample(
+        x = DistributionSpec("uniform", (-10, 10)).sample(
             1_000_000, substream(1, "tests", "unif"))
         assert abs(x.mean()) < 0.05
         assert abs(x.var() / (100.0 / 3.0) - 1.0) < 0.02
 
     def test_gamma_example_bounds(self):
-        x = DistributionSpec.gamma(1, 3).sample(
+        x = DistributionSpec("gamma", (1, 3)).sample(
             1_000_000, substream(1, "tests", "gamma"))
         assert abs(x.mean() / 3.0 - 1.0) < 0.02
         assert abs(x.var() / 9.0 - 1.0) < 0.02
 
     def test_degenerate_mixture_is_standard_normal(self):
-        x = DistributionSpec.mixture([(1.0, 0.0, 1.0)]).sample(
+        x = DistributionSpec("mixture", [(1.0, 0.0, 1.0)]).sample(
             200_000, substream(2, "tests", "mix1"))
         assert abs(x.mean()) < 0.01 and abs(x.var() - 1.0) < 0.02
 
     def test_vonmises_support(self):
-        x = DistributionSpec.vonmises(2.5, 2.0).sample(
+        x = DistributionSpec("vonmises", (2.5, 2.0)).sample(
             10_000, substream(3, "tests", "vm"))
         assert np.all(x >= -np.pi) and np.all(x <= np.pi)
 
     @pytest.mark.parametrize("bad", [
-        lambda: DistributionSpec.normal(0, -1),
-        lambda: DistributionSpec.uniform(3, 3),
-        lambda: DistributionSpec.laplace(0, 0),
-        lambda: DistributionSpec.gamma(-1, 1),
-        lambda: DistributionSpec.beta(1, 0),
-        lambda: DistributionSpec.vonmises(0, -2),
-        lambda: DistributionSpec.mixture([(0.5, 0, 1), (0.4, 1, 1)]),
-        lambda: DistributionSpec.mixture([(1.0, 0, -1)]),
-        lambda: DistributionSpec.mixture([(float("nan"), 0, 1)]),
-        lambda: DistributionSpec.mixture([(1.0, 0, float("nan"))]),
-        lambda: DistributionSpec.mixture([(1.0, float("nan"), 1)]),
-        lambda: DistributionSpec.mixture([(1.0, float("inf"), 1)]),
+        lambda: DistributionSpec("normal", (0, -1)),
+        lambda: DistributionSpec("uniform", (3, 3)),
+        lambda: DistributionSpec("laplace", (0, 0)),
+        lambda: DistributionSpec("gamma", (-1, 1)),
+        lambda: DistributionSpec("beta", (1, 0)),
+        lambda: DistributionSpec("vonmises", (0, -2)),
+        lambda: DistributionSpec("mixture", [(0.5, 0, 1), (0.4, 1, 1)]),
+        lambda: DistributionSpec("mixture", [(1.0, 0, -1)]),
+        lambda: DistributionSpec("mixture", [(float("nan"), 0, 1)]),
+        lambda: DistributionSpec("mixture", [(1.0, 0, float("nan"))]),
+        lambda: DistributionSpec("mixture", [(1.0, float("nan"), 1)]),
+        lambda: DistributionSpec("mixture", [(1.0, float("inf"), 1)]),
         lambda: DistributionSpec("cauchy", (0.0, 1.0)),
     ])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValidationError):
             bad()
 
+    @pytest.mark.parametrize("spec", [s for s in MOMENT_SPECS if s.kind != "mixture"],
+                             ids=lambda s: s.kind)
+    def test_draws_are_the_numpy_method_of_the_same_name(self, spec):
+        n = 1000
+        x = spec.sample(n, substream(99, "tests", f"draws-{spec.kind}"))
+        rng = substream(99, "tests", f"draws-{spec.kind}")
+        assert x.tobytes() == getattr(rng, spec.kind)(*spec.params, size=n).tobytes()
+
+    def test_mixture_draws_are_pinned(self):
+        spec = MOMENT_SPECS[-1]
+        x = spec.sample(6, substream(99, "tests", "draws-mixture"))
+        assert x.tolist() == [-3.6133473461251278, 3.712837392167184,
+                              5.003580654753307, -1.6961083912868318,
+                              -4.271716268735741, -1.531559181182231]
+
     def test_roundtrip_dict(self):
         for spec in MOMENT_SPECS:
             assert DistributionSpec.from_dict(spec.to_dict()) == spec
+        # Integer params are stored, and so written, as floats.
+        gamma = DistributionSpec("gamma", (1, 3))
+        assert gamma == DistributionSpec("gamma", (1.0, 3.0))
+        assert json.dumps(gamma.to_dict()) == '{"kind": "gamma", "params": [1.0, 3.0]}'
+        mixture = DistributionSpec.from_dict({"kind": "mixture", "params": [[1, 0, 2]]})
+        assert mixture == DistributionSpec.from_dict(mixture.to_dict())
+        assert json.dumps(mixture.to_dict()) == ('{"kind": "mixture", '
+                                                 '"params": [[1.0, 0.0, 2.0]]}')
 
     def test_sampling_deterministic(self):
-        spec = DistributionSpec.laplace(1.0, 6.5)
+        spec = DistributionSpec("laplace", (1.0, 6.5))
         a = spec.sample(100, substream(7, "t", "d"))
         b = spec.sample(100, substream(7, "t", "d"))
         assert np.array_equal(a, b)
@@ -127,17 +150,26 @@ class TestMixingModel:
             MixingModel(a, np.eye(3)[:, :2])
 
     def test_homogeneous_requires_equality(self):
-        latent = LatentSpec(shared=(DistributionSpec.normal(0, 1),),
-                            private1=(DistributionSpec.normal(0, 1),),
-                            private2=(DistributionSpec.normal(0, 1),))
+        latent = LatentSpec(shared=(DistributionSpec("normal", (0, 1)),),
+                            private1=(DistributionSpec("normal", (0, 1)),),
+                            private2=(DistributionSpec("normal", (0, 1)),))
         m = MixingModel.random(latent, substream(1, "t", "m"), homogeneous=True)
         assert np.array_equal(m.a1, m.a2)
         with pytest.raises(ValidationError):
             MixingModel(m.a1, m.a1 + 1.0, homogeneous=True)
 
+    @pytest.mark.parametrize("dims,message", [
+        ({"d1": 1}, "d1=1 is below modality 1's latent count 3"),
+        ({"d2": 2}, "d2=2 is below modality 2's latent count 3"),
+    ], ids=["d1", "d2"])
+    def test_fewer_observed_than_latent_dims_is_rejected(self, dims, message):
+        latent, _ = preset("thm1a")
+        with pytest.raises(ValidationError, match=message):
+            MixingModel.random(latent, substream(2, "t", "m"), **dims)
+
     def test_default_square(self):
-        latent = LatentSpec(shared=(DistributionSpec.normal(0, 1),) * 2,
-                            private1=(DistributionSpec.normal(0, 1),))
+        latent = LatentSpec(shared=(DistributionSpec("normal", (0, 1)),) * 2,
+                            private1=(DistributionSpec("normal", (0, 1)),))
         m = MixingModel.random(latent, substream(2, "t", "m"))
         assert m.a1.shape == (3, 3)
         assert m.a2.shape == (2, 2)
@@ -162,8 +194,8 @@ class TestGenerateDataset:
         assert ds.x2_test.shape[0] == 50
 
     def test_identity_mixing_no_private(self):
-        latent = LatentSpec(shared=(DistributionSpec.normal(0, 1),
-                                    DistributionSpec.gamma(1, 3)))
+        latent = LatentSpec(shared=(DistributionSpec("normal", (0, 1)),
+                                    DistributionSpec("gamma", (1, 3))))
         mixing = MixingModel(np.eye(2), np.eye(2))
         ds = generate_dataset(latent, mixing, 500,
                               substream(4, "t", "gen"), shuffle=False)
@@ -179,7 +211,7 @@ class TestGenerateDataset:
         assert sorted(ds.alignment.tolist()) == list(range(400))
 
     def test_too_few_samples(self):
-        latent = LatentSpec(shared=(DistributionSpec.normal(0, 1),))
+        latent = LatentSpec(shared=(DistributionSpec("normal", (0, 1)),))
         with pytest.raises(ValidationError):
             generate_dataset(latent, MixingModel(np.eye(1), np.eye(1)), 1,
                              substream(0, "t", "g"))
@@ -196,14 +228,14 @@ class TestPresets:
     def test_thm3_laplace(self):
         latent, _ = preset("thm3-laplace")
         assert latent.d_c == 3
-        assert all(s == DistributionSpec.laplace(0.0, 6.5) for s in latent.shared)
+        assert all(s == DistributionSpec("laplace", (0.0, 6.5)) for s in latent.shared)
         assert latent.private1[0].kind == "uniform"
-        assert latent.private2[0] == DistributionSpec.gamma(0.5, 3.0)
+        assert latent.private2[0] == DistributionSpec("gamma", (0.5, 3.0))
 
     def test_private_appxg(self):
         latent, _ = preset("private-appxG")
-        assert latent.private1[0] == DistributionSpec.beta(1.0, 3.0)
-        assert all(s == DistributionSpec.vonmises(2.5, 2.0) for s in latent.shared)
+        assert latent.private1[0] == DistributionSpec("beta", (1.0, 3.0))
+        assert all(s == DistributionSpec("vonmises", (2.5, 2.0)) for s in latent.shared)
 
     def test_thm1b_vonmises(self):
         latent, _ = preset("thm1b")

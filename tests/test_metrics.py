@@ -68,6 +68,14 @@ class TestPairMatchError:
         q2 = np.diag([-1.0, 1.0])
         assert pair_match_error(q1, x, q2, x) > 0.5
 
+    def test_no_held_out_rows_is_an_error(self, rng):
+        # Data generated with test_fraction 0 has empty test blocks; the
+        # mean over no pairs would be NaN.
+        q = rng.normal(size=(2, 3))
+        x = np.zeros((0, 3))
+        with pytest.raises(ValidationError, match="no held-out test rows"):
+            pair_match_error(q, x, q, x)
+
 
 def _csls_oracle(queries, references, k_csls):
     """Naive per-pair CSLS scores, straight from the definition."""
