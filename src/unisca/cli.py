@@ -185,6 +185,9 @@ def cmd_scatter(args) -> int:
     dataset = datagen.load_dataset(args.data)
     if args.split == "test":
         x1, x2, c = dataset.x1_test, dataset.x2_test, dataset.c_test
+        if c.shape[0] == 0:
+            raise ValidationError("no held-out test rows to export; generate "
+                                  "the data with data.test_fraction > 0")
     else:
         x1, c = dataset.x1, dataset.c
         x2 = dataset.x2[dataset.alignment]
@@ -225,14 +228,13 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _effective_config(args)
-    base = cfg["seed"]
-    seeds = [base + i for i in range(args.seeds)]
+    if cfg["data"].get("test_fraction") == 0:
+        raise ValidationError("config invalid at data/test_fraction: sweep "
+                              "scores held-out pairs, so it must be > 0")
+    seeds = [cfg["seed"] + i for i in range(args.seeds)]
     os.makedirs(args.out, exist_ok=True)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda s: _sweep_one(cfg, s, args.out), seeds))
-    else:
-        reports = [_sweep_one(cfg, s, args.out) for s in seeds]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        reports = list(pool.map(lambda s: _sweep_one(cfg, s, args.out), seeds))
     # Per-view metrics take their median view by view.
     medians = {name: np.median([r[name] for r in reports], axis=0).tolist()
                for name in cfgmod.GATED}

@@ -2,11 +2,14 @@
 
 One document describes a whole experiment; each CLI command consumes its
 section. Each key is declared once: the solver section by `SolverConfig`'s
-field annotations, `_CHOICES` and `_BOUNDS`; the latent marginals by
-`datagen.LatentSpec.from_dict`; the eval thresholds by `GATED`; the root,
-`data` and `eval` by `_SECTIONS`. An integer takes no float, a number no
-boolean, and no object an unknown key; each fault reads `config invalid at
-<path>: <reason>`. The effective config is echoed into every output directory.
+field annotations (`solver._ANNOTATED`), `_BOUNDS` and `_CHOICES`; the latent
+marginals by `datagen.LatentSpec.from_dict`; the eval thresholds by `GATED`;
+the root, `data` and `eval` by `_SECTIONS`. Each key's value is checked by
+one function, `numerics.check_value`, which `SolverConfig` calls on its
+fields too, so a solver fault reads the same from Python and from JSON. An
+integer takes no float, a number no boolean, and no object an unknown key;
+each fault reads `config invalid at <path>: <reason>`. The effective config
+is echoed into every output directory.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import dataclasses
 import operator
 
 from . import datagen
-from .numerics import ValidationError, check_keys
-from .solver import _BOUNDS, _CHOICES, SolverConfig
+from .numerics import ValidationError, check_keys, check_value
+from .solver import _ANNOTATED, _BOUNDS, _CHOICES, SolverConfig
 
 CONFIG_VERSION = 1
 
@@ -27,11 +30,6 @@ GATED = {"leakage": max, "theta_rel_diff": float, "pair_match_error": float,
          "whitening_residual": max}
 
 _NULL, _OBJECT = type(None), (dict,)
-_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
-          str: "a string", dict: "an object", list: "an array", _NULL: "null"}
-# Types of SolverConfig's annotations; a tuple field is a list of integers.
-_ANNOTATED = {"int": (int,), "float": (float,), "float | None": (float, _NULL),
-              "str": (str,), "tuple": (list,)}
 _KEY_BOUNDS = ((operator.ge, ">=", {"anchors": 0, "n": 2, "d1": 1, "d2": 1,
                                     "test_fraction": 0, **dict.fromkeys(GATED, 0)}),
                (operator.le, "<=", {"test_fraction": 0.5}))
@@ -56,38 +54,13 @@ DEFAULT_CONFIG = {"version": CONFIG_VERSION, "seed": 0, "solver": {"d_c": 2},
                   "data": {"preset": "thm1a", "n": 100000}, "eval": {"thresholds": {}}}
 
 
-def _typed(value, types: tuple) -> bool:
-    """Whether a JSON value has one of `types` (an int is a float, a bool neither)."""
-    if isinstance(value, bool):
-        return bool in types
-    return isinstance(value, types) or float in types and isinstance(value, int)
-
-
-def _check(value, types: tuple, bounds, key: str, where: str) -> None:
-    """Check the value of `key` against its types and its bounds."""
-    if not _typed(value, types):
-        expected = " or ".join(_NAMES[t] for t in types)
-        raise ValidationError(f"{where}: expected {expected}, got {value!r}")
-    if isinstance(value, list):  # a tuple field's integers, bound one by one
-        for i, item in enumerate(value):
-            _check(item, (int,), bounds, key, f"{where}/{i}")
-    elif value is not None:
-        for holds, symbol, limits in bounds:
-            if key in limits and not holds(value, limits[key]):
-                raise ValidationError(
-                    f"{where}: {value!r} is not {symbol} {limits[key]}")
-
-
 def _check_section(section: dict, where: str) -> None:
     """Check an object's keys against _SECTIONS, and its subsections."""
     types, bounds, choices = _SECTIONS[where]
     check_keys(section, where, optional=types)
     for key, value in section.items():
         at = key if where == "<root>" else f"{where}/{key}"
-        _check(value, types[key], bounds, key, at)
-        if key in choices and value not in choices[key]:
-            raise ValidationError(f"{at}: expected one of {list(choices[key])}, "
-                                  f"got {value!r}")
+        check_value(value, types[key], at, key, bounds, choices)
         if at == "data/latent":
             datagen.LatentSpec.from_dict(value, at)
         elif isinstance(value, dict):

@@ -1,4 +1,5 @@
-"""Dense linear algebra, seeded randomness, Adam, and a finite-difference oracle.
+"""Input checks, dense linear algebra, seeded randomness, Adam, and a
+finite-difference oracle.
 
 Everything downstream (data generation, matchers, solvers) builds on
 the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
@@ -43,6 +44,47 @@ def check_keys(doc, where: str, required=(), optional=()) -> None:
                         ("unknown", set(doc) - {*required, *optional})):
         if keys:
             raise ValidationError(f"{where}: {fault} keys {sorted(keys)}")
+
+
+_NULL = type(None)
+_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+          str: "a string", dict: "an object", list: "an array", _NULL: "null"}
+
+
+def check_value(value, types: tuple, where: str, key: str, bounds=(),
+                choices=None):
+    """Return `value` once it has one of `types`, passes each of `bounds`
+    ((comparison, symbol, {key: limit}) triples) that names `key`, and is one
+    of `choices[key]` if there is such an entry; otherwise raise
+    ValidationError("<where>: <reason>").
+
+    A bool is no number, an integer is a float, a numpy integer is an integer
+    and comes back as an int. A list or tuple is an array of integers, each
+    bound by `key`'s bounds, and comes back as a tuple."""
+    if isinstance(value, bool):
+        typed = bool in types
+    elif isinstance(value, (int, np.integer)):
+        value, typed = int(value), int in types or float in types
+    elif isinstance(value, np.floating):
+        typed = float in types
+    else:
+        typed = (isinstance(value, types)
+                 or list in types and isinstance(value, tuple))
+    if not typed:
+        expected = " or ".join(_NAMES[t] for t in types)
+        raise ValidationError(f"{where}: expected {expected}, got {value!r}")
+    if isinstance(value, (list, tuple)):
+        return tuple(check_value(item, (int,), f"{where}/{i}", key, bounds)
+                     for i, item in enumerate(value))
+    if value is not None:
+        for holds, symbol, limits in bounds:
+            if key in limits and not holds(value, limits[key]):
+                raise ValidationError(
+                    f"{where}: {value!r} is not {symbol} {limits[key]}")
+    if choices and key in choices and value not in choices[key]:
+        raise ValidationError(f"{where}: expected one of "
+                              f"{list(choices[key])}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

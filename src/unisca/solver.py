@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import numbers
 import operator
 import os
 import time
@@ -50,7 +49,7 @@ from . import matio
 from .distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                         discriminator_step, gan_value_and_grads, hsic_biased,
                         mmd2_unbiased)
-from .numerics import (AdamState, ValidationError, check_matrix,
+from .numerics import (AdamState, ValidationError, check_matrix, check_value,
                        empirical_covariance, substream, whitening_matrix)
 
 log = logging.getLogger("unisca")
@@ -64,9 +63,9 @@ TRACE_COLUMNS = ("epoch", "matcher", "rq1", "rq2", "anchor", "hsic", "total")
 # Per-step sums behind a trace row: its weighted terms, whose sum is `total`.
 _SUMS = TRACE_COLUMNS[1:-1]
 
-# Bounds on the numeric fields of SolverConfig, which the config check reads
-# too: (comparison a valid value passes, its symbol, {field: bound}). A tuple
-# field is checked item by item; a None field is unset and skipped.
+# SolverConfig's declaration, read by its own check and the config file's:
+# bounds on its numeric fields, (comparison a valid value passes, its symbol,
+# {field: bound}); a tuple field is bound item by item, a None field is unset.
 _BOUNDS = (
     (operator.ge, ">=", {
         "d_c": 1, "batch": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
@@ -78,24 +77,10 @@ _BOUNDS = (
     (operator.gt, ">", {"lr_q": 0, "lr_f": 0, "lr_p": 0, "bandwidth": 0}),
     (operator.le, "<=", {"label_smoothing": 0.5}),
 )
-
-
-def _integer(name: str, value) -> int:
-    """`value` of integer field `name` as an int; a numpy integer passes, a
-    float or a bool is a ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(name: str, value, optional: bool) -> None:
-    """Check `value` of float field `name`: an int or a float passes (None
-    too if the field is optional), a bool or any other type is a
-    ValidationError."""
-    if value is None and optional:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+# The types each annotation of SolverConfig takes; a tuple is an array.
+_ANNOTATED = {"int": (int,), "float": (float,),
+              "float | None": (float, type(None)), "str": (str,),
+              "tuple": (list,)}
 
 
 class DivergenceError(RuntimeError):
@@ -112,6 +97,14 @@ class SolverConfig:
     starting point for the traced epochs; restarts=1 with warm_epochs=0
     reduces to plain whitening-plus-noise initialization. Mode-specific
     fields are ignored by the other modes.
+
+    Each field is checked against its annotation (`_ANNOTATED`), `_BOUNDS`
+    and `_CHOICES` by `numerics.check_value`, which the config file's solver
+    section passes through too. A fault raises ValidationError("<field>:
+    <reason>"), e.g. "d_c: 0 is not >= 1" or "disc_hidden/0: expected an
+    integer, got 8.5"; the config file reports it as "config invalid at
+    solver/<field>: <reason>". A numpy integer is kept as an int and
+    `disc_hidden` as a tuple.
     """
 
     d_c: int
@@ -143,26 +136,10 @@ class SolverConfig:
     select_rows: int = 4096
 
     def __post_init__(self):
-        for name, choices in _CHOICES.items():
-            if getattr(self, name) not in choices:
-                raise ValidationError(f"{name} must be one of {choices}, "
-                                      f"got '{getattr(self, name)}'")
         for f in fields(self):
-            if f.type == "int":
-                setattr(self, f.name, _integer(f.name, getattr(self, f.name)))
-            elif f.type in ("float", "float | None"):
-                _number(f.name, getattr(self, f.name), f.type != "float")
-        if not isinstance(self.disc_hidden, (tuple, list)):
-            raise ValidationError("disc_hidden must be a sequence of integers, "
-                                  f"got {self.disc_hidden!r}")
-        self.disc_hidden = tuple(_integer("disc_hidden", h)
-                                 for h in self.disc_hidden)
-        for holds, symbol, bounds in _BOUNDS:
-            for name, bound in bounds.items():
-                value = getattr(self, name)
-                values = value if isinstance(value, tuple) else (value,)
-                if not all(v is None or holds(v, bound) for v in values):
-                    raise ValidationError(f"{name} must be {symbol} {bound}")
+            setattr(self, f.name, check_value(
+                getattr(self, f.name), _ANNOTATED[f.type], f.name, f.name,
+                _BOUNDS, _CHOICES))
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}

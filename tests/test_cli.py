@@ -228,6 +228,60 @@ def test_eval_without_held_out_rows_is_an_error_line(tmp_path, capsys):
     assert "Traceback" not in err and not (model / "report.json").exists()
 
 
+def _no_test_rows_config(tmp_path) -> str:
+    """The tiny experiment of `_config` generating no held-out rows."""
+    path = _config(tmp_path)
+    with open(path) as f:
+        cfg = json.load(f)
+    cfg["data"]["test_fraction"] = 0
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    return path
+
+
+def test_scatter_without_held_out_rows_is_an_error_line(tmp_path, capsys):
+    cfg = _no_test_rows_config(tmp_path)
+    data, model = str(tmp_path / "data"), str(tmp_path / "model")
+    out = tmp_path / "scatter.csv"
+    assert cli.main(["gen", "--config", cfg, "--out", data]) == 0
+    assert cli.main(["fit", "--config", cfg, "--data", data,
+                     "--out", model]) == 0
+    capsys.readouterr()
+    assert cli.main(["scatter", "--model", model, "--data", data,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no held-out test rows") and err.count("\n") == 1
+    assert "data.test_fraction" in err and "Traceback" not in err
+    assert not out.exists()
+    # The training rows are still there to export.
+    assert cli.main(["scatter", "--model", model, "--data", data,
+                     "--out", str(out), "--split", "train"]) == 0
+
+
+def test_sweep_without_held_out_rows_fails_before_the_first_seed(tmp_path,
+                                                                  capsys):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", _no_test_rows_config(tmp_path),
+                     "--seeds", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config invalid at data/test_fraction: ")
+    assert not list(tmp_path.glob("**/seed-*"))
+
+
+def test_sweep_jobs_do_not_change_its_reports(tmp_path):
+    cfg = _config(tmp_path)
+    summaries = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}"
+        assert cli.main(["sweep", "--config", cfg, "--seeds", "2",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+        summaries.append(json.loads((out / "sweep.json").read_text()))
+    one, two = summaries
+    assert one["seeds"] == two["seeds"] == [3, 4]
+    assert one["reports"] == two["reports"]
+    assert one["medians"] == two["medians"]
+
+
 def _five_column_data(tmp_path) -> str:
     """Generate a tiny thm1a dataset mixed into five columns per view."""
     cfg = tmp_path / "wide.json"

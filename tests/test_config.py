@@ -7,6 +7,7 @@ import pytest
 
 from unisca import config
 from unisca.numerics import ValidationError
+from unisca.solver import SolverConfig
 
 _NORMAL = {"kind": "normal", "params": [0.0, 1.0]}
 _MIXTURE = {"kind": "mixture", "params": [[0.5, -1.0, 0.5], [0.5, 1.0, 0.5]]}
@@ -223,3 +224,34 @@ def test_config_accepts(doc):
     before = copy.deepcopy(doc)
     assert config.validate_config(doc) is doc
     assert doc == before
+
+
+# Solver faults, each read by SolverConfig and by the config check: the
+# config names the path and then gives the constructor's own message.
+_SOLVER_FAULTS = [
+    pytest.param({"d_c": 2.0}, id="integer-float"),
+    pytest.param({"batch": "200"}, id="integer-string"),
+    pytest.param({"lr_q": True}, id="number-bool"),
+    pytest.param({"omega": None}, id="number-null"),
+    pytest.param({"bandwidth": "1"}, id="optional-number-string"),
+    pytest.param({"mode": 3}, id="string-number"),
+    pytest.param({"disc_hidden": 5}, id="array-number"),
+    pytest.param({"d_c": 0}, id="minimum"),
+    pytest.param({"lr_f": 0}, id="exclusive-minimum"),
+    pytest.param({"label_smoothing": 0.6}, id="maximum"),
+    pytest.param({"mode": "paired"}, id="mode-unknown"),
+    pytest.param({"matcher": "wasserstein"}, id="matcher-unknown"),
+    pytest.param({"disc_hidden": [8, 8.5]}, id="disc_hidden-item-float"),
+    pytest.param({"disc_hidden": [8, 0]}, id="disc_hidden-item-minimum"),
+]
+
+
+@pytest.mark.parametrize("fault", _SOLVER_FAULTS)
+def test_solver_faults_read_the_same_from_python_and_json(fault):
+    section = {"d_c": 2, **fault}
+    with pytest.raises(ValidationError) as direct:
+        SolverConfig(**section)
+    assert str(direct.value).startswith(next(iter(fault)))
+    with pytest.raises(ValidationError) as via_config:
+        config.validate_config(_doc(solver=section))
+    assert str(via_config.value) == f"config invalid at solver/{direct.value}"

@@ -4,6 +4,7 @@ round trip."""
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -114,7 +115,8 @@ def test_finite_blow_up_names_the_term_and_epoch(entry, term):
     ("select_rows", 3), ("batch", 1), ("restarts", 0), ("rho", -1.0),
 ])
 def test_config_rejects_values_below_minimum(field, value):
-    with pytest.raises(ValidationError, match=f"{field} must be >="):
+    with pytest.raises(ValidationError,
+                       match=rf"^{field}: {value!r} is not >= \d"):
         solver.SolverConfig(d_c=2, **{field: value})
 
 
@@ -124,8 +126,9 @@ _KEYWORDS = {">=": "minimum", ">": "exclusiveMinimum", "<=": "maximum"}
 
 
 def _bounds():
-    """(field, value just past the bound, value at or inside it) for every
-    bound solver._BOUNDS puts on a field (on the items of a tuple field)."""
+    """(field, value just past the bound, value at or inside it, the fault
+    the past value reads) for every bound solver._BOUNDS puts on a field (on
+    the items of a tuple field, named by the item's index)."""
     types = {f.name: f.type for f in dataclasses.fields(solver.SolverConfig)}
     cases = []
     for _, symbol, bounds in solver._BOUNDS:
@@ -134,16 +137,18 @@ def _bounds():
             step = 1 if types[name] in ("int", "tuple") else 1e-6
             past, inside = {">=": (-step, 0), ">": (0, step),
                             "<=": (step, 0)}[symbol]
+            where = f"{name}/0" if types[name] == "tuple" else name
             cases.append(pytest.param(
                 name, wrap(bound + past), wrap(bound + inside),
+                f"{where}: {bound + past!r} is not {symbol} {bound}",
                 id=f"{name}-{_KEYWORDS[symbol]}"))
     return cases
 
 
-@pytest.mark.parametrize("field,past,inside", _bounds())
-def test_config_holds_every_schema_bound(field, past, inside):
+@pytest.mark.parametrize("field,past,inside,fault", _bounds())
+def test_config_holds_every_schema_bound(field, past, inside, fault):
     solver.SolverConfig(**{"d_c": 2, field: inside})
-    with pytest.raises(ValidationError, match=f"{field} must be"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(fault)}$"):
         solver.SolverConfig(**{"d_c": 2, field: past})
 
 
@@ -253,7 +258,7 @@ def test_config_integer_fields_take_integers_only(value, accepted):
     for name in ("d_c", "batch"):
         if not accepted:
             with pytest.raises(ValidationError,
-                               match=f"{name} must be an integer, got"):
+                               match=f"^{name}: expected an integer, got "):
                 solver.SolverConfig(**{"d_c": 2, name: value})
             continue
         cfg = solver.SolverConfig(**{"d_c": 2, name: value})
@@ -265,13 +270,17 @@ def test_config_integer_fields_take_integers_only(value, accepted):
     ("label_smoothing", None), ("disc_hidden", 5)])
 def test_config_rejects_a_field_of_the_wrong_type(field, value):
     # Each once escaped as a bare TypeError or was accepted.
-    with pytest.raises(ValidationError, match=f"^{field} must be a "):
+    expected = {"bandwidth": "a number or null",
+                "disc_hidden": "an array"}.get(field, "a number")
+    with pytest.raises(ValidationError,
+                       match=f"^{field}: expected {expected}, got "):
         solver.SolverConfig(**{"d_c": 2, field: value})
 
 
 def test_config_disc_hidden_takes_integers_only():
     assert solver.SolverConfig(d_c=2, disc_hidden=(np.int64(8),)).disc_hidden == (8,)
-    with pytest.raises(ValidationError, match="disc_hidden must be an integer"):
+    with pytest.raises(ValidationError,
+                       match=r"^disc_hidden/0: expected an integer, got 8\.5$"):
         solver.SolverConfig(d_c=2, disc_hidden=(8.5,))
 
 
