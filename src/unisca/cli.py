@@ -307,11 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         return args.func(args)
-    except (ValidationError, solver.DivergenceError, FileNotFoundError) as exc:
+    except (ValidationError, solver.DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

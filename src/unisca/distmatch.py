@@ -34,6 +34,7 @@ from .numerics import AdamState, ValidationError, check_matrix
 _PROB_FLOOR = 1e-7
 _RESOLVE_POOL = 2000  # most points KernelSpec.resolve pools for its median
 _LEAK = 0.2  # negative-side slope of the discriminator's leaky ReLU
+_LABEL_SMOOTHING = 0.2  # target smoothing of the discriminator's own step
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +297,9 @@ class Discriminator:
     """
 
     def __init__(self, in_dim: int, hidden: tuple = DEFAULT_HIDDEN,
-                 lr: float = 8e-5, label_smoothing: float = 0.2, *,
-                 rng: np.random.Generator):
+                 lr: float = 8e-5, *, rng: np.random.Generator):
         self.in_dim = int(in_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        self.label_smoothing = float(label_smoothing)
         dims = [self.in_dim, *self.hidden, 1]
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -415,7 +414,7 @@ def discriminator_step(f: Discriminator, u: np.ndarray, v: np.ndarray) -> float:
     """One ascent step on the label-smoothed adversarial value; returns it.
     Only the parameter gradients are formed."""
     loss, param_grads, _, _ = gan_value_and_grads(
-        f, u, v, smoothing=f.label_smoothing, grads="params")
+        f, u, v, smoothing=_LABEL_SMOOTHING, grads="params")
     params = [a for pair in zip(f.weights, f.biases) for a in pair]
     for adam, p, g in zip(f.adam, params, param_grads):
         p[...] = adam.step(p, -g)

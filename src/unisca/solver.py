@@ -69,18 +69,19 @@ _SUMS = TRACE_COLUMNS[1:-1]
 _BOUNDS = (
     (operator.ge, ">=", {
         "d_c": 1, "batch": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
-        "warm_batch": 2, "warm_slices": 1, "checkpoint_every": 1,
-        "checkpoint_rows": 4, "select_rows": 4, "lambda_whiten": 0,
-        "beta": 0, "omega": 0, "rho": 0, "d_p1": 0, "d_p2": 0,
-        "disc_hidden": 1, "disc_steps": 1, "label_smoothing": 0,
-        "init_noise": 0}),
-    (operator.gt, ">", {"lr_q": 0, "lr_f": 0, "lr_p": 0, "bandwidth": 0}),
-    (operator.le, "<=", {"label_smoothing": 0.5}),
+        "warm_batch": 2, "checkpoint_every": 1, "checkpoint_rows": 4,
+        "select_rows": 4, "lambda_whiten": 0, "beta": 0, "omega": 0,
+        "rho": 0, "d_p1": 0, "d_p2": 0, "disc_hidden": 1, "disc_steps": 1}),
+    (operator.gt, ">", {"lr_q": 0, "lr_f": 0, "lr_p": 0}),
 )
 # The types each annotation of SolverConfig takes; a tuple is an array.
-_ANNOTATED = {"int": (int,), "float": (float,),
-              "float | None": (float, type(None)), "str": (str,),
+_ANNOTATED = {"int": (int,), "float": (float,), "str": (str,),
               "tuple": (list,)}
+
+# Scale of the noise added to the whitening-block starting point of each
+# head, and the number of random slices a warm-start quantile step matches.
+_INIT_NOISE = 0.01
+_WARM_SLICES = 24
 
 
 class DivergenceError(RuntimeError):
@@ -96,7 +97,10 @@ class SolverConfig:
     `restarts`/`warm_epochs` control the quantile warm start that chooses the
     starting point for the traced epochs; restarts=1 with warm_epochs=0
     reduces to plain whitening-plus-noise initialization. Mode-specific
-    fields are ignored by the other modes.
+    fields are ignored by the other modes. The MMD kernel's bandwidth (the
+    median heuristic), the starting point's noise (`_INIT_NOISE`), the
+    warm start's slice count (`_WARM_SLICES`) and the discriminator's label
+    smoothing are fixed, not settings.
 
     Each field is checked against its annotation (`_ANNOTATED`), `_BOUNDS`
     and `_CHOICES` by `numerics.check_value`, which the config file's solver
@@ -122,14 +126,10 @@ class SolverConfig:
     seed: int = 0
     d_p1: int = 0
     d_p2: int = 0
-    bandwidth: float | None = None
     disc_hidden: tuple = DEFAULT_HIDDEN
     disc_steps: int = 1
-    label_smoothing: float = 0.2
-    init_noise: float = 0.01
     restarts: int = 8
     warm_epochs: int = 30
-    warm_slices: int = 24
     warm_batch: int = 1000
     checkpoint_every: int = 10
     checkpoint_rows: int = 2048
@@ -416,18 +416,17 @@ class _Matcher:
 
     def __init__(self, cfg: SolverConfig, u0: np.ndarray, v0: np.ndarray,
                  rng: np.random.Generator):
-        self._bandwidth, self._u0, self._v0 = cfg.bandwidth, u0, v0
+        self._u0, self._v0 = u0, v0
         if cfg.matcher == "mmd":
             self.disc = None
         else:
-            self.disc = Discriminator(
-                cfg.d_c, hidden=cfg.disc_hidden, lr=cfg.lr_f,
-                label_smoothing=cfg.label_smoothing, rng=rng)
+            self.disc = Discriminator(cfg.d_c, hidden=cfg.disc_hidden,
+                                      lr=cfg.lr_f, rng=rng)
             self.steps = cfg.disc_steps
 
     @functools.cached_property
     def kernel(self) -> KernelSpec:
-        return KernelSpec(self._bandwidth).resolve(self._u0, self._v0)
+        return KernelSpec().resolve(self._u0, self._v0)
 
     def __call__(self, p, b1, b2, train):
         u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
@@ -450,7 +449,7 @@ class _Matcher:
 def _quantile_term(cfg: SolverConfig, rng: np.random.Generator):
     """The warm-start matcher: quantile_match along fresh random slices."""
     def term(p, b1, b2, train):
-        dirs = rng.normal(size=(cfg.warm_slices, cfg.d_c))
+        dirs = rng.normal(size=(_WARM_SLICES, cfg.d_c))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         value, gu, gv = quantile_match(b1 @ p["q1"].T, b2 @ p["q2"].T, dirs)
         return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
@@ -598,10 +597,10 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     restart are logged at DEBUG.
     """
     d_c = cfg.d_c
-    q1_spec = _block_init(v1.rank, slice(0, d_c), cfg.init_noise, rng_init,
+    q1_spec = _block_init(v1.rank, slice(0, d_c), _INIT_NOISE, rng_init,
                           "Q1" if not homogeneous else "Q")
     q2_spec = q1_spec if homogeneous else _block_init(
-        v2.rank, slice(0, d_c), cfg.init_noise, rng_init, "Q2")
+        v2.rank, slice(0, d_c), _INIT_NOISE, rng_init, "Q2")
     if cfg.warm_epochs == 0 and cfg.restarts == 1:
         return q1_spec, q2_spec
 
@@ -676,9 +675,9 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     p = {}
     if private:
         p["qp1"] = _block_init(v1.rank, slice(d_c, d_c + cfg.d_p1),
-                               cfg.init_noise, rng_init, "QP1")
+                               _INIT_NOISE, rng_init, "QP1")
         p["qp2"] = _block_init(v2.rank, slice(d_c, d_c + cfg.d_p2),
-                               cfg.init_noise, rng_init, "QP2")
+                               _INIT_NOISE, rng_init, "QP2")
     p["q1"], p["q2"] = _warm_start(cfg, v1, v2, matcher, pairs,
                                    homogeneous, rng_init, rng_batch)
 
@@ -790,7 +789,7 @@ def load_model(directory: str) -> FitResult:
     disc = None
     if meta.get("has_discriminator") and cfg is not None:
         disc = Discriminator(q1.matrix.shape[0], hidden=tuple(meta["disc_hidden"]),
-                             lr=cfg.lr_f, label_smoothing=cfg.label_smoothing,
+                             lr=cfg.lr_f,
                              rng=substream(cfg.seed, "solver", "disc-reload"))
         for i in range(len(disc.weights)):
             disc.weights[i] = matio.read_matrix(directory, f"disc_W{i}")[0]

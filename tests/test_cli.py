@@ -92,8 +92,10 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-# Solver fields deleted since the first saved models.
-_DELETED_FIELDS = {"gamma": 0.1, "disc_input_dropout": 0.0}
+# Solver fields deleted since the first saved models, at values they once took.
+_DELETED_FIELDS = {"gamma": 0.1, "disc_input_dropout": 0.0, "bandwidth": 1.0,
+                   "init_noise": 0.01, "warm_slices": 24,
+                   "label_smoothing": 0.2}
 
 
 def test_config_setting_a_deleted_solver_field_is_an_error_line(tmp_path, capsys):
@@ -134,6 +136,39 @@ def test_config_that_is_not_json_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{bad} is not valid JSON" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_unknown_log_level_is_an_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCA_LOG", "verbose")
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--config", _config(tmp_path), "--out",
+                     str(out)]) == 2
+    assert "SCA_LOG must be one of" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_gen_into_an_existing_file_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    out.write_text("not a directory")
+    assert cli.main(["gen", "--config", _config(tmp_path), "--out",
+                     str(out)]) == 2
+    assert str(out) in _one_error_line(capsys)
+    assert out.read_text() == "not a directory"
+
+
+def test_config_that_is_a_directory_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--config", str(tmp_path), "--out",
+                     str(out)]) == 2
+    assert str(tmp_path) in _one_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc,path", CRASHED)

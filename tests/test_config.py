@@ -23,18 +23,15 @@ def _latent(**parts) -> dict:
 
 # Numeric bounds on solver settings: (field, comparison, bound). Each bound is
 # checked at the bound and one step past it.
-_KEYWORDS = {">=": "minimum", ">": "exclusiveMinimum", "<=": "maximum"}
+_KEYWORDS = {">=": "minimum", ">": "exclusiveMinimum"}
 _SOLVER_BOUNDS = [
     ("d_c", ">=", 1), ("batch", ">=", 2), ("epochs", ">=", 1),
     ("restarts", ">=", 1), ("warm_epochs", ">=", 0), ("warm_batch", ">=", 2),
-    ("warm_slices", ">=", 1), ("checkpoint_every", ">=", 1),
-    ("checkpoint_rows", ">=", 4), ("select_rows", ">=", 4),
-    ("lambda_whiten", ">=", 0), ("beta", ">=", 0), ("omega", ">=", 0),
-    ("rho", ">=", 0), ("d_p1", ">=", 0), ("d_p2", ">=", 0),
-    ("disc_hidden", ">=", 1), ("disc_steps", ">=", 1),
-    ("label_smoothing", ">=", 0), ("init_noise", ">=", 0),
-    ("lr_q", ">", 0), ("lr_f", ">", 0), ("lr_p", ">", 0), ("bandwidth", ">", 0),
-    ("label_smoothing", "<=", 0.5),
+    ("checkpoint_every", ">=", 1), ("checkpoint_rows", ">=", 4),
+    ("select_rows", ">=", 4), ("lambda_whiten", ">=", 0), ("beta", ">=", 0),
+    ("omega", ">=", 0), ("rho", ">=", 0), ("d_p1", ">=", 0),
+    ("d_p2", ">=", 0), ("disc_hidden", ">=", 1), ("disc_steps", ">=", 1),
+    ("lr_q", ">", 0), ("lr_f", ">", 0), ("lr_p", ">", 0),
 ]
 
 
@@ -49,10 +46,8 @@ def _solver_value(field, value):
 def _bound_cases():
     """(document, path, accepted) at and one step past every solver bound."""
     for field, op, bound in _SOLVER_BOUNDS:
-        step = 1 if isinstance(bound, int) else 0.01
-        past = bound + step if op == "<=" else bound - step
         for label, value, accepted in (("at", bound, op != ">"),
-                                       ("past", past, False)):
+                                       ("past", bound - 1, False)):
             doc, path = _solver_value(field, value)
             yield pytest.param(doc, path, accepted,
                                id=f"{field}-{_KEYWORDS[op]}-{label}")
@@ -210,7 +205,7 @@ _ACCEPTED = [
                             "latent": {"shared": [_NORMAL, _MIXTURE],
                                        "private1": [], "private2": [_NORMAL]}},
                       solver={"d_c": 2, "mode": "weakly_supervised",
-                              "matcher": "adversarial", "bandwidth": None,
+                              "matcher": "adversarial",
                               "disc_hidden": [8, 8], "lr_q": 1},
                       eval={"thresholds": {"leakage": 0, "theta_rel_diff": 1,
                                            "pair_match_error": 0.5,
@@ -233,12 +228,10 @@ _SOLVER_FAULTS = [
     pytest.param({"batch": "200"}, id="integer-string"),
     pytest.param({"lr_q": True}, id="number-bool"),
     pytest.param({"omega": None}, id="number-null"),
-    pytest.param({"bandwidth": "1"}, id="optional-number-string"),
     pytest.param({"mode": 3}, id="string-number"),
     pytest.param({"disc_hidden": 5}, id="array-number"),
     pytest.param({"d_c": 0}, id="minimum"),
     pytest.param({"lr_f": 0}, id="exclusive-minimum"),
-    pytest.param({"label_smoothing": 0.6}, id="maximum"),
     pytest.param({"mode": "paired"}, id="mode-unknown"),
     pytest.param({"matcher": "wasserstein"}, id="matcher-unknown"),
     pytest.param({"disc_hidden": [8, 8.5]}, id="disc_hidden-item-float"),

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from unisca.distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
-                              _cols, _gram, _rows, discriminator_step,
-                              gan_value_and_grads, hsic_biased, mmd2_unbiased)
+                              _LABEL_SMOOTHING, _cols, _gram, _rows,
+                              discriminator_step, gan_value_and_grads,
+                              hsic_biased, mmd2_unbiased)
 from unisca.numerics import ValidationError, substream
 
 
@@ -531,7 +532,7 @@ class TestDiscriminator:
         f, u, v = self._net_and_views(rng)
         g = copy.deepcopy(f)
         discriminator_step(f, u, v)
-        _, grads, _, _ = gan_value_and_grads(g, u, v, g.label_smoothing)
+        _, grads, _, _ = gan_value_and_grads(g, u, v, _LABEL_SMOOTHING)
         params = [a for pair in zip(g.weights, g.biases) for a in pair]
         for adam, p, grad in zip(g.adam, params, grads):
             p[...] = adam.step(p, -grad)

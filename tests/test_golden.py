@@ -6,41 +6,10 @@ random draws or floating-point sums in the solver shows here. Checkpoints
 follow one schedule in every mode (epoch 0, every checkpoint_every epochs,
 the last epoch); the stored ones must reappear byte for byte among them.
 Each fit is also run twice in one process and must repeat itself byte for
-byte, checkpoints included.
+byte, checkpoints included. CHANGES.md records each past regeneration.
 
-The file was first regenerated when MMD and HSIC moved onto one in-place
-RBF Gram engine: the MMD gradient path reads each Gram through one product
-K @ [x, 1], HSIC uses the centring identity instead of centred matrices, and
-MMD checkpoints are value-only sums over row blocks. That moved the MMD
-and HSIC fits by at most about 1e-14; the adversarial fit, which forms no
-RBF Gram, stayed byte-identical. It was regenerated a second time when the
-MMD gradient path moved onto the same 512-row strips as the value-only sums,
-so a training step records the value a checkpoint computes. At batch 400
-the gradients kept their bytes and only the five MMD fits' traces moved, in
-their `matcher` and `total` columns, by at most 4.4e-16 absolute; every
-projection, classifier, checkpoint and discriminator array stayed
-byte-identical. It was regenerated a third time when `quantile_match`
-sorted every warm-start slice at once and formed each gradient as one
-product with the directions instead of a sum of per-slice outer products.
-The sorted values and the sort order kept their bytes; only the order of
-the value's sum and of the gradient accumulation moved. Arrays moved by
-at most 8.9e-16 absolute (`classifier/Q1`, `homogeneous/Q1`) and 1.2e-13
-relative (`unaligned/checkpoints`, values near zero); every fit chose the
-same warm-start restart, and `with_private` and the adversarial
-projections stayed byte-identical. It was regenerated a fourth time when
-every RBF Gram became one product of augmented rows followed by a clamp
-and an exp, and the restart score one call under the two-scale kernel,
-whose sigma/2 Gram squares the sigma one twice. Arrays moved by at most
-5.8e-15 absolute (`with_private/checkpoints`) and 1.3e-13 relative
-(`unaligned/checkpoints`); the adversarial fit and the `with_private`
-and `homogeneous` projections stayed byte-identical.
-
-Until the solver's classifier head was deleted the file also held a sixth
-fit, a homogeneous fit with that head. Its six `classifier/*` arrays were
-dropped by rewriting the file from its own remaining arrays, not from a
-fresh run, so every remaining array kept its bytes. Regenerate the file
-only for a change that is meant to alter the numbers, and say so, with the
-largest difference per array that `--diff` prints:
+Regenerate the file only for a change that is meant to alter the numbers,
+and say so, with the largest difference per array that `--diff` prints:
 
     PYTHONPATH=src python tests/test_golden.py --diff
     PYTHONPATH=src python tests/test_golden.py --write
