@@ -60,14 +60,13 @@ def _build_dataset(cfg: dict) -> datagen.SyntheticDataset:
     mixing = template.realize(latent, substream(seed, "datagen", "mixing"))
     return datagen.generate_dataset(
         latent, mixing, data["n"], substream(seed, "datagen", "samples"),
-        **{k: data[k] for k in ("test_fraction", "shuffle") if k in data})
+        **{k: data[k] for k in ("test_fraction",) if k in data})
 
 
 def cmd_gen(args) -> int:
     cfg = _effective_config(args)
     dataset = _build_dataset(cfg)
-    datagen.save_dataset(dataset, args.out, seed=cfg["seed"],
-                         manifest_extra={"config": cfg}, csv=args.csv)
+    datagen.save_dataset(dataset, args.out, seed=cfg["seed"])
     matio.write_json(os.path.join(args.out, "config.json"), cfg)
     log.info("dataset written to %s (%d train / %d test rows)",
              args.out, dataset.x1.shape[0], dataset.x1_test.shape[0])
@@ -103,6 +102,8 @@ def _run_fit(cfg: dict, x1: np.ndarray, x2: np.ndarray,
 
 def cmd_fit(args) -> int:
     cfg = _effective_config(args)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValidationError(f"--out {args.out} exists and is not a directory")
     if args.emb1 or args.emb2:
         if not (args.emb1 and args.emb2):
             raise ValidationError("--emb1 and --emb2 must be given together")
@@ -209,8 +210,8 @@ def _sweep_one(cfg: dict, seed: int, out_root: str) -> dict:
     run_cfg["seed"] = seed
     dataset = _build_dataset(run_cfg)
     data_dir = os.path.join(sub, "data")
-    datagen.save_dataset(dataset, data_dir, seed=seed,
-                         manifest_extra={"config": run_cfg})
+    datagen.save_dataset(dataset, data_dir, seed=seed)
+    matio.write_json(os.path.join(data_dir, "config.json"), run_cfg)
     result = _run_fit(run_cfg, dataset.x1, dataset.x2, dataset)
     model_dir = os.path.join(sub, "model")
     solver.save_model(result, model_dir)
@@ -261,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="named synthetic setup")
     p.add_argument("--n", type=int, help="samples per modality")
     p.add_argument("--out", required=True)
-    p.add_argument("--csv", action="store_true", help="also export CSV matrices")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fit", help="fit projections on a dataset")

@@ -42,7 +42,7 @@ _SECTIONS = {
                _KEY_BOUNDS, {"version": (CONFIG_VERSION,)}),
     "data": ({"preset": (str,), "n": (int,), "d1": (int, _NULL),
               "d2": (int, _NULL), "homogeneous": (bool,),
-              "test_fraction": (float,), "shuffle": (bool,), "latent": _OBJECT},
+              "test_fraction": (float,), "latent": _OBJECT},
              _KEY_BOUNDS, {}),
     "solver": ({f.name: _ANNOTATED[f.type]
                 for f in dataclasses.fields(SolverConfig)}, _BOUNDS, _CHOICES),

@@ -237,12 +237,12 @@ class SyntheticDataset:
     x1_test: np.ndarray
     x2_test: np.ndarray
     c_test: np.ndarray
+    p1_test: np.ndarray
+    p2_test: np.ndarray
     mixing: MixingModel
     mean1: np.ndarray
     mean2: np.ndarray
-    latent: LatentSpec | None = None
-    p1_test: np.ndarray | None = None
-    p2_test: np.ndarray | None = None
+    latent: LatentSpec
 
     @property
     def d_c(self) -> int:
@@ -250,8 +250,8 @@ class SyntheticDataset:
 
 
 def generate_dataset(latent: LatentSpec, mixing: MixingModel, n: int,
-                     rng: np.random.Generator, test_fraction: float = 0.05,
-                     shuffle: bool = True) -> SyntheticDataset:
+                     rng: np.random.Generator, test_fraction: float = 0.05
+                     ) -> SyntheticDataset:
     """Draw shared codes, mix both views from the same code per row, center.
 
     The training matrices have exactly n rows; an extra ceil(test_fraction*n)
@@ -282,13 +282,9 @@ def generate_dataset(latent: LatentSpec, mixing: MixingModel, n: int,
     x1 = x1_raw[:n_train] - mean1
     x2_aligned = x2_raw[:n_train] - mean2
 
-    if shuffle:
-        perm = rng.permutation(n_train)
-        alignment = np.argsort(perm)
-        x2 = x2_aligned[perm]
-    else:
-        alignment = np.arange(n_train)
-        x2 = x2_aligned
+    perm = rng.permutation(n_train)
+    alignment = np.argsort(perm)
+    x2 = x2_aligned[perm]
 
     return SyntheticDataset(
         x1=x1, x2=x2,
@@ -372,8 +368,10 @@ def preset(name: str, rng: np.random.Generator | None = None
 # ---------------------------------------------------------------------------
 
 def save_dataset(dataset: SyntheticDataset, directory: str,
-                 seed: int | None = None, manifest_extra: dict | None = None,
-                 csv: bool = False) -> None:
+                 seed: int | None = None) -> None:
+    """Write each array below and alignment (matio pairs), and manifest.json:
+    seed, row counts, d_c, d_p, homogeneous and the latent spec. The config
+    is not kept here; `gen` and `sweep` write it beside as config.json."""
     os.makedirs(directory, exist_ok=True)
     mats = {
         "X1": (dataset.x1, "observations modality 1 (train, centered)"),
@@ -384,15 +382,15 @@ def save_dataset(dataset: SyntheticDataset, directory: str,
         "X1_test": (dataset.x1_test, "held-out observations modality 1 (aligned)"),
         "X2_test": (dataset.x2_test, "held-out observations modality 2 (aligned)"),
         "C_test": (dataset.c_test, "ground-truth shared codes (held-out)"),
+        "P1_test": (dataset.p1_test, "ground-truth private codes modality 1 "
+                                     "(held-out)"),
+        "P2_test": (dataset.p2_test, "ground-truth private codes modality 2 "
+                                     "(held-out)"),
         "A1": (dataset.mixing.a1, "ground-truth mixing modality 1"),
         "A2": (dataset.mixing.a2, "ground-truth mixing modality 2"),
         "mean1": (dataset.mean1.reshape(1, -1), "train column means modality 1"),
         "mean2": (dataset.mean2.reshape(1, -1), "train column means modality 2"),
     }
-    for name, a in (("P1_test", dataset.p1_test), ("P2_test", dataset.p2_test)):
-        if a is not None:
-            mats[name] = (a, f"ground-truth private codes modality {name[1]} "
-                             "(held-out)")
     for name, (a, role) in mats.items():
         matio.write_matrix(directory, name, a, role=role)
     matio.write_matrix(directory, "alignment", dataset.alignment.reshape(-1, 1),
@@ -406,37 +404,26 @@ def save_dataset(dataset: SyntheticDataset, directory: str,
         "d_c": int(dataset.d_c),
         "d_p": [int(dataset.p1.shape[1]), int(dataset.p2.shape[1])],
         "homogeneous": bool(dataset.mixing.homogeneous),
-        "latent": dataset.latent.to_dict() if dataset.latent else None,
+        "latent": dataset.latent.to_dict(),
     }
-    manifest.update(manifest_extra or {})
     matio.write_json(os.path.join(directory, "manifest.json"), manifest)
-    if csv:
-        matio.write_csv(os.path.join(directory, "X1.csv"), dataset.x1,
-                        [f"x{i}" for i in range(dataset.x1.shape[1])])
-        matio.write_csv(os.path.join(directory, "X2.csv"), dataset.x2,
-                        [f"x{i}" for i in range(dataset.x2.shape[1])])
 
 
 def load_dataset(directory: str) -> SyntheticDataset:
+    """Read what save_dataset wrote; the mixing's homogeneity and the latent
+    spec come from manifest.json. A directory lacking P1_test or P2_test is
+    refused: regenerate it from its config.json with `unisca gen`."""
     manifest = matio.read_json(os.path.join(directory, "manifest.json"))
     if manifest.get("kind") != "unisca-dataset":
         raise ValidationError(f"{directory} is not a dataset directory")
     get = lambda name: matio.read_matrix(directory, name)[0]
-
-    def optional(name):  # held-out private codes; older directories lack them
-        if os.path.exists(os.path.join(directory, name + ".bin")):
-            return get(name)
-        return None
-
-    a1, a2 = get("A1"), get("A2")
-    mixing = MixingModel(a1, a2, homogeneous=bool(manifest.get("homogeneous", False)))
-    latent = (LatentSpec.from_dict(manifest["latent"])
-              if manifest.get("latent") else None)
+    mixing = MixingModel(get("A1"), get("A2"),
+                         homogeneous=bool(manifest.get("homogeneous")))
     return SyntheticDataset(
         x1=get("X1"), x2=get("X2"), c=get("C"), p1=get("P1"), p2=get("P2"),
         alignment=get("alignment").reshape(-1).astype(np.int64),
         x1_test=get("X1_test"), x2_test=get("X2_test"), c_test=get("C_test"),
-        p1_test=optional("P1_test"), p2_test=optional("P2_test"),
+        p1_test=get("P1_test"), p2_test=get("P2_test"),
         mixing=mixing, mean1=get("mean1").reshape(-1), mean2=get("mean2").reshape(-1),
-        latent=latent,
+        latent=LatentSpec.from_dict(manifest.get("latent")),
     )

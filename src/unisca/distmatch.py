@@ -236,17 +236,17 @@ def _hsic_grad(u, sig, klp, kp, r):
     return (-2.0 * c * c / (sig * sig)) * g
 
 
-def hsic_biased(u: np.ndarray, v: np.ndarray,
-                kernel_u: KernelSpec | None = None,
-                kernel_v: KernelSpec | None = None, grad: bool = True
+def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
+                kernel_v: KernelSpec, grad: bool = True
                 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Biased (V-statistic) HSIC tr(K H L H)/m^2 with gradients w.r.t. u and v.
 
-    Kernels default to the median heuristic resolved on the inputs; pass
-    frozen KernelSpecs when the penalty must stay stationary across steps.
-    No centred matrix is formed: with s = K 1 and r = L 1, tr(KHLH) =
-    sum(K o L) - (2/m) s.r + (1.s)(1.r)/m^2, and the gradients come from
-    K @ [u, 1, r o u, r], L @ [v, 1, s o v, s] and (K o L) @ [u, v, 1].
+    Both kernels are one-scale and resolved (`KernelSpec.resolve`), so the
+    penalty stays stationary across steps; an unresolved one is a
+    ValidationError, as in `mmd2_unbiased`. No centred matrix is formed:
+    with s = K 1 and r = L 1, tr(KHLH) = sum(K o L) - (2/m) s.r +
+    (1.s)(1.r)/m^2, and the gradients come from K @ [u, 1, r o u, r],
+    L @ [v, 1, s o v, s] and (K o L) @ [u, v, 1].
     grad=False forms only (K o L) @ 1 of these and returns no gradients.
     Each Gram is one augmented product, clamp and exp (`_gram`).
     """
@@ -256,10 +256,9 @@ def hsic_biased(u: np.ndarray, v: np.ndarray,
         raise ValidationError("HSIC inputs must have equal row counts")
     if m < 4:
         raise ValidationError("HSIC needs at least 4 rows")
-    if any(kern is not None and kern.two_scale for kern in (kernel_u, kernel_v)):
+    if kernel_u.two_scale or kernel_v.two_scale:
         raise ValidationError("HSIC takes one-scale kernels")
-    sig_u = (kernel_u or KernelSpec()).resolve(u).require()
-    sig_v = (kernel_v or KernelSpec()).resolve(v).require()
+    sig_u, sig_v = kernel_u.require(), kernel_v.require()
     k, l = _gram(_rows(u), _cols(u, sig_u)), _gram(_rows(v), _cols(v, sig_v))
     s, r = k.sum(axis=1), l.sum(axis=1)
     one = np.ones((m, 1))

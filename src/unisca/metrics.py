@@ -165,8 +165,8 @@ def evaluate_fit(result, dataset) -> IdentReport:
         whitening_residual1=result.q1.whitening_residual(),
         whitening_residual2=result.q2.whitening_residual(),
     )
-    if result.qp1 is not None and dataset.p1_test is not None \
-            and dataset.p1_test.shape[1] == 1 and result.qp1.matrix.shape[0] == 1:
+    if result.qp1 is not None and dataset.p1_test.shape[1] == 1 \
+            and result.qp1.matrix.shape[0] == 1:
         report.private_pearson = [
             abs_pearson(dataset.x1_test @ result.qp1.matrix.T,
                         dataset.p1_test),

@@ -123,7 +123,11 @@ def empirical_covariance(X: np.ndarray, center: bool = True) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def sym_eig(S: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+_SYM_TOL = 1e-8    # the relative asymmetry sym_eig accepts
+_RANK_TOL = 1e-10  # whitening_matrix drops eigenvalues below this x the largest
+
+
+def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors in columns, so that
@@ -133,17 +137,17 @@ def sym_eig(S: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     if S.shape[0] != S.shape[1]:
         raise ValidationError(f"S must be square, got shape {S.shape}")
     scale = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > tol * max(scale, 1e-300):
+    if np.linalg.norm(S - S.T) > _SYM_TOL * max(scale, 1e-300):
         raise ValidationError("S is not symmetric within tolerance")
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     order = np.argsort(w)[::-1]
     return w[order], V[:, order]
 
 
-def whitening_matrix(S: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def whitening_matrix(S: np.ndarray) -> np.ndarray:
     """Spectral whitening W = L_r^{-1/2} V_r^T over the retained spectrum.
 
-    Eigenvalues below rank_tol * lambda_max are truncated, so W has one row
+    Eigenvalues below _RANK_TOL * lambda_max are truncated, so W has one row
     per retained direction and W S W^T = I on that subspace. For an exactly
     diagonal S the eigenbasis is fixed to the coordinate axes in their
     original order (no sorting), which pins down the otherwise-arbitrary
@@ -160,7 +164,7 @@ def whitening_matrix(S: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     wmax = float(np.max(w, initial=0.0))
     if wmax <= 0.0:
         raise DegenerateCovarianceError("covariance has no positive eigenvalues")
-    keep = w > rank_tol * wmax
+    keep = w > _RANK_TOL * wmax
     if not np.any(keep):
         raise DegenerateCovarianceError("all eigenvalues below rank threshold")
     return V[:, keep].T / np.sqrt(w[keep])[:, None]
@@ -170,17 +174,17 @@ def whitening_matrix(S: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
 # Adam
 # ---------------------------------------------------------------------------
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and guard
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam accumulators (bias-corrected update)."""
+    """Per-parameter Adam accumulators (bias-corrected update); only lr is set."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: np.ndarray | None = field(default=None, repr=False)
-    v: np.ndarray | None = field(default=None, repr=False)
+    t: int = field(default=0, init=False)
+    m: np.ndarray | None = field(default=None, init=False, repr=False)
+    v: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
         param = np.asarray(param, dtype=np.float64)
@@ -194,11 +198,11 @@ class AdamState:
         if self.m.shape != param.shape:
             raise ValidationError("Adam state shape does not match parameter")
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return param - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
+        self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _BETA1 ** self.t)
+        v_hat = self.v / (1.0 - _BETA2 ** self.t)
+        return param - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 # ---------------------------------------------------------------------------

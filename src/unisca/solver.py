@@ -298,7 +298,10 @@ class _View:
     def __init__(self, x: np.ndarray, name: str):
         self.x = _check_centered(x, name)
         self.n = x.shape[0]
-        self.sigma = empirical_covariance(self.x, center=False)
+        try:
+            self.sigma = empirical_covariance(self.x, center=False)
+        except ValidationError as exc:  # too few rows
+            raise ValidationError(f"{name}: {exc}") from exc
 
     def whiten(self, w: np.ndarray) -> None:
         self.w = w
@@ -725,6 +728,9 @@ def fit_with_private(x1: np.ndarray, x2: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_model(result: FitResult, directory: str) -> None:
+    """Write Q1, Sigma1 and, unless homogeneous, Q2, Sigma2; QP1, QP2 and
+    disc_W<i>, disc_b<i> when the fit has them (matio pairs); loss_trace.csv;
+    and model.json: kind, version, config, checkpoints, wall_clock_seconds."""
     os.makedirs(directory, exist_ok=True)
     matio.write_matrix(directory, "Q1", result.q1.matrix, role="shared projection 1")
     matio.write_matrix(directory, "Sigma1", result.q1.covariance,
@@ -749,52 +755,49 @@ def save_model(result: FitResult, directory: str) -> None:
     meta = {
         "kind": "unisca-model",
         "version": 1,
-        "homogeneous": result.homogeneous,
-        "has_private": result.qp1 is not None,
-        "has_discriminator": result.discriminator is not None,
-        "disc_hidden": (list(result.discriminator.hidden)
-                        if result.discriminator else None),
-        "config": result.config.to_dict() if result.config else None,
+        "config": result.config.to_dict(),
         "checkpoints": [[int(e), float(v)] for e, v in result.checkpoints],
+        "wall_clock_seconds": result.wall_clock,
     }
     matio.write_json(os.path.join(directory, "model.json"), meta)
-    matio.write_json(os.path.join(directory, "timing.json"),
-                     {"wall_clock_seconds": result.wall_clock})
 
 
 def load_model(directory: str) -> FitResult:
+    """Read what save_model wrote. Which arrays exist is derived from the
+    config: q2 is q1 if homogeneous, private heads if with_private, and an
+    adversarial matcher's discriminator has its disc_hidden. A model.json
+    with no config, or with a key SolverConfig lacks, is refused."""
     meta = matio.read_json(os.path.join(directory, "model.json"))
     if meta.get("kind") != "unisca-model":
         raise ValidationError(f"{directory} is not a model directory")
-    cfg = None
-    if meta.get("config"):
-        unknown = sorted(set(meta["config"]).difference(
-            SolverConfig.__dataclass_fields__))
-        if unknown:
-            raise ValidationError(
-                f"{directory}: model config has unknown keys {unknown}; "
-                "refit the model")
-        cfg = SolverConfig(**meta["config"])
-    q1 = Projection(matio.read_matrix(directory, "Q1")[0],
-                    matio.read_matrix(directory, "Sigma1")[0])
-    if meta["homogeneous"]:
-        q2 = q1
-    else:
-        q2 = Projection(matio.read_matrix(directory, "Q2")[0],
-                        matio.read_matrix(directory, "Sigma2")[0])
+    if not meta.get("config"):
+        raise ValidationError(f"{directory}: model.json holds no config; "
+                              "refit the model")
+    unknown = sorted(set(meta["config"]).difference(
+        SolverConfig.__dataclass_fields__))
+    if unknown:
+        raise ValidationError(
+            f"{directory}: model config has unknown keys {unknown}; "
+            "refit the model")
+    cfg = SolverConfig(**meta["config"])
+    get = lambda name: matio.read_matrix(directory, name)[0]
+    q1 = Projection(get("Q1"), get("Sigma1"))
+    q2 = (q1 if cfg.mode == "homogeneous"
+          else Projection(get("Q2"), get("Sigma2")))
     qp1 = qp2 = None
-    if meta.get("has_private"):
-        qp1 = Projection(matio.read_matrix(directory, "QP1")[0], q1.covariance)
-        qp2 = Projection(matio.read_matrix(directory, "QP2")[0], q2.covariance)
+    if cfg.mode == "with_private":
+        qp1 = Projection(get("QP1"), q1.covariance)
+        qp2 = Projection(get("QP2"), q2.covariance)
     disc = None
-    if meta.get("has_discriminator") and cfg is not None:
-        disc = Discriminator(q1.matrix.shape[0], hidden=tuple(meta["disc_hidden"]),
+    if cfg.matcher == "adversarial":
+        disc = Discriminator(q1.matrix.shape[0], hidden=cfg.disc_hidden,
                              lr=cfg.lr_f,
                              rng=substream(cfg.seed, "solver", "disc-reload"))
         for i in range(len(disc.weights)):
-            disc.weights[i] = matio.read_matrix(directory, f"disc_W{i}")[0]
-            disc.biases[i] = matio.read_matrix(directory, f"disc_b{i}")[0].reshape(-1)
+            disc.weights[i] = get(f"disc_W{i}")
+            disc.biases[i] = get(f"disc_b{i}").reshape(-1)
     trace = matio.read_csv(os.path.join(directory, "loss_trace.csv"))[0]
-    checkpoints = [tuple(c) for c in meta.get("checkpoints", [])]
     return FitResult(q1=q1, q2=q2, qp1=qp1, qp2=qp2, trace=trace,
-                     checkpoints=checkpoints, config=cfg, discriminator=disc)
+                     checkpoints=[tuple(c) for c in meta["checkpoints"]],
+                     wall_clock=meta.get("wall_clock_seconds", 0.0),
+                     config=cfg, discriminator=disc)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from unisca import cli, datagen
+from unisca import cli, datagen, solver
 
 from test_config import CRASHED
 
@@ -71,6 +71,11 @@ def test_sweep_gates_the_whitening_residual(tmp_path, capsys, bound, code):
     summary = json.loads((out / "sweep.json").read_text())
     assert summary["seeds"] == [3, 4]
     assert len(summary["medians"]["whitening_residual"]) == 2
+    # Each seed's data directory holds its config once, beside the manifest.
+    for seed in (3, 4):
+        data = out / f"seed-{seed}" / "data"
+        assert json.loads((data / "config.json").read_text())["seed"] == seed
+        assert "config" not in json.loads((data / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize("thresholds", [None, {"leakage": 1.0}])
@@ -161,6 +166,44 @@ def test_gen_into_an_existing_file_is_an_error_line(tmp_path, capsys):
                      str(out)]) == 2
     assert str(out) in _one_error_line(capsys)
     assert out.read_text() == "not a directory"
+
+
+def test_fit_into_an_existing_file_fails_before_fitting(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    monkeypatch.setattr(datagen, "load_dataset", lambda *a: calls.append(a))
+    monkeypatch.setattr(solver, "fit", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "model"
+    out.write_text("not a directory")
+    assert cli.main(["fit", "--config", _config(tmp_path), "--data",
+                     str(tmp_path / "data"), "--out", str(out)]) == 2
+    assert str(out) in _one_error_line(capsys)
+    assert calls == [] and out.read_text() == "not a directory"
+
+
+def test_gen_writes_its_config_once(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--config", _config(tmp_path), "--out",
+                     str(data)]) == 0
+    assert json.loads((data / "config.json").read_text())["seed"] == 3
+    assert "config" not in json.loads((data / "manifest.json").read_text())
+    assert not list(data.glob("*.csv"))
+
+
+def test_gen_has_no_csv_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["gen", "--csv", "--out", str(tmp_path / "data")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+
+def test_config_setting_data_shuffle_is_an_error_line(tmp_path, capsys):
+    cfg, out = tmp_path / "config.json", tmp_path / "data"
+    cfg.write_text(json.dumps({"version": 1, "data": {"shuffle": False}}))
+    assert cli.main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == (
+        "error: config invalid at data: unknown keys ['shuffle']\n")
+    assert not out.exists()
 
 
 def test_config_that_is_a_directory_is_an_error_line(tmp_path, capsys):

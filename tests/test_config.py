@@ -69,6 +69,7 @@ _REJECTED = [
     pytest.param(_doc(data={"homogeneous": "yes"}), "data/homogeneous",
                  id="homogeneous-string"),
     pytest.param(_doc(data={"size": 3}), "data", id="data-unknown-key"),
+    pytest.param(_doc(data={"shuffle": False}), "data", id="data-shuffle"),
     # data/latent
     pytest.param(_latent(private1=[_NORMAL]), "data/latent",
                  id="latent-missing-shared"),
@@ -201,7 +202,6 @@ _ACCEPTED = [
     pytest.param(_doc(seed=1, anchors=0,
                       data={"preset": "thm1b", "n": 2, "d1": None, "d2": 4,
                             "homogeneous": True, "test_fraction": 0,
-                            "shuffle": False,
                             "latent": {"shared": [_NORMAL, _MIXTURE],
                                        "private1": [], "private2": [_NORMAL]}},
                       solver={"d_c": 2, "mode": "weakly_supervised",

@@ -197,8 +197,7 @@ class TestGenerateDataset:
         latent = LatentSpec(shared=(DistributionSpec("normal", (0, 1)),
                                     DistributionSpec("gamma", (1, 3))))
         mixing = MixingModel(np.eye(2), np.eye(2))
-        ds = generate_dataset(latent, mixing, 500,
-                              substream(4, "t", "gen"), shuffle=False)
+        ds = generate_dataset(latent, mixing, 500, substream(4, "t", "gen"))
         np.testing.assert_allclose(ds.x1, ds.c - ds.c.mean(axis=0), atol=1e-12)
 
     def test_deterministic(self):
@@ -265,15 +264,13 @@ class TestSerialization:
         assert np.array_equal(ds.mixing.a1, back.mixing.a1)
         assert back.latent == ds.latent
 
-    def test_loads_directory_without_private_test_codes(self, tmp_path):
+    def test_refuses_directory_without_private_test_codes(self, tmp_path):
         ds, _ = _quick_dataset(200)
         save_dataset(ds, str(tmp_path / "d"), seed=17)
-        for name in ("P1_test", "P2_test"):
-            for ext in (".bin", ".json"):
-                (tmp_path / "d" / (name + ext)).unlink()
-        back = load_dataset(str(tmp_path / "d"))
-        assert back.p1_test is None and back.p2_test is None
-        assert np.array_equal(ds.x1_test, back.x1_test)
+        for ext in (".bin", ".json"):
+            (tmp_path / "d" / ("P1_test" + ext)).unlink()
+        with pytest.raises(FileNotFoundError, match="'P1_test' not found"):
+            load_dataset(str(tmp_path / "d"))
 
     def test_manifest_contents(self, tmp_path):
         ds, _ = _quick_dataset(150)

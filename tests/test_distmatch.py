@@ -405,7 +405,8 @@ class TestHSIC:
     def test_constant_input_zero(self, rng):
         u = rng.normal(size=(20, 2))
         v = np.full((20, 1), 3.14)
-        value, gu, gv = hsic_biased(u, v)
+        value, gu, gv = hsic_biased(u, v, KernelSpec().resolve(u),
+                                    KernelSpec().resolve(v))
         assert abs(value) <= 1e-12
         assert np.allclose(gu, 0.0) and np.allclose(gv, 0.0)
 
@@ -413,15 +414,17 @@ class TestHSIC:
         for t in range(100):
             r = substream(t, "tests", "hsic-dep")
             u = r.normal(size=(40, 1))
-            dep = hsic_biased(u, u.copy())[0]
-            indep = hsic_biased(u, u[r.permutation(40)])[0]
+            k = KernelSpec().resolve(u)
+            dep = hsic_biased(u, u.copy(), k, k)[0]
+            indep = hsic_biased(u, u[r.permutation(40)], k, k)[0]
             assert dep > indep
 
     def test_nonnegative(self, rng):
         for _ in range(20):
             u = rng.normal(size=(15, 2))
             v = rng.normal(size=(15, 3))
-            assert hsic_biased(u, v)[0] >= -1e-12
+            assert hsic_biased(u, v, KernelSpec().resolve(u),
+                               KernelSpec().resolve(v))[0] >= -1e-12
 
     def test_permutation_invariance(self, rng):
         u = rng.normal(size=(18, 2))
@@ -446,11 +449,18 @@ class TestHSIC:
 
     def test_row_mismatch(self, rng):
         with pytest.raises(ValidationError):
-            hsic_biased(rng.normal(size=(8, 1)), rng.normal(size=(9, 1)))
+            hsic_biased(rng.normal(size=(8, 1)), rng.normal(size=(9, 1)),
+                        KernelSpec(1.0), KernelSpec(1.0))
 
     def test_too_few_rows(self, rng):
         with pytest.raises(ValidationError):
-            hsic_biased(rng.normal(size=(3, 1)), rng.normal(size=(3, 1)))
+            hsic_biased(rng.normal(size=(3, 1)), rng.normal(size=(3, 1)),
+                        KernelSpec(1.0), KernelSpec(1.0))
+
+    def test_unresolved_kernel_is_refused(self, rng):
+        u = rng.normal(size=(8, 1))
+        with pytest.raises(ValidationError, match="unresolved"):
+            hsic_biased(u, u, KernelSpec(1.0), KernelSpec())
 
 
 class TestDiscriminator:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from unisca.metrics import (abs_pearson, leakage, pair_match_error,
-                            retrieval_precision, theta_consistency)
-from unisca.numerics import ValidationError, substream
+from unisca.metrics import (abs_pearson, evaluate_fit, leakage,
+                            pair_match_error, retrieval_precision,
+                            theta_consistency)
+from unisca.numerics import ValidationError, empirical_covariance, substream
+from unisca.solver import FitResult, Projection
+
+from conftest import small_dataset
 
 
 class TestLeakage:
@@ -169,3 +173,27 @@ class TestAbsPearson:
     def test_constant_rejected(self, rng):
         with pytest.raises(ValidationError):
             abs_pearson(np.ones(10), rng.normal(size=10))
+
+
+@pytest.mark.parametrize("preset", ["thm1a", "private-appxG"])
+def test_evaluate_fit_scores_the_oracle_heads_at_round_off(preset):
+    # The shared rows of A^-1 map each view to its shared codes and the
+    # private rows to its private codes, so an identified fit reads 0 on
+    # every distance and 1 on each private correlation.
+    ds = small_dataset(seed=1, n=600, preset=preset)
+    heads = []
+    for x, a in ((ds.x1, ds.mixing.a1), (ds.x2, ds.mixing.a2)):
+        inv, sigma = np.linalg.inv(a), empirical_covariance(x)
+        heads.append((Projection(inv[:ds.d_c], sigma),
+                      Projection(inv[ds.d_c:], sigma)))
+    (q1, qp1), (q2, qp2) = heads
+    private = preset == "private-appxG"
+    result = FitResult(q1=q1, q2=q2, qp1=qp1 if private else None,
+                       qp2=qp2 if private else None)
+    report = evaluate_fit(result, ds)
+    assert max(report.leakage1, report.leakage2) <= 1e-12
+    assert report.theta_rel_diff <= 1e-12
+    assert report.pair_match_error <= 1e-12
+    assert len(report.private_pearson) == (2 if private else 0)
+    for r in report.private_pearson:
+        assert abs(r - 1.0) <= 1e-12

@@ -3,6 +3,7 @@ the warm start's quantile matcher and DEBUG log, and the model directory's
 save/load round trip."""
 
 import dataclasses
+import json
 import logging
 import re
 
@@ -86,6 +87,8 @@ def _bad_input(case):
     elif case.startswith("n-"):
         n = int(case[2:])
         x1, x2 = x1[:n] - x1[:n].mean(axis=0), x2[:n] - x2[:n].mean(axis=0)
+    elif case == "x2-n-1":
+        x2 = x2[:1] - x2[:1].mean(axis=0)
     elif case == "homogeneous-unequal-dimensions":
         x2, cfg["mode"] = x2[:, :2] - x2[:, :2].mean(axis=0), "homogeneous"
     return x1, x2, solver.SolverConfig(**cfg)
@@ -97,7 +100,8 @@ def _bad_input(case):
     ("uncentred", "X1 is not centered (column mean too large)"),
     ("d_c-above-rank", "Q1: covariance rank 1 < required 2"),
     ("d_c-above-dimension", "Q1: covariance rank 3 < required 4"),
-    ("n-1", "covariance needs at least 2 rows, got 1"),
+    ("n-1", "X1: covariance needs at least 2 rows, got 1"),
+    ("x2-n-1", "X2: covariance needs at least 2 rows, got 1"),
     ("n-2", "Q1: covariance rank 1 < required 2"),
     ("homogeneous-unequal-dimensions",
      "homogeneous mode requires equal data dimensions"),
@@ -385,3 +389,42 @@ def test_save_load_round_trip_keeps_every_array(tmp_path, mode):
         assert got[key].tobytes() == a.tobytes(), key
     assert loaded.homogeneous == result.homogeneous
     assert loaded.config == result.config
+    assert loaded.wall_clock == result.wall_clock > 0
+    meta = json.loads((tmp_path / "model.json").read_text())
+    assert sorted(meta) == ["checkpoints", "config", "kind", "version",
+                            "wall_clock_seconds"]
+    assert not (tmp_path / "timing.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["unaligned", "homogeneous", "with_private",
+                                  "adversarial"])
+def test_loads_a_directory_that_also_states_its_layout(tmp_path, mode):
+    # Earlier model directories restated the config's layout in four more
+    # model.json keys and kept the wall clock in timing.json; both are
+    # ignored, so such a directory loads to the same arrays.
+    result = _round_trip_fit(mode)
+    solver.save_model(result, str(tmp_path))
+    meta = json.loads((tmp_path / "model.json").read_text())
+    del meta["wall_clock_seconds"]
+    meta.update(homogeneous=result.homogeneous,
+                has_private=result.qp1 is not None,
+                has_discriminator=result.discriminator is not None,
+                disc_hidden=(list(result.discriminator.hidden)
+                             if result.discriminator else None))
+    (tmp_path / "model.json").write_text(json.dumps(meta))
+    (tmp_path / "timing.json").write_text(json.dumps(
+        {"wall_clock_seconds": result.wall_clock}))
+    loaded = solver.load_model(str(tmp_path))
+    want, got = _saved_arrays(result), _saved_arrays(loaded)
+    assert sorted(got) == sorted(want)
+    for key, a in want.items():
+        assert got[key].tobytes() == a.tobytes(), key
+    assert loaded.config == result.config
+
+
+def test_load_refuses_a_model_without_a_config(tmp_path):
+    solver.save_model(_round_trip_fit("unaligned"), str(tmp_path))
+    meta = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps({**meta, "config": None}))
+    with pytest.raises(ValidationError, match="refit the model$"):
+        solver.load_model(str(tmp_path))
