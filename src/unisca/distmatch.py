@@ -13,11 +13,12 @@ that gives -|x_i - y_j|^2 / (2 sigma^2) directly, then a clamp and an exp,
 both in place. They read it only through products with a few columns, so no
 centred or rescaled copy of a Gram is made. Every MMD value and gradient
 comes from one loop over Gram strips, `_gram_sum`, so no MMD call forms an
-n x n Gram. A strip holds at most _STRIP entries (max(1, _STRIP // columns)
-rows), 1 MiB of float64, so it stays in a core's L2 cache through the
-product, clamp, exp, sum and gradient products that read it. _STRIP is a
-constant, never read from the host: the strips fix the grouping of every
-sum, so a fit's bytes must not depend on the machine it runs on. The two-scale kernel k_sigma + k_{sigma/2}
+n x n Gram. A strip holds max(1, _STRIP // columns) rows: at most _STRIP =
+2^17 entries (1 MiB of float64) unless one row is wider. It stays in a 2 MiB
+per-core L2 cache through the product, clamp, exp, sum and gradient
+products that read it. _STRIP is a constant, never read from the host: the
+strips fix the grouping of every sum, and a fit's bytes must not depend on
+the machine's cache size. The two-scale kernel k_sigma + k_{sigma/2}
 (the warm start's restart score) takes the sigma/2 strip by squaring the
 sigma strip twice in place, as exp(-d^2 / (2 (sigma/2)^2)) = k_sigma^4.
 
@@ -72,10 +73,11 @@ class KernelSpec:
         the bandwidth falls back to 1.0. The squared distances are formed in
         the buffer of the pool's Gram, in strips of at most _STRIP entries
         (the arithmetic is per element, so the strip size moves no byte),
-        and only their upper triangle is kept. As sqrt is monotone, the median distance is
-        the mean of the square roots of the one or two middle squared
-        distances, found by an in-place partition, which is what np.median
-        of all distances returns (NaN, as there, falls back to 1.0).
+        and only their upper triangle is kept. As sqrt is monotone, the
+        median distance is the mean of the square roots of the one or two
+        middle squared distances, found by an in-place partition, which is
+        what np.median of all distances returns (NaN, as there, falls back
+        to 1.0).
         """
         if self.bandwidth is not None:
             return self
@@ -107,8 +109,9 @@ class KernelSpec:
 
 
 # Entries of a Gram strip in every MMD value and gradient and in resolve's
-# distances: 2^17 float64 is 1 MiB, half a 2 MiB per-core L2 cache. Measured
-# against 2^16 and the 512-row strips it replaced; see CHANGES.md.
+# distances: 2^17 float64 is 1 MiB, half a 2 MiB per-core L2 cache. Chosen
+# over 2^16 and the 512-row strips it replaced by timing MMD calls at 1000,
+# 2048 and 4096 rows; CHANGES.md has the times.
 _STRIP = 2**17
 
 
@@ -160,11 +163,11 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
               xe: np.ndarray | None = None, ye: np.ndarray | None = None,
               two_scale: bool = False):
     """(sum of K, K @ ye, K.T @ xe) for the Gram K of x against y, from
-    strips of x's rows that hold at most _STRIP entries at K's full width
-    (`_strip_rows`); the products are None without xe. With y
-    None, K is x's Gram less its diagonal: only strips on or above it are
-    formed, and their strictly upper part counts twice and, transposed,
-    gives the later rows their products; both products are then K @ xe.
+    strips of `_strip_rows` rows of x, at most _STRIP entries at K's full
+    width; the products are None without xe. With y None, K is x's Gram
+    less its diagonal: only strips on or above it are formed, and their
+    strictly upper part counts twice and, transposed, gives the later rows
+    their products; both products are then K @ xe.
 
     Each strip is one augmented product, clamp and exp (`_gram`) over
     n x (d + 2) arrays formed once here. With two_scale, K is the sigma

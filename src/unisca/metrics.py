@@ -151,7 +151,13 @@ class IdentReport:
 
 
 def evaluate_fit(result, dataset) -> IdentReport:
-    """Score a fitted model against a dataset's hidden ground truth."""
+    """Score a fitted model against a dataset's hidden ground truth.
+
+    private_pearson holds each view's |Pearson| between its private head and
+    its private code when both views have exactly one private code and one
+    private head, and is empty otherwise: with more, heads and codes would
+    first have to be matched column by column.
+    """
     d_c = dataset.d_c
     q1 = result.q1.matrix
     q2 = result.q2.matrix
@@ -165,12 +171,10 @@ def evaluate_fit(result, dataset) -> IdentReport:
         whitening_residual1=result.q1.whitening_residual(),
         whitening_residual2=result.q2.whitening_residual(),
     )
-    if result.qp1 is not None and dataset.p1_test.shape[1] == 1 \
-            and result.qp1.matrix.shape[0] == 1:
-        report.private_pearson = [
-            abs_pearson(dataset.x1_test @ result.qp1.matrix.T,
-                        dataset.p1_test),
-            abs_pearson(dataset.x2_test @ result.qp2.matrix.T,
-                        dataset.p2_test),
-        ]
+    views = ((result.qp1, dataset.x1_test, dataset.p1_test),
+             (result.qp2, dataset.x2_test, dataset.p2_test))
+    if all(qp is not None and qp.matrix.shape[0] == 1 and p.shape[1] == 1
+           for qp, _, p in views):
+        report.private_pearson = [abs_pearson(x @ qp.matrix.T, p)
+                                  for qp, x, p in views]
     return report

@@ -26,8 +26,11 @@ stable sort only when a slice holds equal values, so its order and its bytes
 are the stable sort's. Restart selection uses a value-only MMD on a large
 deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
 sigma frozen, which is the sum of the MMD at both bandwidths. Every
-MMD, a step's value and gradients included, is summed over 512-row strips,
-so no MMD call forms an n x n Gram matrix. Covariances are frozen before the
+MMD, a step's value and gradients included, is summed over Gram strips of
+at most 2^17 entries (distmatch._STRIP, 1 MiB, which stays in a core's L2
+cache), so no MMD call forms an n x n Gram matrix. The budget is a constant,
+not read from the host, because the strips group the sums: a fit's bytes
+must not depend on the machine's cache size. Covariances are frozen before the
 first step and kernel bandwidths are fixed by the data's probe projections,
 resolved on first read (an adversarial fit without a warm start never reads
 the MMD one), so every run is replay-deterministic under its seed.

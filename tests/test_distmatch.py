@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from unisca import distmatch
 from unisca.distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                               _LABEL_SMOOTHING, _cols, _gram, _rows,
                               discriminator_step, gan_value_and_grads,
@@ -101,6 +102,32 @@ class TestMMD:
                           KernelSpec(1.0))
 
 
+# Strip budgets (entries of a Gram strip, distmatch._STRIP) that MMD must
+# give the same answers at, each a function of the call's row counts m and n:
+# one-row strips; strips of m - 1 rows against the n columns of y, so the
+# cross Gram's last strip holds one row; one strip for each whole Gram; and
+# the default, under which x's square Gram at 362 rows is one strip, at 363
+# two, at 512 two full ones of 256 rows, and at 1200 eleven and a one-row
+# twelfth.
+STRIP_BUDGETS = {"one-row": lambda m, n: 1,
+                 "one-row-last": lambda m, n: max(1, m - 1) * n,
+                 "single": lambda m, n: max(m, n) ** 2,
+                 "default": lambda m, n: distmatch._STRIP}
+
+
+@pytest.fixture(params=list(STRIP_BUDGETS))
+def strip_budget(request, monkeypatch):
+    """Call with (m, n) to set distmatch._STRIP for this test."""
+    def set_budget(m, n):
+        monkeypatch.setattr(distmatch, "_STRIP", STRIP_BUDGETS[request.param](m, n))
+    return set_budget
+
+
+# Row counts for the tests at every budget: the fewest rows, unequal sets,
+# and sizes across the default budget's strip boundaries.
+BUDGET_SIZES = [(2, 2), (3, 5), (363, 363), (1000, 513), (1200, 600)]
+
+
 def _peak_bytes(f) -> int:
     tracemalloc.start()
     try:
@@ -111,18 +138,28 @@ def _peak_bytes(f) -> int:
 
 
 class TestMMDValueOnly:
-    """Both paths sum the Grams in strips of 512 rows; grad=False must return
-    the gradient path's value byte for byte, also at and across strip
-    boundaries."""
+    """Both paths sum the Grams in the same strips, each of at most
+    distmatch._STRIP entries; grad=False must return the gradient path's
+    value byte for byte, also at and across strip boundaries and at any
+    budget."""
 
     @staticmethod
     def _same(x, y, k):
         full, value = mmd2_unbiased(x, y, k)[0], mmd2_unbiased(x, y, k, grad=False)[0]
         return np.float64(full).tobytes() == np.float64(value).tobytes()
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (511, 512), (512, 512),
-                                     (513, 1025), (1200, 600)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (362, 363), (363, 362),
+                                     (511, 512), (512, 512), (513, 1025),
+                                     (1200, 600)])
     def test_matches_gradient_path(self, rng, m, n):
+        x = rng.normal(size=(m, 2))
+        y = rng.normal(size=(n, 2)) + 0.5
+        assert self._same(x, y, KernelSpec(0.8))
+
+    @pytest.mark.parametrize("m,n", BUDGET_SIZES)
+    def test_matches_gradient_path_at_any_strip_budget(self, rng, strip_budget,
+                                                       m, n):
+        strip_budget(m, n)
         x = rng.normal(size=(m, 2))
         y = rng.normal(size=(n, 2)) + 0.5
         assert self._same(x, y, KernelSpec(0.8))
@@ -156,12 +193,14 @@ class TestMMDValueOnly:
             mmd2_unbiased(x, y, kernel, grad=False)
 
     def test_forms_no_square_gram(self, rng):
-        # One 4096 x 4096 float64 matrix is 128 MiB; one 512 x 4096 strip is
-        # 16 MiB. Holding the old strip while the next formed peaked at 32.
+        # One 4096 x 4096 float64 matrix is 128 MiB; one 32 x 4096 strip of
+        # 2^17 entries is 1 MiB, and the call peaked at 1.3 MiB. Strips of
+        # 512 rows peaked at 16.3 MiB, and holding the old strip while the
+        # next formed at 32.
         x = rng.normal(size=(4096, 2))
         y = rng.normal(size=(4096, 2))
         peak = _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0), grad=False))
-        assert peak < 24 * 2**20
+        assert peak < 2 * 2**20
 
 
 class TestOneProductGram:
@@ -322,10 +361,16 @@ def _check_hsic(u, v, sig_u, sig_v):
 
 
 class TestAgainstFullMatrixReference:
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (511, 511), (512, 512),
-                                     (513, 513), (1000, 1000), (1025, 1025),
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (362, 362), (363, 363),
+                                     (511, 511), (512, 512), (513, 513),
+                                     (1000, 1000), (1025, 1025), (1200, 1200),
                                      (2048, 2048), (3, 1025), (1000, 513)])
     def test_mmd_at_block_and_buffer_sizes(self, rng, m, n):
+        _check_mmd(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)) + 0.5, 0.8)
+
+    @pytest.mark.parametrize("m,n", BUDGET_SIZES)
+    def test_mmd_at_any_strip_budget(self, rng, strip_budget, m, n):
+        strip_budget(m, n)
         _check_mmd(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)) + 0.5, 0.8)
 
     @pytest.mark.parametrize("sig", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
@@ -364,18 +409,20 @@ class TestMemory:
 
     def test_mmd_gradient_path_holds_one_strip(self, rng):
         # The three-Gram body peaked at 128 MiB and the one-Gram body at
-        # 32.5 MiB. A 512 x 2048 Gram strip is 8 MiB; keeping the old strip
-        # while the next formed peaked at 16.4.
+        # 32.5 MiB. A 64 x 2048 Gram strip of 2^17 entries is 1 MiB, and the
+        # call peaked at 1.5 MiB. 512-row strips (8 MiB) peaked at 8.5, and
+        # keeping the old strip while the next formed at 16.4.
         x, y = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
-        assert _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0))) < 12 * 2**20
+        assert _peak_bytes(lambda: mmd2_unbiased(x, y, KernelSpec(1.0))) < 2 * 2**20
 
     def test_two_scale_score_holds_one_strip(self, rng):
-        # A 512 x 4096 strip is 16 MiB. The sigma/2 Gram is squared in the
-        # sigma strip's buffer, so no second strip is alive.
+        # A 32 x 4096 strip of 2^17 entries is 1 MiB, and the call peaked at
+        # 1.3 MiB; 512-row strips (16 MiB) peaked at 16.3. The sigma/2 Gram
+        # is squared in the sigma strip's buffer, so no second strip is alive.
         x, y = rng.normal(size=(4096, 2)), rng.normal(size=(4096, 2))
         kernel = KernelSpec(1.0, two_scale=True)
         assert _peak_bytes(
-            lambda: mmd2_unbiased(x, y, kernel, grad=False)) < 20 * 2**20
+            lambda: mmd2_unbiased(x, y, kernel, grad=False)) < 2 * 2**20
 
     def test_resolve_holds_the_distances_and_their_triangle(self, rng):
         # The 2000-point pool's squared distances (30.5 MiB, formed in the

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unisca import datagen
 from unisca.metrics import (abs_pearson, evaluate_fit, leakage,
                             pair_match_error, retrieval_precision,
                             theta_consistency)
@@ -175,25 +176,51 @@ class TestAbsPearson:
             abs_pearson(np.ones(10), rng.normal(size=10))
 
 
-@pytest.mark.parametrize("preset", ["thm1a", "private-appxG"])
-def test_evaluate_fit_scores_the_oracle_heads_at_round_off(preset):
-    # The shared rows of A^-1 map each view to its shared codes and the
-    # private rows to its private codes, so an identified fit reads 0 on
-    # every distance and 1 on each private correlation.
-    ds = small_dataset(seed=1, n=600, preset=preset)
+def _oracle_fit(ds, private: bool) -> FitResult:
+    """The shared rows of A^-1 as the shared heads and, with private, its
+    private rows as the private heads."""
     heads = []
     for x, a in ((ds.x1, ds.mixing.a1), (ds.x2, ds.mixing.a2)):
         inv, sigma = np.linalg.inv(a), empirical_covariance(x)
         heads.append((Projection(inv[:ds.d_c], sigma),
                       Projection(inv[ds.d_c:], sigma)))
     (q1, qp1), (q2, qp2) = heads
+    return FitResult(q1=q1, q2=q2, qp1=qp1 if private else None,
+                     qp2=qp2 if private else None)
+
+
+@pytest.mark.parametrize("preset", ["thm1a", "private-appxG"])
+def test_evaluate_fit_scores_the_oracle_heads_at_round_off(preset):
+    # The shared rows of A^-1 map each view to its shared codes and the
+    # private rows to its private codes, so an identified fit reads 0 on
+    # every distance and 1 on each private correlation.
+    ds = small_dataset(seed=1, n=600, preset=preset)
     private = preset == "private-appxG"
-    result = FitResult(q1=q1, q2=q2, qp1=qp1 if private else None,
-                       qp2=qp2 if private else None)
-    report = evaluate_fit(result, ds)
+    report = evaluate_fit(_oracle_fit(ds, private), ds)
     assert max(report.leakage1, report.leakage2) <= 1e-12
     assert report.theta_rel_diff <= 1e-12
     assert report.pair_match_error <= 1e-12
     assert len(report.private_pearson) == (2 if private else 0)
     for r in report.private_pearson:
         assert abs(r - 1.0) <= 1e-12
+
+
+def test_evaluate_fit_reports_no_private_pearson_past_one_private_code():
+    # View 1 has one private code and view 2 two. Pooling view 2's two head
+    # outputs and two codes into one sample read 0.995 on these oracle
+    # heads, whose every column correlates at 1, so no pair is reported.
+    normal = datagen.DistributionSpec("normal", (0.0, 1.0))
+    latent = datagen.LatentSpec(
+        shared=(datagen.DistributionSpec("laplace", (0.0, 1.0)),
+                datagen.DistributionSpec("gamma", (1.0, 3.0))),
+        private1=(datagen.DistributionSpec("uniform", (-3.0, 3.0)),),
+        private2=(normal, datagen.DistributionSpec("beta", (1.0, 3.0))))
+    mixing = datagen.MixingTemplate().realize(
+        latent, substream(1, "tests", "mixing"))
+    ds = datagen.generate_dataset(latent, mixing, 600,
+                                  substream(1, "tests", "samples"))
+    result = _oracle_fit(ds, private=True)
+    assert result.qp1.matrix.shape[0] == 1 and result.qp2.matrix.shape[0] == 2
+    report = evaluate_fit(result, ds)
+    assert report.private_pearson == []
+    assert max(report.leakage1, report.leakage2) <= 1e-12
