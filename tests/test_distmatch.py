@@ -105,21 +105,22 @@ class TestMMD:
 # Strip budgets (entries of a Gram strip, distmatch._STRIP) that MMD must
 # give the same answers at, each a function of the call's row counts m and n:
 # one-row strips; strips of m - 1 rows against the n columns of y, so the
-# cross Gram's last strip holds one row; one strip for each whole Gram; and
-# the default, under which x's square Gram at 362 rows is one strip, at 363
-# two, at 512 two full ones of 256 rows, and at 1200 eleven and a one-row
-# twelfth.
+# cross Gram's last strip holds one row; and one strip for each whole Gram.
+# The tests without a budget run at the default, under which a square Gram
+# of 362 rows is one strip, of 363 two, of 512 two full ones of 256 rows,
+# and of 1200 eleven and a one-row twelfth; they take every BUDGET_SIZES
+# pair too.
 STRIP_BUDGETS = {"one-row": lambda m, n: 1,
                  "one-row-last": lambda m, n: max(1, m - 1) * n,
-                 "single": lambda m, n: max(m, n) ** 2,
-                 "default": lambda m, n: distmatch._STRIP}
+                 "single": lambda m, n: max(m, n) ** 2}
 
 
 @pytest.fixture(params=list(STRIP_BUDGETS))
 def strip_budget(request, monkeypatch):
     """Call with (m, n) to set distmatch._STRIP for this test."""
     def set_budget(m, n):
-        monkeypatch.setattr(distmatch, "_STRIP", STRIP_BUDGETS[request.param](m, n))
+        budget = STRIP_BUDGETS[request.param](m, n)
+        monkeypatch.setattr(distmatch, "_STRIP", budget)
     return set_budget
 
 
@@ -148,9 +149,9 @@ class TestMMDValueOnly:
         full, value = mmd2_unbiased(x, y, k)[0], mmd2_unbiased(x, y, k, grad=False)[0]
         return np.float64(full).tobytes() == np.float64(value).tobytes()
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (362, 363), (363, 362),
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 5), (362, 362), (363, 363),
                                      (511, 512), (512, 512), (513, 1025),
-                                     (1200, 600)])
+                                     (1000, 513), (1200, 600)])
     def test_matches_gradient_path(self, rng, m, n):
         x = rng.normal(size=(m, 2))
         y = rng.normal(size=(n, 2)) + 0.5
@@ -160,9 +161,7 @@ class TestMMDValueOnly:
     def test_matches_gradient_path_at_any_strip_budget(self, rng, strip_budget,
                                                        m, n):
         strip_budget(m, n)
-        x = rng.normal(size=(m, 2))
-        y = rng.normal(size=(n, 2)) + 0.5
-        assert self._same(x, y, KernelSpec(0.8))
+        self.test_matches_gradient_path(rng, m, n)
 
     @pytest.mark.parametrize("bandwidth", [1e-3, 1e3])
     def test_matches_at_extreme_bandwidths(self, rng, bandwidth):
@@ -361,17 +360,18 @@ def _check_hsic(u, v, sig_u, sig_v):
 
 
 class TestAgainstFullMatrixReference:
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (362, 362), (363, 363),
-                                     (511, 511), (512, 512), (513, 513),
-                                     (1000, 1000), (1025, 1025), (1200, 1200),
-                                     (2048, 2048), (3, 1025), (1000, 513)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 5), (362, 362),
+                                     (363, 363), (511, 511), (512, 512),
+                                     (513, 513), (1000, 1000), (1025, 1025),
+                                     (1200, 1200), (2048, 2048), (3, 1025),
+                                     (1000, 513), (1200, 600)])
     def test_mmd_at_block_and_buffer_sizes(self, rng, m, n):
         _check_mmd(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)) + 0.5, 0.8)
 
     @pytest.mark.parametrize("m,n", BUDGET_SIZES)
     def test_mmd_at_any_strip_budget(self, rng, strip_budget, m, n):
         strip_budget(m, n)
-        _check_mmd(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)) + 0.5, 0.8)
+        self.test_mmd_at_block_and_buffer_sizes(rng, m, n)
 
     @pytest.mark.parametrize("sig", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
     def test_mmd_across_bandwidths(self, rng, sig):
