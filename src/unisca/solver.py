@@ -68,23 +68,34 @@ _SUMS = TRACE_COLUMNS[1:-1]
 
 # SolverConfig's declaration, read by its own check and the config file's:
 # bounds on its numeric fields, (comparison a valid value passes, its symbol,
-# {field: bound}); a tuple field is bound item by item, a None field is unset.
+# {field: bound}); a tuple field is bound item by item.
 _BOUNDS = (
     (operator.ge, ">=", {
         "d_c": 1, "batch": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
         "warm_batch": 2, "checkpoint_every": 1, "checkpoint_rows": 4,
-        "select_rows": 4, "lambda_whiten": 0, "beta": 0, "omega": 0,
-        "rho": 0, "d_p1": 0, "d_p2": 0, "disc_hidden": 1, "disc_steps": 1}),
-    (operator.gt, ">", {"lr_q": 0, "lr_f": 0, "lr_p": 0}),
+        "select_rows": 4, "d_p1": 0, "d_p2": 0, "disc_hidden": 1}),
 )
 # The types each annotation of SolverConfig takes; a tuple is an array.
-_ANNOTATED = {"int": (int,), "float": (float,), "str": (str,),
-              "tuple": (list,)}
+_ANNOTATED = {"int": (int,), "str": (str,), "tuple": (list,)}
 
 # Scale of the noise added to the whitening-block starting point of each
 # head, and the number of random slices a warm-start quantile step matches.
 _INIT_NOISE = 0.01
 _WARM_SLICES = 24
+
+# The objective's weights and Adam's step sizes, the synthetic study's values.
+# No caller varies them, so they are constants: a study of one edits it here.
+# _LAMBDA weighs the shared heads' whitening penalty and _OMEGA the private
+# heads'; _BETA weighs the anchor penalty and _RHO the HSIC term; _LR_Q is
+# the shared heads' step size and _LR_P the private heads'. The
+# discriminator's step size is Discriminator's own default, and it takes one
+# step per training step.
+_LAMBDA = 0.1
+_OMEGA = 10.0
+_BETA = 0.01
+_RHO = 50.0
+_LR_Q = 0.009
+_LR_P = 0.001
 
 
 class DivergenceError(RuntimeError):
@@ -95,15 +106,16 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Everything a fit depends on besides the data itself.
 
-    Defaults follow the synthetic-study settings (lr 0.009 / 0.00008, batch
-    1000, 50 epochs, lambda 0.1, beta 0.01, omega 10, rho 50).
+    Defaults follow the synthetic-study settings (batch 1000, 50 epochs).
     `restarts`/`warm_epochs` control the quantile warm start that chooses the
     starting point for the traced epochs; restarts=1 with warm_epochs=0
     reduces to plain whitening-plus-noise initialization. Mode-specific
     fields are ignored by the other modes. The MMD kernel's bandwidth (the
     median heuristic), the starting point's noise (`_INIT_NOISE`), the
-    warm start's slice count (`_WARM_SLICES`) and the discriminator's label
-    smoothing are fixed, not settings.
+    warm start's slice count (`_WARM_SLICES`), the discriminator's label
+    smoothing and step size, the penalty weights (`_LAMBDA`, `_OMEGA`,
+    `_BETA`, `_RHO`) and the heads' step sizes (`_LR_Q`, `_LR_P`) are fixed,
+    not settings.
 
     Each field is checked against its annotation (`_ANNOTATED`), `_BOUNDS`
     and `_CHOICES` by `numerics.check_value`, which the config file's solver
@@ -117,20 +129,12 @@ class SolverConfig:
     d_c: int
     mode: str = "unaligned"
     matcher: str = "mmd"
-    lambda_whiten: float = 0.1
-    beta: float = 0.01
-    omega: float = 10.0
-    rho: float = 50.0
-    lr_q: float = 0.009
-    lr_f: float = 0.00008
-    lr_p: float = 0.001
     batch: int = 1000
     epochs: int = 50
     seed: int = 0
     d_p1: int = 0
     d_p2: int = 0
     disc_hidden: tuple = DEFAULT_HIDDEN
-    disc_steps: int = 1
     restarts: int = 8
     warm_epochs: int = 30
     warm_batch: int = 1000
@@ -357,11 +361,16 @@ def _epoch_batches(n1: int, n2: int, batch: int, rng: np.random.Generator):
 
 
 def _resolve_anchors(anchors, cfg, n1, n2):
-    if cfg.mode == "weakly_supervised":
-        if anchors is None or len(anchors) == 0:
-            raise ValidationError("weakly_supervised mode requires anchors")
-    if anchors is None or len(anchors) == 0 or cfg.beta == 0.0:
+    """The anchor pairs of a weakly_supervised fit, checked against the row
+    counts; None in every other mode, which takes no anchors."""
+    given = anchors is not None and len(anchors) > 0
+    if cfg.mode != "weakly_supervised":
+        if given:
+            raise ValidationError(f"{cfg.mode} mode takes no anchors; only "
+                                  "weakly_supervised mode does")
         return None
+    if not given:
+        raise ValidationError("weakly_supervised mode requires anchors")
     pairs = anchors.pairs
     if pairs[:, 0].max() >= n1 or pairs[:, 1].max() >= n2 or pairs.min() < 0:
         raise ValidationError("anchor index out of range")
@@ -411,8 +420,8 @@ class _Term(NamedTuple):
 class _Matcher:
     """The configured divergence between the projected shared views.
 
-    The adversarial one trains its discriminator before each training step
-    (parameter gradients only), then takes the value and the gradients at
+    The adversarial one takes one discriminator step before each training
+    step (parameter gradients only), then takes the value and the gradients at
     the projected views (input gradients only). At a checkpoint either
     matcher is value-only: the MMD summed in row blocks, the adversarial
     value from forward passes alone. `kernel` is the MMD kernel, its
@@ -426,9 +435,7 @@ class _Matcher:
         if cfg.matcher == "mmd":
             self.disc = None
         else:
-            self.disc = Discriminator(cfg.d_c, hidden=cfg.disc_hidden,
-                                      lr=cfg.lr_f, rng=rng)
-            self.steps = cfg.disc_steps
+            self.disc = Discriminator(cfg.d_c, hidden=cfg.disc_hidden, rng=rng)
 
     @functools.cached_property
     def kernel(self) -> KernelSpec:
@@ -445,8 +452,7 @@ class _Matcher:
         if self.disc is None:
             value, gu, gv = mmd2_unbiased(u, v, self.kernel)
         else:
-            for _ in range(self.steps):
-                discriminator_step(self.disc, u, v)
+            discriminator_step(self.disc, u, v)
             value, _, gu, gv = gan_value_and_grads(self.disc, u, v,
                                                    grads="inputs")
         return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
@@ -474,19 +480,19 @@ def _whitening_term(name: str, w: float, s1: str, s2: str, v1: _View,
     return _Term(name, term, w * _WHITENING_LIMIT)
 
 
-def _anchor_term(beta: float, pairs: np.ndarray, v1: _View, v2: _View):
-    """beta * sum over anchor pairs of ||Q1 x1_l - Q2 x2_l||^2."""
+def _anchor_term(pairs: np.ndarray, v1: _View, v2: _View):
+    """_BETA * sum over anchor pairs of ||Q1 x1_l - Q2 x2_l||^2."""
     x1a, x2a = v1.z[pairs[:, 0]], v2.z[pairs[:, 1]]
 
     def term(p, b1, b2, train):
         value, g1, g2 = anchor_penalty(p["q1"], p["q2"], x1a, x2a)
-        return (beta * value, {"anchor": beta * value},
-                (("q1", beta * g1), ("q2", beta * g2)))
+        return (_BETA * value, {"anchor": _BETA * value},
+                (("q1", _BETA * g1), ("q2", _BETA * g2)))
     return _Term("anchor penalty", term)
 
 
-def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
-    """rho * sum over views of HSIC(shared, private projection); bandwidths
+def _hsic_term(p0: dict, v1: _View, v2: _View):
+    """_RHO * sum over views of HSIC(shared, private projection); bandwidths
     frozen from the projections p0; checkpoints are value-only, on at most
     1024 rows."""
     kc1, kp1, kc2, kp2 = (KernelSpec().resolve(v.z[:1000] @ p0[slot].T)
@@ -500,22 +506,21 @@ def _hsic_term(rho: float, p0: dict, v1: _View, v2: _View):
                                    grad=train)
         h2, gc2, gp2 = hsic_biased(b2 @ p["q2"].T, b2 @ p["qp2"].T, kc2, kp2,
                                    grad=train)
-        value = rho * (h1 + h2)
+        value = _RHO * (h1 + h2)
         if not train:
             return value, {"hsic": value}, ()
         return value, {"hsic": value}, (
-            ("q1", rho * gc1.T @ b1), ("qp1", rho * gp1.T @ b1),
-            ("q2", rho * gc2.T @ b2), ("qp2", rho * gp2.T @ b2))
+            ("q1", _RHO * gc1.T @ b1), ("qp1", _RHO * gp1.T @ b1),
+            ("q2", _RHO * gc2.T @ b2), ("qp2", _RHO * gp2.T @ b2))
     return _Term("hsic", term)
 
 
-def _constraints(cfg: SolverConfig, v1: _View, v2: _View, pairs) -> list:
+def _constraints(v1: _View, v2: _View, pairs) -> list:
     """The terms every phase adds to its matcher: shared-head whitening and,
-    with anchors, the anchor penalty."""
-    terms = [_whitening_term("whitening penalty", cfg.lambda_whiten, "q1",
-                             "q2", v1, v2)]
+    with anchors (weakly_supervised mode), the anchor penalty."""
+    terms = [_whitening_term("whitening penalty", _LAMBDA, "q1", "q2", v1, v2)]
     if pairs is not None:
-        terms.append(_anchor_term(cfg.beta, pairs, v1, v2))
+        terms.append(_anchor_term(pairs, v1, v2))
     return terms
 
 
@@ -532,10 +537,10 @@ class _Block:
         self.adam = AdamState(lr=lr)
 
 
-def _shared_blocks(lr: float, tied: bool) -> list:
+def _shared_blocks(tied: bool) -> list:
     if tied:
-        return [_Block(("q1", "q2"), lr)]
-    return [_Block(("q1",), lr), _Block(("q2",), lr)]
+        return [_Block(("q1", "q2"), _LR_Q)]
+    return [_Block(("q1",), _LR_Q), _Block(("q2",), _LR_Q)]
 
 
 def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
@@ -629,8 +634,8 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
             q2 = _haar_init(v2.rank, d_c, rng_init)
         p = {"q1": q1, "q2": q2}
         terms = [_quantile_term(cfg, rng_batch),
-                 *_constraints(cfg, v1, v2, pairs)]
-        _train(p, _shared_blocks(cfg.lr_q, homogeneous), terms, v1, v2,
+                 *_constraints(v1, v2, pairs)]
+        _train(p, _shared_blocks(homogeneous), terms, v1, v2,
                rng_batch, cfg.warm_batch, cfg.warm_epochs,
                f"warm-start restart {restart}")
         s = score(p["q1"], p["q2"])
@@ -650,13 +655,14 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
         anchors: AnchorSet | None = None) -> FitResult:
     """Learn the shared-component projections by distribution matching.
 
-    Minimizes matcher(Q1 x1, Q2 x2) + lambda (R(Q1) + R(Q2)), plus
-    beta * sum_l ||Q1 x1_l - Q2 x2_l||^2 over anchor pairs when provided.
-    Homogeneous mode trains a single matrix against both covariance
-    penalties; with_private mode adds the private heads (see
-    fit_with_private). The MMD kernel bandwidth is frozen from the initial
-    projections; the warm start (see SolverConfig) picks the starting
-    point, after which the configured matcher drives the traced epochs.
+    Minimizes matcher(Q1 x1, Q2 x2) + _LAMBDA (R(Q1) + R(Q2)), plus
+    _BETA * sum_l ||Q1 x1_l - Q2 x2_l||^2 over the anchor pairs in
+    weakly_supervised mode, the only mode that takes anchors. Homogeneous
+    mode trains a single matrix against both covariance penalties;
+    with_private mode adds the private heads (see fit_with_private). The
+    MMD kernel bandwidth is frozen from the initial projections; the warm
+    start (see SolverConfig) picks the starting point, after which the
+    configured matcher drives the traced epochs.
     """
     t0 = time.perf_counter()
     homogeneous = cfg.mode == "homogeneous"
@@ -687,13 +693,13 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     p["q1"], p["q2"] = _warm_start(cfg, v1, v2, matcher, pairs,
                                    homogeneous, rng_init, rng_batch)
 
-    blocks = _shared_blocks(cfg.lr_q, homogeneous)
-    terms = [_Term("matcher", matcher), *_constraints(cfg, v1, v2, pairs)]
+    blocks = _shared_blocks(homogeneous)
+    terms = [_Term("matcher", matcher), *_constraints(v1, v2, pairs)]
     if private:
-        blocks += [_Block(("qp1",), cfg.lr_p), _Block(("qp2",), cfg.lr_p)]
-        terms += [_whitening_term("private whitening penalty", cfg.omega,
+        blocks += [_Block(("qp1",), _LR_P), _Block(("qp2",), _LR_P)]
+        terms += [_whitening_term("private whitening penalty", _OMEGA,
                                   "qp1", "qp2", v1, v2),
-                  _hsic_term(cfg.rho, p, v1, v2)]
+                  _hsic_term(p, v1, v2)]
     trace, checkpoints = _train(p, blocks, terms, v1, v2, rng_batch,
                                 cfg.batch, cfg.epochs, "training",
                                 (cfg.checkpoint_every, cfg.checkpoint_rows))
@@ -714,8 +720,8 @@ def fit_with_private(x1: np.ndarray, x2: np.ndarray,
                      cfg: SolverConfig) -> FitResult:
     """Jointly learn shared projections and per-modality private heads.
 
-    Objective: matcher on the shared projections + lambda R(Q_C) terms +
-    omega R(Q_P) terms + rho * HSIC(Q_C x, Q_P x) per modality. The private
+    Objective: matcher on the shared projections + _LAMBDA R(Q_C) terms +
+    _OMEGA R(Q_P) terms + _RHO * HSIC(Q_C x, Q_P x) per modality. The private
     heads start from the next whitening rows and only join once the warm
     start has placed the shared heads; HSIC kernel bandwidths are frozen from
     the initial projections. Requires mode 'with_private'.
@@ -794,7 +800,6 @@ def load_model(directory: str) -> FitResult:
     disc = None
     if cfg.matcher == "adversarial":
         disc = Discriminator(q1.matrix.shape[0], hidden=cfg.disc_hidden,
-                             lr=cfg.lr_f,
                              rng=substream(cfg.seed, "solver", "disc-reload"))
         for i in range(len(disc.weights)):
             disc.weights[i] = get(f"disc_W{i}")

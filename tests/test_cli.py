@@ -100,7 +100,9 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
 # Solver fields deleted since the first saved models, at values they once took.
 _DELETED_FIELDS = {"gamma": 0.1, "disc_input_dropout": 0.0, "bandwidth": 1.0,
                    "init_noise": 0.01, "warm_slices": 24,
-                   "label_smoothing": 0.2}
+                   "label_smoothing": 0.2, "lambda_whiten": 0.1, "beta": 0.01,
+                   "omega": 10.0, "rho": 50.0, "lr_q": 0.009, "lr_f": 0.00008,
+                   "lr_p": 0.001, "disc_steps": 1}
 
 
 def test_config_setting_a_deleted_solver_field_is_an_error_line(tmp_path, capsys):

@@ -112,6 +112,17 @@ def test_fit_rejects_bad_input_naming_the_cause(case, fault):
         solver.fit(x1, x2, cfg)
 
 
+@pytest.mark.parametrize("mode", ["unaligned", "homogeneous", "with_private"])
+def test_fit_refuses_anchors_outside_weak_supervision(mode):
+    # They were once applied as an anchor penalty in any mode, while the
+    # saved config still named a mode without one.
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    cfg = solver.SolverConfig(d_c=2, mode=mode, d_p1=1, d_p2=1, **TINY)
+    anchors = solver.AnchorSet(np.array([[0, 0], [1, 1], [2, 2]]))
+    with pytest.raises(ValidationError, match=f"^{mode} mode takes no anchors"):
+        solver.fit(ds.x1, ds.x2, cfg, anchors=anchors)
+
+
 def test_fit_with_a_duplicated_column_whitens_the_retained_rank():
     ds = small_dataset(seed=1, n=600, preset="thm1a")
     x1 = np.hstack([ds.x1, ds.x1[:, :1]])
@@ -127,40 +138,44 @@ def test_fit_with_a_duplicated_column_whitens_the_retained_rank():
     assert np.isfinite(result.trace).all()
 
 
-def _blow_up(entry):
+def _blow_up(entry, monkeypatch):
     """Run `entry` with a shared-head learning rate so large that the first
     Adam step throws the projections out of floating-point range."""
+    monkeypatch.setattr(solver, "_LR_Q", 1e150)
     ds = small_dataset(seed=1, n=600, preset="private-appxG")
     if entry == "fit_with_private":
-        return solver.fit_with_private(ds.x1, ds.x2, _private_config(lr_q=1e150))
+        return solver.fit_with_private(ds.x1, ds.x2, _private_config())
     warm = {"restarts": 2, "warm_epochs": 2} if entry == "warm_start" else {}
-    cfg = solver.SolverConfig(d_c=2, lr_q=1e150, **{**TINY, **warm})
+    cfg = solver.SolverConfig(d_c=2, **{**TINY, **warm})
     return solver.fit(ds.x1, ds.x2, cfg)
 
 
 @pytest.mark.parametrize("entry", ["fit", "warm_start", "fit_with_private"])
-def test_divergence_names_the_term(entry):
+def test_divergence_names_the_term(entry, monkeypatch):
     with np.errstate(all="ignore"):
         with pytest.raises(solver.DivergenceError,
                            match="whitening penalty became non-finite"):
-            _blow_up(entry)
+            _blow_up(entry, monkeypatch)
 
 
 @pytest.mark.parametrize("entry,term", [
     ("fit", "whitening penalty"), ("warm_start", "whitening penalty"),
     ("fit_with_private", "private whitening penalty")])
-def test_finite_blow_up_names_the_term_and_epoch(entry, term):
-    # At lr_q=100 the objective climbs from 4e-3 at epoch 0's checkpoint to
-    # about 1e8 while staying finite; without a bound the fit returned.
-    # Fits at the defaults keep each whitening penalty below 1. Each phase
-    # numbers its epochs from 0, so only the phase tells the first two apart.
+def test_finite_blow_up_names_the_term_and_epoch(entry, term, monkeypatch):
+    # At a step size of 100 the objective climbs from 4e-3 at epoch 0's
+    # checkpoint to about 1e8 while staying finite; without a bound the fit
+    # returned. Fits at the solver's step sizes keep each whitening penalty
+    # below 1. Each phase numbers its epochs from 0, so only the phase tells
+    # the first two apart.
     if entry == "fit_with_private":
+        monkeypatch.setattr(solver, "_LR_P", 100.0)
         ds = small_dataset(seed=1, n=600, preset="private-appxG")
-        cfg = _private_config(epochs=20, lr_p=100.0)
+        cfg = _private_config(epochs=20)
     else:
+        monkeypatch.setattr(solver, "_LR_Q", 100.0)
         ds = small_dataset(seed=1, n=600, preset="thm1a")
         warm = {"restarts": 2, "warm_epochs": 2} if entry == "warm_start" else {}
-        cfg = solver.SolverConfig(d_c=ds.d_c, lr_q=100.0,
+        cfg = solver.SolverConfig(d_c=ds.d_c,
                                   **{**TINY, "epochs": 20, **warm})
     phase = "warm-start restart 0" if entry == "warm_start" else "training"
     with pytest.raises(solver.DivergenceError,
@@ -171,7 +186,7 @@ def test_finite_blow_up_names_the_term_and_epoch(entry, term):
 
 @pytest.mark.parametrize("field,value", [
     ("checkpoint_every", 0), ("warm_batch", 1), ("checkpoint_rows", 1),
-    ("select_rows", 3), ("batch", 1), ("restarts", 0), ("rho", -1.0),
+    ("select_rows", 3), ("batch", 1), ("restarts", 0),
 ])
 def test_config_rejects_values_below_minimum(field, value):
     with pytest.raises(ValidationError,
@@ -181,24 +196,22 @@ def test_config_rejects_values_below_minimum(field, value):
 
 # The JSON-Schema keyword each comparison of solver._BOUNDS stands for, kept
 # as the case ids.
-_KEYWORDS = {">=": "minimum", ">": "exclusiveMinimum"}
+_KEYWORDS = {">=": "minimum"}
 
 
 def _bounds():
-    """(field, value just past the bound, value at or inside it, the fault
-    the past value reads) for every bound solver._BOUNDS puts on a field (on
-    the items of a tuple field, named by the item's index)."""
+    """(field, value one below the bound, value at it, the fault the value
+    below reads) for every bound solver._BOUNDS puts on a field (on the items
+    of a tuple field, named by the item's index)."""
     types = {f.name: f.type for f in dataclasses.fields(solver.SolverConfig)}
     cases = []
     for _, symbol, bounds in solver._BOUNDS:
         for name, bound in bounds.items():
             wrap = (lambda v: (v,)) if types[name] == "tuple" else (lambda v: v)
-            step = 1 if types[name] in ("int", "tuple") else 1e-6
-            past, inside = {">=": (-step, 0), ">": (0, step)}[symbol]
             where = f"{name}/0" if types[name] == "tuple" else name
             cases.append(pytest.param(
-                name, wrap(bound + past), wrap(bound + inside),
-                f"{where}: {bound + past!r} is not {symbol} {bound}",
+                name, wrap(bound - 1), wrap(bound),
+                f"{where}: {bound - 1!r} is not {symbol} {bound}",
                 id=f"{name}-{_KEYWORDS[symbol]}"))
     return cases
 
@@ -323,14 +336,11 @@ def test_config_integer_fields_take_integers_only(value, accepted):
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
 
 
-@pytest.mark.parametrize("field,value", [
-    ("lr_q", "x"), ("lambda_whiten", True), ("omega", None),
-    ("disc_hidden", 5)])
+@pytest.mark.parametrize("field,value", [("disc_hidden", 5)])
 def test_config_rejects_a_field_of_the_wrong_type(field, value):
-    # Each once escaped as a bare TypeError or was accepted.
-    expected = "an array" if field == "disc_hidden" else "a number"
+    # A wrong type once escaped as a bare TypeError or was accepted.
     with pytest.raises(ValidationError,
-                       match=f"^{field}: expected {expected}, got "):
+                       match=f"^{field}: expected an array, got "):
         solver.SolverConfig(**{"d_c": 2, field: value})
 
 
