@@ -70,29 +70,18 @@ class KernelSpec:
 
         Each set contributes its leading rows so the pool has at most
         _RESOLVE_POOL points; with zero median distance (e.g. constant inputs)
-        the bandwidth falls back to 1.0. The squared distances are formed in
-        the buffer of the pool's Gram, in strips of at most _STRIP entries
-        (the arithmetic is per element, so the strip size moves no byte),
-        and only their upper triangle is kept. As sqrt is monotone, the
-        median distance is the mean of the square roots of the one or two
-        middle squared distances, found by an in-place partition, which is
-        what np.median of all distances returns (NaN, as there, falls back
-        to 1.0).
+        the bandwidth falls back to 1.0. The squared distances above the
+        diagonal fill one buffer (`_upper_sq_distances`). As sqrt is
+        monotone, the median distance is the mean of the square roots of the
+        one or two middle squared distances, found by an in-place partition,
+        which is what np.median of all distances returns (NaN, as there,
+        falls back to 1.0).
         """
         if self.bandwidth is not None:
             return self
         per = max(1, _RESOLVE_POOL // max(1, len(sample_sets)))
         pool = np.vstack([np.asarray(s, dtype=np.float64)[:per] for s in sample_sets])
-        n = pool.shape[0]
-        p2 = _sqnorms(pool)
-        d2 = pool @ pool.T
-        d2 *= 2.0
-        step = _strip_rows(n)
-        for i in range(0, n, step):
-            rows = slice(i, i + step)
-            np.subtract(p2[rows, None] + p2[None, :], d2[rows], out=d2[rows])
-        np.maximum(d2, 0.0, out=d2)
-        upper = np.concatenate([d2[i, i + 1:] for i in range(n)])
+        upper = _upper_sq_distances(pool)
         med = 0.0
         if upper.size:
             h = upper.size // 2
@@ -123,6 +112,39 @@ def _strip_rows(columns: int) -> int:
 
 def _sqnorms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
+
+
+def _upper_sq_distances(pool: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 over the pool's pairs i < j, row by row, clamped at 0,
+    in one n(n-1)/2 buffer; the n x n matrix is never formed.
+
+    Each strip of `_strip_rows` rows is a full-width product pool[rows] @
+    pool.T (at most _STRIP entries), doubled and subtracted from p2_i + p2_j
+    right of its first row; its part above the diagonal is copied out. A
+    BLAS may round a dot by where it falls in a product's tiles, so a strip
+    spans every column, as the square product pool @ pool.T did. At 1000
+    and 2000 points (the pools of fits whose views have 1000 rows or more)
+    and at one strip's rows or fewer, every entry equals the square
+    product's; a strip of only the columns right of its first row, or one
+    dot per row, differs in some. At other sizes OpenBLAS rounds a few
+    entries of a ragged last column tile differently (21 of 133,386 at 517
+    points).
+    """
+    n = pool.shape[0]
+    p2 = _sqnorms(pool)
+    upper = np.empty(n * (n - 1) // 2)
+    step = _strip_rows(n)
+    start = 0
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        d2 = (pool[rows] @ pool.T)[:, i:]
+        d2 *= 2.0
+        np.subtract(p2[rows, None] + p2[None, i:], d2, out=d2)
+        right = d2[np.arange(d2.shape[1]) > np.arange(d2.shape[0])[:, None]]
+        upper[start:start + right.size] = right
+        start += right.size
+    np.maximum(upper, 0.0, out=upper)
+    return upper
 
 
 def _rows(x: np.ndarray) -> np.ndarray:

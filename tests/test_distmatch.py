@@ -59,6 +59,23 @@ class TestKernelSpec:
             got = KernelSpec().resolve(*sets).bandwidth
         assert got == (med if med > 0 else 1.0)
 
+    @pytest.mark.parametrize("n", [2000, 1000, 362, 2])
+    def test_strips_equal_the_square_product(self, n):
+        # Every squared distance above the diagonal, byte for byte, against
+        # the one square product resolve used to form, over many draws of
+        # scale, offset and width, at the pool sizes fits resolve (2000 and
+        # 1000 points) and at one strip's rows or fewer.
+        draws = substream(n, "tests", "resolve-draws")
+        for _ in range(10):
+            d = int(draws.integers(1, 6))
+            pool = (draws.normal(size=(n, d)) * 10 ** draws.uniform(-2, 2)
+                    + draws.normal(size=d))
+            p2 = np.einsum("ij,ij->i", pool, pool)
+            d2 = np.maximum(p2[:, None] + p2[None, :] - 2.0 * (pool @ pool.T),
+                            0.0)
+            want = d2[np.triu(np.ones(d2.shape, dtype=bool), 1)]
+            assert distmatch._upper_sq_distances(pool).tobytes() == want.tobytes()
+
     def test_unresolved_rejected(self, rng):
         with pytest.raises(ValidationError):
             mmd2_unbiased(rng.normal(size=(4, 1)), rng.normal(size=(4, 1)),
@@ -425,12 +442,13 @@ class TestMemory:
             lambda: mmd2_unbiased(x, y, kernel, grad=False)) < 2 * 2**20
 
     def test_resolve_holds_the_distances_and_their_triangle(self, rng):
-        # The 2000-point pool's squared distances (30.5 MiB, formed in the
-        # Gram's buffer) and their upper triangle (15 MiB) bound the peak at
-        # 46 MiB. Forming them from four full-size temporaries peaked at 62
-        # MiB, and np.triu_indices' two index arrays at 76.
+        # The 2000-point pool's upper triangle is 15.3 MiB and a 65 x 2000
+        # strip 1 MiB; the call peaked at 18.3 MiB. Forming the square
+        # distance matrix (30.5 MiB) in the Gram's buffer and concatenating
+        # its rows' upper parts peaked at 46 MiB, four full-size temporaries
+        # at 62 and np.triu_indices' two index arrays at 76.
         a, b = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
-        assert _peak_bytes(lambda: KernelSpec().resolve(a, b)) < 52 * 2**20
+        assert _peak_bytes(lambda: KernelSpec().resolve(a, b)) < 20 * 2**20
 
     def test_hsic_holds_two_grams(self, rng):
         # With centred copies it peaked at 80 MiB; two 1024-row Grams are 16.
