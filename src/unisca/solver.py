@@ -593,19 +593,23 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
 
 
 def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
-                pairs, homogeneous: bool, rng_init: np.random.Generator,
-                rng_batch: np.random.Generator):
+                pairs, homogeneous: bool, rng_init: np.random.Generator):
     """Multi-restart quantile warm start; returns the best starting point.
 
-    Restart 0 starts from the whitening-plus-noise block; later restarts use
-    seeded random orthonormal frames. Candidates are scored by the MMD at
-    the matcher's frozen kernel plus a half-bandwidth MMD on a large leading
-    subsample, which separates true matches from scale-local spurious ones.
-    The score is one value-only MMD under the two-scale kernel k_sigma +
-    k_{sigma/2}: each Gram strip is one augmented product, clamp and exp,
-    summed, then squared twice in place for sigma/2 and summed again, with
-    no gradients or n x n Gram matrices. Each restart's score and the chosen
-    restart are logged at DEBUG.
+    Restart 0 starts from the whitening-plus-noise block drawn from
+    rng_init; later restarts use random orthonormal frames. Restart r takes
+    every other draw, its frame, its quantile slices and its warm batches,
+    from its own substream (seed, "solver", "restart r"), so its result does
+    not depend on the other restarts or on the order they run in.
+
+    Candidates are scored by the MMD at the matcher's frozen kernel plus a
+    half-bandwidth MMD on a large leading subsample, which separates true
+    matches from scale-local spurious ones. The score is one value-only MMD
+    under the two-scale kernel k_sigma + k_{sigma/2}: each Gram strip is one
+    augmented product, clamp and exp, summed, then squared twice in place
+    for sigma/2 and summed again, with no gradients or n x n Gram matrices.
+    After the search, each restart's score and then the chosen restart are
+    logged at DEBUG, in restart order; ties go to the lower restart.
     """
     d_c = cfg.d_c
     q1_spec = _block_init(v1.rank, slice(0, d_c), _INIT_NOISE, rng_init,
@@ -618,27 +622,26 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     kernel = KernelSpec(matcher.kernel.require(), two_scale=True)
     ns = min(cfg.select_rows, v1.n, v2.n)
 
-    def score(q1, q2):
-        u, v = v1.z[:ns] @ q1.T, v2.z[:ns] @ q2.T
-        return mmd2_unbiased(u, v, kernel, grad=False)[0]
-
-    best, best_score, best_restart = None, np.inf, -1
-    for restart in range(cfg.restarts):
+    def search(restart: int):
+        rng = substream(cfg.seed, "solver", f"restart {restart}")
         if restart == 0:
             q1, q2 = q1_spec, q2_spec
         elif homogeneous:
-            q1 = _haar_init(min(v1.rank, v2.rank), d_c, rng_init)
-            q2 = q1
+            q1 = q2 = _haar_init(min(v1.rank, v2.rank), d_c, rng)
         else:
-            q1 = _haar_init(v1.rank, d_c, rng_init)
-            q2 = _haar_init(v2.rank, d_c, rng_init)
+            q1 = _haar_init(v1.rank, d_c, rng)
+            q2 = _haar_init(v2.rank, d_c, rng)
         p = {"q1": q1, "q2": q2}
-        terms = [_quantile_term(cfg, rng_batch),
-                 *_constraints(v1, v2, pairs)]
-        _train(p, _shared_blocks(homogeneous), terms, v1, v2,
-               rng_batch, cfg.warm_batch, cfg.warm_epochs,
-               f"warm-start restart {restart}")
-        s = score(p["q1"], p["q2"])
+        terms = [_quantile_term(cfg, rng), *_constraints(v1, v2, pairs)]
+        _train(p, _shared_blocks(homogeneous), terms, v1, v2, rng,
+               cfg.warm_batch, cfg.warm_epochs, f"warm-start restart {restart}")
+        u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
+        return p, mmd2_unbiased(u, v, kernel, grad=False)[0]
+
+    results = [search(r) for r in range(cfg.restarts)]
+
+    best, best_score, best_restart = None, np.inf, -1
+    for restart, (p, s) in enumerate(results):
         log.debug("warm start restart %d: score %.6g", restart, s)
         if s < best_score:
             best, best_score, best_restart = (p["q1"], p["q2"]), s, restart
@@ -672,8 +675,11 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     v1, v2, pooled = _prepare_views(x1, x2, homogeneous)
     pairs = _resolve_anchors(anchors, cfg, v1.n, v2.n)
 
-    # Draw order is part of the replay contract: probes, private heads, then
-    # the warm start's draws from rng_init.
+    # Draw order is part of the replay contract. rng_init draws the probes,
+    # the private heads and restart 0's block start, in that order; each
+    # warm-start restart draws the rest of its search from its own stream
+    # (see _warm_start), and rng_batch draws the training batches alone, so
+    # neither restarts nor warm_epochs move them.
     rng_init = substream(cfg.seed, "solver", "init")
     rng_batch = substream(cfg.seed, "solver", "batches")
     rng_disc = substream(cfg.seed, "solver", "disc")
@@ -691,7 +697,7 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
         p["qp2"] = _block_init(v2.rank, slice(d_c, d_c + cfg.d_p2),
                                _INIT_NOISE, rng_init, "QP2")
     p["q1"], p["q2"] = _warm_start(cfg, v1, v2, matcher, pairs,
-                                   homogeneous, rng_init, rng_batch)
+                                   homogeneous, rng_init)
 
     blocks = _shared_blocks(homogeneous)
     terms = [_Term("matcher", matcher), *_constraints(v1, v2, pairs)]
