@@ -300,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="multi-seed gen+fit+eval with medians")
     common(p)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="seeds fitted at once, one thread each (default 1); "
+                        "each fit's warm start runs its restarts on up to "
+                        "the usable cores, so J jobs may run J times that "
+                        "many threads; the outputs do not change")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -38,6 +38,7 @@ the MMD one), so every run is replay-deterministic under its seed.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import logging
 import operator
@@ -592,6 +593,15 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
     return trace, checkpoints
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity), or the
+    machine's count where the platform reports no affinity."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
                 pairs, homogeneous: bool, rng_init: np.random.Generator):
     """Multi-restart quantile warm start; returns the best starting point.
@@ -600,7 +610,14 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     rng_init; later restarts use random orthonormal frames. Restart r takes
     every other draw, its frame, its quantile slices and its warm batches,
     from its own substream (seed, "solver", "restart r"), so its result does
-    not depend on the other restarts or on the order they run in.
+    not depend on the other restarts or on the order they run in. The
+    restarts run side by side on up to the usable cores (`_usable_cores`),
+    in a thread pool, in the caller's context (numpy's error state
+    included): quantile steps and scores spend their time in numpy sorts,
+    BLAS products and exp strips, which release the GIL. A fit's bytes do
+    not depend on the worker count. A restart that fails raises its error
+    once every lower-numbered restart has succeeded, as one after the
+    other; restarts not yet started are then cancelled.
 
     Candidates are scored by the MMD at the matcher's frozen kernel plus a
     half-bandwidth MMD on a large leading subsample, which separates true
@@ -638,7 +655,16 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
         return p, mmd2_unbiased(u, v, kernel, grad=False)[0]
 
-    results = [search(r) for r in range(cfg.restarts)]
+    restarts = range(cfg.restarts)
+    workers = min(cfg.restarts, _usable_cores())
+    if workers == 1:
+        results = [search(r) for r in restarts]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        contexts = [contextvars.copy_context() for _ in restarts]
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(lambda ctx, r: ctx.run(search, r),
+                                    contexts, restarts))
 
     best, best_score, best_restart = None, np.inf, -1
     for restart, (p, s) in enumerate(results):

@@ -6,7 +6,9 @@ random draws or floating-point sums in the solver shows here. Checkpoints
 follow one schedule in every mode (epoch 0, every checkpoint_every epochs,
 the last epoch); the stored ones must reappear byte for byte among them.
 Each fit is also run twice in one process and must repeat itself byte for
-byte, checkpoints included. CHANGES.md records each past regeneration.
+byte, checkpoints included, and once each with the warm start's restarts on
+one worker thread and on two, which must give the stored bytes too. CHANGES.md
+records each past regeneration.
 
 Regenerate the file only for a change that is meant to alter the numbers,
 and say so, with the largest difference per array that `--diff` prints:
@@ -154,9 +156,7 @@ def first_run():
     return get
 
 
-@pytest.mark.parametrize("name", sorted(FITS))
-def test_fit_replays_golden_outputs(name, golden, first_run):
-    result = first_run(name)
+def _assert_golden(name: str, result: solver.FitResult, golden) -> None:
     got = arrays(result)
     want = {k.split("/", 1)[1]: v for k, v in golden.items()
             if k.startswith(name + "/") and not k.endswith("/checkpoints")}
@@ -167,6 +167,22 @@ def test_fit_replays_golden_outputs(name, golden, first_run):
     found = dict(result.checkpoints)
     for epoch, value in golden[f"{name}/checkpoints"]:
         assert _same_bytes(np.float64(found[int(epoch)]), value), (name, epoch)
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_replays_golden_outputs(name, golden, first_run):
+    _assert_golden(name, first_run(name), golden)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_replays_golden_outputs_at_any_worker_count(name, workers, golden,
+                                                        monkeypatch):
+    # The warm start runs its restarts on min(restarts, usable cores)
+    # threads, one after the other on one; every restart draws from its own
+    # stream, so the bytes are the same either way.
+    monkeypatch.setattr(solver, "_usable_cores", lambda: workers)
+    _assert_golden(name, FITS[name](), golden)
 
 
 @pytest.mark.parametrize("name", sorted(FITS))

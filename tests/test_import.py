@@ -25,3 +25,9 @@ def test_import_leaves_jsonschema_out():
     # The config is checked against declarations in the package itself, so
     # not even the command line, which loads unisca.config, needs jsonschema.
     _import_without("unisca.cli", "jsonschema")
+
+
+def test_import_leaves_concurrent_futures_out():
+    # Only a warm start with more than one worker needs a thread pool, and
+    # it imports one then.
+    _import_without("unisca", "concurrent.futures")

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -152,10 +153,15 @@ def _blow_up(entry, monkeypatch):
 
 @pytest.mark.parametrize("entry", ["fit", "warm_start", "fit_with_private"])
 def test_divergence_names_the_term(entry, monkeypatch):
-    with np.errstate(all="ignore"):
+    # The caller's np.errstate holds in the warm start's worker threads
+    # too, so no overflow warning leaks from a restart run side by side.
+    with np.errstate(all="ignore"), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(solver.DivergenceError,
                            match="whitening penalty became non-finite"):
             _blow_up(entry, monkeypatch)
+    assert not caught
 
 
 @pytest.mark.parametrize("entry,term", [
@@ -181,6 +187,23 @@ def test_finite_blow_up_names_the_term_and_epoch(entry, term, monkeypatch):
     with pytest.raises(solver.DivergenceError,
                        match=rf"^{term} reached .*, above its bound .*, "
                              rf"at epoch 0 of {phase}$"):
+        solver.fit(ds.x1, ds.x2, cfg)
+
+
+def test_warm_start_raises_the_lowest_failing_restart(monkeypatch):
+    # Restart 1 starts from NaN and fails at its first step; restart 0 blows
+    # up a few steps in. Side by side restart 1 fails first, yet the error
+    # is restart 0's, as when they run one after the other.
+    monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(solver, "_LR_Q", 100.0)
+    monkeypatch.setattr(solver, "_haar_init",
+                        lambda rank, k, rng: np.full((k, rank), np.nan))
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    cfg = solver.SolverConfig(d_c=ds.d_c, **{**TINY, "restarts": 2,
+                                             "warm_epochs": 2})
+    with pytest.raises(solver.DivergenceError,
+                       match=r"^whitening penalty reached .* at epoch 0 of "
+                             r"warm-start restart 0$"):
         solver.fit(ds.x1, ds.x2, cfg)
 
 
@@ -438,3 +461,57 @@ def test_load_refuses_a_model_without_a_config(tmp_path):
     (tmp_path / "model.json").write_text(json.dumps({**meta, "config": None}))
     with pytest.raises(ValidationError, match="refit the model$"):
         solver.load_model(str(tmp_path))
+
+
+def _restart_scores(caplog, ds, **search):
+    cfg = solver.SolverConfig(d_c=ds.d_c, **{**TINY, **search})
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="unisca"):
+        solver.fit(ds.x1, ds.x2, cfg)
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("warm start restart ")]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_restart_scores_the_same_whatever_the_restart_count(
+        workers, caplog, monkeypatch):
+    # Restart r draws its frame, its slices and its warm batches from its
+    # own stream, so restarts 0 and 1 do not move when two more join them.
+    # The scores are logged in restart order after the search.
+    monkeypatch.setattr(solver, "_usable_cores", lambda: workers)
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    two = _restart_scores(caplog, ds, restarts=2, warm_epochs=2)
+    four = _restart_scores(caplog, ds, restarts=4, warm_epochs=2)
+    assert [m.split(":")[0] for m in four] == [
+        f"warm start restart {r}" for r in range(4)]
+    assert four[:2] == two
+
+
+@pytest.mark.parametrize("restarts,warm_epochs",
+                         [(2, 0), (4, 0), (1, 2), (2, 2), (4, 2)])
+def test_training_batches_do_not_depend_on_the_search(restarts, warm_epochs,
+                                                      monkeypatch):
+    # The training phase alone draws from the batch stream, so neither the
+    # restart count nor the warm epochs move its batches. The warm start's
+    # batches have warm_batch rows, the training's batch rows.
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    real = solver._epoch_batches
+
+    def training_batches(**search):
+        drawn = []
+
+        def record(n1, n2, batch, rng):
+            for idx1, idx2 in real(n1, n2, batch, rng):
+                if batch == TINY["batch"]:
+                    drawn.append((idx1.tobytes(), idx2.tobytes()))
+                yield idx1, idx2
+        monkeypatch.setattr(solver, "_epoch_batches", record)
+        cfg = solver.SolverConfig(d_c=ds.d_c, **{**TINY, "warm_batch": 100,
+                                                 **search})
+        solver.fit(ds.x1, ds.x2, cfg)
+        return drawn
+
+    plain = training_batches(restarts=1, warm_epochs=0)
+    assert len(plain) == 3 * TINY["epochs"]
+    assert training_batches(restarts=restarts,
+                            warm_epochs=warm_epochs) == plain
