@@ -25,7 +25,10 @@ argsort, which is a quarter of the stable one's cost, and falls back to the
 stable sort only when a slice holds equal values, so its order and its bytes
 are the stable sort's. Restart selection uses a value-only MMD on a large
 deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
-sigma frozen, which is the sum of the MMD at both bandwidths. Every
+sigma frozen, which is the sum of the MMD at both bandwidths. Each restart
+draws from its own random stream, so the restarts run side by side in a
+thread pool on up to the usable cores, and a fit's bytes depend neither on
+the worker count nor on the order the restarts finish in. Every
 MMD, a step's value and gradients included, is summed over Gram strips of
 at most 2^17 entries (distmatch._STRIP, 1 MiB, which stays in a core's L2
 cache), so no MMD call forms an n x n Gram matrix. The budget is a constant,
@@ -110,7 +113,11 @@ class SolverConfig:
     Defaults follow the synthetic-study settings (batch 1000, 50 epochs).
     `restarts`/`warm_epochs` control the quantile warm start that chooses the
     starting point for the traced epochs; restarts=1 with warm_epochs=0
-    reduces to plain whitening-plus-noise initialization. Mode-specific
+    reduces to plain whitening-plus-noise initialization. Each restart draws
+    from its own random stream and the training batches from theirs, so the
+    restarts run side by side on up to the usable cores with the bytes they
+    give one after the other, and neither setting moves the training
+    batches. The worker count is not a setting. Mode-specific
     fields are ignored by the other modes. The MMD kernel's bandwidth (the
     median heuristic), the starting point's noise (`_INIT_NOISE`), the
     warm start's slice count (`_WARM_SLICES`), the discriminator's label
@@ -608,9 +615,10 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
 
     Restart 0 starts from the whitening-plus-noise block drawn from
     rng_init; later restarts use random orthonormal frames. Restart r takes
-    every other draw, its frame, its quantile slices and its warm batches,
-    from its own substream (seed, "solver", "restart r"), so its result does
-    not depend on the other restarts or on the order they run in. The
+    all its other draws (its frame, its quantile slices and its warm
+    batches) from its own substream (seed, "solver", "restart r"), so its
+    result depends neither on the other restarts nor on the order they run
+    in. The
     restarts run side by side on up to the usable cores (`_usable_cores`),
     in a thread pool, in the caller's context (numpy's error state
     included): quantile steps and scores spend their time in numpy sorts,
@@ -661,6 +669,7 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         results = [search(r) for r in restarts]
     else:
         from concurrent.futures import ThreadPoolExecutor
+        # One copy per restart: a context is entered by one thread at a time.
         contexts = [contextvars.copy_context() for _ in restarts]
         with ThreadPoolExecutor(workers) as pool:
             results = list(pool.map(lambda ctx, r: ctx.run(search, r),

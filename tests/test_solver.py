@@ -6,6 +6,7 @@ import dataclasses
 import json
 import logging
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -515,3 +516,25 @@ def test_training_batches_do_not_depend_on_the_search(restarts, warm_epochs,
     assert len(plain) == 3 * TINY["epochs"]
     assert training_batches(restarts=restarts,
                             warm_epochs=warm_epochs) == plain
+
+
+def test_restarts_on_more_workers_than_cores_give_the_same_bytes(monkeypatch):
+    # Six restarts on six threads, switching every microsecond, against one
+    # after the other: a state the restarts shared by mistake (a stream, a
+    # parameter array, an Adam moment) would show as different bytes.
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    cfg = solver.SolverConfig(d_c=ds.d_c, **{**TINY, "restarts": 6,
+                                             "warm_epochs": 2})
+    monkeypatch.setattr(solver, "_usable_cores", lambda: 1)
+    alone = solver.fit(ds.x1, ds.x2, cfg)
+    monkeypatch.setattr(solver, "_usable_cores", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = solver.fit(ds.x1, ds.x2, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in ((alone.q1, pooled.q1), (alone.q2, pooled.q2)):
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert alone.trace.tobytes() == pooled.trace.tobytes()
+    assert alone.checkpoints == pooled.checkpoints
