@@ -663,17 +663,13 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
         return p, mmd2_unbiased(u, v, kernel, grad=False)[0]
 
+    from concurrent.futures import ThreadPoolExecutor
     restarts = range(cfg.restarts)
-    workers = min(cfg.restarts, _usable_cores())
-    if workers == 1:
-        results = [search(r) for r in restarts]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        # One copy per restart: a context is entered by one thread at a time.
-        contexts = [contextvars.copy_context() for _ in restarts]
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(lambda ctx, r: ctx.run(search, r),
-                                    contexts, restarts))
+    # One copy per restart: a context is entered by one thread at a time.
+    contexts = [contextvars.copy_context() for _ in restarts]
+    with ThreadPoolExecutor(min(cfg.restarts, _usable_cores())) as pool:
+        results = list(pool.map(lambda ctx, r: ctx.run(search, r),
+                                contexts, restarts))
 
     best, best_score, best_restart = None, np.inf, -1
     for restart, (p, s) in enumerate(results):
