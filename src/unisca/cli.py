@@ -303,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="seeds fitted at once, one thread each (default 1); "
                         "each fit's warm start runs its restarts on up to "
-                        "the usable cores, so J jobs may run J times that "
-                        "many threads; the outputs do not change")
+                        "the usable cores, and an adversarial fit its two "
+                        "views on two threads when the cores hold twice the "
+                        "BLAS threads, so J jobs may run J times that many "
+                        "threads; the outputs do not change")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -1,5 +1,5 @@
-"""Input checks, dense linear algebra, seeded randomness, Adam, and a
-finite-difference oracle.
+"""Input checks, dense linear algebra, seeded randomness, Adam, the cores
+and BLAS threads a process may use, and a finite-difference oracle.
 
 Everything downstream (data generation, matchers, solvers) builds on
 the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
@@ -7,6 +7,7 @@ the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -85,6 +86,36 @@ def check_value(value, types: tuple, where: str, key: str, bounds=(),
         raise ValidationError(f"{where}: expected one of "
                               f"{list(choices[key])}, got {value!r}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# Cores and BLAS threads
+# ---------------------------------------------------------------------------
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity), or the
+    machine's count where the platform reports no affinity."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The threads each BLAS product runs on: the first of
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, or
+    else the usable cores, which is OpenBLAS's default."""
+    for var in _BLAS_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return usable_cores()
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +218,11 @@ class AdamState:
     v: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The updated parameter, param - lr m_hat / (sqrt(v_hat) + eps), as
+        a new array. The moments update in place, in the order of operations
+        of m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g, and the
+        update in that of the expression, so the bytes are the expressions'
+        while the only arrays formed are two temporaries the size of param."""
         param = np.asarray(param, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
         if param.shape != grad.shape:
@@ -198,11 +234,20 @@ class AdamState:
         if self.m.shape != param.shape:
             raise ValidationError("Adam state shape does not match parameter")
         self.t += 1
-        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
-        self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad
-        m_hat = self.m / (1.0 - _BETA1 ** self.t)
-        v_hat = self.v / (1.0 - _BETA2 ** self.t)
-        return param - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        m, v = self.m, self.v
+        m *= _BETA1
+        m += (1.0 - _BETA1) * grad
+        v *= _BETA2
+        buf = (1.0 - _BETA2) * grad
+        buf *= grad
+        v += buf
+        step = m / (1.0 - _BETA1 ** self.t)  # m_hat
+        step *= self.lr
+        np.divide(v, 1.0 - _BETA2 ** self.t, out=buf)  # v_hat
+        np.sqrt(buf, out=buf)
+        buf += _EPS
+        step /= buf
+        return np.subtract(param, step, out=step)
 
 
 # ---------------------------------------------------------------------------

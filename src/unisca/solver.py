@@ -10,8 +10,11 @@ recorded at epoch 0, every checkpoint_every epochs and after the last epoch. A
 checkpoint reads only values, so its MMD and HSIC are the value-only ones and
 its adversarial value runs the discriminator forward only. A training step
 forms only the gradients it reads: the discriminator's own step its parameter
-gradients, the projection update the discriminator's input gradients. A step
-whose term is not finite, or whose whitening penalty passes a bound no
+gradients, the projection update the discriminator's input gradients. Both
+run the two projected views side by side, one on a worker thread, when the
+usable cores hold each view's BLAS threads (see distmatch), with the bytes
+of one view after the other; a checkpoint runs them one after the other. A
+step whose term is not finite, or whose whitening penalty passes a bound no
 working fit comes near, raises DivergenceError naming the term, the epoch
 and the phase: a warm-start restart or the traced training.
 
@@ -52,7 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import matio
+from . import matio, numerics
 from .distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                         discriminator_step, gan_value_and_grads, hsic_biased,
                         mmd2_unbiased)
@@ -117,7 +120,10 @@ class SolverConfig:
     from its own random stream and the training batches from theirs, so the
     restarts run side by side on up to the usable cores with the bytes they
     give one after the other, and neither setting moves the training
-    batches. The worker count is not a setting. Mode-specific
+    batches. The adversarial matcher's training steps run the two views
+    side by side when usable cores // BLAS threads >= 2 (the BLAS threads
+    are OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else the usable cores),
+    with the same bytes. Neither worker count is a setting. Mode-specific
     fields are ignored by the other modes. The MMD kernel's bandwidth (the
     median heuristic), the starting point's noise (`_INIT_NOISE`), the
     warm start's slice count (`_WARM_SLICES`), the discriminator's label
@@ -600,15 +606,6 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
     return trace, checkpoints
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on (its CPU affinity), or the
-    machine's count where the platform reports no affinity."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
                 pairs, homogeneous: bool, rng_init: np.random.Generator):
     """Multi-restart quantile warm start; returns the best starting point.
@@ -618,10 +615,9 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     all its other draws (its frame, its quantile slices and its warm
     batches) from its own substream (seed, "solver", "restart r"), so its
     result depends neither on the other restarts nor on the order they run
-    in. The
-    restarts run side by side on up to the usable cores (`_usable_cores`),
-    in a thread pool, in the caller's context (numpy's error state
-    included): quantile steps and scores spend their time in numpy sorts,
+    in. The restarts run side by side on up to the usable cores
+    (`numerics.usable_cores`), in a thread pool, in the caller's context
+    (numpy's error state included): quantile steps and scores spend their time in numpy sorts,
     BLAS products and exp strips, which release the GIL. A fit's bytes do
     not depend on the worker count. A restart that fails raises its error
     once every lower-numbered restart has succeeded, as one after the
@@ -667,7 +663,8 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     restarts = range(cfg.restarts)
     # One copy per restart: a context is entered by one thread at a time.
     contexts = [contextvars.copy_context() for _ in restarts]
-    with ThreadPoolExecutor(min(cfg.restarts, _usable_cores())) as pool:
+    workers = min(cfg.restarts, numerics.usable_cores())
+    with ThreadPoolExecutor(workers) as pool:
         results = list(pool.map(lambda ctx, r: ctx.run(search, r),
                                 contexts, restarts))
 

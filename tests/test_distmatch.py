@@ -1,11 +1,13 @@
 import copy
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from unisca import distmatch
+from unisca import distmatch, numerics
 from unisca.distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                               _LABEL_SMOOTHING, _cols, _gram, _rows,
                               discriminator_step, gan_value_and_grads,
@@ -458,12 +460,36 @@ class TestMemory:
 
     def test_gan_value_only_keeps_no_activations(self, rng):
         # Keeping every layer's pre- and post-activations for both views
-        # peaked at 214 MiB. Forward only, at most two 2048 x 1024 layer
-        # outputs (16 MiB each) are alive at once.
+        # peaked at 214 MiB. Forward only, a 2048 x 1024 layer output
+        # (16 MiB) and the next one (8.1 MiB) are alive at once, and the
+        # call peaked at 24.2 MiB; a full-size _LEAK * a temporary, where
+        # the leaky ReLU now runs in 1 MiB row strips, took it to 32.0.
         f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
         u, v = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
         assert _peak_bytes(
-            lambda: gan_value_and_grads(f, u, v, grads="none")) < 48 * 2**20
+            lambda: gan_value_and_grads(f, u, v, grads="none")) < 26 * 2**20
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_gan_training_step_holds_two_views_at_most(self, rng, monkeypatch,
+                                                       cores):
+        # A 1000-row discriminator step, its views one after the other (1
+        # core) and side by side (2 cores, one BLAS thread). A view's
+        # activations, widths 1024 + 521 + 512 + 256 + 128 + 64 = 2505 at
+        # 8 bytes, are 19.1 MiB when its forward pass ends. Its backward
+        # pass peaks at the first layer: dz of width 521 (4.0 MiB), every
+        # parameter gradient but the first layer's (7.4 MiB), the first
+        # hidden layer's signs (1.0), the new dz of width 1024 (7.8) and a
+        # 1 MiB slope strip, 21.2 MiB. Both views at their peaks together
+        # are 42.4 MiB, the bound below less a margin for the outputs and
+        # small arrays. Side by side the call peaked at 41.6 MiB, one after
+        # the other at 28.2, and before the signs and the strips the
+        # sequential call at 50.7.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(numerics, "usable_cores", lambda: cores)
+        f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
+        u, v = rng.normal(size=(1000, 2)), rng.normal(size=(1000, 2))
+        assert _peak_bytes(
+            lambda: gan_value_and_grads(f, u, v, grads="params")) < 44 * 2**20
 
 
 class TestHSIC:
@@ -620,3 +646,88 @@ class TestDiscriminator:
         assert cache is None
         assert f.forward(u).tobytes() == p.tobytes()
         assert f._forward(u, keep=True)[0].tobytes() == p.tobytes()
+
+
+class TestViewsSideBySide:
+    """A call that forms gradients runs the fake view v on a worker thread
+    while the caller runs the real view u, when usable cores // BLAS threads
+    >= 2; it must give the bytes and the errors of one view after the
+    other."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """workers(n): n = 2 runs the views side by side, n = 1 one after
+        the other; returns the list of worker pools the calls asked for."""
+        asked = []
+        real = distmatch._view_worker
+
+        def counted():
+            asked.append(real())
+            return asked[-1]
+        monkeypatch.setattr(distmatch, "_view_worker", counted)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+        def set_workers(n):
+            monkeypatch.setattr(numerics, "usable_cores", lambda: n)
+            asked.clear()
+            return asked
+        return set_workers
+
+    @pytest.mark.parametrize("grads", ["params", "inputs", "all"])
+    def test_same_bytes_at_one_and_two_workers(self, rng, workers, grads):
+        # A thread switch every microsecond interleaves the two views'
+        # steps as finely as the interpreter allows.
+        f, u, v = TestDiscriminator._net_and_views(rng)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 2):
+                asked = workers(n)
+                runs.append(gan_value_and_grads(f, u, v, 0.2, grads=grads))
+                assert len(asked) == n - 1
+        finally:
+            sys.setswitchinterval(interval)
+        (alone, paired) = runs
+        assert np.float64(alone[0]).tobytes() == np.float64(paired[0]).tobytes()
+        for a, b in zip(alone[1:], paired[1:]):
+            if isinstance(a, list):
+                assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+            else:
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_error_is_u_s_when_both_views_fail(self, rng, workers, n):
+        # Side by side v may fail first; u's error is raised all the same,
+        # as when u runs first. With u sound, v's error is raised.
+        f, u, v = TestDiscriminator._net_and_views(rng)
+        workers(n)
+        bad_u, bad_v = u.copy(), v.copy()
+        bad_u[3, 1] = np.nan
+        bad_v[0, 0] = np.inf
+        with pytest.raises(ValidationError, match=r"^discriminator input u "):
+            gan_value_and_grads(f, bad_u, bad_v, grads="params")
+        with pytest.raises(ValidationError, match=r"^discriminator input v "):
+            gan_value_and_grads(f, u, bad_v, grads="inputs")
+
+    def test_two_blas_threads_on_two_cores_start_no_worker(self, rng,
+                                                           monkeypatch):
+        # Each view would want both cores for its BLAS threads, so they run
+        # one after the other: no pool is asked for and no thread starts.
+        monkeypatch.setattr(distmatch, "_WORKERS", threading.local())
+        monkeypatch.setattr(numerics, "usable_cores", lambda: 2)
+        f, u, v = TestDiscriminator._net_and_views(rng)
+        before = set(threading.enumerate())
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        for grads in ("params", "inputs", "all", "none"):
+            gan_value_and_grads(f, u, v, grads=grads)
+        assert set(threading.enumerate()) == before
+        # One BLAS thread on the same cores starts one worker, kept for the
+        # calling thread; a value-only call never uses it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        gan_value_and_grads(f, u, v, grads="none")
+        assert set(threading.enumerate()) == before
+        for _ in range(3):
+            gan_value_and_grads(f, u, v, grads="params")
+        started = set(threading.enumerate()) - before
+        assert [t.name.split("_")[0] for t in started] == ["unisca-fake-view"]

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from unisca import datagen, solver
+from unisca import datagen, numerics, solver
 from unisca.numerics import substream
 
 from conftest import small_dataset
@@ -177,10 +177,12 @@ def test_fit_replays_golden_outputs(name, golden, first_run):
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_fit_replays_golden_outputs_on_one_worker(name, golden, monkeypatch):
     # The warm start runs its restarts on min(restarts, usable cores)
-    # threads; the test above uses this machine's cores, this one a single
-    # worker that runs them one after the other. Every restart draws from
-    # its own stream, so the bytes are the same either way.
-    monkeypatch.setattr(solver, "_usable_cores", lambda: 1)
+    # threads, and the adversarial matcher its two views side by side when
+    # usable cores // BLAS threads >= 2; the test above uses this machine's
+    # cores, this one a single core that runs both one after the other.
+    # Every restart draws from its own stream and each view only reads the
+    # discriminator, so the bytes are the same either way.
+    monkeypatch.setattr(numerics, "usable_cores", lambda: 1)
     _assert_golden(name, FITS[name](), golden)
 
 

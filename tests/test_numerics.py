@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from unisca import numerics
 from unisca.numerics import (AdamState, DegenerateCovarianceError,
-                             ValidationError, empirical_covariance,
-                             grad_check, substream, sym_eig, whitening_matrix)
+                             ValidationError, blas_threads,
+                             empirical_covariance, grad_check, substream,
+                             sym_eig, whitening_matrix)
 
 
 class TestCovariance:
@@ -110,6 +112,61 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             AdamState(lr=0.1).step(np.zeros(2), np.zeros(3))
+
+    def test_in_place_moments_give_the_expressions_bytes(self, rng):
+        # The moments update in place; the parameter, m and v must be the
+        # bytes of the expressions they replace, step by step, from the
+        # first step on, through a zero gradient and gradients whose scales
+        # span nine decades.
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.009
+        state = AdamState(lr=lr)
+        p = rng.normal(size=(7, 5))
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        want = p
+        for t in range(1, 51):
+            g = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 3)
+            if t == 20:
+                g = np.zeros_like(p)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1 ** t), v / (1.0 - b2 ** t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+            p = state.step(p, g)
+            assert p.tobytes() == want.tobytes(), t
+            assert state.m.tobytes() == m.tobytes(), t
+            assert state.v.tobytes() == v.tobytes(), t
+
+    def test_step_leaves_its_arguments_alone(self, rng):
+        p, g = rng.normal(size=4), rng.normal(size=4)
+        p0, g0 = p.copy(), g.copy()
+        state = AdamState(lr=0.1)
+        out = state.step(p, g)
+        assert out is not p and out is not state.m and out is not state.v
+        assert np.array_equal(p, p0) and np.array_equal(g, g0)
+
+
+class TestBlasThreads:
+    @pytest.fixture(autouse=True)
+    def cores(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(numerics, "usable_cores", lambda: 6)
+
+    def test_unset_is_the_usable_cores(self):
+        assert blas_threads() == 6
+
+    def test_openblas_comes_first(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        assert blas_threads() == 1
+
+    @pytest.mark.parametrize("value", ["", "0", "-2", "two", "1.5"])
+    def test_a_value_that_is_no_positive_integer_is_passed_over(
+            self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert blas_threads() == 6
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert blas_threads() == 3
 
 
 class TestGradCheck:

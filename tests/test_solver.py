@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unisca import config, solver
+from unisca import config, numerics, solver
 from unisca.numerics import ValidationError, substream
 
 from conftest import small_dataset
@@ -195,7 +195,7 @@ def test_warm_start_raises_the_lowest_failing_restart(monkeypatch):
     # Restart 1 starts from NaN and fails at its first step; restart 0 blows
     # up a few steps in. Side by side restart 1 fails first, yet the error
     # is restart 0's, as when they run one after the other.
-    monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(numerics, "usable_cores", lambda: 2)
     monkeypatch.setattr(solver, "_LR_Q", 100.0)
     monkeypatch.setattr(solver, "_haar_init",
                         lambda rank, k, rng: np.full((k, rank), np.nan))
@@ -479,7 +479,7 @@ def test_a_restart_scores_the_same_whatever_the_restart_count(
     # Restart r draws its frame, its slices and its warm batches from its
     # own stream, so restarts 0 and 1 do not move when two more join them.
     # The scores are logged in restart order after the search.
-    monkeypatch.setattr(solver, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(numerics, "usable_cores", lambda: workers)
     ds = small_dataset(seed=1, n=600, preset="thm1a")
     two = _restart_scores(caplog, ds, restarts=2, warm_epochs=2)
     four = _restart_scores(caplog, ds, restarts=4, warm_epochs=2)
@@ -525,9 +525,9 @@ def test_restarts_on_more_workers_than_cores_give_the_same_bytes(monkeypatch):
     ds = small_dataset(seed=1, n=600, preset="thm1a")
     cfg = solver.SolverConfig(d_c=ds.d_c, **{**TINY, "restarts": 6,
                                              "warm_epochs": 2})
-    monkeypatch.setattr(solver, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(numerics, "usable_cores", lambda: 1)
     alone = solver.fit(ds.x1, ds.x2, cfg)
-    monkeypatch.setattr(solver, "_usable_cores", lambda: 6)
+    monkeypatch.setattr(numerics, "usable_cores", lambda: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
