@@ -39,6 +39,7 @@ activation once it has read it.
 from __future__ import annotations
 
 import contextvars
+import os
 import threading
 from dataclasses import dataclass
 
@@ -409,8 +410,8 @@ class Discriminator:
         first layer's weights and input_grad is None. Each hidden
         activation in `acts` is dropped (set to None) once the pass has read
         it: its sign, one byte an entry, is kept for the slope, which
-        multiplies the next dz in row strips (`_row_strips`), so the only
-        layer-size arrays formed are the products.
+        multiplies the next dz in row strips (`_row_strips`), so no
+        layer-size float temporary is formed beside the products.
         """
         grads = [None] * (2 * len(self.weights)) if params else None
         dz = dz_out[:, None]
@@ -456,7 +457,8 @@ _WORKERS = threading.local()
 
 def _view_worker():
     """The calling thread's one-thread pool for the fake view, started on
-    its first use and stopped when the calling thread ends.
+    its first use and stopped when the calling thread ends. A forked child
+    starts its own: the parent's worker thread does not exist in it.
 
     glibc gives a new thread a malloc arena and reuses one only once the
     thread that held it has fully exited, and each arena keeps its own
@@ -464,11 +466,11 @@ def _view_worker():
     before the last one had exited: the process grew a third arena, and the
     adversarial benchmark fit's peak RSS read 152 MB against 125 MB with
     two (2 cores, one BLAS thread)."""
-    pool = getattr(_WORKERS, "pool", None)
-    if pool is None:
+    pid, pool = getattr(_WORKERS, "owner", (None, None))
+    if pid != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
-        pool = _WORKERS.pool = ThreadPoolExecutor(
-            1, thread_name_prefix="unisca-fake-view")
+        pool = ThreadPoolExecutor(1, thread_name_prefix="unisca-fake-view")
+        _WORKERS.owner = os.getpid(), pool
     return pool
 
 

@@ -617,9 +617,9 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     result depends neither on the other restarts nor on the order they run
     in. The restarts run side by side on up to the usable cores
     (`numerics.usable_cores`), in a thread pool, in the caller's context
-    (numpy's error state included): quantile steps and scores spend their time in numpy sorts,
-    BLAS products and exp strips, which release the GIL. A fit's bytes do
-    not depend on the worker count. A restart that fails raises its error
+    (numpy's error state included): quantile steps and scores spend their
+    time in numpy sorts, BLAS products and exp strips, which release the
+    GIL. A fit's bytes do not depend on the worker count. A restart that fails raises its error
     once every lower-numbered restart has succeeded, as one after the
     other; restarts not yet started are then cancelled.
 

@@ -1,5 +1,7 @@
 import copy
+import os
 import re
+import signal
 import sys
 import threading
 import tracemalloc
@@ -462,8 +464,8 @@ class TestMemory:
         # Keeping every layer's pre- and post-activations for both views
         # peaked at 214 MiB. Forward only, a 2048 x 1024 layer output
         # (16 MiB) and the next one (8.1 MiB) are alive at once, and the
-        # call peaked at 24.2 MiB; a full-size _LEAK * a temporary, where
-        # the leaky ReLU now runs in 1 MiB row strips, took it to 32.0.
+        # call peaked at 24.2 MiB. With a full-size _LEAK * a temporary in
+        # place of the leaky ReLU's 1 MiB row strips it peaked at 32.0.
         f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
         u, v = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
         assert _peak_bytes(
@@ -480,10 +482,10 @@ class TestMemory:
         # parameter gradient but the first layer's (7.4 MiB), the first
         # hidden layer's signs (1.0), the new dz of width 1024 (7.8) and a
         # 1 MiB slope strip, 21.2 MiB. Both views at their peaks together
-        # are 42.4 MiB, the bound below less a margin for the outputs and
-        # small arrays. Side by side the call peaked at 41.6 MiB, one after
-        # the other at 28.2, and before the signs and the strips the
-        # sequential call at 50.7.
+        # hold 42.4 MiB; the bound adds 1.6 MiB for the outputs and small
+        # arrays. Side by side the call peaked at 41.6 MiB, one after the
+        # other at 28.2, and before the signs and the strips the sequential
+        # call at 50.7.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(numerics, "usable_cores", lambda: cores)
         f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
@@ -688,7 +690,7 @@ class TestViewsSideBySide:
                 assert len(asked) == n - 1
         finally:
             sys.setswitchinterval(interval)
-        (alone, paired) = runs
+        alone, paired = runs
         assert np.float64(alone[0]).tobytes() == np.float64(paired[0]).tobytes()
         for a, b in zip(alone[1:], paired[1:]):
             if isinstance(a, list):
@@ -709,6 +711,24 @@ class TestViewsSideBySide:
             gan_value_and_grads(f, bad_u, bad_v, grads="params")
         with pytest.raises(ValidationError, match=r"^discriminator input v "):
             gan_value_and_grads(f, u, bad_v, grads="inputs")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, rng, workers):
+        # The child inherits the parent's pool but not its thread; waiting
+        # on that pool would hang, so the alarm ends such a child.
+        f, u, v = TestDiscriminator._net_and_views(rng)
+        workers(2)
+        want = gan_value_and_grads(f, u, v, grads="params")[0]
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            try:
+                got = gan_value_and_grads(f, u, v, grads="params")[0]
+                os._exit(0 if got == want else 1)
+            except BaseException:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_two_blas_threads_on_two_cores_start_no_worker(self, rng,
                                                            monkeypatch):
