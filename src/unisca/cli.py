@@ -14,13 +14,12 @@ import copy
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import config as cfgmod
 from . import datagen, embedio, matio, metrics, solver
-from .numerics import ValidationError, substream
+from .numerics import ValidationError, side_by_side, substream
 
 log = logging.getLogger("unisca")
 
@@ -234,8 +233,8 @@ def cmd_sweep(args) -> int:
                               "scores held-out pairs, so it must be > 0")
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
     os.makedirs(args.out, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(lambda s: _sweep_one(cfg, s, args.out), seeds))
+    reports = side_by_side(lambda s: _sweep_one(cfg, s, args.out), seeds,
+                           args.jobs)
     # Per-view metrics take their median view by view.
     medians = {name: np.median([r[name] for r in reports], axis=0).tolist()
                for name in cfgmod.GATED}
@@ -301,12 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds")
     p.add_argument("--jobs", type=int, default=1,
-                   help="seeds fitted at once, one thread each (default 1); "
-                        "each fit's warm start runs its restarts on up to "
-                        "the usable cores, and an adversarial fit its two "
-                        "views on two threads when the cores hold twice the "
-                        "BLAS threads, so J jobs may run J times that many "
-                        "threads; the outputs do not change")
+                   help="seeds fitted at once (default 1); fits, restarts "
+                        "and views share one pool, so at most the machine's "
+                        "cores run at once; the outputs do not change")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -26,21 +26,13 @@ The discriminator's backward pass forms only what its caller reads
 (`gan_value_and_grads(..., grads=...)`): `discriminator_step` takes the
 parameter gradients, the projection update the input gradients, and a
 checkpoint the value alone, from forward passes that keep no activations.
-A call that forms gradients runs its two views side by side, the real one
-on the calling thread and the fake one on a worker thread, when the usable
-cores hold both views' BLAS threads (numerics.usable_cores() //
-numerics.blas_threads() >= 2); each view only reads the discriminator, so
-the bytes are those of one view after the other. The leaky ReLU and its
-slope run over row strips of `_strip_rows` rows (`_row_strips`), so no
-elementwise temporary passes 1 MiB, and the backward pass drops each
-activation once it has read it.
+The leaky ReLU and its slope run over row strips of `_strip_rows` rows
+(`_row_strips`), so no elementwise temporary passes 1 MiB, and the backward
+pass drops each activation once it has read it.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,28 +444,6 @@ _GRADS = {"all": (True, True), "params": (True, False),
           "inputs": (False, True), "none": (False, False)}
 
 
-_WORKERS = threading.local()
-
-
-def _view_worker():
-    """The calling thread's one-thread pool for the fake view, started on
-    its first use and stopped when the calling thread ends. A forked child
-    starts its own: the parent's worker thread does not exist in it.
-
-    glibc gives a new thread a malloc arena and reuses one only once the
-    thread that held it has fully exited, and each arena keeps its own
-    freed memory resident. A pool per call now and then started its thread
-    before the last one had exited: the process grew a third arena, and the
-    adversarial benchmark fit's peak RSS read 152 MB against 125 MB with
-    two (2 cores, one BLAS thread)."""
-    pid, pool = getattr(_WORKERS, "owner", (None, None))
-    if pid != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(1, thread_name_prefix="unisca-fake-view")
-        _WORKERS.owner = os.getpid(), pool
-    return pool
-
-
 def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
                         smoothing: float = 0.0, *, grads: str = "all"):
     """Adversarial value mean log f(u) + mean log(1 - f(v)) and its gradients.
@@ -486,42 +456,28 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
     smooths the targets (used for the discriminator's own update); the
     projection update uses the plain value.
 
-    Each view is forwarded and backpropagated on its own; both only read
-    the discriminator. A call that forms gradients runs the two views side
-    by side when each can have cores of its own for its BLAS threads
-    (numerics.usable_cores() // numerics.blas_threads() >= 2): the calling
-    thread runs the real view u and a worker thread (`_view_worker`), in a
-    copy of the caller's context (numpy's error state included), the fake
-    view v. A view runs the same products on either thread, so the bytes
-    do not depend on the path; the parameter gradients add as u + v, in
-    u's arrays. When u fails its error is raised once v has finished, as one
-    after the other; otherwise v's. Otherwise, and in a value-only call, u
-    is forwarded (and backpropagated) before v, so one view's cache is held
-    at a time.
+    Each view, the real u and then the fake v, is forwarded and
+    backpropagated on its own and only reads the discriminator; the
+    parameter gradients add as u + v, in u's arrays. A call that forms
+    gradients runs the views side by side (`numerics.side_by_side`) when
+    each has cores of its own for its BLAS threads; otherwise one view's
+    cache is held at a time.
     """
     params, inputs = _GRADS[grads]
 
-    def side(x, real):
-        name = "discriminator input " + ("u" if real else "v")
+    def side(real):
+        x, name = (u, "discriminator input u") if real else (
+            v, "discriminator input v")
         p, p_raw, cache = f._forward(x, keep=params or inputs, name=name)
         loss, dz = _half_loss_and_dz(p, p_raw, real, smoothing, x.shape[0])
         if cache is None:
             return loss, None, None
         return (loss, *f._backward(cache, dz, params, inputs))
 
-    if (params or inputs) and (numerics.usable_cores()
-                               // numerics.blas_threads() >= 2):
-        fake = _view_worker().submit(contextvars.copy_context().run,
-                                     side, v, False)
-        try:
-            lu, gu, din_u = side(u, True)
-        except BaseException:
-            fake.exception()  # wait for v, whose outcome is dropped
-            raise
-        lv, gv, din_v = fake.result()
-    else:
-        lu, gu, din_u = side(u, True)
-        lv, gv, din_v = side(v, False)
+    both = (params or inputs) and (numerics.usable_cores()
+                                   // numerics.blas_threads() >= 2)
+    (lu, gu, din_u), (lv, gv, din_v) = numerics.side_by_side(
+        side, (True, False), 2 if both else 1)
     if params:
         for a, b in zip(gu, gv):
             a += b

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .numerics import ValidationError
+from .numerics import ValidationError, check_keys
 
 DTYPE = "<f8"
 
@@ -57,6 +57,7 @@ def read_matrix(directory: str, name: str) -> tuple[np.ndarray, dict]:
     if not os.path.exists(path_json) or not os.path.exists(path_bin):
         raise FileNotFoundError(f"matrix '{name}' not found in {directory}")
     header = read_json(path_json)
+    check_keys(header, path_json, required=("shape",), optional=header)
     shape = tuple(int(s) for s in header["shape"])
     data = np.fromfile(path_bin, dtype=np.dtype(header.get("dtype", DTYPE)))
     expected = int(np.prod(shape)) if shape else data.size

@@ -1,5 +1,6 @@
 """Input checks, dense linear algebra, seeded randomness, Adam, the cores
-and BLAS threads a process may use, and a finite-difference oracle.
+and BLAS threads a process may use, the one pool that runs work side by
+side, and a finite-difference oracle.
 
 Everything downstream (data generation, matchers, solvers) builds on
 the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
@@ -7,7 +8,9 @@ the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
 
 from __future__ import annotations
 
+import contextvars
 import os
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -89,7 +92,7 @@ def check_value(value, types: tuple, where: str, key: str, bounds=(),
 
 
 # ---------------------------------------------------------------------------
-# Cores and BLAS threads
+# Cores, BLAS threads and side-by-side runs
 # ---------------------------------------------------------------------------
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -116,6 +119,69 @@ def blas_threads() -> int:
         if threads > 0:
             return threads
     return usable_cores()
+
+
+_POOLS = {}  # the process-wide helper pool, by the pid that made it
+_POOLS_LOCK = threading.Lock()
+
+
+def _helpers():
+    """The process-wide pool of at most max(1, os.cpu_count() - 1) helper
+    threads, made on first use and again in a forked child, which has none
+    of the parent's threads. It starts a thread only when none is idle and
+    keeps it: threads started per call grew glibc's malloc arenas and RSS."""
+    with _POOLS_LOCK:
+        if os.getpid() not in _POOLS:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOLS[os.getpid()] = ThreadPoolExecutor(
+                max(1, (os.cpu_count() or 1) - 1),
+                thread_name_prefix="unisca-helper")
+        return _POOLS[os.getpid()]
+
+
+def side_by_side(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], computed on up to `workers` threads: the
+    calling thread and helpers from one process-wide pool (`_helpers`).
+
+    Each thread takes the next item in order and runs fn on it in a copy of
+    the caller's contextvars context, numpy's error state included. No item
+    is taken once a call has failed: when the caller runs out of items, it
+    cancels the helpers not yet started, waits for the others and raises the
+    first failure in item order, which is the one a plain loop raises. So
+    when fn(item) depends on its item alone, the results and errors are the
+    loop's whatever the worker count; numpy's sorts, BLAS products and exps
+    release the GIL, so the items then run on several cores at once. As the
+    caller drains the items itself, a call made on a helper, or while every
+    helper is busy, finishes alone, and nested calls share the pool's
+    helpers. workers <= 1, or one item, starts no thread."""
+    items = list(items)
+    results, failures = [None] * len(items), {}
+    queue = iter(enumerate(items))
+    lock = threading.Lock()
+    context = contextvars.copy_context()
+
+    def drain():
+        while True:
+            with lock:
+                taken = None if failures else next(queue, None)
+            if taken is None:
+                return
+            i, item = taken
+            try:
+                results[i] = context.copy().run(fn, item)
+            except BaseException as exc:  # re-raised by the caller below
+                with lock:
+                    failures[i] = exc
+
+    helpers = [_helpers().submit(drain)
+               for _ in range(min(workers, len(items)) - 1)]
+    drain()
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # ---------------------------------------------------------------------------

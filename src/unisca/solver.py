@@ -10,10 +10,7 @@ recorded at epoch 0, every checkpoint_every epochs and after the last epoch. A
 checkpoint reads only values, so its MMD and HSIC are the value-only ones and
 its adversarial value runs the discriminator forward only. A training step
 forms only the gradients it reads: the discriminator's own step its parameter
-gradients, the projection update the discriminator's input gradients. Both
-run the two projected views side by side, one on a worker thread, when the
-usable cores hold each view's BLAS threads (see distmatch), with the bytes
-of one view after the other; a checkpoint runs them one after the other. A
+gradients, the projection update the discriminator's input gradients. A
 step whose term is not finite, or whose whitening penalty passes a bound no
 working fit comes near, raises DivergenceError naming the term, the epoch
 and the phase: a warm-start restart or the traced training.
@@ -28,23 +25,19 @@ argsort, which is a quarter of the stable one's cost, and falls back to the
 stable sort only when a slice holds equal values, so its order and its bytes
 are the stable sort's. Restart selection uses a value-only MMD on a large
 deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
-sigma frozen, which is the sum of the MMD at both bandwidths. Each restart
-draws from its own random stream, so the restarts run side by side in a
-thread pool on up to the usable cores, and a fit's bytes depend neither on
-the worker count nor on the order the restarts finish in. Every
-MMD, a step's value and gradients included, is summed over Gram strips of
-at most 2^17 entries (distmatch._STRIP, 1 MiB, which stays in a core's L2
-cache), so no MMD call forms an n x n Gram matrix. The budget is a constant,
-not read from the host, because the strips group the sums: a fit's bytes
-must not depend on the machine's cache size. Covariances are frozen before the
-first step and kernel bandwidths are fixed by the data's probe projections,
+sigma frozen, which is the sum of the MMD at both bandwidths. Every MMD, a
+step's value and gradients included, is summed over Gram strips of at most
+2^17 entries (distmatch._STRIP, 1 MiB, which stays in a core's L2 cache), so
+no MMD call forms an n x n Gram matrix. The budget is a constant, not read
+from the host, because the strips group the sums: a fit's bytes must not
+depend on the machine's cache size. Covariances are frozen before the first
+step and kernel bandwidths are fixed by the data's probe projections,
 resolved on first read (an adversarial fit without a warm start never reads
 the MMD one), so every run is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import logging
 import operator
@@ -117,19 +110,14 @@ class SolverConfig:
     `restarts`/`warm_epochs` control the quantile warm start that chooses the
     starting point for the traced epochs; restarts=1 with warm_epochs=0
     reduces to plain whitening-plus-noise initialization. Each restart draws
-    from its own random stream and the training batches from theirs, so the
-    restarts run side by side on up to the usable cores with the bytes they
-    give one after the other, and neither setting moves the training
-    batches. The adversarial matcher's training steps run the two views
-    side by side when usable cores // BLAS threads >= 2 (the BLAS threads
-    are OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else the usable cores),
-    with the same bytes. Neither worker count is a setting. Mode-specific
-    fields are ignored by the other modes. The MMD kernel's bandwidth (the
-    median heuristic), the starting point's noise (`_INIT_NOISE`), the
-    warm start's slice count (`_WARM_SLICES`), the discriminator's label
-    smoothing and step size, the penalty weights (`_LAMBDA`, `_OMEGA`,
-    `_BETA`, `_RHO`) and the heads' step sizes (`_LR_Q`, `_LR_P`) are fixed,
-    not settings.
+    from its own random stream and the training batches from theirs, so
+    neither setting moves the training batches. No worker count is a
+    setting. Mode-specific fields are ignored by the other modes. The MMD
+    kernel's bandwidth (the median heuristic), the starting point's noise
+    (`_INIT_NOISE`), the warm start's slice count (`_WARM_SLICES`), the
+    discriminator's label smoothing and step size, the penalty weights
+    (`_LAMBDA`, `_OMEGA`, `_BETA`, `_RHO`) and the heads' step sizes
+    (`_LR_Q`, `_LR_P`) are fixed, not settings.
 
     Each field is checked against its annotation (`_ANNOTATED`), `_BOUNDS`
     and `_CHOICES` by `numerics.check_value`, which the config file's solver
@@ -615,13 +603,8 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     all its other draws (its frame, its quantile slices and its warm
     batches) from its own substream (seed, "solver", "restart r"), so its
     result depends neither on the other restarts nor on the order they run
-    in. The restarts run side by side on up to the usable cores
-    (`numerics.usable_cores`), in a thread pool, in the caller's context
-    (numpy's error state included): quantile steps and scores spend their
-    time in numpy sorts, BLAS products and exp strips, which release the
-    GIL. A fit's bytes do not depend on the worker count. A restart that fails raises its error
-    once every lower-numbered restart has succeeded, as one after the
-    other; restarts not yet started are then cancelled.
+    in, and they run side by side on up to the usable cores
+    (`numerics.side_by_side`).
 
     Candidates are scored by the MMD at the matcher's frozen kernel plus a
     half-bandwidth MMD on a large leading subsample, which separates true
@@ -659,14 +642,8 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
         return p, mmd2_unbiased(u, v, kernel, grad=False)[0]
 
-    from concurrent.futures import ThreadPoolExecutor
-    restarts = range(cfg.restarts)
-    # One copy per restart: a context is entered by one thread at a time.
-    contexts = [contextvars.copy_context() for _ in restarts]
-    workers = min(cfg.restarts, numerics.usable_cores())
-    with ThreadPoolExecutor(workers) as pool:
-        results = list(pool.map(lambda ctx, r: ctx.run(search, r),
-                                contexts, restarts))
+    results = numerics.side_by_side(search, range(cfg.restarts),
+                                    numerics.usable_cores())
 
     best, best_score, best_restart = None, np.inf, -1
     for restart, (p, s) in enumerate(results):
@@ -809,10 +786,13 @@ def load_model(directory: str) -> FitResult:
     """Read what save_model wrote. Which arrays exist is derived from the
     config: q2 is q1 if homogeneous, private heads if with_private, and an
     adversarial matcher's discriminator has its disc_hidden. A model.json
-    with no config, or with a key SolverConfig lacks, is refused."""
-    meta = matio.read_json(os.path.join(directory, "model.json"))
-    if meta.get("kind") != "unisca-model":
+    with no config or checkpoints, or a config key SolverConfig lacks, is
+    refused."""
+    path = os.path.join(directory, "model.json")
+    meta = matio.read_json(path)
+    if not isinstance(meta, dict) or meta.get("kind") != "unisca-model":
         raise ValidationError(f"{directory} is not a model directory")
+    numerics.check_keys(meta, path, required=("checkpoints",), optional=meta)
     if not meta.get("config"):
         raise ValidationError(f"{directory}: model.json holds no config; "
                               "refit the model")

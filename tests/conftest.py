@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from unisca import datagen
+from unisca import datagen, numerics
 from unisca.numerics import substream
 
 
 @pytest.fixture
 def rng():
     return substream(20240, "tests", "shared")
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """numerics.side_by_side's helper pool, made afresh for the test on first
+    use and shut down after it, so the helper threads a test sees are its
+    own; returns the dict that holds it."""
+    pools = {}
+    monkeypatch.setattr(numerics, "_POOLS", pools)
+    yield pools
+    for pool in pools.values():
+        pool.shutdown(wait=True)
 
 
 def small_dataset(seed=5, n=3000, preset="thm1b", homogeneous=False, d1=None, d2=None):

@@ -1,6 +1,9 @@
 """The command line end to end, at a tiny size."""
 
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -360,6 +363,82 @@ def test_sweep_jobs_do_not_change_its_reports(tmp_path):
     assert one["seeds"] == two["seeds"] == [3, 4]
     assert one["reports"] == two["reports"]
     assert one["medians"] == two["medians"]
+
+
+def test_sweep_jobs_share_one_bounded_pool(tmp_path, monkeypatch,
+                                           fresh_pool):
+    # Eight jobs over three seeds, each fit running two restarts side by
+    # side: the fits and their restarts share one pool, so at most the
+    # caller and the pool's helpers train at once, no other thread starts,
+    # and the reports are those of one seed after the other.
+    path = _config(tmp_path)
+    with open(path) as f:
+        cfg = json.load(f)
+    cfg["solver"].update(restarts=2, warm_epochs=1)
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    lock, training, peak = threading.Lock(), [0], [0]
+    real = solver._train
+
+    def counted(*args, **kwargs):
+        with lock:
+            training[0] += 1
+            peak[0] = max(peak[0], training[0])
+        try:
+            time.sleep(0.05)  # so that trainings free to overlap do
+            return real(*args, **kwargs)
+        finally:
+            with lock:
+                training[0] -= 1
+    monkeypatch.setattr(solver, "_train", counted)
+    before = set(threading.enumerate())
+    summaries = []
+    for jobs in ("1", "8"):
+        out = tmp_path / f"jobs-{jobs}"
+        assert cli.main(["sweep", "--config", path, "--seeds", "3",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+        summaries.append(json.loads((out / "sweep.json").read_text()))
+    assert summaries[0]["reports"] == summaries[1]["reports"]
+    helpers = max(1, os.cpu_count() - 1)
+    started = set(threading.enumerate()) - before
+    assert {t.name.split("_")[0] for t in started} <= {"unisca-helper"}
+    assert len(started) <= helpers and peak[0] <= 1 + helpers
+
+
+def _fitted_model(tmp_path):
+    cfg = _config(tmp_path)
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert cli.main(["gen", "--config", cfg, "--out", str(data)]) == 0
+    assert cli.main(["fit", "--config", cfg, "--data", str(data),
+                     "--out", str(model)]) == 0
+    return cfg, data, model
+
+
+def _drop_key(path, key):
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+
+
+def test_eval_of_a_model_without_checkpoints_is_an_error_line(tmp_path,
+                                                               capsys):
+    _, data, model = _fitted_model(tmp_path)
+    _drop_key(model / "model.json", "checkpoints")
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(model), "--data", str(data)]) == 2
+    err = _one_error_line(capsys)
+    assert str(model / "model.json") in err and "checkpoints" in err
+
+
+def test_fit_of_a_matrix_header_without_a_shape_is_an_error_line(tmp_path,
+                                                                  capsys):
+    cfg, data, model = _fitted_model(tmp_path)
+    _drop_key(data / "X1.json", "shape")
+    capsys.readouterr()
+    assert cli.main(["fit", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path / "refit")]) == 2
+    err = _one_error_line(capsys)
+    assert str(data / "X1.json") in err and "shape" in err
 
 
 def _five_column_data(tmp_path) -> str:

@@ -1,7 +1,5 @@
 import copy
-import os
 import re
-import signal
 import sys
 import threading
 import tracemalloc
@@ -651,22 +649,22 @@ class TestDiscriminator:
 
 
 class TestViewsSideBySide:
-    """A call that forms gradients runs the fake view v on a worker thread
-    while the caller runs the real view u, when usable cores // BLAS threads
+    """A call that forms gradients runs the real view u and the fake view v
+    side by side (numerics.side_by_side) when usable cores // BLAS threads
     >= 2; it must give the bytes and the errors of one view after the
     other."""
 
     @pytest.fixture
-    def workers(self, monkeypatch):
+    def workers(self, monkeypatch, fresh_pool):
         """workers(n): n = 2 runs the views side by side, n = 1 one after
-        the other; returns the list of worker pools the calls asked for."""
+        the other; returns the list of helper pools the calls asked for."""
         asked = []
-        real = distmatch._view_worker
+        real = numerics._helpers
 
         def counted():
             asked.append(real())
             return asked[-1]
-        monkeypatch.setattr(distmatch, "_view_worker", counted)
+        monkeypatch.setattr(numerics, "_helpers", counted)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
         def set_workers(n):
@@ -712,42 +710,25 @@ class TestViewsSideBySide:
         with pytest.raises(ValidationError, match=r"^discriminator input v "):
             gan_value_and_grads(f, u, bad_v, grads="inputs")
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_its_own_worker(self, rng, workers):
-        # The child inherits the parent's pool but not its thread; waiting
-        # on that pool would hang, so the alarm ends such a child.
-        f, u, v = TestDiscriminator._net_and_views(rng)
-        workers(2)
-        want = gan_value_and_grads(f, u, v, grads="params")[0]
-        pid = os.fork()
-        if pid == 0:
-            signal.alarm(30)
-            try:
-                got = gan_value_and_grads(f, u, v, grads="params")[0]
-                os._exit(0 if got == want else 1)
-            except BaseException:
-                os._exit(2)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-
     def test_two_blas_threads_on_two_cores_start_no_worker(self, rng,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           fresh_pool):
         # Each view would want both cores for its BLAS threads, so they run
-        # one after the other: no pool is asked for and no thread starts.
-        monkeypatch.setattr(distmatch, "_WORKERS", threading.local())
+        # one after the other: no helper is asked for and no thread starts.
         monkeypatch.setattr(numerics, "usable_cores", lambda: 2)
         f, u, v = TestDiscriminator._net_and_views(rng)
         before = set(threading.enumerate())
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         for grads in ("params", "inputs", "all", "none"):
             gan_value_and_grads(f, u, v, grads=grads)
-        assert set(threading.enumerate()) == before
-        # One BLAS thread on the same cores starts one worker, kept for the
-        # calling thread; a value-only call never uses it.
+        assert set(threading.enumerate()) == before and not fresh_pool
+        # One BLAS thread on the same cores starts one pool helper, kept
+        # for later calls; a value-only call never asks for it.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         gan_value_and_grads(f, u, v, grads="none")
         assert set(threading.enumerate()) == before
         for _ in range(3):
             gan_value_and_grads(f, u, v, grads="params")
         started = set(threading.enumerate()) - before
-        assert [t.name.split("_")[0] for t in started] == ["unisca-fake-view"]
+        assert started
+        assert {t.name.split("_")[0] for t in started} == {"unisca-helper"}

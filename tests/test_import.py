@@ -28,6 +28,7 @@ def test_import_leaves_jsonschema_out():
 
 
 def test_import_leaves_concurrent_futures_out():
-    # Only a warm start with more than one worker needs a thread pool, and
-    # it imports one then.
+    # Only a side-by-side run that asks for a helper thread needs the pool,
+    # and it imports one then; `sweep --jobs` runs through the same pool.
     _import_without("unisca", "concurrent.futures")
+    _import_without("unisca.cli", "concurrent.futures")

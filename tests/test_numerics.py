@@ -1,11 +1,17 @@
+import os
+import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from unisca import numerics
 from unisca.numerics import (AdamState, DegenerateCovarianceError,
                              ValidationError, blas_threads,
-                             empirical_covariance, grad_check, substream,
-                             sym_eig, whitening_matrix)
+                             empirical_covariance, grad_check, side_by_side,
+                             substream, sym_eig, whitening_matrix)
 
 
 class TestCovariance:
@@ -167,6 +173,121 @@ class TestBlasThreads:
         assert blas_threads() == 6
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         assert blas_threads() == 3
+
+
+class TestSideBySide:
+    @pytest.fixture(autouse=True)
+    def own_pool(self, fresh_pool):
+        return fresh_pool
+
+    @pytest.fixture
+    def both_threads(self):
+        """An fn that blocks until a second thread has taken an item too, so
+        a call that returns ran its items on two threads; it returns (item,
+        the thread's name)."""
+        barrier = threading.Barrier(2)
+
+        def fn(item):
+            barrier.wait(timeout=30)
+            return item, threading.current_thread().name
+        return fn
+
+    def test_results_come_back_in_item_order(self):
+        def square(i):
+            time.sleep(0.002 * (10 - i))  # early items finish last
+            return i * i
+        assert side_by_side(square, range(10), 4) == [i * i for i in range(10)]
+
+    def test_first_failure_in_item_order_is_raised(self):
+        # Item 1 fails first; item 0 fails only once it has, and wins.
+        failed = threading.Event()
+
+        def fail(i):
+            if i == 1:
+                failed.set()
+                raise KeyError(1)
+            assert failed.wait(timeout=30)
+            raise ValueError(0)
+        with pytest.raises(ValueError):
+            side_by_side(fail, range(2), 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_item_is_taken_after_a_failure(self, workers):
+        # Two threads take items 0 and 1, and item 1 outlasts item 0's
+        # failure; no thread takes item 2.
+        taken, second = [], threading.Event()
+        if workers == 1:
+            second.set()  # one thread fails at item 0 before item 1
+
+        def work(i):
+            taken.append(i)
+            if i == 0:
+                assert second.wait(timeout=30)
+                raise ValueError(0)
+            second.set()
+            time.sleep(0.2)
+        with pytest.raises(ValueError):
+            side_by_side(work, range(6), workers)
+        assert sorted(taken) == list(range(workers))
+
+    def test_one_worker_starts_no_thread(self, own_pool):
+        before = set(threading.enumerate())
+        name = threading.current_thread().name
+        got = side_by_side(lambda i: threading.current_thread().name,
+                           range(5), 1)
+        got += side_by_side(lambda i: threading.current_thread().name,
+                            range(1), 4)
+        assert got == [name] * 6
+        assert set(threading.enumerate()) == before and not own_pool
+
+    def test_numpy_error_state_reaches_the_helpers(self, both_threads):
+        def state(item):
+            return both_threads(item)[1], np.geterr()["divide"]
+        with np.errstate(divide="raise"):
+            got = side_by_side(state, range(2), 2)
+        assert len({thread for thread, _ in got}) == 2
+        assert [divide for _, divide in got] == ["raise", "raise"]
+        assert np.geterr()["divide"] != "raise"
+
+    def test_a_nested_call_on_a_busy_pool_finishes(self, both_threads):
+        # One helper thread: each outer item runs a nested call while that
+        # thread is busy with the other outer item, so every nested call's
+        # helpers wait in the queue and its caller drains its items alone.
+        # The pool is not the fixture's, whose teardown would wait on it.
+        pool = ThreadPoolExecutor(1, thread_name_prefix="unisca-helper")
+
+        def outer(i):
+            both_threads(i)
+            return side_by_side(lambda j: 10 * i + j, range(4), 4)
+        done = []
+        runner = threading.Thread(
+            target=lambda: done.append(side_by_side(outer, range(2), 2)),
+            daemon=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_helpers", lambda: pool)
+            runner.start()
+            runner.join(timeout=60)
+        pool.shutdown(wait=not runner.is_alive(), cancel_futures=True)
+        assert not runner.is_alive()
+        assert done == [[[0, 1, 2, 3], [10, 11, 12, 13]]]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool(self, both_threads):
+        # The child inherits the parent's pool but not its thread: items
+        # given to that pool would never run, and the barrier would break.
+        def threads():
+            return len({name for _, name in side_by_side(both_threads,
+                                                         range(2), 2)})
+        assert threads() == 2
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)
+            try:
+                os._exit(0 if threads() == 2 else 1)
+            except BaseException:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestGradCheck:
