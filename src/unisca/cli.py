@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5, help="number of seeds")
     p.add_argument("--jobs", type=int, default=1,
                    help="seeds fitted at once (default 1); fits, restarts "
-                        "and views share one pool, so at most the machine's "
-                        "cores run at once; the outputs do not change")
+                        "and views share one pool, so no more threads than "
+                        "usable cores work at once; the outputs do not change")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -324,43 +324,26 @@ def preset(name: str, rng: np.random.Generator | None = None
     `rng` (a zero-seeded substream when omitted) so a given seed always maps
     to the same mixture.
     """
+    d = DistributionSpec
+    vm, gamma = d("vonmises", (2.5, 2.0)), d("gamma", (0.5, 3.0))
     if name == "thm1a":
         if rng is None:
             rng = substream(0, "datagen", "preset-means")
         mus = rng.normal(0.0, np.sqrt(10.0), size=3)
-        gm = DistributionSpec("mixture", [(1.0 / 3.0, m, np.sqrt(2.0)) for m in mus])
-        latent = LatentSpec(
-            shared=(gm, DistributionSpec("gamma", (1.0, 3.0))),
-            private1=(DistributionSpec("laplace", (1.0, 6.5)),),
-            private2=(DistributionSpec("uniform", (-10.0, 10.0)),),
-        )
-        return latent, MixingTemplate()
-    if name == "thm1b":
-        vm = DistributionSpec("vonmises", (2.5, 2.0))
-        latent = LatentSpec(
-            shared=(vm, vm),
-            private1=(DistributionSpec("laplace", (1.0, 6.5)),),
-            private2=(DistributionSpec("gamma", (0.5, 3.0)),),
-        )
-        return latent, MixingTemplate()
-    if name == "thm3-laplace":
-        lap = DistributionSpec("laplace", (0.0, 6.5))
-        latent = LatentSpec(
-            shared=(lap, lap, lap),
-            private1=(DistributionSpec("uniform", (-10.0, 10.0)),),
-            private2=(DistributionSpec("gamma", (0.5, 3.0)),),
-        )
-        return latent, MixingTemplate()
-    if name == "private-appxG":
-        vm = DistributionSpec("vonmises", (2.5, 2.0))
-        latent = LatentSpec(
-            shared=(vm, vm),
-            private1=(DistributionSpec("beta", (1.0, 3.0)),),
-            private2=(DistributionSpec("gamma", (0.5, 3.0)),),
-        )
-        return latent, MixingTemplate()
-    raise ValidationError(
-        f"unknown preset '{name}'; valid presets: {', '.join(PRESET_NAMES)}")
+        shared = (d("mixture", [(1.0 / 3.0, m, np.sqrt(2.0)) for m in mus]),
+                  d("gamma", (1.0, 3.0)))
+        private = d("laplace", (1.0, 6.5)), d("uniform", (-10.0, 10.0))
+    elif name == "thm1b":
+        shared, private = (vm, vm), (d("laplace", (1.0, 6.5)), gamma)
+    elif name == "thm3-laplace":
+        shared = (d("laplace", (0.0, 6.5)),) * 3
+        private = d("uniform", (-10.0, 10.0)), gamma
+    elif name == "private-appxG":
+        shared, private = (vm, vm), (d("beta", (1.0, 3.0)), gamma)
+    else:
+        raise ValidationError(f"unknown preset '{name}'; valid presets: "
+                              f"{', '.join(PRESET_NAMES)}")
+    return LatentSpec(shared, private[:1], private[1:]), MixingTemplate()
 
 
 # ---------------------------------------------------------------------------

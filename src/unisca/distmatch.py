@@ -12,15 +12,8 @@ MMD and HSIC form every RBF Gram through `_gram`: one augmented product
 that gives -|x_i - y_j|^2 / (2 sigma^2) directly, then a clamp and an exp,
 both in place. They read it only through products with a few columns, so no
 centred or rescaled copy of a Gram is made. Every MMD value and gradient
-comes from one loop over Gram strips, `_gram_sum`, so no MMD call forms an
-n x n Gram. A strip holds max(1, _STRIP // columns) rows: at most _STRIP =
-2^17 entries (1 MiB of float64) unless one row is wider. It stays in a 2 MiB
-per-core L2 cache through the product, clamp, exp, sum and gradient
-products that read it. _STRIP is a constant, never read from the host: the
-strips fix the grouping of every sum, and a fit's bytes must not depend on
-the machine's cache size. The two-scale kernel k_sigma + k_{sigma/2}
-(the warm start's restart score) takes the sigma/2 strip by squaring the
-sigma strip twice in place, as exp(-d^2 / (2 (sigma/2)^2)) = k_sigma^4.
+comes from one loop over Gram strips of at most _STRIP entries, `_gram_sum`,
+so no MMD call forms an n x n Gram.
 
 The discriminator's backward pass forms only what its caller reads
 (`gan_value_and_grads(..., grads=...)`): `discriminator_step` takes the
@@ -102,9 +95,12 @@ class KernelSpec:
 
 
 # Entries of a Gram strip in every MMD value and gradient and in resolve's
-# distances: 2^17 float64 is 1 MiB, half a 2 MiB per-core L2 cache. Chosen
-# over 2^16 and the 512-row strips it replaced by timing MMD calls at 1000,
-# 2048 and 4096 rows; CHANGES.md has the times.
+# distances: 2^17 float64 is 1 MiB, half a 2 MiB per-core L2 cache, where a
+# strip stays through the product, clamp, exp, sum and gradient products.
+# Chosen over 2^16 and the 512-row strips it replaced by timing MMD calls at
+# 1000, 2048 and 4096 rows; CHANGES.md has the times. It is a constant, not
+# read from the host: the strips fix the grouping of every sum, and a fit's
+# bytes must not depend on the machine's cache size.
 _STRIP = 2**17
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import queue
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -121,49 +122,76 @@ def blas_threads() -> int:
     return usable_cores()
 
 
+class _Pool:
+    """Up to `size` helper threads, kept once started: threads started per
+    call grew glibc's malloc arenas and RSS."""
+
+    def __init__(self, size: int):
+        self.size, self.threads, self.idle = size, [], 0
+        self.lock, self.jobs = threading.Lock(), queue.SimpleQueue()
+
+    def lend(self, fn):
+        """Have an idle helper, or a new one while fewer than `size` exist,
+        run fn(); return an Event set once it has and the helper is idle
+        again (so the next call reuses it), or None if all are busy."""
+        with self.lock:
+            if self.idle:
+                self.idle -= 1
+            elif len(self.threads) < self.size:
+                self.threads.append(threading.Thread(
+                    target=self._serve, daemon=True,
+                    name=f"unisca-helper_{len(self.threads)}"))
+                self.threads[-1].start()
+            else:
+                return None
+        done = threading.Event()
+        self.jobs.put((fn, done))
+        return done
+
+    def _serve(self):
+        for fn, done in iter(self.jobs.get, None):
+            try:
+                fn()
+            finally:
+                del fn  # and the results its call holds, till the next job
+                with self.lock:
+                    self.idle += 1
+                done.set()
+
+
 _POOLS = {}  # the process-wide helper pool, by the pid that made it
-_POOLS_LOCK = threading.Lock()
 
 
-def _helpers():
-    """The process-wide pool of at most max(1, os.cpu_count() - 1) helper
-    threads, made on first use and again in a forked child, which has none
-    of the parent's threads. It starts a thread only when none is idle and
-    keeps it: threads started per call grew glibc's malloc arenas and RSS."""
-    with _POOLS_LOCK:
-        if os.getpid() not in _POOLS:
-            from concurrent.futures import ThreadPoolExecutor
-            _POOLS[os.getpid()] = ThreadPoolExecutor(
-                max(1, (os.cpu_count() or 1) - 1),
-                thread_name_prefix="unisca-helper")
-        return _POOLS[os.getpid()]
+def _helpers() -> _Pool:
+    """The pool of max(1, usable_cores() - 1) helpers, made on first use and
+    again in a forked child, which has none of the parent's threads."""
+    return _POOLS.get(os.getpid()) or _POOLS.setdefault(
+        os.getpid(), _Pool(max(1, usable_cores() - 1)))  # one if threads race
 
 
 def side_by_side(fn, items, workers: int) -> list:
     """[fn(item) for item in items], computed on up to `workers` threads: the
-    calling thread and helpers from one process-wide pool (`_helpers`).
+    calling thread and the idle helpers of one process-wide pool.
 
     Each thread takes the next item in order and runs fn on it in a copy of
     the caller's contextvars context, numpy's error state included. No item
-    is taken once a call has failed: when the caller runs out of items, it
-    cancels the helpers not yet started, waits for the others and raises the
-    first failure in item order, which is the one a plain loop raises. So
-    when fn(item) depends on its item alone, the results and errors are the
-    loop's whatever the worker count; numpy's sorts, BLAS products and exps
-    release the GIL, so the items then run on several cores at once. As the
-    caller drains the items itself, a call made on a helper, or while every
-    helper is busy, finishes alone, and nested calls share the pool's
-    helpers. workers <= 1, or one item, starts no thread."""
+    is taken once a call has failed; the caller waits for its helpers and
+    raises the first failure in item order, as a plain loop does. So when
+    fn(item) depends on its item alone, results and errors do not depend on
+    the worker count, and the GIL-free numpy work of several items runs on
+    several cores. As the caller drains the items itself, a call that finds
+    every helper busy, nested or not, finishes alone. workers <= 1, or one
+    item, starts no thread."""
     items = list(items)
     results, failures = [None] * len(items), {}
-    queue = iter(enumerate(items))
+    todo = iter(enumerate(items))
     lock = threading.Lock()
     context = contextvars.copy_context()
 
     def drain():
         while True:
             with lock:
-                taken = None if failures else next(queue, None)
+                taken = None if failures else next(todo, None)
             if taken is None:
                 return
             i, item = taken
@@ -173,12 +201,11 @@ def side_by_side(fn, items, workers: int) -> list:
                 with lock:
                     failures[i] = exc
 
-    helpers = [_helpers().submit(drain)
-               for _ in range(min(workers, len(items)) - 1)]
+    lent = [_helpers().lend(drain)
+            for _ in range(min(workers, len(items)) - 1)]
     drain()
-    for helper in helpers:
-        if not helper.cancel():
-            helper.result()
+    for done in filter(None, lent):
+        done.wait()
     if failures:
         raise failures[min(failures)]
     return results

@@ -25,15 +25,12 @@ argsort, which is a quarter of the stable one's cost, and falls back to the
 stable sort only when a slice holds equal values, so its order and its bytes
 are the stable sort's. Restart selection uses a value-only MMD on a large
 deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
-sigma frozen, which is the sum of the MMD at both bandwidths. Every MMD, a
-step's value and gradients included, is summed over Gram strips of at most
-2^17 entries (distmatch._STRIP, 1 MiB, which stays in a core's L2 cache), so
-no MMD call forms an n x n Gram matrix. The budget is a constant, not read
-from the host, because the strips group the sums: a fit's bytes must not
-depend on the machine's cache size. Covariances are frozen before the first
-step and kernel bandwidths are fixed by the data's probe projections,
-resolved on first read (an adversarial fit without a warm start never reads
-the MMD one), so every run is replay-deterministic under its seed.
+sigma frozen, which is the sum of the MMD at both bandwidths. Every MMD is
+summed over Gram strips of a fixed size (see distmatch), so none forms an
+n x n Gram matrix. Covariances are frozen before the first step and kernel
+bandwidths are fixed by the data's probe projections, resolved on first
+read (an adversarial fit without a warm start never reads the MMD one), so
+every run is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
@@ -608,11 +605,8 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
 
     Candidates are scored by the MMD at the matcher's frozen kernel plus a
     half-bandwidth MMD on a large leading subsample, which separates true
-    matches from scale-local spurious ones. The score is one value-only MMD
-    under the two-scale kernel k_sigma + k_{sigma/2}: each Gram strip is one
-    augmented product, clamp and exp, summed, then squared twice in place
-    for sigma/2 and summed again, with no gradients or n x n Gram matrices.
-    After the search, each restart's score and then the chosen restart are
+    matches from scale-local spurious ones: one value-only MMD under the
+    two-scale kernel k_sigma + k_{sigma/2}. After the search, each restart's score and then the chosen restart are
     logged at DEBUG, in restart order; ties go to the lower restart.
     """
     d_c = cfg.d_c

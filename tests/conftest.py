@@ -13,13 +13,17 @@ def rng():
 @pytest.fixture
 def fresh_pool(monkeypatch):
     """numerics.side_by_side's helper pool, made afresh for the test on first
-    use and shut down after it, so the helper threads a test sees are its
-    own; returns the dict that holds it."""
+    use and its threads stopped after it, so the helper threads a test sees
+    are its own; returns the dict that holds it, by pid, where a test may
+    put a pool of its own."""
     pools = {}
     monkeypatch.setattr(numerics, "_POOLS", pools)
     yield pools
     for pool in pools.values():
-        pool.shutdown(wait=True)
+        for _ in pool.threads:
+            pool.jobs.put(None)
+        for thread in pool.threads:
+            thread.join(timeout=60)
 
 
 def small_dataset(seed=5, n=3000, preset="thm1b", homogeneous=False, d1=None, d2=None):

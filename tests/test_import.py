@@ -28,7 +28,8 @@ def test_import_leaves_jsonschema_out():
 
 
 def test_import_leaves_concurrent_futures_out():
-    # Only a side-by-side run that asks for a helper thread needs the pool,
-    # and it imports one then; `sweep --jobs` runs through the same pool.
+    # The side-by-side helper pool is numerics' own, and `sweep --jobs`
+    # runs through it, so neither the package nor its command line loads
+    # concurrent.futures.
     _import_without("unisca", "concurrent.futures")
     _import_without("unisca.cli", "concurrent.futures")

@@ -1,8 +1,10 @@
 import os
 import signal
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -249,12 +251,13 @@ class TestSideBySide:
         assert [divide for _, divide in got] == ["raise", "raise"]
         assert np.geterr()["divide"] != "raise"
 
-    def test_a_nested_call_on_a_busy_pool_finishes(self, both_threads):
-        # One helper thread: each outer item runs a nested call while that
-        # thread is busy with the other outer item, so every nested call's
-        # helpers wait in the queue and its caller drains its items alone.
-        # The pool is not the fixture's, whose teardown would wait on it.
-        pool = ThreadPoolExecutor(1, thread_name_prefix="unisca-helper")
+    def test_a_nested_call_on_a_busy_pool_finishes(self, own_pool,
+                                                   both_threads):
+        # One helper thread, which takes one outer item while the caller
+        # takes the other: each outer item runs a nested call, which finds
+        # no idle helper while the other item runs and drains its items on
+        # its own thread.
+        own_pool[os.getpid()] = numerics._Pool(1)
 
         def outer(i):
             both_threads(i)
@@ -263,13 +266,72 @@ class TestSideBySide:
         runner = threading.Thread(
             target=lambda: done.append(side_by_side(outer, range(2), 2)),
             daemon=True)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numerics, "_helpers", lambda: pool)
-            runner.start()
-            runner.join(timeout=60)
-        pool.shutdown(wait=not runner.is_alive(), cancel_futures=True)
+        runner.start()
+        runner.join(timeout=60)
         assert not runner.is_alive()
         assert done == [[[0, 1, 2, 3], [10, 11, 12, 13]]]
+
+    def test_a_helper_is_idle_before_it_reports_its_job_done(
+            self, own_pool, monkeypatch):
+        # Each helper lingers 50 ms after it reports its job done; the next
+        # job must find it idle all the same, so the pool, with room for
+        # four, starts one thread for three jobs one after the other.
+        class Lingering(threading.Event):
+            def set(self):
+                super().set()
+                time.sleep(0.05)
+        monkeypatch.setattr(numerics, "threading", types.SimpleNamespace(
+            Event=Lingering, Lock=threading.Lock, Thread=threading.Thread))
+        pool = own_pool[os.getpid()] = numerics._Pool(4)
+        for _ in range(3):
+            pool.lend(lambda: None).wait()
+        assert len(pool.threads) == 1
+
+    def test_many_callers_at_once_share_the_pool(self, own_pool):
+        # Eight threads make 30 calls each at once on a three-helper pool,
+        # with a thread switch every microsecond: every result is right, at
+        # most three helpers start, and once every call has returned each
+        # helper is counted idle, which a lost update to the count breaks.
+        pool = own_pool[os.getpid()] = numerics._Pool(3)
+        errors = []
+
+        def caller(k):
+            try:
+                for j in range(30):
+                    got = side_by_side(lambda i: k * i + j, range(5), 4)
+                    assert got == [k * i + j for i in range(5)]
+            except BaseException as exc:
+                errors.append(exc)
+        callers = [threading.Thread(target=caller, args=(k,), daemon=True)
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert not errors
+        assert 1 <= len(pool.threads) <= 3 and pool.idle == len(pool.threads)
+
+    def test_a_helper_holds_no_results_once_its_call_returns(
+            self, both_threads):
+        # A helper waits for its next job with the last one's call dropped:
+        # holding it kept the adversarial views' arrays alive into the next
+        # step and raised a fit's peak RSS.
+        class Result:
+            pass
+
+        def make(item):
+            both_threads(item)
+            return Result()
+        got = side_by_side(make, range(2), 2)
+        refs = [weakref.ref(r) for r in got]
+        del got
+        assert [r() for r in refs] == [None, None]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_makes_its_own_pool(self, both_threads):
