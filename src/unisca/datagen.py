@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matio
-from .numerics import ValidationError, check_keys, check_matrix, substream
+from .numerics import ValidationError, check_keys, check_matrix, check_value
 
 # Each kind's parameter check and the message raised when it fails. A kind
 # other than mixture takes two parameters and is drawn by the numpy Generator
@@ -315,20 +315,18 @@ def sample_anchors(dataset: SyntheticDataset, count: int,
 PRESET_NAMES = ("thm1a", "thm1b", "thm3-laplace", "private-appxG")
 
 
-def preset(name: str, rng: np.random.Generator | None = None
+def preset(name: str, rng: np.random.Generator
            ) -> tuple[LatentSpec, MixingTemplate]:
     """Return the named synthetic setup (latent marginals + mixing template).
 
     thm1a's first shared marginal is a 3-component Gaussian mixture whose
-    component means are themselves random draws; they are fixed once from
-    `rng` (a zero-seeded substream when omitted) so a given seed always maps
-    to the same mixture.
+    component means are themselves random draws, taken from `rng`: the
+    caller's stream fixes them, so each seed maps to its own mixture. The
+    other presets draw nothing from it.
     """
     d = DistributionSpec
     vm, gamma = d("vonmises", (2.5, 2.0)), d("gamma", (0.5, 3.0))
     if name == "thm1a":
-        if rng is None:
-            rng = substream(0, "datagen", "preset-means")
         mus = rng.normal(0.0, np.sqrt(10.0), size=3)
         shared = (d("mixture", [(1.0 / 3.0, m, np.sqrt(2.0)) for m in mus]),
                   d("gamma", (1.0, 3.0)))
@@ -395,16 +393,22 @@ def save_dataset(dataset: SyntheticDataset, directory: str,
 def load_dataset(directory: str) -> SyntheticDataset:
     """Read what save_dataset wrote; the mixing's homogeneity and the latent
     spec come from manifest.json. A directory lacking P1_test or P2_test is
-    refused: regenerate it from its config.json with `unisca gen`."""
-    manifest = matio.read_json(os.path.join(directory, "manifest.json"))
+    refused: regenerate it from its config.json with `unisca gen`. So are a
+    manifest that is no object and an alignment that is not int64."""
+    path = os.path.join(directory, "manifest.json")
+    manifest = check_value(matio.read_json(path), (dict,), path, "manifest")
     if manifest.get("kind") != "unisca-dataset":
         raise ValidationError(f"{directory} is not a dataset directory")
     get = lambda name: matio.read_matrix(directory, name)[0]
+    alignment = get("alignment")
+    if alignment.dtype != np.int64:  # a header naming another dtype
+        raise ValidationError(f"{os.path.join(directory, 'alignment.json')}: "
+                              f"dtype: expected '<i8', got '{alignment.dtype.str}'")
     mixing = MixingModel(get("A1"), get("A2"),
                          homogeneous=bool(manifest.get("homogeneous")))
     return SyntheticDataset(
         x1=get("X1"), x2=get("X2"), c=get("C"), p1=get("P1"), p2=get("P2"),
-        alignment=get("alignment").reshape(-1).astype(np.int64),
+        alignment=alignment.reshape(-1),
         x1_test=get("X1_test"), x2_test=get("X2_test"), c_test=get("C_test"),
         p1_test=get("P1_test"), p2_test=get("P2_test"),
         mixing=mixing, mean1=get("mean1").reshape(-1), mean2=get("mean2").reshape(-1),

@@ -45,25 +45,25 @@ _LABEL_SMOOTHING = 0.2  # target smoothing of the discriminator's own step
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian RBF kernel; bandwidth None means median heuristic at resolve.
+    """Gaussian RBF kernel of a fixed, finite bandwidth > 0; `resolve`
+    builds one from data by the median heuristic.
 
     two_scale=True is the kernel k_sigma + k_{sigma/2}, whose MMD^2 is the
-    sum of the MMD^2 at both bandwidths. It is value-only and needs a
-    bandwidth: resolve() would return a one-scale kernel.
+    sum of the MMD^2 at both bandwidths. It is value-only.
     """
 
-    bandwidth: float | None = None
+    bandwidth: float
     two_scale: bool = False
 
     def __post_init__(self):
         b = self.bandwidth
-        if b is not None and not (np.isfinite(b) and b > 0):
+        if not (np.isfinite(b) and b > 0):
             raise ValidationError("kernel bandwidth must be finite and > 0")
-        if self.two_scale and b is None:
-            raise ValidationError("a two-scale kernel needs a bandwidth")
 
-    def resolve(self, *sample_sets: np.ndarray) -> "KernelSpec":
-        """Freeze the bandwidth: median pairwise distance over a pooled subsample.
+    @staticmethod
+    def resolve(*sample_sets: np.ndarray) -> "KernelSpec":
+        """The one-scale kernel whose bandwidth is the median pairwise
+        distance over a pooled subsample of the sets.
 
         Each set contributes its leading rows so the pool has at most
         _RESOLVE_POOL points; with zero median distance (e.g. constant inputs)
@@ -74,8 +74,6 @@ class KernelSpec:
         which is what np.median of all distances returns (NaN, as there,
         falls back to 1.0).
         """
-        if self.bandwidth is not None:
-            return self
         per = max(1, _RESOLVE_POOL // max(1, len(sample_sets)))
         pool = np.vstack([np.asarray(s, dtype=np.float64)[:per] for s in sample_sets])
         upper = _upper_sq_distances(pool)
@@ -87,11 +85,6 @@ class KernelSpec:
             if not np.isnan(upper[-1]):
                 med = float(np.mean(np.sqrt(upper[middle[0]:h + 1])))
         return KernelSpec(bandwidth=med if med > 0 else 1.0)
-
-    def require(self) -> float:
-        if self.bandwidth is None:
-            raise ValidationError("kernel bandwidth is unresolved; call resolve()")
-        return self.bandwidth
 
 
 # Entries of a Gram strip in every MMD value and gradient and in resolve's
@@ -255,8 +248,7 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise ValidationError("MMD needs at least 2 samples per set")
     if x.shape[1] != y.shape[1]:
         raise ValidationError("sample sets must share a dimension")
-    sig = kernel.require()
-    two = kernel.two_scale
+    sig, two = kernel.bandwidth, kernel.two_scale
     if grad and two:
         raise ValidationError("the two-scale kernel is value-only; "
                               "call with grad=False")
@@ -291,12 +283,11 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
                 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Biased (V-statistic) HSIC tr(K H L H)/m^2 with gradients w.r.t. u and v.
 
-    Both kernels are one-scale and resolved (`KernelSpec.resolve`), so the
-    penalty stays stationary across steps; an unresolved one is a
-    ValidationError, as in `mmd2_unbiased`. No centred matrix is formed:
-    with s = K 1 and r = L 1, tr(KHLH) = sum(K o L) - (2/m) s.r +
-    (1.s)(1.r)/m^2, and the gradients come from K @ [u, 1, r o u, r],
-    L @ [v, 1, s o v, s] and (K o L) @ [u, v, 1].
+    Both kernels are one-scale, with bandwidths frozen by the caller
+    (`KernelSpec.resolve`), so the penalty stays stationary across steps.
+    No centred matrix is formed: with s = K 1 and r = L 1, tr(KHLH) =
+    sum(K o L) - (2/m) s.r + (1.s)(1.r)/m^2, and the gradients come from
+    K @ [u, 1, r o u, r], L @ [v, 1, s o v, s] and (K o L) @ [u, v, 1].
     grad=False forms only (K o L) @ 1 of these and returns no gradients.
     Each Gram is one augmented product, clamp and exp (`_gram`).
     """
@@ -308,7 +299,7 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
         raise ValidationError("HSIC needs at least 4 rows")
     if kernel_u.two_scale or kernel_v.two_scale:
         raise ValidationError("HSIC takes one-scale kernels")
-    sig_u, sig_v = kernel_u.require(), kernel_v.require()
+    sig_u, sig_v = kernel_u.bandwidth, kernel_v.bandwidth
     k, l = _gram(_rows(u), _cols(u, sig_u)), _gram(_rows(v), _cols(v, sig_v))
     s, r = k.sum(axis=1), l.sum(axis=1)
     one = np.ones((m, 1))

@@ -11,13 +11,18 @@ any artifact. Every JSON file the package writes or reads goes through
 from __future__ import annotations
 
 import json
+import operator
 import os
 
 import numpy as np
 
-from .numerics import ValidationError, check_keys
+from .numerics import ValidationError, check_keys, check_value
 
 DTYPE = "<f8"
+# What a header's shape and dtype may hold: sizes >= 0, and the two dtypes
+# the package writes (float64, and int64 for the alignment).
+_SHAPE_BOUNDS = ((operator.ge, ">=", {"shape": 0}),)
+_DTYPES = {"dtype": (DTYPE, "<i8")}
 
 
 def write_json(path: str, doc) -> None:
@@ -51,15 +56,20 @@ def write_matrix(directory: str, name: str, a: np.ndarray, role: str = "",
 
 
 def read_matrix(directory: str, name: str) -> tuple[np.ndarray, dict]:
-    """Load a matrix and its header; validates the byte count against shape."""
+    """Load a matrix and its header; validates the header's shape (an array
+    of sizes >= 0) and dtype (one of _DTYPES), and the byte count against
+    the shape."""
     path_json = os.path.join(directory, name + ".json")
     path_bin = os.path.join(directory, name + ".bin")
     if not os.path.exists(path_json) or not os.path.exists(path_bin):
         raise FileNotFoundError(f"matrix '{name}' not found in {directory}")
     header = read_json(path_json)
     check_keys(header, path_json, required=("shape",), optional=header)
-    shape = tuple(int(s) for s in header["shape"])
-    data = np.fromfile(path_bin, dtype=np.dtype(header.get("dtype", DTYPE)))
+    shape = check_value(header["shape"], (list,), f"{path_json}: shape",
+                        "shape", _SHAPE_BOUNDS)
+    dtype = check_value(header.get("dtype", DTYPE), (str,),
+                        f"{path_json}: dtype", "dtype", choices=_DTYPES)
+    data = np.fromfile(path_bin, dtype=np.dtype(dtype))
     expected = int(np.prod(shape)) if shape else data.size
     if data.size != expected:
         raise ValidationError(

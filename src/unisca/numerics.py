@@ -1,9 +1,10 @@
-"""Input checks, dense linear algebra, seeded randomness, Adam, the cores
-and BLAS threads a process may use, the one pool that runs work side by
-side, and a finite-difference oracle.
+"""Input checks, eigendecomposition and whitening, seeded randomness, Adam,
+the cores and BLAS threads a process may use, the one pool that runs work
+side by side, and a finite-difference oracle.
 
 Everything downstream (data generation, matchers, solvers) builds on
 the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
+A view's covariance is formed where its data is checked, in the solver.
 """
 
 from __future__ import annotations
@@ -22,19 +23,10 @@ class ValidationError(ValueError):
     """Input violates a documented precondition (shape, symmetry, finiteness)."""
 
 
-class DegenerateCovarianceError(ValidationError):
-    """Covariance has no retained spectrum above the rank threshold."""
-
-
-def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
+def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} contains NaN or Inf entries")
-    return a
-
-
-def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = check_finite(a, name)
     if a.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {a.shape}")
     return a
@@ -215,7 +207,7 @@ def side_by_side(fn, items, workers: int) -> list:
 # Seeded randomness with named substreams
 # ---------------------------------------------------------------------------
 
-def substream(seed: int, module: str, purpose: str = "") -> np.random.Generator:
+def substream(seed: int, module: str, purpose: str) -> np.random.Generator:
     """Return a PCG64 generator for the (module, purpose) substream of `seed`.
 
     Substreams are derived by mixing CRC32 digests of the labels into a
@@ -228,24 +220,8 @@ def substream(seed: int, module: str, purpose: str = "") -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Covariance, eigendecomposition, whitening
+# Eigendecomposition, whitening
 # ---------------------------------------------------------------------------
-
-def empirical_covariance(X: np.ndarray, center: bool = True) -> np.ndarray:
-    """(1/N) X~^T X~ with X~ column-centered iff `center`.
-
-    Uses the 1/N convention throughout the package so that whitening of an
-    exactly-centered matrix satisfies W S W^T = I without ddof bookkeeping.
-    """
-    X = check_matrix(X, "X")
-    n = X.shape[0]
-    if n < 2:
-        raise ValidationError(f"covariance needs at least 2 rows, got {n}")
-    if center:
-        X = X - X.mean(axis=0)
-    S = (X.T @ X) / n
-    return 0.5 * (S + S.T)
-
 
 _SYM_TOL = 1e-8    # the relative asymmetry sym_eig accepts
 _RANK_TOL = 1e-10  # whitening_matrix drops eigenvalues below this x the largest
@@ -272,8 +248,9 @@ def whitening_matrix(S: np.ndarray) -> np.ndarray:
     """Spectral whitening W = L_r^{-1/2} V_r^T over the retained spectrum.
 
     Eigenvalues below _RANK_TOL * lambda_max are truncated, so W has one row
-    per retained direction and W S W^T = I on that subspace. For an exactly
-    diagonal S the eigenbasis is fixed to the coordinate axes in their
+    per retained direction, the largest's at least, and W S W^T = I on that
+    subspace; an S with no positive eigenvalue is a ValidationError. For an
+    exactly diagonal S the eigenbasis is fixed to the coordinate axes in their
     original order (no sorting), which pins down the otherwise-arbitrary
     orthogonal factor.
     """
@@ -287,10 +264,8 @@ def whitening_matrix(S: np.ndarray) -> np.ndarray:
         w, V = sym_eig(S)
     wmax = float(np.max(w, initial=0.0))
     if wmax <= 0.0:
-        raise DegenerateCovarianceError("covariance has no positive eigenvalues")
+        raise ValidationError("covariance has no positive eigenvalues")
     keep = w > _RANK_TOL * wmax
-    if not np.any(keep):
-        raise DegenerateCovarianceError("all eigenvalues below rank threshold")
     return V[:, keep].T / np.sqrt(w[keep])[:, None]
 
 

@@ -50,7 +50,7 @@ from .distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                         discriminator_step, gan_value_and_grads, hsic_biased,
                         mmd2_unbiased)
 from .numerics import (AdamState, ValidationError, check_matrix, check_value,
-                       empirical_covariance, substream, whitening_matrix)
+                       substream, whitening_matrix)
 
 log = logging.getLogger("unisca")
 
@@ -298,16 +298,19 @@ def _check_centered(x: np.ndarray, name: str) -> np.ndarray:
 
 
 class _View:
-    """One modality: frozen covariance, whitening map, whitened data; the
-    map is set by `whiten`."""
+    """One modality: its centred data, their frozen covariance (1/n) x^T x,
+    symmetrized, and the whitening map and whitened data that `whiten` sets.
+    Dividing by n, not n - 1, lets a whitening W of it give W S W^T = I on
+    the data exactly."""
 
     def __init__(self, x: np.ndarray, name: str):
         self.x = _check_centered(x, name)
         self.n = x.shape[0]
-        try:
-            self.sigma = empirical_covariance(self.x, center=False)
-        except ValidationError as exc:  # too few rows
-            raise ValidationError(f"{name}: {exc}") from exc
+        if self.n < 2:
+            raise ValidationError(
+                f"{name}: covariance needs at least 2 rows, got {self.n}")
+        s = self.x.T @ self.x / self.n
+        self.sigma = 0.5 * (s + s.T)
 
     def whiten(self, w: np.ndarray) -> None:
         self.w = w
@@ -438,7 +441,7 @@ class _Matcher:
 
     @functools.cached_property
     def kernel(self) -> KernelSpec:
-        return KernelSpec().resolve(self._u0, self._v0)
+        return KernelSpec.resolve(self._u0, self._v0)
 
     def __call__(self, p, b1, b2, train):
         u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
@@ -494,7 +497,7 @@ def _hsic_term(p0: dict, v1: _View, v2: _View):
     """_RHO * sum over views of HSIC(shared, private projection); bandwidths
     frozen from the projections p0; checkpoints are value-only, on at most
     1024 rows."""
-    kc1, kp1, kc2, kp2 = (KernelSpec().resolve(v.z[:1000] @ p0[slot].T)
+    kc1, kp1, kc2, kp2 = (KernelSpec.resolve(v.z[:1000] @ p0[slot].T)
                           for v, slot in ((v1, "q1"), (v1, "qp1"),
                                           (v2, "q2"), (v2, "qp2")))
 
@@ -527,19 +530,12 @@ def _constraints(v1: _View, v2: _View, pairs) -> list:
 # The training loop
 # ---------------------------------------------------------------------------
 
-class _Block:
-    """One Adam state for the parameters in `slots`; a tied block (q1 and q2
-    in homogeneous mode) steps on the sum of their gradients."""
-
-    def __init__(self, slots: tuple, lr: float):
-        self.slots = slots
-        self.adam = AdamState(lr=lr)
-
-
 def _shared_blocks(tied: bool) -> list:
+    """(slots, AdamState) blocks of the shared heads; a tied block (q1 and q2
+    in homogeneous mode) steps on the sum of their gradients."""
     if tied:
-        return [_Block(("q1", "q2"), _LR_Q)]
-    return [_Block(("q1",), _LR_Q), _Block(("q2",), _LR_Q)]
+        return [(("q1", "q2"), AdamState(lr=_LR_Q))]
+    return [(("q1",), AdamState(lr=_LR_Q)), (("q2",), AdamState(lr=_LR_Q))]
 
 
 def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
@@ -577,10 +573,10 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
                     row[_SUMS.index(column)] += share
                 for slot, g in term_grads:
                     grads[slot] = grads[slot] + g if slot in grads else g
-            for blk in blocks:
-                first, *rest = blk.slots
+            for slots, adam in blocks:
+                first, *rest = slots
                 g = sum((grads[slot] for slot in rest), grads[first])
-                p.update(dict.fromkeys(blk.slots, blk.adam.step(p[first], g)))
+                p.update(dict.fromkeys(slots, adam.step(p[first], g)))
             sums += row
             steps += 1
         mean = sums / steps
@@ -617,7 +613,7 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     if cfg.warm_epochs == 0 and cfg.restarts == 1:
         return q1_spec, q2_spec
 
-    kernel = KernelSpec(matcher.kernel.require(), two_scale=True)
+    kernel = KernelSpec(matcher.kernel.bandwidth, two_scale=True)
     ns = min(cfg.select_rows, v1.n, v2.n)
 
     def search(restart: int):
@@ -701,7 +697,8 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     blocks = _shared_blocks(homogeneous)
     terms = [_Term("matcher", matcher), *_constraints(v1, v2, pairs)]
     if private:
-        blocks += [_Block(("qp1",), _LR_P), _Block(("qp2",), _LR_P)]
+        blocks += [(("qp1",), AdamState(lr=_LR_P)),
+                   (("qp2",), AdamState(lr=_LR_P))]
         terms += [_whitening_term("private whitening penalty", _OMEGA,
                                   "qp1", "qp2", v1, v2),
                   _hsic_term(p, v1, v2)]
@@ -776,12 +773,28 @@ def save_model(result: FitResult, directory: str) -> None:
     matio.write_json(os.path.join(directory, "model.json"), meta)
 
 
+def _checkpoints(doc, where: str) -> list:
+    """model.json's checkpoints as (epoch, value) tuples, once `doc` is an
+    array of [integer, number] pairs; otherwise a ValidationError."""
+    if not isinstance(doc, list):
+        raise ValidationError(f"{where}: expected an array, got {doc!r}")
+    pairs = []
+    for i, pair in enumerate(doc):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValidationError(
+                f"{where}/{i}: expected an [epoch, value] pair, got {pair!r}")
+        pairs.append((check_value(pair[0], (int,), f"{where}/{i}/0", "epoch"),
+                      check_value(pair[1], (float,), f"{where}/{i}/1", "value")))
+    return pairs
+
+
 def load_model(directory: str) -> FitResult:
     """Read what save_model wrote. Which arrays exist is derived from the
     config: q2 is q1 if homogeneous, private heads if with_private, and an
     adversarial matcher's discriminator has its disc_hidden. A model.json
     with no config or checkpoints, or a config key SolverConfig lacks, is
-    refused."""
+    refused, as is a config that is no object or a checkpoint that is no
+    [epoch, value] pair of an integer and a number."""
     path = os.path.join(directory, "model.json")
     meta = matio.read_json(path)
     if not isinstance(meta, dict) or meta.get("kind") != "unisca-model":
@@ -790,13 +803,14 @@ def load_model(directory: str) -> FitResult:
     if not meta.get("config"):
         raise ValidationError(f"{directory}: model.json holds no config; "
                               "refit the model")
-    unknown = sorted(set(meta["config"]).difference(
-        SolverConfig.__dataclass_fields__))
+    config = check_value(meta["config"], (dict,), f"{path}: config", "config")
+    unknown = sorted(set(config).difference(SolverConfig.__dataclass_fields__))
     if unknown:
         raise ValidationError(
             f"{directory}: model config has unknown keys {unknown}; "
             "refit the model")
-    cfg = SolverConfig(**meta["config"])
+    cfg = SolverConfig(**config)
+    checkpoints = _checkpoints(meta["checkpoints"], f"{path}: checkpoints")
     get = lambda name: matio.read_matrix(directory, name)[0]
     q1 = Projection(get("Q1"), get("Sigma1"))
     q2 = (q1 if cfg.mode == "homogeneous"
@@ -814,6 +828,6 @@ def load_model(directory: str) -> FitResult:
             disc.biases[i] = get(f"disc_b{i}").reshape(-1)
     trace = matio.read_csv(os.path.join(directory, "loss_trace.csv"))[0]
     return FitResult(q1=q1, q2=q2, qp1=qp1, qp2=qp2, trace=trace,
-                     checkpoints=[tuple(c) for c in meta["checkpoints"]],
+                     checkpoints=checkpoints,
                      wall_clock=meta.get("wall_clock_seconds", 0.0),
                      config=cfg, discriminator=disc)

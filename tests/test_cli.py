@@ -441,6 +441,81 @@ def test_fit_of_a_matrix_header_without_a_shape_is_an_error_line(tmp_path,
     assert str(data / "X1.json") in err and "shape" in err
 
 
+@pytest.mark.parametrize("command,name,key,value,fault", [
+    ("fit", "data/X1.json", "shape", 5, "shape: expected an array, got 5"),
+    ("fit", "data/X1.json", "dtype", "foo",
+     "dtype: expected one of ['<f8', '<i8'], got 'foo'"),
+    ("eval", "data/alignment.json", "dtype", "<f8",
+     "dtype: expected '<i8', got '<f8'"),
+    ("eval", "data/manifest.json", None, [], "expected an object, got []"),
+    ("eval", "model/model.json", "checkpoints", [5],
+     "checkpoints/0: expected an [epoch, value] pair, got 5"),
+    ("eval", "model/model.json", "config", ["d_c"],
+     "config: expected an object, got ['d_c']"),
+], ids=["shape", "dtype", "alignment-dtype", "manifest", "checkpoint",
+        "config"])
+def test_a_malformed_saved_file_is_an_error_line(tmp_path, capsys, command,
+                                                 name, key, value, fault):
+    # Each once ended in a TypeError or AttributeError and a traceback, but
+    # an alignment read as float64 became all zeros and eval scored it.
+    cfg, data, model = _fitted_model(tmp_path)
+    path = tmp_path / name
+    doc = value if key is None else {**json.loads(path.read_text()), key: value}
+    path.write_text(json.dumps(doc))
+    argv = {"fit": ["fit", "--config", cfg, "--data", str(data),
+                    "--out", str(tmp_path / "refit")],
+            "eval": ["eval", "--model", str(model), "--data", str(data)]}
+    capsys.readouterr()
+    assert cli.main(argv[command]) == 2
+    assert _one_error_line(capsys) == f"error: {path}: {fault}\n"
+
+
+def test_adversarial_fit_saves_a_discriminator_that_eval_reloads(tmp_path):
+    path = _config(tmp_path)
+    with open(path) as f:
+        cfg = json.load(f)
+    cfg["solver"].update(matcher="adversarial", disc_hidden=[16, 16], epochs=2)
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    data, model = str(tmp_path / "data"), tmp_path / "model"
+    assert cli.main(["gen", "--config", path, "--out", data]) == 0
+    assert cli.main(["fit", "--config", path, "--data", data,
+                     "--out", str(model)]) == 0
+    assert (model / "disc_W0.json").exists()
+    assert cli.main(["eval", "--model", str(model), "--data", data]) == 0
+    disc = solver.load_model(str(model)).discriminator
+    assert disc.hidden == (16, 16)
+    assert [w.shape for w in disc.weights] == [(16, 2), (16, 16), (1, 16)]
+
+
+# Every distribution kind, each built from JSON by gen and read back by fit.
+_ALL_KINDS = {
+    "shared": [{"kind": "mixture", "params": [[0.5, -2, 1], [0.5, 2, 1]]},
+               {"kind": "vonmises", "params": [2.5, 2]}],
+    "private1": [{"kind": "normal", "params": [0, 1]},
+                 {"kind": "laplace", "params": [1, 6.5]}],
+    "private2": [{"kind": "uniform", "params": [-10, 10]},
+                 {"kind": "gamma", "params": [0.5, 3]},
+                 {"kind": "beta", "params": [1, 3]}]}
+
+
+def test_gen_fit_eval_on_a_latent_config_of_every_kind(tmp_path):
+    cfg = tmp_path / "kinds.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "data": {"n": 600, "latent": _ALL_KINDS},
+        "solver": {"d_c": 2, "epochs": 2, "restarts": 1, "warm_epochs": 0}}))
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert cli.main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    latent = json.loads((data / "manifest.json").read_text())["latent"]
+    assert {s["kind"] for specs in latent.values() for s in specs} == set(
+        datagen._KINDS)
+    assert cli.main(["fit", "--config", str(cfg), "--data", str(data),
+                     "--out", str(model)]) == 0
+    assert cli.main(["eval", "--model", str(model), "--data", str(data)]) == 0
+    report = json.loads((model / "report.json").read_text())["report"]
+    assert np.isfinite(report["pair_match_error"])
+
+
 def _five_column_data(tmp_path) -> str:
     """Generate a tiny thm1a dataset mixed into five columns per view."""
     cfg = tmp_path / "wide.json"

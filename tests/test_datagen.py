@@ -163,7 +163,7 @@ class TestMixingModel:
         ({"d2": 2}, "d2=2 is below modality 2's latent count 3"),
     ], ids=["d1", "d2"])
     def test_fewer_observed_than_latent_dims_is_rejected(self, dims, message):
-        latent, _ = preset("thm1a")
+        latent, _ = preset("thm1a", substream(0, "datagen", "preset"))
         with pytest.raises(ValidationError, match=message):
             MixingModel.random(latent, substream(2, "t", "m"), **dims)
 
@@ -225,19 +225,19 @@ def _quick_dataset(n, seed=17):
 
 class TestPresets:
     def test_thm3_laplace(self):
-        latent, _ = preset("thm3-laplace")
+        latent, _ = preset("thm3-laplace", substream(0, "datagen", "preset"))
         assert latent.d_c == 3
         assert all(s == DistributionSpec("laplace", (0.0, 6.5)) for s in latent.shared)
         assert latent.private1[0].kind == "uniform"
         assert latent.private2[0] == DistributionSpec("gamma", (0.5, 3.0))
 
     def test_private_appxg(self):
-        latent, _ = preset("private-appxG")
+        latent, _ = preset("private-appxG", substream(0, "datagen", "preset"))
         assert latent.private1[0] == DistributionSpec("beta", (1.0, 3.0))
         assert all(s == DistributionSpec("vonmises", (2.5, 2.0)) for s in latent.shared)
 
     def test_thm1b_vonmises(self):
-        latent, _ = preset("thm1b")
+        latent, _ = preset("thm1b", substream(0, "datagen", "preset"))
         assert all(s.kind == "vonmises" for s in latent.shared)
 
     def test_thm1a_mixture_fixed_per_seed(self):
@@ -249,7 +249,7 @@ class TestPresets:
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="thm1a"):
-            preset("nope")
+            preset("nope", substream(0, "datagen", "preset"))
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ from unisca import datagen
 from unisca.metrics import (abs_pearson, evaluate_fit, leakage,
                             pair_match_error, retrieval_precision,
                             theta_consistency)
-from unisca.numerics import ValidationError, empirical_covariance, substream
+from unisca.numerics import ValidationError, substream
 from unisca.solver import FitResult, Projection
 
 from conftest import small_dataset
@@ -181,7 +181,7 @@ def _oracle_fit(ds, private: bool) -> FitResult:
     private rows as the private heads."""
     heads = []
     for x, a in ((ds.x1, ds.mixing.a1), (ds.x2, ds.mixing.a2)):
-        inv, sigma = np.linalg.inv(a), empirical_covariance(x)
+        inv, sigma = np.linalg.inv(a), x.T @ x / x.shape[0]
         heads.append((Projection(inv[:ds.d_c], sigma),
                       Projection(inv[ds.d_c:], sigma)))
     (q1, qp1), (q2, qp2) = heads

@@ -10,36 +10,9 @@ import numpy as np
 import pytest
 
 from unisca import numerics
-from unisca.numerics import (AdamState, DegenerateCovarianceError,
-                             ValidationError, blas_threads,
-                             empirical_covariance, grad_check, side_by_side,
-                             substream, sym_eig, whitening_matrix)
-
-
-class TestCovariance:
-    def test_zero_variance_rows(self):
-        x = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert np.array_equal(empirical_covariance(x), np.zeros((2, 2)))
-
-    def test_hand_computed(self):
-        x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(empirical_covariance(x, center=True),
-                                   [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_standard_normal_identity(self, rng):
-        x = rng.normal(size=(100000, 4))
-        s = empirical_covariance(x)
-        assert np.max(np.abs(s - np.eye(4))) < 0.05
-
-    def test_too_few_rows(self):
-        with pytest.raises(ValidationError):
-            empirical_covariance(np.ones((1, 3)))
-
-    def test_rejects_nan(self):
-        x = np.ones((3, 2))
-        x[0, 0] = np.nan
-        with pytest.raises(ValidationError):
-            empirical_covariance(x)
+from unisca.numerics import (AdamState, ValidationError, blas_threads,
+                             grad_check, side_by_side, substream, sym_eig,
+                             whitening_matrix)
 
 
 class TestSymEig:
@@ -86,8 +59,19 @@ class TestWhitening:
             w = whitening_matrix(s)
             assert np.linalg.norm(w @ s @ w.T - np.eye(6)) <= 1e-6
 
+    @pytest.mark.parametrize("diagonal,rows", [
+        ([1e-300, 0.0], 1), ([1e300, 1.0], 1), ([1e300, 1e295], 2)])
+    def test_any_scale_keeps_its_top_direction(self, diagonal, rows):
+        # The largest eigenvalue always passes the relative rank threshold,
+        # however small or large it is.
+        s = np.diag(diagonal)
+        w = whitening_matrix(s)
+        assert w.shape == (rows, 2)
+        assert np.max(np.abs(w @ s @ w.T - np.eye(rows))) <= 1e-15
+
     def test_degenerate(self):
-        with pytest.raises(DegenerateCovarianceError):
+        with pytest.raises(ValidationError,
+                           match="^covariance has no positive eigenvalues$"):
             whitening_matrix(np.zeros((2, 2)))
 
 

@@ -64,9 +64,13 @@ def test_fit_forms_each_view_covariance_once(monkeypatch, mode):
     # Homogeneous mode pools the two views' covariances; it once formed each
     # a second time to build the views after pooling.
     ds = small_dataset(seed=1, n=600, preset="thm1b", homogeneous=True)
-    calls, real = [], solver.empirical_covariance
-    monkeypatch.setattr(solver, "empirical_covariance",
-                        lambda x, **kw: calls.append(x.shape) or real(x, **kw))
+    calls = []
+
+    class View(solver._View):
+        def __init__(self, x, name):
+            calls.append(x.shape)
+            super().__init__(x, name)
+    monkeypatch.setattr(solver, "_View", View)
     solver.fit(ds.x1, ds.x2, solver.SolverConfig(d_c=2, mode=mode, **TINY))
     assert calls == [ds.x1.shape, ds.x2.shape]
 
