@@ -32,13 +32,15 @@ def test_gen_fit_eval_reports_private_pearson(tmp_path):
     assert len(pearson) == 2 and all(0.0 <= r <= 1.0 for r in pearson)
 
 
-def _config(tmp_path, thresholds=None) -> str:
-    """A tiny unaligned experiment; returns the config path."""
+def _config(tmp_path, thresholds=None, **solver) -> str:
+    """A tiny unaligned experiment, its solver section updated by `solver`;
+    returns the config path."""
     config = {
         "version": 1, "seed": 3,
         "data": {"preset": "thm1a", "n": 600},
         "solver": {"d_c": 2, "epochs": 1, "restarts": 1, "warm_epochs": 0,
-                   "batch": 200, "checkpoint_rows": 300, "select_rows": 300},
+                   "batch": 200, "checkpoint_rows": 300, "select_rows": 300,
+                   **solver},
         "eval": {"thresholds": thresholds or {}},
     }
     path = tmp_path / "config.json"
@@ -471,12 +473,8 @@ def test_a_malformed_saved_file_is_an_error_line(tmp_path, capsys, command,
 
 
 def test_adversarial_fit_saves_a_discriminator_that_eval_reloads(tmp_path):
-    path = _config(tmp_path)
-    with open(path) as f:
-        cfg = json.load(f)
-    cfg["solver"].update(matcher="adversarial", disc_hidden=[16, 16], epochs=2)
-    with open(path, "w") as f:
-        json.dump(cfg, f)
+    path = _config(tmp_path, matcher="adversarial", disc_hidden=[16, 16],
+                   epochs=2)
     data, model = str(tmp_path / "data"), tmp_path / "model"
     assert cli.main(["gen", "--config", path, "--out", data]) == 0
     assert cli.main(["fit", "--config", path, "--data", data,
