@@ -412,5 +412,5 @@ def load_dataset(directory: str) -> SyntheticDataset:
         x1_test=get("X1_test"), x2_test=get("X2_test"), c_test=get("C_test"),
         p1_test=get("P1_test"), p2_test=get("P2_test"),
         mixing=mixing, mean1=get("mean1").reshape(-1), mean2=get("mean2").reshape(-1),
-        latent=LatentSpec.from_dict(manifest.get("latent")),
+        latent=LatentSpec.from_dict(manifest.get("latent"), f"{path}: latent"),
     )

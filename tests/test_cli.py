@@ -450,12 +450,14 @@ def test_fit_of_a_matrix_header_without_a_shape_is_an_error_line(tmp_path,
     ("eval", "data/alignment.json", "dtype", "<f8",
      "dtype: expected '<i8', got '<f8'"),
     ("eval", "data/manifest.json", None, [], "expected an object, got []"),
+    ("eval", "data/manifest.json", "latent", 5,
+     "latent: expected an object, got 5"),
     ("eval", "model/model.json", "checkpoints", [5],
      "checkpoints/0: expected an [epoch, value] pair, got 5"),
     ("eval", "model/model.json", "config", ["d_c"],
      "config: expected an object, got ['d_c']"),
-], ids=["shape", "dtype", "alignment-dtype", "manifest", "checkpoint",
-        "config"])
+], ids=["shape", "dtype", "alignment-dtype", "manifest", "latent",
+        "checkpoint", "config"])
 def test_a_malformed_saved_file_is_an_error_line(tmp_path, capsys, command,
                                                  name, key, value, fault):
     # Each once ended in a TypeError or AttributeError and a traceback, but
