@@ -153,6 +153,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    try:
+        ks = [int(k) for k in args.ks.split(",")]
+    except ValueError as exc:
+        raise ValidationError(
+            f"--ks must be comma-separated integers, got '{args.ks}'") from exc
+    if min(ks) < 1 or args.k_csls < 1:  # retrieval_precision's check, early
+        raise ValidationError(f"k and k_csls must be >= 1, got {min(ks)} "
+                              f"and {args.k_csls}")
     result = solver.load_model(args.model)
     queries = embedio.read_vec_text(args.queries)
     references = embedio.read_vec_text(args.references)
@@ -161,11 +169,6 @@ def cmd_retrieve(args) -> int:
     xr = references.matrix - references.matrix.mean(axis=0)
     eq = result.q1.apply(xq)
     er = result.q2.apply(xr)
-    try:
-        ks = [int(k) for k in args.ks.split(",")]
-    except ValueError as exc:
-        raise ValidationError(
-            f"--ks must be comma-separated integers, got '{args.ks}'") from exc
     table = {}
     for scorer in ("nn", "csls"):
         for k in ks:

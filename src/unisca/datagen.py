@@ -348,37 +348,27 @@ def preset(name: str, rng: np.random.Generator
 # Directory serialization
 # ---------------------------------------------------------------------------
 
+# Each array of a dataset's archive and the SyntheticDataset field it fills;
+# A1 and A2 fill its mixing model.
+_FIELDS = {"X1": "x1", "X2": "x2", "C": "c", "P1": "p1", "P2": "p2",
+           "alignment": "alignment", "X1_test": "x1_test",
+           "X2_test": "x2_test", "C_test": "c_test", "P1_test": "p1_test",
+           "P2_test": "p2_test", "mean1": "mean1", "mean2": "mean2"}
+
+
 def save_dataset(dataset: SyntheticDataset, directory: str,
                  seed: int | None = None) -> None:
-    """Write each array below and alignment (matio pairs), and manifest.json:
-    seed, row counts, d_c, d_p, homogeneous and the latent spec. The config
-    is not kept here; `gen` and `sweep` write it beside as config.json."""
+    """Write arrays.npz, holding each array of _FIELDS and A1, A2, and
+    manifest.json: kind, version, seed, row counts, d_c, d_p, homogeneous
+    and the latent spec. The config is not kept here; `gen` and `sweep`
+    write it beside as config.json."""
     os.makedirs(directory, exist_ok=True)
-    mats = {
-        "X1": (dataset.x1, "observations modality 1 (train, centered)"),
-        "X2": (dataset.x2, "observations modality 2 (train, centered, shuffled)"),
-        "C": (dataset.c, "ground-truth shared codes (train)"),
-        "P1": (dataset.p1, "ground-truth private codes modality 1"),
-        "P2": (dataset.p2, "ground-truth private codes modality 2"),
-        "X1_test": (dataset.x1_test, "held-out observations modality 1 (aligned)"),
-        "X2_test": (dataset.x2_test, "held-out observations modality 2 (aligned)"),
-        "C_test": (dataset.c_test, "ground-truth shared codes (held-out)"),
-        "P1_test": (dataset.p1_test, "ground-truth private codes modality 1 "
-                                     "(held-out)"),
-        "P2_test": (dataset.p2_test, "ground-truth private codes modality 2 "
-                                     "(held-out)"),
-        "A1": (dataset.mixing.a1, "ground-truth mixing modality 1"),
-        "A2": (dataset.mixing.a2, "ground-truth mixing modality 2"),
-        "mean1": (dataset.mean1.reshape(1, -1), "train column means modality 1"),
-        "mean2": (dataset.mean2.reshape(1, -1), "train column means modality 2"),
-    }
-    for name, (a, role) in mats.items():
-        matio.write_matrix(directory, name, a, role=role)
-    matio.write_matrix(directory, "alignment", dataset.alignment.reshape(-1, 1),
-                       role="row alignment x1[i] <-> x2[alignment[i]]", dtype="<i8")
+    arrays = {name: getattr(dataset, f) for name, f in _FIELDS.items()}
+    arrays.update(A1=dataset.mixing.a1, A2=dataset.mixing.a2)
+    matio.write_arrays(os.path.join(directory, matio.ARCHIVE), arrays)
     manifest = {
         "kind": "unisca-dataset",
-        "version": 1,
+        "version": matio.VERSION,
         "seed": seed,
         "n_train": int(dataset.x1.shape[0]),
         "n_test": int(dataset.x1_test.shape[0]),
@@ -392,25 +382,23 @@ def save_dataset(dataset: SyntheticDataset, directory: str,
 
 def load_dataset(directory: str) -> SyntheticDataset:
     """Read what save_dataset wrote; the mixing's homogeneity and the latent
-    spec come from manifest.json. A directory lacking P1_test or P2_test is
-    refused: regenerate it from its config.json with `unisca gen`. So are a
-    manifest that is no object and an alignment that is not int64."""
+    spec come from manifest.json. Refused, with a ValidationError naming
+    the file: a manifest that is no object or of another version (regenerate
+    the directory from its config.json with `unisca gen`), and an archive
+    that lacks an array, holds one that is not float64, or an alignment
+    that is not int64."""
     path = os.path.join(directory, "manifest.json")
     manifest = check_value(matio.read_json(path), (dict,), path, "manifest")
     if manifest.get("kind") != "unisca-dataset":
         raise ValidationError(f"{directory} is not a dataset directory")
-    get = lambda name: matio.read_matrix(directory, name)[0]
-    alignment = get("alignment")
-    if alignment.dtype != np.int64:  # a header naming another dtype
-        raise ValidationError(f"{os.path.join(directory, 'alignment.json')}: "
-                              f"dtype: expected '<i8', got '{alignment.dtype.str}'")
-    mixing = MixingModel(get("A1"), get("A2"),
-                         homogeneous=bool(manifest.get("homogeneous")))
+    matio.check_version(manifest, path, "regenerate it with `unisca gen "
+                        f"--config {os.path.join(directory, 'config.json')} "
+                        "--out <new directory>`")
+    arrays = matio.read_arrays(os.path.join(directory, matio.ARCHIVE),
+                               [*_FIELDS, "A1", "A2"], integers=("alignment",))
+    homogeneous = check_value(manifest.get("homogeneous"), (bool,),
+                              f"{path}: homogeneous", "homogeneous")
+    mixing = MixingModel(arrays["A1"], arrays["A2"], homogeneous=homogeneous)
     return SyntheticDataset(
-        x1=get("X1"), x2=get("X2"), c=get("C"), p1=get("P1"), p2=get("P2"),
-        alignment=alignment.reshape(-1),
-        x1_test=get("X1_test"), x2_test=get("X2_test"), c_test=get("C_test"),
-        p1_test=get("P1_test"), p2_test=get("P2_test"),
-        mixing=mixing, mean1=get("mean1").reshape(-1), mean2=get("mean2").reshape(-1),
-        latent=LatentSpec.from_dict(manifest.get("latent"), f"{path}: latent"),
-    )
+        **{f: arrays[name] for name, f in _FIELDS.items()}, mixing=mixing,
+        latent=LatentSpec.from_dict(manifest.get("latent"), f"{path}: latent"))

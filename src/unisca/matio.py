@@ -1,28 +1,26 @@
-"""Shared on-disk matrix format: raw little-endian float64 plus a JSON header.
+"""The files of a dataset or model directory, and the package's JSON and CSV.
 
-A matrix named `foo` in directory `d` is stored as `d/foo.bin` (row-major
-float64, little-endian) and `d/foo.json` describing shape, dtype and role.
-Datasets and fitted models reuse this format, so a header is enough to reload
-any artifact. Every JSON file the package writes or reads goes through
-`write_json` and `read_json`, and every CSV file through `write_csv` and
-`read_csv`.
+A directory keeps its arrays in one uncompressed numpy archive, `ARCHIVE`,
+each under its name; the format records each array's shape and dtype, and
+zip checks a CRC-32 on each. Beside it a JSON file names the directory's
+kind and layout `VERSION`. Every JSON file the package writes or reads goes
+through `write_json` and `read_json`, and every CSV file through `write_csv`
+and `read_csv`.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-import os
+import zipfile
 
 import numpy as np
 
-from .numerics import ValidationError, check_keys, check_value
+from .numerics import ValidationError
 
-DTYPE = "<f8"
-# What a header's shape and dtype may hold: sizes >= 0, and the two dtypes
-# the package writes (float64, and int64 for the alignment).
-_SHAPE_BOUNDS = ((operator.ge, ">=", {"shape": 0}),)
-_DTYPES = {"dtype": (DTYPE, "<i8")}
+ARCHIVE = "arrays.npz"
+# The layout save_dataset and save_model write; version 1 kept each array
+# in a .bin file of its own beside a .json header.
+VERSION = 2
 
 
 def write_json(path: str, doc) -> None:
@@ -40,41 +38,47 @@ def read_json(path: str):
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def write_matrix(directory: str, name: str, a: np.ndarray, role: str = "",
-                 dtype: str = DTYPE) -> None:
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.dtype(dtype)))
-    os.makedirs(directory, exist_ok=True)
-    header = {
-        "name": name,
-        "shape": list(a.shape),
-        "dtype": dtype,
-        "order": "C",
-        "role": role,
-    }
-    write_json(os.path.join(directory, name + ".json"), header)
-    a.tofile(os.path.join(directory, name + ".bin"))
+def check_version(doc: dict, path: str, remedy: str) -> None:
+    """Refuse a directory whose `path` (its manifest.json or model.json)
+    names another layout version than VERSION; `remedy` says how to rebuild."""
+    if doc.get("version") != VERSION:
+        raise ValidationError(f"{path}: version {doc.get('version')!r} is not "
+                              f"{VERSION}; {remedy}")
 
 
-def read_matrix(directory: str, name: str) -> tuple[np.ndarray, dict]:
-    """Load a matrix and its header; validates the header's shape (an array
-    of sizes >= 0) and dtype (one of _DTYPES), and the byte count against
-    the shape."""
-    path_json = os.path.join(directory, name + ".json")
-    path_bin = os.path.join(directory, name + ".bin")
-    if not os.path.exists(path_json) or not os.path.exists(path_bin):
-        raise FileNotFoundError(f"matrix '{name}' not found in {directory}")
-    header = read_json(path_json)
-    check_keys(header, path_json, required=("shape",), optional=header)
-    shape = check_value(header["shape"], (list,), f"{path_json}: shape",
-                        "shape", _SHAPE_BOUNDS)
-    dtype = check_value(header.get("dtype", DTYPE), (str,),
-                        f"{path_json}: dtype", "dtype", choices=_DTYPES)
-    data = np.fromfile(path_bin, dtype=np.dtype(dtype))
-    expected = int(np.prod(shape)) if shape else data.size
-    if data.size != expected:
-        raise ValidationError(
-            f"matrix '{name}': file holds {data.size} values, header says {expected}")
-    return data.reshape(shape), header
+def write_arrays(path: str, arrays: dict) -> None:
+    """Write `arrays` ({name: array}) as one uncompressed numpy archive."""
+    np.savez(path, **arrays)
+
+
+def read_arrays(path: str, names, integers=()) -> dict:
+    """The arrays `names` of the archive at `path`, each float64, or int64
+    for those in `integers`; an archive may hold others. A missing,
+    truncated or corrupt file, a missing name, an object array or another
+    dtype raises ValidationError naming the file. Nothing is unpickled."""
+    try:
+        # The archive np.load returns for a zip, made directly: np.load would
+        # read another file as a pickle or a lone array, and leaves a file it
+        # opened open when its zip is bad.
+        with (open(path, "rb") as fh,
+              np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive):
+            # A member that is no .npy file is read as bytes.
+            arrays = {name: np.asarray(archive[name]) for name in names
+                      if name in archive.files}
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ValidationError(f"{path}: not a numpy archive of numeric "
+                              f"arrays: {exc}") from exc
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ValidationError(f"{path}: missing arrays {missing}")
+    for name, a in arrays.items():
+        dtype = np.dtype(np.int64 if name in integers else np.float64)
+        if a.dtype != dtype:
+            raise ValidationError(f"{path}: {name}: expected {dtype}, "
+                                  f"got {a.dtype}")
+    return arrays
 
 
 def write_csv(path: str, a: np.ndarray, columns: list[str]) -> None:

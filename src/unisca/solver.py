@@ -739,33 +739,27 @@ def fit_with_private(x1: np.ndarray, x2: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def save_model(result: FitResult, directory: str) -> None:
-    """Write Q1, Sigma1 and, unless homogeneous, Q2, Sigma2; QP1, QP2 and
-    disc_W<i>, disc_b<i> when the fit has them (matio pairs); loss_trace.csv;
-    and model.json: kind, version, config, checkpoints, wall_clock_seconds."""
+    """Write arrays.npz, holding Q1, Sigma1 and, unless homogeneous, Q2,
+    Sigma2, and QP1, QP2 and disc_W<i>, disc_b<i> when the fit has them;
+    loss_trace.csv; and model.json: kind, version, config, checkpoints,
+    wall_clock_seconds."""
     os.makedirs(directory, exist_ok=True)
-    matio.write_matrix(directory, "Q1", result.q1.matrix, role="shared projection 1")
-    matio.write_matrix(directory, "Sigma1", result.q1.covariance,
-                       role="frozen covariance 1")
+    arrays = {"Q1": result.q1.matrix, "Sigma1": result.q1.covariance}
     if not result.homogeneous:
-        matio.write_matrix(directory, "Q2", result.q2.matrix,
-                           role="shared projection 2")
-        matio.write_matrix(directory, "Sigma2", result.q2.covariance,
-                           role="frozen covariance 2")
+        arrays.update(Q2=result.q2.matrix, Sigma2=result.q2.covariance)
     for name, proj in (("QP1", result.qp1), ("QP2", result.qp2)):
         if proj is not None:
-            matio.write_matrix(directory, name, proj.matrix,
-                               role=f"private projection {name[-1]}")
+            arrays[name] = proj.matrix
     if result.discriminator is not None:
         f = result.discriminator
         for i, (wt, bs) in enumerate(zip(f.weights, f.biases)):
-            matio.write_matrix(directory, f"disc_W{i}", wt, role="discriminator")
-            matio.write_matrix(directory, f"disc_b{i}", bs.reshape(1, -1),
-                               role="discriminator")
+            arrays[f"disc_W{i}"], arrays[f"disc_b{i}"] = wt, bs
+    matio.write_arrays(os.path.join(directory, matio.ARCHIVE), arrays)
     matio.write_csv(os.path.join(directory, "loss_trace.csv"), result.trace,
                     list(TRACE_COLUMNS))
     meta = {
         "kind": "unisca-model",
-        "version": 1,
+        "version": matio.VERSION,
         "config": result.config.to_dict(),
         "checkpoints": [[int(e), float(v)] for e, v in result.checkpoints],
         "wall_clock_seconds": result.wall_clock,
@@ -789,16 +783,21 @@ def _checkpoints(doc, where: str) -> list:
 
 
 def load_model(directory: str) -> FitResult:
-    """Read what save_model wrote. Which arrays exist is derived from the
+    """Read what save_model wrote. Which arrays are read is derived from the
     config: q2 is q1 if homogeneous, private heads if with_private, and an
-    adversarial matcher's discriminator has its disc_hidden. A model.json
-    with no config or checkpoints, or a config key SolverConfig lacks, is
-    refused, as is a config that is no object or a checkpoint that is no
-    [epoch, value] pair of an integer and a number."""
+    adversarial matcher's discriminator has its disc_hidden; other arrays
+    in the archive are ignored. A ValidationError naming the file refuses a
+    model.json of another version (refit the model), one without a config
+    or checkpoints, or with a config, checkpoint or wall clock of the wrong
+    type; an archive lacking an array the config implies, or holding one of
+    another dtype or shape (Q<i> has d_c rows, QP<i> d_p<i>, Sigma<i> is
+    square with Q<i>'s columns, the discriminator follows disc_hidden); and
+    a loss_trace.csv whose columns are not TRACE_COLUMNS."""
     path = os.path.join(directory, "model.json")
     meta = matio.read_json(path)
     if not isinstance(meta, dict) or meta.get("kind") != "unisca-model":
         raise ValidationError(f"{directory} is not a model directory")
+    matio.check_version(meta, path, "refit the model")
     numerics.check_keys(meta, path, required=("checkpoints",), optional=meta)
     if not meta.get("config"):
         raise ValidationError(f"{directory}: model.json holds no config; "
@@ -811,23 +810,47 @@ def load_model(directory: str) -> FitResult:
             "refit the model")
     cfg = SolverConfig(**config)
     checkpoints = _checkpoints(meta["checkpoints"], f"{path}: checkpoints")
-    get = lambda name: matio.read_matrix(directory, name)[0]
-    q1 = Projection(get("Q1"), get("Sigma1"))
-    q2 = (q1 if cfg.mode == "homogeneous"
-          else Projection(get("Q2"), get("Sigma2")))
-    qp1 = qp2 = None
-    if cfg.mode == "with_private":
-        qp1 = Projection(get("QP1"), q1.covariance)
-        qp2 = Projection(get("QP2"), q2.covariance)
+    wall_clock = check_value(meta.get("wall_clock_seconds", 0.0), (float,),
+                             f"{path}: wall_clock_seconds", "wall_clock")
+    tied, private = cfg.mode == "homogeneous", cfg.mode == "with_private"
+    layers = len(cfg.disc_hidden) + 1 if cfg.matcher == "adversarial" else 0
     disc = None
-    if cfg.matcher == "adversarial":
-        disc = Discriminator(q1.matrix.shape[0], hidden=cfg.disc_hidden,
+    if layers:
+        # Its random start is dropped before the saved layers are read: the
+        # two held at once raised the adversarial benchmark's peak RSS 5%.
+        disc = Discriminator(cfg.d_c, hidden=cfg.disc_hidden,
                              rng=substream(cfg.seed, "solver", "disc-reload"))
-        for i in range(len(disc.weights)):
-            disc.weights[i] = get(f"disc_W{i}")
-            disc.biases[i] = get(f"disc_b{i}").reshape(-1)
-    trace = matio.read_csv(os.path.join(directory, "loss_trace.csv"))[0]
+        disc.weights, disc.biases = [], []
+    archive = os.path.join(directory, matio.ARCHIVE)
+    a = matio.read_arrays(archive, [
+        "Q1", "Sigma1", *(() if tied else ("Q2", "Sigma2")),
+        *(("QP1", "QP2") if private else ()),
+        *(f"disc_{p}{i}" for i in range(layers) for p in "Wb")])
+    shapes = {}
+    for i in (1,) if tied else (1, 2):
+        d = a[f"Q{i}"].shape[-1:]  # the head's columns, its data's
+        shapes.update({f"Q{i}": (cfg.d_c, *d), f"Sigma{i}": (*d, *d),
+                       f"QP{i}": (getattr(cfg, f"d_p{i}"), *d)})
+    dims = (cfg.d_c, *cfg.disc_hidden, 1)
+    for i in range(layers):
+        shapes.update({f"disc_W{i}": (dims[i + 1], dims[i]),
+                       f"disc_b{i}": (dims[i + 1],)})
+    for name, shape in shapes.items():
+        if name in a and a[name].shape != shape:
+            raise ValidationError(f"{archive}: {name}: expected shape "
+                                  f"{shape}, got {a[name].shape}")
+    q1 = Projection(a["Q1"], a["Sigma1"])
+    q2 = q1 if tied else Projection(a["Q2"], a["Sigma2"])
+    qp1 = Projection(a["QP1"], q1.covariance) if private else None
+    qp2 = Projection(a["QP2"], q2.covariance) if private else None
+    if layers:
+        disc.weights = [a[f"disc_W{i}"] for i in range(layers)]
+        disc.biases = [a[f"disc_b{i}"] for i in range(layers)]
+    trace_path = os.path.join(directory, "loss_trace.csv")
+    trace, columns = matio.read_csv(trace_path)
+    if columns != list(TRACE_COLUMNS):
+        raise ValidationError(f"{trace_path}: expected the columns "
+                              f"{list(TRACE_COLUMNS)}, got {columns}")
     return FitResult(q1=q1, q2=q2, qp1=qp1, qp2=qp2, trace=trace,
-                     checkpoints=checkpoints,
-                     wall_clock=meta.get("wall_clock_seconds", 0.0),
+                     checkpoints=checkpoints, wall_clock=wall_clock,
                      config=cfg, discriminator=disc)

@@ -33,3 +33,12 @@ def small_dataset(seed=5, n=3000, preset="thm1b", homogeneous=False, d1=None, d2
     mixing = tmpl.realize(latent, substream(seed, "datagen", "mixing"))
     return datagen.generate_dataset(
         latent, mixing, n, substream(seed, "datagen", "samples"))
+
+
+def rewrite_archive(path, change) -> str:
+    """Replace the numpy archive at `path` by change(its arrays as a dict);
+    returns the path as a string."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    np.savez(path, **change(arrays))
+    return str(path)

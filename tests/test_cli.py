@@ -9,6 +9,7 @@ import pytest
 
 from unisca import cli, datagen, numerics, solver
 
+from conftest import rewrite_archive
 from test_config import CRASHED
 
 
@@ -287,6 +288,22 @@ def test_retrieve_rejects_bad_k(tmp_path, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--ks", "1,x"], "--ks must be comma-separated integers, got '1,x'"),
+    (["--ks", "0,1"], "k and k_csls must be >= 1, got 0 and 10"),
+    (["--k-csls", "0"], "k and k_csls must be >= 1, got 1 and 0"),
+], ids=["ks-not-integers", "ks-zero", "k-csls-zero"])
+def test_retrieve_checks_k_before_reading_anything(tmp_path, capsys, flags,
+                                                   message):
+    # No model, vectors or dictionary exist: a bad k is named first.
+    argv = ["retrieve", "--model", str(tmp_path / "no-model"),
+            "--queries", str(tmp_path / "q.vec"),
+            "--references", str(tmp_path / "r.vec"),
+            "--dictionary", str(tmp_path / "dict.txt")]
+    assert cli.main(argv + flags) == 2
+    assert _one_error_line(capsys) == f"error: {message}\n"
+
+
 def test_retrieve_rejects_out_of_range_reference_id(tmp_path, capsys):
     argv = _word_vector_model(tmp_path)
     (tmp_path / "dict.txt").write_text("0 0\n1 1\n2 99\n")
@@ -432,46 +449,99 @@ def test_eval_of_a_model_without_checkpoints_is_an_error_line(tmp_path,
     assert str(model / "model.json") in err and "checkpoints" in err
 
 
-def test_fit_of_a_matrix_header_without_a_shape_is_an_error_line(tmp_path,
-                                                                  capsys):
+def test_gen_and_fit_directories_hold_one_archive_beside_json(tmp_path):
+    _, data, model = _fitted_model(tmp_path)
+    assert sorted(p.name for p in data.iterdir()) == [
+        "arrays.npz", "config.json", "manifest.json"]
+    assert sorted(p.name for p in model.iterdir()) == [
+        "arrays.npz", "config.json", "loss_trace.csv", "model.json"]
+
+
+def test_fit_of_a_truncated_archive_is_an_error_line(tmp_path, capsys):
     cfg, data, model = _fitted_model(tmp_path)
-    _drop_key(data / "X1.json", "shape")
+    path = data / "arrays.npz"
+    path.write_bytes(path.read_bytes()[:1000])
     capsys.readouterr()
     assert cli.main(["fit", "--config", cfg, "--data", str(data),
                      "--out", str(tmp_path / "refit")]) == 2
-    err = _one_error_line(capsys)
-    assert str(data / "X1.json") in err and "shape" in err
+    assert _one_error_line(capsys) == (
+        f"error: {path}: not a numpy archive of numeric arrays: "
+        f"File is not a zip file\n")
+    assert not (tmp_path / "refit").exists()
 
 
-@pytest.mark.parametrize("command,name,key,value,fault", [
-    ("fit", "data/X1.json", "shape", 5, "shape: expected an array, got 5"),
-    ("fit", "data/X1.json", "dtype", "foo",
-     "dtype: expected one of ['<f8', '<i8'], got 'foo'"),
-    ("eval", "data/alignment.json", "dtype", "<f8",
-     "dtype: expected '<i8', got '<f8'"),
-    ("eval", "data/manifest.json", None, [], "expected an object, got []"),
-    ("eval", "data/manifest.json", "latent", 5,
+def _set_key(key, value):
+    """An edit setting a JSON file's `key` to `value`; key None replaces the
+    whole document."""
+    def edit(path):
+        doc = json.loads(path.read_text())
+        doc = value if key is None else {**doc, key: value}
+        path.write_text(json.dumps(doc))
+    return edit
+
+
+def _set_arrays(change):
+    """An edit replacing an archive's arrays by change(them as a dict)."""
+    return lambda path: rewrite_archive(path, change)
+
+
+@pytest.mark.parametrize("command,name,edit,fault", [
+    ("eval", "model/arrays.npz",
+     _set_arrays(lambda a: {**a, "Sigma1": np.eye(4)}),
+     "Sigma1: expected shape (3, 3), got (4, 4)"),
+    ("fit", "data/arrays.npz",
+     _set_arrays(lambda a: {**a, "X1": a["X1"].astype(np.float32)}),
+     "X1: expected float64, got float32"),
+    ("eval", "data/arrays.npz",
+     _set_arrays(lambda a: {**a,
+                            "alignment": a["alignment"].astype(np.float32)}),
+     "alignment: expected int64, got float32"),
+    ("eval", "data/arrays.npz",
+     _set_arrays(lambda a: {k: v for k, v in a.items() if k != "P1_test"}),
+     "missing arrays ['P1_test']"),
+    ("eval", "model/arrays.npz", lambda path: path.write_text("Q1 Sigma1\n"),
+     "not a numpy archive of numeric arrays: File is not a zip file"),
+    ("eval", "data/manifest.json", _set_key(None, []),
+     "expected an object, got []"),
+    ("eval", "data/manifest.json", _set_key("latent", 5),
      "latent: expected an object, got 5"),
-    ("eval", "model/model.json", "checkpoints", [5],
+    ("eval", "data/manifest.json", _set_key("homogeneous", "false"),
+     "homogeneous: expected a boolean, got 'false'"),
+    ("fit", "data/manifest.json", _set_key("version", 1),
+     "version 1 is not 2; regenerate it with `unisca gen --config "
+     "<data>/config.json --out <new directory>`"),
+    ("eval", "model/model.json", _set_key("checkpoints", [5]),
      "checkpoints/0: expected an [epoch, value] pair, got 5"),
-    ("eval", "model/model.json", "config", ["d_c"],
+    ("eval", "model/model.json", _set_key("config", ["d_c"]),
      "config: expected an object, got ['d_c']"),
-], ids=["shape", "dtype", "alignment-dtype", "manifest", "latent",
-        "checkpoint", "config"])
+    ("eval", "model/model.json", _set_key("wall_clock_seconds", "x"),
+     "wall_clock_seconds: expected a number, got 'x'"),
+    ("eval", "model/model.json", _set_key("version", 1),
+     "version 1 is not 2; refit the model"),
+    ("eval", "model/loss_trace.csv",
+     lambda path: path.write_text("epoch,matcher\n0.0,1.5\n"),
+     "expected the columns ['epoch', 'matcher', 'rq1', 'rq2', 'anchor', "
+     "'hsic', 'total'], got ['epoch', 'matcher']"),
+], ids=["shape", "dtype", "alignment-dtype", "missing-array", "not-a-zip",
+        "manifest", "latent", "homogeneous", "dataset-version", "checkpoint",
+        "config", "wall-clock", "model-version", "trace-columns"])
 def test_a_malformed_saved_file_is_an_error_line(tmp_path, capsys, command,
-                                                 name, key, value, fault):
-    # Each once ended in a TypeError or AttributeError and a traceback, but
-    # an alignment read as float64 became all zeros and eval scored it.
+                                                 name, edit, fault):
+    # Each once ended in a traceback (a TypeError, an AttributeError or
+    # numpy's matmul), was misread (an alignment read as float64 became all
+    # zeros, a "false" flag was true) or loaded unchecked, and eval scored it.
     cfg, data, model = _fitted_model(tmp_path)
     path = tmp_path / name
-    doc = value if key is None else {**json.loads(path.read_text()), key: value}
-    path.write_text(json.dumps(doc))
+    edit(path)
     argv = {"fit": ["fit", "--config", cfg, "--data", str(data),
                     "--out", str(tmp_path / "refit")],
             "eval": ["eval", "--model", str(model), "--data", str(data)]}
     capsys.readouterr()
     assert cli.main(argv[command]) == 2
+    fault = fault.replace("<data>", str(data))
     assert _one_error_line(capsys) == f"error: {path}: {fault}\n"
+    assert not (model / "report.json").exists()
+    assert not (tmp_path / "refit").exists()
 
 
 def test_adversarial_fit_saves_a_discriminator_that_eval_reloads(tmp_path):
@@ -481,7 +551,10 @@ def test_adversarial_fit_saves_a_discriminator_that_eval_reloads(tmp_path):
     assert cli.main(["gen", "--config", path, "--out", data]) == 0
     assert cli.main(["fit", "--config", path, "--data", data,
                      "--out", str(model)]) == 0
-    assert (model / "disc_W0.json").exists()
+    with np.load(model / "arrays.npz") as archive:
+        assert sorted(archive.files) == [
+            "Q1", "Q2", "Sigma1", "Sigma2", "disc_W0", "disc_W1", "disc_W2",
+            "disc_b0", "disc_b1", "disc_b2"]
     assert cli.main(["eval", "--model", str(model), "--data", data]) == 0
     disc = solver.load_model(str(model)).discriminator
     assert disc.hidden == (16, 16)

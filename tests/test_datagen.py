@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from unisca import datagen
+from unisca import datagen, matio
 from unisca.datagen import (DistributionSpec, LatentSpec, MixingModel,
                             generate_dataset, preset, sample_anchors,
                             save_dataset, load_dataset)
 from unisca.numerics import ValidationError, substream
+
+from conftest import rewrite_archive
 
 
 def _vonmises_moments(mu, kappa):
@@ -256,29 +258,65 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path):
         ds, _ = _quick_dataset(200)
         save_dataset(ds, str(tmp_path / "d"), seed=17)
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "arrays.npz", "manifest.json"]
         back = load_dataset(str(tmp_path / "d"))
         for field in ("x1", "x2", "c", "p1", "p2", "x1_test", "x2_test",
                       "c_test", "p1_test", "p2_test", "alignment", "mean1",
                       "mean2"):
-            assert np.array_equal(getattr(ds, field), getattr(back, field)), field
-        assert np.array_equal(ds.mixing.a1, back.mixing.a1)
+            want, got = getattr(ds, field), getattr(back, field)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), field
+            assert got.tobytes() == want.tobytes(), field
+        for q in ("a1", "a2"):
+            want, got = getattr(ds.mixing, q), getattr(back.mixing, q)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert back.latent == ds.latent
 
     def test_refuses_directory_without_private_test_codes(self, tmp_path):
         ds, _ = _quick_dataset(200)
         save_dataset(ds, str(tmp_path / "d"), seed=17)
-        for ext in (".bin", ".json"):
-            (tmp_path / "d" / ("P1_test" + ext)).unlink()
-        with pytest.raises(FileNotFoundError, match="'P1_test' not found"):
+        path = rewrite_archive(tmp_path / "d" / matio.ARCHIVE, lambda a: {
+            k: v for k, v in a.items() if k != "P1_test"})
+        with pytest.raises(ValidationError) as info:
             load_dataset(str(tmp_path / "d"))
+        assert str(info.value) == f"{path}: missing arrays ['P1_test']"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_refuses_an_alignment_that_is_not_int64(self, tmp_path, dtype):
+        ds, _ = _quick_dataset(100)
+        save_dataset(ds, str(tmp_path / "d"))
+        path = rewrite_archive(tmp_path / "d" / matio.ARCHIVE, lambda a: {
+            **a, "alignment": a["alignment"].astype(dtype)})
+        with pytest.raises(ValidationError) as info:
+            load_dataset(str(tmp_path / "d"))
+        assert str(info.value) == (f"{path}: alignment: expected int64, "
+                                   f"got {np.dtype(dtype)}")
+
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_refuses_another_version_and_says_how_to_rebuild(self, tmp_path,
+                                                            version):
+        ds, _ = _quick_dataset(100)
+        save_dataset(ds, str(tmp_path / "d"))
+        path = tmp_path / "d" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "version": version}))
+        with pytest.raises(ValidationError) as info:
+            load_dataset(str(tmp_path / "d"))
+        assert str(info.value) == (
+            f"{path}: version {version!r} is not 2; regenerate it with "
+            f"`unisca gen --config {tmp_path / 'd' / 'config.json'} "
+            f"--out <new directory>`")
 
     def test_manifest_contents(self, tmp_path):
         ds, _ = _quick_dataset(150)
         save_dataset(ds, str(tmp_path / "d"), seed=41)
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["kind"] == "unisca-dataset"
+        assert manifest["version"] == 2
         assert manifest["seed"] == 41
         assert manifest["n_train"] == 150
         assert manifest["d_c"] == 2
+        assert manifest["homogeneous"] is False
 
 
 class TestAnchors:

@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -119,27 +121,111 @@ class TestMatio:
         with pytest.raises(ValidationError, match=message):
             matio.read_csv(str(path))
 
-    def test_roundtrip_and_header(self, tmp_path, rng):
-        a = rng.normal(size=(6, 3))
-        matio.write_matrix(str(tmp_path), "A", a, role="test")
-        back, header = matio.read_matrix(str(tmp_path), "A")
-        assert np.array_equal(a, back)
-        assert header == {"name": "A", "shape": [6, 3], "dtype": "<f8",
-                          "order": "C", "role": "test"}
+    def test_roundtrip_keeps_shape_dtype_and_bytes(self, tmp_path, rng):
+        arrays = {"A": rng.normal(size=(6, 3)), "m": rng.normal(size=4),
+                  "e": np.zeros((0, 2)), "idx": np.arange(5, dtype=np.int64)}
+        path = str(tmp_path / matio.ARCHIVE)
+        matio.write_arrays(path, arrays)
+        back = matio.read_arrays(path, ["A", "m", "e", "idx"],
+                                 integers=("idx",))
+        for name, a in arrays.items():
+            assert back[name].shape == a.shape, name
+            assert back[name].dtype == a.dtype, name
+            assert back[name].tobytes() == a.tobytes(), name
+        assert sorted(matio.read_arrays(path, ["m"])) == ["m"]
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_STORED}
 
     def test_integer_dtype(self, tmp_path):
         a = np.arange(10, dtype=np.int64).reshape(5, 2)
-        matio.write_matrix(str(tmp_path), "idx", a, dtype="<i8")
-        back, _ = matio.read_matrix(str(tmp_path), "idx")
+        path = str(tmp_path / matio.ARCHIVE)
+        matio.write_arrays(path, {"idx": a})
+        back = matio.read_arrays(path, ["idx"], integers=("idx",))["idx"]
         assert back.dtype == np.int64 and np.array_equal(a, back)
 
+    @pytest.mark.parametrize("a,integers,fault", [
+        (np.zeros(3, dtype=np.float32), (), "expected float64, got float32"),
+        (np.arange(3), (), "expected float64, got int64"),
+        (np.arange(3.0), ("x",), "expected int64, got float64"),
+        (np.arange(3, dtype=np.int32), ("x",), "expected int64, got int32")])
+    def test_other_dtypes_are_refused(self, tmp_path, a, integers, fault):
+        path = str(tmp_path / matio.ARCHIVE)
+        matio.write_arrays(path, {"x": a})
+        with pytest.raises(ValidationError) as info:
+            matio.read_arrays(path, ["x"], integers=integers)
+        assert str(info.value) == f"{path}: x: {fault}"
+
     def test_size_mismatch_detected(self, tmp_path, rng):
-        matio.write_matrix(str(tmp_path), "A", rng.normal(size=(4, 2)))
-        with open(tmp_path / "A.bin", "ab") as fh:
-            fh.write(b"\0" * 8)
-        with pytest.raises(ValidationError):
-            matio.read_matrix(str(tmp_path), "A")
+        # A truncated archive.
+        path = tmp_path / matio.ARCHIVE
+        matio.write_arrays(str(path), {"A": rng.normal(size=(4, 2))})
+        path.write_bytes(path.read_bytes()[:-30])
+        with pytest.raises(ValidationError) as info:
+            matio.read_arrays(str(path), ["A"])
+        assert str(info.value) == (f"{path}: not a numpy archive of numeric "
+                                   f"arrays: File is not a zip file")
+
+    def test_corrupt_bytes_fail_the_crc(self, tmp_path, rng):
+        path = tmp_path / matio.ARCHIVE
+        a = rng.normal(size=(4, 2))
+        matio.write_arrays(str(path), {"A": a})
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(a.tobytes()) + 3] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError,
+                           match="Bad CRC-32 for file 'A.npy'"):
+            matio.read_arrays(str(path), ["A"])
+
+    @pytest.mark.parametrize("content", [b"", b"0.5 1.5\n",
+                                         b"\x93NUMPY not an archive"],
+                             ids=["empty", "text", "npy"])
+    def test_a_file_that_is_no_zip_is_refused(self, tmp_path, content):
+        path = tmp_path / matio.ARCHIVE
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as info:
+            matio.read_arrays(str(path), ["A"])
+        assert str(info.value) == (f"{path}: not a numpy archive of numeric "
+                                   f"arrays: File is not a zip file")
+
+    def test_an_object_array_is_refused_and_never_unpickled(self, tmp_path):
+        path = str(tmp_path / matio.ARCHIVE)
+        np.savez(path, A=np.array([_Trap()], dtype=object))
+        _UNPICKLED.clear()
+        with pytest.raises(ValidationError) as info:
+            matio.read_arrays(path, ["A"])
+        assert str(info.value) == (
+            f"{path}: not a numpy archive of numeric arrays: Object arrays "
+            f"cannot be loaded when allow_pickle=False")
+        assert not isinstance(info.value.__cause__, ValidationError)
+        assert _UNPICKLED == []
+        with np.load(path, allow_pickle=True) as archive:
+            archive["A"]  # the trap springs once unpickling is allowed
+        assert _UNPICKLED == ["unpickled"]
+
+    def test_a_missing_name_is_refused(self, tmp_path, rng):
+        path = str(tmp_path / matio.ARCHIVE)
+        matio.write_arrays(path, {"A": rng.normal(size=(2, 2))})
+        with pytest.raises(ValidationError) as info:
+            matio.read_arrays(path, ["A", "B", "C"])
+        assert str(info.value) == f"{path}: missing arrays ['B', 'C']"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            matio.read_matrix(str(tmp_path), "nope")
+        path = str(tmp_path / "nope.npz")
+        with pytest.raises(ValidationError) as info:
+            matio.read_arrays(path, ["A"])
+        assert str(info.value) == f"{path}: No such file or directory"
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append("unpickled")
+
+
+class _Trap:
+    """An object whose unpickling is recorded in _UNPICKLED."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()

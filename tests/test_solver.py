@@ -15,7 +15,7 @@ import pytest
 from unisca import config, numerics, solver
 from unisca.numerics import ValidationError, substream
 
-from conftest import small_dataset
+from conftest import rewrite_archive, small_dataset
 
 TINY = dict(seed=1, restarts=1, warm_epochs=0, epochs=2, batch=200,
             warm_batch=200, checkpoint_rows=300, select_rows=300)
@@ -431,7 +431,13 @@ def test_save_load_round_trip_keeps_every_array(tmp_path, mode):
     meta = json.loads((tmp_path / "model.json").read_text())
     assert sorted(meta) == ["checkpoints", "config", "kind", "version",
                             "wall_clock_seconds"]
-    assert not (tmp_path / "timing.json").exists()
+    assert meta["version"] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "arrays.npz", "loss_trace.csv", "model.json"]
+    with np.load(tmp_path / "arrays.npz") as archive:
+        stored = sorted(archive.files)
+    tied = {"Q2", "Sigma2"} if mode == "homogeneous" else set()
+    assert stored == sorted(set(want) - {"trace", "checkpoints"} - tied)
 
 
 @pytest.mark.parametrize("mode", ["unaligned", "homogeneous", "with_private",
@@ -458,6 +464,57 @@ def test_loads_a_directory_that_also_states_its_layout(tmp_path, mode):
     for key, a in want.items():
         assert got[key].tobytes() == a.tobytes(), key
     assert loaded.config == result.config
+
+
+@pytest.mark.parametrize("version", [1, 3, "2"])
+def test_load_refuses_another_version_and_says_to_refit(tmp_path, version):
+    solver.save_model(_round_trip_fit("unaligned"), str(tmp_path))
+    path = tmp_path / "model.json"
+    meta = json.loads(path.read_text())
+    path.write_text(json.dumps({**meta, "version": version}))
+    with pytest.raises(ValidationError) as info:
+        solver.load_model(str(tmp_path))
+    assert str(info.value) == (f"{path}: version {version!r} is not 2; "
+                               "refit the model")
+
+
+def test_load_ignores_arrays_the_config_does_not_imply(tmp_path):
+    # A homogeneous result whose q1 was replaced is saved with Q2 and Sigma2
+    # too; the config ties the heads, so they are not read.
+    result = _round_trip_fit("homogeneous")
+    result.q1 = dataclasses.replace(result.q1, matrix=result.q1.matrix * 2)
+    solver.save_model(result, str(tmp_path))
+    rewrite_archive(tmp_path / "arrays.npz",
+                    lambda a: {**a, "extra": np.array(["x"])})
+    loaded = solver.load_model(str(tmp_path))
+    assert loaded.homogeneous
+    assert loaded.q1.matrix.tobytes() == result.q1.matrix.tobytes()
+
+
+@pytest.mark.parametrize("mode,name,shape,fault", [
+    ("unaligned", "Q1", (3, 3), "Q1: expected shape (2, 3), got (3, 3)"),
+    ("unaligned", "Q2", (3,), "Q2: expected shape (2, 3), got (3,)"),
+    ("unaligned", "Sigma1", (4, 4),
+     "Sigma1: expected shape (3, 3), got (4, 4)"),
+    ("homogeneous", "Sigma1", (3, 2),
+     "Sigma1: expected shape (3, 3), got (3, 2)"),
+    ("with_private", "QP2", (2, 3), "QP2: expected shape (1, 3), got (2, 3)"),
+    ("with_private", "QP1", (1, 4), "QP1: expected shape (1, 3), got (1, 4)"),
+    ("adversarial", "disc_W0", (8, 3),
+     "disc_W0: expected shape (8, 2), got (8, 3)"),
+    ("adversarial", "disc_b1", (1, 1),
+     "disc_b1: expected shape (1,), got (1, 1)"),
+])
+def test_load_refuses_arrays_of_another_shape(tmp_path, mode, name, shape,
+                                              fault):
+    # Each once loaded, and a Sigma unlike its head failed later in numpy's
+    # matmul, or a discriminator of another shape in its forward pass.
+    solver.save_model(_round_trip_fit(mode), str(tmp_path))
+    path = rewrite_archive(tmp_path / "arrays.npz",
+                           lambda a: {**a, name: np.ones(shape)})
+    with pytest.raises(ValidationError) as info:
+        solver.load_model(str(tmp_path))
+    assert str(info.value) == f"{path}: {fault}"
 
 
 def test_load_refuses_a_model_without_a_config(tmp_path):
