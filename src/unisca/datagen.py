@@ -384,9 +384,12 @@ def load_dataset(directory: str) -> SyntheticDataset:
     """Read what save_dataset wrote; the mixing's homogeneity and the latent
     spec come from manifest.json. Refused, with a ValidationError naming
     the file: a manifest that is no object or of another version (regenerate
-    the directory from its config.json with `unisca gen`), and an archive
-    that lacks an array, holds one that is not float64, or an alignment
-    that is not int64."""
+    the directory from its config.json with `unisca gen`), or whose row
+    counts and latent widths are not integers; and an archive that lacks an
+    array, holds one that is not float64, or an alignment that is not
+    int64, an array whose shape disagrees with the manifest's n_train,
+    n_test, d_c and d_p and with A1's and A2's rows, or an alignment that
+    is not a permutation of range(n_train)."""
     path = os.path.join(directory, "manifest.json")
     manifest = check_value(matio.read_json(path), (dict,), path, "manifest")
     if manifest.get("kind") != "unisca-dataset":
@@ -394,8 +397,26 @@ def load_dataset(directory: str) -> SyntheticDataset:
     matio.check_version(manifest, path, "regenerate it with `unisca gen "
                         f"--config {os.path.join(directory, 'config.json')} "
                         "--out <new directory>`")
-    arrays = matio.read_arrays(os.path.join(directory, matio.ARCHIVE),
-                               [*_FIELDS, "A1", "A2"], integers=("alignment",))
+    n, n_test, d_c = (check_value(manifest.get(key), (int,), f"{path}: {key}",
+                                  key) for key in ("n_train", "n_test", "d_c"))
+    d_p = check_value(manifest.get("d_p"), (list,), f"{path}: d_p", "d_p")
+    if len(d_p) != 2:
+        raise ValidationError(f"{path}: d_p: expected 2 integers, got "
+                              f"{list(d_p)}")
+    archive = os.path.join(directory, matio.ARCHIVE)
+    arrays = matio.read_arrays(archive, [*_FIELDS, "A1", "A2"],
+                               integers=("alignment",))
+    shapes = {}
+    for q, k in ((1, d_p[0]), (2, d_p[1])):
+        d = arrays[f"A{q}"].shape[:1]  # the view's columns
+        shapes.update({f"A{q}": (*d, d_c + k), f"X{q}": (n, *d),
+                       f"X{q}_test": (n_test, *d), f"mean{q}": d,
+                       f"P{q}": (n, k), f"P{q}_test": (n_test, k)})
+    shapes.update(C=(n, d_c), C_test=(n_test, d_c), alignment=(n,))
+    matio.check_shapes(archive, arrays, shapes)
+    if not np.array_equal(np.sort(arrays["alignment"]), np.arange(n)):
+        raise ValidationError(f"{archive}: alignment: not a permutation of "
+                              f"range({n})")
     homogeneous = check_value(manifest.get("homogeneous"), (bool,),
                               f"{path}: homogeneous", "homogeneous")
     mixing = MixingModel(arrays["A1"], arrays["A2"], homogeneous=homogeneous)

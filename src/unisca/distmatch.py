@@ -15,6 +15,13 @@ centred or rescaled copy of a Gram is made. Every MMD value and gradient
 comes from one loop over Gram strips of at most _STRIP entries, `_gram_sum`,
 so no MMD call forms an n x n Gram.
 
+`KernelSpec.resolve` takes the median heuristic's median over the squared
+distances of up to _RESOLVE_POOL points in two passes over strips of at
+most _STRIP entries: one counts the distances by the top bits of their
+IEEE 754 patterns, and one keeps only those in the bucket(s) of the middle
+rank(s). No call holds the n(n-1)/2 distances unless most of them share
+that bucket.
+
 The discriminator's backward pass forms only what its caller reads
 (`gan_value_and_grads(..., grads=...)`): `discriminator_step` takes the
 parameter gradients, the projection update the input gradients, and a
@@ -67,23 +74,44 @@ class KernelSpec:
 
         Each set contributes its leading rows so the pool has at most
         _RESOLVE_POOL points; with zero median distance (e.g. constant inputs)
-        the bandwidth falls back to 1.0. The squared distances above the
-        diagonal fill one buffer (`_upper_sq_distances`). As sqrt is
-        monotone, the median distance is the mean of the square roots of the
-        one or two middle squared distances, found by an in-place partition,
-        which is what np.median of all distances returns (NaN, as there,
-        falls back to 1.0).
+        the bandwidth falls back to 1.0, as it does when a distance is NaN.
+        As sqrt is monotone, the median distance is the mean of the square
+        roots of the one or two middle squared distances, which is what
+        np.median of all distances returns.
+
+        The squared distances above the diagonal come in two passes over
+        the same strips (`_sq_distance_strips`), so the n(n-1)/2 of them are
+        never held at once. Non-negative doubles order as their bit patterns
+        do, so the top 16 bits of a distance's pattern name its bucket
+        (`_buckets`): _BUCKETS of them, 16 to an octave. The first pass
+        counts the distances in each bucket (`_bucket_counts`), and the
+        counts name the bucket(s) that hold the middle rank(s) and how many
+        distances lie below them. The second keeps only the distances in
+        those buckets (`_in_buckets`), 0.5-1.5% of the triangle on the
+        benchmark's workloads, and partitions them at the middle ranks less
+        that count. Strips are not clamped at 0: a negative entry, or -0.0,
+        is counted in bucket 0, where the clamp puts it, and only the kept
+        distances are clamped, to the bytes a clamped strip holds. When
+        most distances share the middle bucket (a constant or heavily
+        duplicated pool) the second pass keeps up to the whole triangle,
+        which is the one buffer of n(n-1)/2 resolve held before.
         """
         per = max(1, _RESOLVE_POOL // max(1, len(sample_sets)))
         pool = np.vstack([np.asarray(s, dtype=np.float64)[:per] for s in sample_sets])
-        upper = _upper_sq_distances(pool)
-        med = 0.0
-        if upper.size:
-            h = upper.size // 2
-            middle = [h - 1, h] if upper.size % 2 == 0 else [h]
-            upper.partition(middle + [-1])  # NaN sorts last
-            if not np.isnan(upper[-1]):
-                med = float(np.mean(np.sqrt(upper[middle[0]:h + 1])))
+        pairs = pool.shape[0] * (pool.shape[0] - 1) // 2
+        if not pairs:
+            return KernelSpec(bandwidth=1.0)
+        counts = _bucket_counts(pool)
+        if counts is None:
+            return KernelSpec(bandwidth=1.0)
+        h = pairs // 2
+        middle = np.array([h - 1, h] if pairs % 2 == 0 else [h])
+        upto = np.cumsum(counts)
+        first, last = np.searchsorted(upto, middle[[0, -1]], side="right")
+        below = upto[first] - counts[first]
+        kept = _in_buckets(pool, first, last, upto[last] - below)
+        kept.partition(middle - below)
+        med = float(np.mean(np.sqrt(kept[middle - below])))
         return KernelSpec(bandwidth=med if med > 0 else 1.0)
 
 
@@ -115,37 +143,104 @@ def _sqnorms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _upper_sq_distances(pool: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 over the pool's pairs i < j, row by row, clamped at 0,
-    in one n(n-1)/2 buffer; the n x n matrix is never formed.
+# Buckets of non-negative doubles in KernelSpec.resolve's select, one for
+# each value of the top 16 bits of their patterns: 16 to an octave.
+_BUCKETS = 2**15
 
-    Each strip of `_strip_rows` rows is a full-width product pool[rows] @
-    pool.T (at most _STRIP entries), doubled and subtracted from p2_i + p2_j
-    right of its first row; its part above the diagonal is copied out. A
-    BLAS may round a dot by where it falls in a product's tiles, so a strip
-    spans every column, as the square product pool @ pool.T did. At 1000
-    and 2000 points (the pools of fits whose views have 1000 rows or more)
-    and at one strip's rows or fewer, every entry equals the square
-    product's; a strip of only the columns right of its first row, or one
-    dot per row, differs in some. At other sizes OpenBLAS rounds a few
-    entries of a ragged last column tile differently (21 of 133,386 at 517
-    points).
+
+def _buckets(d2: np.ndarray) -> np.ndarray:
+    """The top 16 bits of each double's pattern: for a non-negative double
+    its bucket, which orders as the doubles do; _BUCKETS or more for one
+    whose sign bit is set."""
+    return (d2.view(np.uint64) >> 48).view(np.int64)
+
+
+def _bucket_range(first: int, last: int) -> tuple[float, float]:
+    """The least and greatest doubles that, clamped at 0, fall in buckets
+    first through last: -inf when first is 0, which takes the negatives,
+    and inf when last is inf's bucket, whose other patterns are NaNs."""
+    lo, hi = np.array([first << 48, ((last + 1) << 48) - 1]).view(np.float64)
+    return (-np.inf if first == 0 else lo), (hi if hi <= np.inf else np.inf)
+
+
+def _bucket_counts(pool: np.ndarray) -> np.ndarray | None:
+    """How many of the pool's pair distances fall in each bucket once
+    clamped at 0, or None if one is NaN. Each strip's diagonal block is
+    filled with 0.0 on and below the diagonal, and that count comes off
+    bucket 0 with the patterns whose sign bit is set put in it."""
+    counts = np.zeros(2 * _BUCKETS, dtype=np.int64)
+    for d2 in _sq_distance_strips(pool, 0.0):
+        if np.isnan(d2.max()):
+            return None
+        strip = np.bincount(_buckets(d2).ravel())
+        counts[:strip.size] += strip
+    n = pool.shape[0]
+    filled = counts.sum() - n * (n - 1) // 2
+    counts[0] += counts[_BUCKETS:].sum() - filled
+    return counts[:_BUCKETS]
+
+
+def _in_buckets(pool: np.ndarray, first: int, last: int,
+                size: int) -> np.ndarray:
+    """The `size` pair distances of the pool in buckets first through last,
+    clamped at 0. Each strip's diagonal block is filled with NaN on and
+    below the diagonal, which no range of buckets keeps. The strips are
+    formed again, so they must keep exactly the `size` distances
+    `_bucket_counts` counted there; any other number is a RuntimeError,
+    not a median taken over unset or missing entries."""
+    lo, hi = _bucket_range(first, last)
+    kept = np.empty(size)
+    start = 0
+    for d2 in _sq_distance_strips(pool, np.nan):
+        keep = d2[(d2 >= lo) & (d2 <= hi)]
+        if start + keep.size <= size:
+            kept[start:start + keep.size] = keep
+        start += keep.size
+    if start != size:
+        raise RuntimeError(f"resolve: the second pass kept {start} distances "
+                           f"where the first counted {size}")
+    return np.maximum(kept, 0.0, out=kept)
+
+
+def _sq_distance_strips(pool: np.ndarray, fill: float):
+    """|x_i - x_j|^2 over the pool's pairs i < j, before the clamp at 0, in
+    strips of `_strip_rows` rows; the n x n matrix is never formed.
+
+    Strip i is rows i + r of the pool against columns i + c, c >= 0: a
+    full-width product pool[rows] @ pool.T (at most _STRIP entries), its
+    columns from i on doubled and subtracted from p2_i + p2_j. The entries
+    at c <= r, on or below the diagonal, are set to `fill`; those above it
+    are the pair distances. A BLAS may round a dot by where it falls in a
+    product's tiles, so a strip spans every column, as the square product
+    pool @ pool.T did. At 1000 and 2000 points (the pools of fits whose
+    views have 1000 rows or more) and at one strip's rows or fewer, every
+    entry equals the square product's; a strip of only the columns right of
+    its first row, or one dot per row, differs in some. At other sizes
+    OpenBLAS rounds a few entries of a ragged last column tile differently
+    (21 of 133,386 at 517 points).
+
+    Every strip is a view of one buffer, which the next strip overwrites.
     """
     n = pool.shape[0]
     p2 = _sqnorms(pool)
-    upper = np.empty(n * (n - 1) // 2)
-    step = _strip_rows(n)
-    start = 0
+    step = min(_strip_rows(n), n)
+    product = np.empty((step, n))
+    # Over one column numpy's matmul runs its own loop, about four times
+    # slower than np.dot, which calls the BLAS; wider, matmul is the faster.
+    # A product over one column is one rounding, the same bytes either way.
+    dot = np.dot if pool.shape[1] == 1 else np.matmul
+    # A diagonal block's entries on and below its diagonal, row by row: a
+    # strip of k rows takes the first k(k + 1)/2.
+    lower = np.tril_indices(step)
     for i in range(0, n, step):
         rows = slice(i, i + step)
-        d2 = (pool[rows] @ pool.T)[:, i:]
+        k = min(step, n - i)
+        d2 = dot(pool[rows], pool.T, out=product[:k])[:, i:]
         d2 *= 2.0
         np.subtract(p2[rows, None] + p2[None, i:], d2, out=d2)
-        right = d2[np.arange(d2.shape[1]) > np.arange(d2.shape[0])[:, None]]
-        upper[start:start + right.size] = right
-        start += right.size
-    np.maximum(upper, 0.0, out=upper)
-    return upper
+        m = k * (k + 1) // 2
+        d2[lower[0][:m], lower[1][:m]] = fill
+        yield d2
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -338,15 +433,26 @@ class Discriminator:
 
     def __init__(self, in_dim: int, hidden: tuple = DEFAULT_HIDDEN,
                  lr: float = 8e-5, *, rng: np.random.Generator):
-        self.in_dim = int(in_dim)
-        self.hidden = tuple(int(h) for h in hidden)
-        dims = [self.in_dim, *self.hidden, 1]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        dims = [int(in_dim), *(int(h) for h in hidden), 1]
+        weights = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        self._take_layers(weights, [np.zeros(d) for d in dims[1:]], lr)
+
+    @classmethod
+    def from_layers(cls, weights: list, biases: list) -> "Discriminator":
+        """A discriminator with these layers, weights[i] of shape (fan_out,
+        fan_in) and biases[i] of (fan_out,), and a fresh Adam state."""
+        f = cls.__new__(cls)
+        f._take_layers(weights, biases)
+        return f
+
+    def _take_layers(self, weights: list, biases: list,
+                     lr: float = 8e-5) -> None:
+        self.weights, self.biases = list(weights), list(biases)
+        self.in_dim = self.weights[0].shape[1]
+        self.hidden = tuple(w.shape[0] for w in self.weights[:-1])
         self.adam = [AdamState(lr=lr) for _ in range(2 * len(self.weights))]
 
     def _forward(self, x: np.ndarray, keep: bool = False,

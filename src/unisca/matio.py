@@ -81,6 +81,16 @@ def read_arrays(path: str, names, integers=()) -> dict:
     return arrays
 
 
+def check_shapes(path: str, arrays: dict, shapes: dict) -> None:
+    """Refuse, with a ValidationError naming the archive at `path`, each
+    array of `arrays` whose shape is not its entry in `shapes`; a name
+    `arrays` lacks is passed over."""
+    for name, shape in shapes.items():
+        if name in arrays and arrays[name].shape != shape:
+            raise ValidationError(f"{path}: {name}: expected shape {shape}, "
+                                  f"got {arrays[name].shape}")
+
+
 def write_csv(path: str, a: np.ndarray, columns: list[str]) -> None:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != len(columns):

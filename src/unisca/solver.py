@@ -787,18 +787,21 @@ def load_model(directory: str) -> FitResult:
     config: q2 is q1 if homogeneous, private heads if with_private, and an
     adversarial matcher's discriminator has its disc_hidden; other arrays
     in the archive are ignored. A ValidationError naming the file refuses a
-    model.json of another version (refit the model), one without a config
-    or checkpoints, or with a config, checkpoint or wall clock of the wrong
-    type; an archive lacking an array the config implies, or holding one of
-    another dtype or shape (Q<i> has d_c rows, QP<i> d_p<i>, Sigma<i> is
-    square with Q<i>'s columns, the discriminator follows disc_hidden); and
-    a loss_trace.csv whose columns are not TRACE_COLUMNS."""
+    model.json of another version (refit the model), one without a
+    config, checkpoints or wall_clock_seconds, or with a config, checkpoint
+    or wall clock of the wrong type; an archive lacking an array the config
+    implies, or holding one of another dtype or shape (Q<i> has d_c rows,
+    QP<i> d_p<i>, Sigma<i> is square with Q<i>'s columns, the discriminator
+    follows disc_hidden); and a loss_trace.csv whose columns are not
+    TRACE_COLUMNS."""
     path = os.path.join(directory, "model.json")
     meta = matio.read_json(path)
     if not isinstance(meta, dict) or meta.get("kind") != "unisca-model":
         raise ValidationError(f"{directory} is not a model directory")
     matio.check_version(meta, path, "refit the model")
-    numerics.check_keys(meta, path, required=("checkpoints",), optional=meta)
+    numerics.check_keys(meta, path,
+                        required=("checkpoints", "wall_clock_seconds"),
+                        optional=meta)
     if not meta.get("config"):
         raise ValidationError(f"{directory}: model.json holds no config; "
                               "refit the model")
@@ -810,17 +813,10 @@ def load_model(directory: str) -> FitResult:
             "refit the model")
     cfg = SolverConfig(**config)
     checkpoints = _checkpoints(meta["checkpoints"], f"{path}: checkpoints")
-    wall_clock = check_value(meta.get("wall_clock_seconds", 0.0), (float,),
+    wall_clock = check_value(meta["wall_clock_seconds"], (float,),
                              f"{path}: wall_clock_seconds", "wall_clock")
     tied, private = cfg.mode == "homogeneous", cfg.mode == "with_private"
     layers = len(cfg.disc_hidden) + 1 if cfg.matcher == "adversarial" else 0
-    disc = None
-    if layers:
-        # Its random start is dropped before the saved layers are read: the
-        # two held at once raised the adversarial benchmark's peak RSS 5%.
-        disc = Discriminator(cfg.d_c, hidden=cfg.disc_hidden,
-                             rng=substream(cfg.seed, "solver", "disc-reload"))
-        disc.weights, disc.biases = [], []
     archive = os.path.join(directory, matio.ARCHIVE)
     a = matio.read_arrays(archive, [
         "Q1", "Sigma1", *(() if tied else ("Q2", "Sigma2")),
@@ -835,17 +831,14 @@ def load_model(directory: str) -> FitResult:
     for i in range(layers):
         shapes.update({f"disc_W{i}": (dims[i + 1], dims[i]),
                        f"disc_b{i}": (dims[i + 1],)})
-    for name, shape in shapes.items():
-        if name in a and a[name].shape != shape:
-            raise ValidationError(f"{archive}: {name}: expected shape "
-                                  f"{shape}, got {a[name].shape}")
+    matio.check_shapes(archive, a, shapes)
     q1 = Projection(a["Q1"], a["Sigma1"])
     q2 = q1 if tied else Projection(a["Q2"], a["Sigma2"])
     qp1 = Projection(a["QP1"], q1.covariance) if private else None
     qp2 = Projection(a["QP2"], q2.covariance) if private else None
-    if layers:
-        disc.weights = [a[f"disc_W{i}"] for i in range(layers)]
-        disc.biases = [a[f"disc_b{i}"] for i in range(layers)]
+    disc = Discriminator.from_layers(
+        [a[f"disc_W{i}"] for i in range(layers)],
+        [a[f"disc_b{i}"] for i in range(layers)]) if layers else None
     trace_path = os.path.join(directory, "loss_trace.csv")
     trace, columns = matio.read_csv(trace_path)
     if columns != list(TRACE_COLUMNS):

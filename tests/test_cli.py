@@ -522,26 +522,52 @@ def _set_arrays(change):
      lambda path: path.write_text("epoch,matcher\n0.0,1.5\n"),
      "expected the columns ['epoch', 'matcher', 'rq1', 'rq2', 'anchor', "
      "'hsic', 'total'], got ['epoch', 'matcher']"),
+    ("eval", "model/model.json",
+     lambda path: _drop_key(path, "wall_clock_seconds"),
+     "missing keys ['wall_clock_seconds']"),
+    ("eval", "data/arrays.npz",
+     _set_arrays(lambda a: {**a, "C_test": a["C_test"][:-5]}),
+     "C_test: expected shape (30, 2), got (25, 2)"),
+    ("scatter", "data/arrays.npz",
+     _set_arrays(lambda a: {**a, "alignment": np.full_like(a["alignment"],
+                                                           10**6)}),
+     "alignment: not a permutation of range(600)"),
+    ("fit", "data/arrays.npz",
+     _set_arrays(lambda a: {**a, "X2": np.hstack([a["X2"], a["X2"][:, :1]])}),
+     "X2: expected shape (600, 3), got (600, 4)"),
+    ("eval", "data/arrays.npz",
+     _set_arrays(lambda a: {**a, "A1": a["A1"][:, :2]}),
+     "A1: expected shape (3, 3), got (3, 2)"),
+    ("eval", "data/manifest.json", _set_key("n_train", 600.0),
+     "n_train: expected an integer, got 600.0"),
 ], ids=["shape", "dtype", "alignment-dtype", "missing-array", "not-a-zip",
         "manifest", "latent", "homogeneous", "dataset-version", "checkpoint",
-        "config", "wall-clock", "model-version", "trace-columns"])
+        "config", "wall-clock", "model-version", "trace-columns",
+        "no-wall-clock", "short-test-rows", "alignment-out-of-range",
+        "view-width", "mixing-width", "row-count-type"])
 def test_a_malformed_saved_file_is_an_error_line(tmp_path, capsys, command,
                                                  name, edit, fault):
-    # Each once ended in a traceback (a TypeError, an AttributeError or
-    # numpy's matmul), was misread (an alignment read as float64 became all
-    # zeros, a "false" flag was true) or loaded unchecked, and eval scored it.
+    # Each once ended in a traceback (a TypeError, an AttributeError,
+    # numpy's matmul or an alignment's IndexError), was misread (an
+    # alignment read as float64 became all zeros, a "false" flag was true)
+    # or loaded unchecked, and eval scored it (test rows short of the
+    # manifest's count).
     cfg, data, model = _fitted_model(tmp_path)
     path = tmp_path / name
     edit(path)
     argv = {"fit": ["fit", "--config", cfg, "--data", str(data),
                     "--out", str(tmp_path / "refit")],
-            "eval": ["eval", "--model", str(model), "--data", str(data)]}
+            "eval": ["eval", "--model", str(model), "--data", str(data)],
+            "scatter": ["scatter", "--model", str(model), "--data", str(data),
+                        "--split", "train",
+                        "--out", str(tmp_path / "scatter.csv")]}
     capsys.readouterr()
     assert cli.main(argv[command]) == 2
     fault = fault.replace("<data>", str(data))
     assert _one_error_line(capsys) == f"error: {path}: {fault}\n"
     assert not (model / "report.json").exists()
     assert not (tmp_path / "refit").exists()
+    assert not (tmp_path / "scatter.csv").exists()
 
 
 def test_adversarial_fit_saves_a_discriminator_that_eval_reloads(tmp_path):

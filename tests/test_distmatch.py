@@ -51,6 +51,37 @@ class TestKernelSpec:
                      id="zero-median"),
         pytest.param(lambda r: (np.vstack([[np.inf, 0.0], r.normal(size=(9, 2))]),),
                      id="non-finite"),
+        # The select's buckets: squared distances from 1e-300 to 1e300,
+        # about 2,000 octaves;
+        pytest.param(lambda r: (10.0 ** np.arange(-150.0, 151.0, 3.0)[:, None]
+                                * r.uniform(1, 2, size=(101, 1)),),
+                     id="2000-octaves"),
+        # clusters of 45 and 36 points: 1620 pairs within them and 1620
+        # across, so the two middle ranks lie in buckets far apart;
+        pytest.param(lambda r: (r.normal(size=(45, 2)),
+                                r.normal(size=(36, 2)) + 1e3),
+                     id="middle-ranks-apart"),
+        # three values on a line, so each distance is tied across hundreds
+        # of pairs, and a median tied with pairs on both sides of it;
+        pytest.param(lambda r: (r.integers(0, 3, size=(80, 1)) * 1.0,),
+                     id="tied-median"),
+        # squared distances below the smallest normal double;
+        pytest.param(lambda r: (r.normal(size=(60, 2)) * 1e-160,),
+                     id="subnormal"),
+        # duplicated rows at the full pool, whose zero distances sit in the
+        # lowest bucket; 3 distinct rows, each distance shared by about a
+        # third of the pairs; and 1500 equal rows of 2000, whose zero median
+        # bucket holds 56% of the distances, which the second pass keeps.
+        pytest.param(
+            lambda r: (r.normal(size=(40, 2))[r.integers(0, 40, 3000)],),
+            id="2000-rows-duplicated"),
+        pytest.param(
+            lambda r: (r.normal(size=(3, 2))[r.integers(0, 3, 2000)],),
+            id="2000-rows-of-3"),
+        pytest.param(
+            lambda r: (np.vstack([np.full((1500, 2), 0.5),
+                                  r.normal(size=(500, 2))]),),
+            id="2000-rows-mostly-equal"),
     ])
     def test_resolve_matches_the_median_of_all_distances(self, rng, sets):
         # The formula resolve replaced: every pairwise distance, then
@@ -67,20 +98,103 @@ class TestKernelSpec:
 
     @pytest.mark.parametrize("n", [2000, 1000, 362, 2])
     def test_strips_equal_the_square_product(self, n):
-        # Every squared distance above the diagonal, byte for byte, against
-        # the one square product resolve used to form, over many draws of
-        # scale, offset and width, at the pool sizes fits resolve (2000 and
-        # 1000 points) and at one strip's rows or fewer.
+        # Every squared distance above the diagonal, joined from the strips
+        # row by row, byte for byte, against the one square product resolve
+        # used to form, over many draws of scale, offset and width, at the
+        # pool sizes fits resolve (2000 and 1000 points) and at one strip's
+        # rows or fewer, twice at each width from 1 to 5.
         draws = substream(n, "tests", "resolve-draws")
-        for _ in range(10):
-            d = int(draws.integers(1, 6))
+        for d in (1, 2, 3, 4, 5) * 2:
             pool = (draws.normal(size=(n, d)) * 10 ** draws.uniform(-2, 2)
                     + draws.normal(size=d))
             p2 = np.einsum("ij,ij->i", pool, pool)
             d2 = np.maximum(p2[:, None] + p2[None, :] - 2.0 * (pool @ pool.T),
                             0.0)
             want = d2[np.triu(np.ones(d2.shape, dtype=bool), 1)]
-            assert distmatch._upper_sq_distances(pool).tobytes() == want.tobytes()
+            got = np.concatenate(
+                [strip[np.triu_indices(strip.shape[0], 1, strip.shape[1])]
+                 for strip in distmatch._sq_distance_strips(pool, np.nan)])
+            assert np.maximum(got, 0.0).tobytes() == want.tobytes()
+
+    def test_strips_fill_the_diagonal_block(self, rng):
+        pool = rng.normal(size=(1000, 2))
+        for fill in (0.0, np.nan):
+            for strip in distmatch._sq_distance_strips(pool, fill):
+                lower = np.tril_indices(strip.shape[0])
+                np.testing.assert_array_equal(strip[lower], fill)
+                assert not np.isnan(strip[np.triu_indices(
+                    strip.shape[0], 1, strip.shape[1])]).any()
+
+    def test_the_select_counts_and_keeps_the_clamped_distances(self, rng):
+        # Duplicated rows give squared distances a rounding below 0, which
+        # the clamp makes +0.0: both passes must count and keep them in
+        # bucket 0. Against the clamped triangle of the square product
+        # (one strip at 300 points), over bucket ranges from 0 up.
+        pool = rng.normal(size=(30, 2))[rng.integers(0, 30, 300)]
+        p2 = np.einsum("ij,ij->i", pool, pool)
+        raw = (p2[:, None] + p2[None, :] - 2.0 * (pool @ pool.T))[
+            np.triu_indices(300, 1)]
+        assert (raw < 0).any()
+        clamped = np.maximum(raw, 0.0) + 0.0  # no -0.0
+        buckets = distmatch._buckets(clamped)
+        counts = distmatch._bucket_counts(pool)
+        np.testing.assert_array_equal(
+            counts, np.bincount(buckets, minlength=distmatch._BUCKETS))
+        for first, last in ((0, 0), (0, buckets.max()), (buckets.max(),) * 2,
+                            tuple(np.sort(rng.choice(buckets, 2)))):
+            inside = (buckets >= first) & (buckets <= last)
+            kept = distmatch._in_buckets(pool, first, last, inside.sum())
+            np.testing.assert_array_equal(np.sort(kept),
+                                          np.sort(clamped[inside]))
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_the_second_pass_must_keep_what_the_first_counted(self, rng, off):
+        # A size that is not the number the strips keep would leave unset
+        # entries in the median's array, or overrun it: both are errors.
+        pool = rng.normal(size=(300, 2))
+        last = distmatch._BUCKETS - 1
+        with pytest.raises(RuntimeError, match="second pass kept"):
+            distmatch._in_buckets(pool, 0, last, 300 * 299 // 2 + off)
+
+    def test_buckets_order_as_the_values_16_to_an_octave(self):
+        # From 0 through the subnormals and normals to inf, a larger value
+        # never takes a lower bucket, and doubling a normal value moves it
+        # 16 buckets up; every such bucket is below _BUCKETS, and one with
+        # its sign bit set (-0.0 too) is not.
+        tiny = np.finfo(np.float64).tiny
+        values = np.sort(np.concatenate([
+            [0.0, 5e-324, tiny / 3, tiny, 1.0, 1.5, 2.0, np.inf],
+            10.0 ** np.linspace(-307, 307, 4001)]))
+        buckets = distmatch._buckets(values)
+        assert buckets[0] == 0 and buckets[-1] < distmatch._BUCKETS
+        assert (np.diff(buckets) >= 0).all()
+        normal = values[(values >= tiny) & (values < 1e300)]
+        assert (distmatch._buckets(2.0 * normal)
+                == distmatch._buckets(normal) + 16).all()
+        assert (distmatch._buckets(np.array([-0.0, -5e-324, -1.0, -np.inf]))
+                >= distmatch._BUCKETS).all()
+
+    @pytest.mark.parametrize("first,last", [(0, 0), (0, 16370), (1, 1),
+                                            (16370, 16371), (16370, 0x7FF0),
+                                            (0x7FF0, 0x7FF0)])
+    def test_bucket_range_spans_its_buckets(self, first, last):
+        # lo and hi are the extreme doubles whose buckets, clamped at 0, lie
+        # in first..last: a negative clamps into bucket 0, and inf's bucket
+        # holds inf alone once the NaNs are set apart.
+        lo, hi = distmatch._bucket_range(first, last)
+        def bucket(v):
+            return int(distmatch._buckets(np.maximum(np.array(v), 0.0)))
+
+        assert bucket(hi) == last
+        if first == 0:
+            assert lo == -np.inf
+        else:
+            assert bucket(lo) == first
+            assert bucket(np.nextafter(lo, -np.inf)) == first - 1
+        if last == 0x7FF0:
+            assert hi == np.inf
+        else:
+            assert bucket(np.nextafter(hi, np.inf)) == last + 1
 
 
 class TestMMD:
@@ -441,14 +555,16 @@ class TestMemory:
         assert _peak_bytes(
             lambda: mmd2_unbiased(x, y, kernel, grad=False)) < 2 * 2**20
 
-    def test_resolve_holds_the_distances_and_their_triangle(self, rng):
+    def test_resolve_holds_strips_not_the_distance_triangle(self, rng):
         # The 2000-point pool's upper triangle is 15.3 MiB and a 65 x 2000
-        # strip 1 MiB; the call peaked at 18.3 MiB. Forming the square
-        # distance matrix (30.5 MiB) in the Gram's buffer and concatenating
-        # its rows' upper parts peaked at 46 MiB, four full-size temporaries
-        # at 62 and np.triu_indices' two index arrays at 76.
+        # strip 1 MiB. Holding the triangle in one buffer peaked at 18.3 MiB;
+        # two passes over the strips, keeping only the middle buckets'
+        # distances, peaked at 3.2. Forming the square distance matrix
+        # (30.5 MiB) in the Gram's buffer and concatenating its rows' upper
+        # parts peaked at 46 MiB, four full-size temporaries at 62 and
+        # np.triu_indices' two index arrays at 76.
         a, b = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
-        assert _peak_bytes(lambda: KernelSpec.resolve(a, b)) < 20 * 2**20
+        assert _peak_bytes(lambda: KernelSpec.resolve(a, b)) < 5 * 2**20
 
     def test_hsic_holds_two_grams(self, rng):
         # With centred copies it peaked at 80 MiB; two 1024-row Grams are 16.
