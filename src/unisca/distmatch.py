@@ -13,7 +13,9 @@ that gives -|x_i - y_j|^2 / (2 sigma^2) directly, then a clamp and an exp,
 both in place. They read it only through products with a few columns, so no
 centred or rescaled copy of a Gram is made. Every MMD value and gradient
 comes from one loop over Gram strips of at most _STRIP entries, `_gram_sum`,
-so no MMD call forms an n x n Gram.
+so no MMD call forms an n x n Gram. HSIC takes one pass over full-width
+strips of its two Grams, each formed in one of two buffers that every strip
+reuses, so no HSIC call forms an m x m Gram either.
 
 `KernelSpec.resolve` takes the median heuristic's median over the squared
 distances of up to _RESOLVE_POOL points in two passes over strips of at
@@ -115,9 +117,10 @@ class KernelSpec:
         return KernelSpec(bandwidth=med if med > 0 else 1.0)
 
 
-# Entries of a Gram strip in every MMD value and gradient and in resolve's
-# distances: 2^17 float64 is 1 MiB, half a 2 MiB per-core L2 cache, where a
-# strip stays through the product, clamp, exp, sum and gradient products.
+# Entries of a Gram strip in every MMD value and gradient, of each of HSIC's
+# two strips and of resolve's distances: 2^17 float64 is 1 MiB, half a 2 MiB
+# per-core L2 cache, where a strip stays through the product, clamp, exp,
+# sum and gradient products.
 # Chosen over 2^16 and the 512-row strips it replaced by timing MMD calls at
 # 1000, 2048 and 4096 rows; CHANGES.md has the times. It is a constant, not
 # read from the host: the strips fix the grouping of every sum, and a fit's
@@ -257,11 +260,15 @@ def _cols(y: np.ndarray, sig: float) -> np.ndarray:
                       c * _sqnorms(y)[:, None]])
 
 
-def _gram(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+def _gram(xa: np.ndarray, ya: np.ndarray,
+          buf: np.ndarray | None = None) -> np.ndarray:
     """exp(-|x_i - y_j|^2 / (2 sig^2)) from xa = _rows(x), ya = _cols(y,
     sig): one augmented product, a clamp at 0 (a distance is never negative)
-    and an exp, both in the product's buffer."""
-    out = xa @ ya.T
+    and an exp, both in the product's buffer. That buffer is new, or the
+    head of `buf`, a flat array of at least len(xa) * len(ya) entries."""
+    if buf is not None:
+        buf = buf[:xa.shape[0] * ya.shape[0]].reshape(xa.shape[0], ya.shape[0])
+    out = np.matmul(xa, ya.T, out=buf)
     np.minimum(out, 0.0, out=out)
     np.exp(out, out=out)
     return out
@@ -383,8 +390,16 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     No centred matrix is formed: with s = K 1 and r = L 1, tr(KHLH) =
     sum(K o L) - (2/m) s.r + (1.s)(1.r)/m^2, and the gradients come from
     K @ [u, 1, r o u, r], L @ [v, 1, s o v, s] and (K o L) @ [u, v, 1].
-    grad=False forms only (K o L) @ 1 of these and returns no gradients.
-    Each Gram is one augmented product, clamp and exp (`_gram`).
+
+    All of these come from one pass over full-width strips of
+    `_strip_rows(m)` rows, each a strip of K and the same rows of L
+    (`_gram`), so neither m x m Gram is formed. A strip gives its rows' s
+    and r as its row sums, and their K @ [u, 1], L @ [v, 1] and
+    (K o L) @ [u, v, 1] as products. As K and L are symmetric, a strip's
+    transpose times its rows' r o [u, 1] (s o [v, 1] for L) adds those rows'
+    share of the weighted halves to all m rows, so they need no second
+    pass. grad=False forms the same strips and (K o L) products, and so
+    returns the same value, with no gradients.
     """
     u, v = check_matrix(u, "U"), check_matrix(v, "V")
     m = u.shape[0]
@@ -395,14 +410,34 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     if kernel_u.two_scale or kernel_v.two_scale:
         raise ValidationError("HSIC takes one-scale kernels")
     sig_u, sig_v = kernel_u.bandwidth, kernel_v.bandwidth
-    k, l = _gram(_rows(u), _cols(u, sig_u)), _gram(_rows(v), _cols(v, sig_v))
-    s, r = k.sum(axis=1), l.sum(axis=1)
+    ua, uc, va, vc = _rows(u), _cols(u, sig_u), _rows(v), _cols(v, sig_v)
     one = np.ones((m, 1))
+    ue, ve = np.hstack([u, one]), np.hstack([v, one])
+    uv1 = np.hstack([u, v, one])
+    du, dv = ue.shape[1], ve.shape[1]
+    s, r, klp = np.empty(m), np.empty(m), np.empty(uv1.shape)
     if grad:
-        kp = k @ np.hstack([u, one, r[:, None] * u, r[:, None]])
-        lp = l @ np.hstack([v, one, s[:, None] * v, s[:, None]])
-    k *= l
-    klp = k @ (np.hstack([u, v, one]) if grad else one)
+        kp, lp = np.zeros((m, 2 * du)), np.zeros((m, 2 * dv))
+    step = _strip_rows(m)
+    # Every strip is formed in the same two buffers. glibc gives each freed
+    # 1 MiB array back to the OS, so a new pair of strips at every step is
+    # faulted in page by page again: a 1000-row call then took 11.7 ms with
+    # gradients and 9.7 without, against 8.6 and 6.2 with the buffers
+    # reused, and peaked at 4.3 MiB, not 2.4, as the next pair formed
+    # before the last was freed. With glibc's mmap and trim thresholds
+    # raised past the strips' size, the two took the same time.
+    kbuf, lbuf = np.empty(min(step, m) * m), np.empty(min(step, m) * m)
+    for i in range(0, m, step):
+        rows = slice(i, i + step)
+        k, l = _gram(ua[rows], uc, kbuf), _gram(va[rows], vc, lbuf)
+        s[rows], r[rows] = k.sum(axis=1), l.sum(axis=1)
+        if grad:
+            kp[rows, :du] = k @ ue
+            lp[rows, :dv] = l @ ve
+            kp[:, du:] += k.T @ (r[rows, None] * ue[rows])
+            lp[:, dv:] += l.T @ (s[rows, None] * ve[rows])
+        k *= l
+        klp[rows] = k @ uv1
     t = klp[:, -1].sum()
     value = (t - 2.0 * (s @ r) / m + s.sum() * r.sum() / (m * m)) / (m * m)
     if not grad:

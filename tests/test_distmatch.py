@@ -518,6 +518,17 @@ class TestAgainstFullMatrixReference:
         u = rng.normal(size=(m, 2))
         _check_hsic(u, rng.normal(size=(m, 2)) + u ** 2, 0.8, 1.3)
 
+    @pytest.mark.parametrize("m", [4, 363, 1000, 1200])
+    def test_hsic_at_any_strip_budget(self, rng, strip_budget, m):
+        strip_budget(m, m)
+        self.test_hsic_at_block_and_buffer_sizes(rng, m)
+        u = rng.normal(size=(m, 2))
+        v = rng.normal(size=(m, 1)) + u[:, :1] ** 2
+        k_u, k_v = KernelSpec(0.8), KernelSpec(1.3)
+        full = hsic_biased(u, v, k_u, k_v)[0]
+        value = hsic_biased(u, v, k_u, k_v, grad=False)[0]
+        assert np.float64(full).tobytes() == np.float64(value).tobytes()
+
     @pytest.mark.parametrize("sig", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
     def test_hsic_across_bandwidths(self, rng, sig):
         u = rng.normal(size=(600, 2))
@@ -566,11 +577,16 @@ class TestMemory:
         a, b = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
         assert _peak_bytes(lambda: KernelSpec.resolve(a, b)) < 5 * 2**20
 
-    def test_hsic_holds_two_grams(self, rng):
-        # With centred copies it peaked at 80 MiB; two 1024-row Grams are 16.
-        u, v = rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
+    @pytest.mark.parametrize("m,grad", [(1024, False), (1000, True)])
+    def test_hsic_holds_two_strips(self, rng, m, grad):
+        # With centred copies it peaked at 80 MiB. Forming the two full
+        # Grams K and L peaked at 16.0 MiB value-only at 1024 rows and at
+        # 15.5 with gradients at 1000. One strip of K and one of L, each
+        # _strip_rows(m) x m (1 MiB), peaked at 2.2 and 2.4.
+        u, v = rng.normal(size=(m, 2)), rng.normal(size=(m, 1))
         assert _peak_bytes(lambda: hsic_biased(u, v, KernelSpec(1.0),
-                                               KernelSpec(1.0))) < 24 * 2**20
+                                               KernelSpec(1.0), grad=grad)
+                           ) < 4 * 2**20
 
     def test_gan_value_only_keeps_no_activations(self, rng):
         # Keeping every layer's pre- and post-activations for both views
