@@ -414,10 +414,10 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     one = np.ones((m, 1))
     ue, ve = np.hstack([u, one]), np.hstack([v, one])
     uv1 = np.hstack([u, v, one])
-    du, dv = ue.shape[1], ve.shape[1]
+    wu, wv = ue.shape[1], ve.shape[1]
     s, r, klp = np.empty(m), np.empty(m), np.empty(uv1.shape)
     if grad:
-        kp, lp = np.zeros((m, 2 * du)), np.zeros((m, 2 * dv))
+        kp, lp = np.zeros((m, 2 * wu)), np.zeros((m, 2 * wv))
     step = _strip_rows(m)
     # Every strip is formed in the same two buffers. glibc gives each freed
     # 1 MiB array back to the OS, so a new pair of strips at every step is
@@ -426,16 +426,16 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     # reused, and peaked at 4.3 MiB, not 2.4, as the next pair formed
     # before the last was freed. With glibc's mmap and trim thresholds
     # raised past the strips' size, the two took the same time.
-    kbuf, lbuf = np.empty(min(step, m) * m), np.empty(min(step, m) * m)
+    kbuf, lbuf = np.empty((2, min(step, m) * m))
     for i in range(0, m, step):
         rows = slice(i, i + step)
         k, l = _gram(ua[rows], uc, kbuf), _gram(va[rows], vc, lbuf)
         s[rows], r[rows] = k.sum(axis=1), l.sum(axis=1)
         if grad:
-            kp[rows, :du] = k @ ue
-            lp[rows, :dv] = l @ ve
-            kp[:, du:] += k.T @ (r[rows, None] * ue[rows])
-            lp[:, dv:] += l.T @ (s[rows, None] * ve[rows])
+            kp[rows, :wu] = k @ ue
+            lp[rows, :wv] = l @ ve
+            kp[:, wu:] += k.T @ (r[rows, None] * ue[rows])
+            lp[:, wv:] += l.T @ (s[rows, None] * ve[rows])
         k *= l
         klp[rows] = k @ uv1
     t = klp[:, -1].sum()
