@@ -588,38 +588,50 @@ class TestMemory:
                                                KernelSpec(1.0), grad=grad)
                            ) < 4 * 2**20
 
-    def test_gan_value_only_keeps_no_activations(self, rng):
+    def test_gan_value_only_keeps_no_activations(self, rng, monkeypatch):
         # Keeping every layer's pre- and post-activations for both views
-        # peaked at 214 MiB. Forward only, a 2048 x 1024 layer output
-        # (16 MiB) and the next one (8.1 MiB) are alive at once, and the
-        # call peaked at 24.2 MiB. With a full-size _LEAK * a temporary in
-        # place of the leaky ReLU's 1 MiB row strips it peaked at 32.0.
+        # peaked at 214 MiB. Forward only, over whole views one after the
+        # other, a 2048 x 1024 layer output (16 MiB) and the next one (8.1
+        # MiB) were alive at once, and the call peaked at 24.2 MiB; side by
+        # side it would have been 48.3. Over 128-row strips, the views side
+        # by side (2 cores, one BLAS thread), it peaked at 4.0 to 4.1 MiB.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(numerics, "usable_cores", lambda: 2)
         f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
         u, v = rng.normal(size=(2048, 2)), rng.normal(size=(2048, 2))
         assert _peak_bytes(
-            lambda: gan_value_and_grads(f, u, v, grads="none")) < 26 * 2**20
+            lambda: gan_value_and_grads(f, u, v, grads="none")) < 6 * 2**20
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_gan_training_step_holds_two_views_at_most(self, rng, monkeypatch,
                                                        cores):
         # A 1000-row discriminator step, its views one after the other (1
-        # core) and side by side (2 cores, one BLAS thread). A view's
-        # activations, widths 1024 + 521 + 512 + 256 + 128 + 64 = 2505 at
-        # 8 bytes, are 19.1 MiB when its forward pass ends. Its backward
-        # pass peaks at the first layer: dz of width 521 (4.0 MiB), every
-        # parameter gradient but the first layer's (7.4 MiB), the first
-        # hidden layer's signs (1.0), the new dz of width 1024 (7.8) and a
-        # 1 MiB slope strip, 21.2 MiB. Both views at their peaks together
-        # hold 42.4 MiB; the bound adds 1.6 MiB for the outputs and small
-        # arrays. Side by side the call peaked at 41.6 MiB, one after the
-        # other at 28.2, and before the signs and the strips the sequential
-        # call at 50.7.
+        # core) and side by side (2 cores, one BLAS thread). Over whole
+        # views a view's activations, widths 1024 + 521 + 512 + 256 + 128 +
+        # 64 = 2505 at 8 bytes, were 19.1 MiB when its forward pass ended
+        # and 21.2 at its backward pass's peak; the call peaked at 28.2 MiB
+        # one after the other and 41.6 side by side. Over 128-row strips a
+        # view holds its parameter gradients (7.4 MiB), the reused
+        # dz.T @ acts buffer (4.1) and one strip's activations (2.4): the
+        # call peaked at 21.6 MiB one after the other and 28.3 side by side.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(numerics, "usable_cores", lambda: cores)
         f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
         u, v = rng.normal(size=(1000, 2)), rng.normal(size=(1000, 2))
         assert _peak_bytes(
-            lambda: gan_value_and_grads(f, u, v, grads="params")) < 44 * 2**20
+            lambda: gan_value_and_grads(f, u, v, grads="params")) < 30 * 2**20
+
+    def test_gan_generator_pass_holds_strips(self, rng, monkeypatch):
+        # The projection update's 1000-row call, its views side by side (2
+        # cores, one BLAS thread). Over whole views it peaked at 39.6 MiB;
+        # over 128-row strips it holds one strip's activations (2.4 MiB)
+        # and backward temporaries a view, and peaked at 5.3.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(numerics, "usable_cores", lambda: 2)
+        f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
+        u, v = rng.normal(size=(1000, 2)), rng.normal(size=(1000, 2))
+        assert _peak_bytes(
+            lambda: gan_value_and_grads(f, u, v, grads="inputs")) < 8 * 2**20
 
 
 class TestHSIC:
@@ -773,11 +785,113 @@ class TestDiscriminator:
         assert f._forward(u, keep=True)[0].tobytes() == p.tobytes()
 
 
+def _gan_calls(f, u, v):
+    """gan_value_and_grads(f, u, v, 0.2) in every grads mode, by mode."""
+    return {grads: gan_value_and_grads(f, u, v, 0.2, grads=grads)
+            for grads in distmatch._GRADS}
+
+
+def _flat(slot):
+    """One gan_value_and_grads slot as one array, or None."""
+    return np.concatenate([a.ravel() for a in slot]) if isinstance(
+        slot, list) else slot
+
+
+class TestDiscriminatorStrips:
+    """Each view runs over strips of _strip_rows(widest layer) rows, the
+    input and output layers counted. At any strip budget the value and
+    every gradient must agree with one strip's to round-off, and within one
+    budget every grads mode must give the same bytes."""
+
+    @staticmethod
+    def _net_and_views(rng, hidden, n):
+        # A scaled output layer and a wide second view put some outputs
+        # into the probability clamp at both ends.
+        f = Discriminator(3, hidden=hidden, rng=rng)
+        f.weights[-1] *= 30.0
+        return f, rng.normal(size=(n, 3)), 4.0 * rng.normal(size=(n, 3)) + 1.0
+
+    @staticmethod
+    def _assert_same_bytes_in_every_mode(calls):
+        full = calls["all"]
+        for grads, call in calls.items():
+            assert np.float64(call[0]).tobytes() == np.float64(
+                full[0]).tobytes(), grads
+            for slot in (1, 2, 3):
+                if call[slot] is not None:
+                    assert _flat(call[slot]).tobytes() == _flat(
+                        full[slot]).tobytes(), (grads, slot)
+
+    @staticmethod
+    def _assert_close(got, want):
+        # Within 1e-12 of the value, and of each gradient's largest entry:
+        # an entry summed from terms that cancel keeps only the terms'
+        # absolute round-off, so its own relative error can be far larger.
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+        for slot in (1, 2, 3):
+            g, w = _flat(got[slot]), _flat(want[slot])
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), slot
+
+    @pytest.mark.parametrize("hidden", [(40, 24), ()])
+    @pytest.mark.parametrize("n", [2, 363, 1000])
+    def test_any_strip_budget_agrees_with_one_strip(self, rng, monkeypatch,
+                                                    strip_budget, hidden, n):
+        f, u, v = self._net_and_views(rng, hidden, n)
+        widest = max(3, *hidden, 1)
+        monkeypatch.setattr(distmatch, "_STRIP",
+                            STRIP_BUDGETS["single"](n, widest))
+        one = gan_value_and_grads(f, u, v, 0.2)
+        strip_budget(n, widest)
+        calls = _gan_calls(f, u, v)
+        self._assert_same_bytes_in_every_mode(calls)
+        self._assert_close(calls["all"], one)
+
+    def test_default_net_over_several_strips(self, rng, monkeypatch):
+        # 300 rows of the default net are strips of 128, 128 and 44 rows.
+        f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
+        f.weights[-1] *= 1000.0
+        u, v = rng.normal(size=(300, 2)), 6.0 * rng.normal(size=(300, 2))
+        calls = _gan_calls(f, u, v)
+        self._assert_same_bytes_in_every_mode(calls)
+        monkeypatch.setattr(distmatch, "_STRIP", 300 * 1024)
+        self._assert_close(calls["all"], gan_value_and_grads(f, u, v, 0.2))
+
+    def test_forward_agrees_at_one_row_strips(self, rng, monkeypatch):
+        f, u, _ = self._net_and_views(rng, (40, 24), 363)
+        want = f.forward(u)
+        monkeypatch.setattr(distmatch, "_STRIP", 1)
+        assert np.abs(f.forward(u) - want).max() <= 1e-12 * want.max()
+
+    def test_forward_holds_strips(self, rng):
+        # A 4096-row held-out evaluation of the default net. Whole, its
+        # 4096 x 1024 first layer output alone is 32 MiB; over 128-row
+        # strips the call holds one strip's two widest layers.
+        f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
+        x = rng.normal(size=(4096, 2))
+        assert _peak_bytes(lambda: f.forward(x)) < 4 * 2**20
+
+    def test_no_hidden_layer(self, rng):
+        # One linear layer and a sigmoid: the input gradient of view u is
+        # dz times the weights, row by row, and the parameter gradient of
+        # the weights is dz.T @ u; here checked against those expressions.
+        f = Discriminator(3, hidden=(), rng=rng)
+        u, v = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+        loss, pg, gu, gv = gan_value_and_grads(f, u, v)
+        pu = 1.0 / (1.0 + np.exp(-(u @ f.weights[0].T + f.biases[0])[:, 0]))
+        pv = 1.0 / (1.0 + np.exp(-(v @ f.weights[0].T + f.biases[0])[:, 0]))
+        assert loss == pytest.approx(np.log(pu).mean() + np.log1p(-pv).mean(),
+                                     rel=1e-12)
+        dzu, dzv = (1.0 - pu) / 7, -pv / 5
+        np.testing.assert_allclose(gu, dzu[:, None] * f.weights[0], rtol=1e-12)
+        np.testing.assert_allclose(gv, dzv[:, None] * f.weights[0], rtol=1e-12)
+        np.testing.assert_allclose(pg[0], [dzu @ u + dzv @ v], rtol=1e-12)
+        np.testing.assert_allclose(pg[1], [dzu.sum() + dzv.sum()], rtol=1e-12)
+
+
 class TestViewsSideBySide:
-    """A call that forms gradients runs the real view u and the fake view v
-    side by side (numerics.side_by_side) when usable cores // BLAS threads
-    >= 2; it must give the bytes and the errors of one view after the
-    other."""
+    """A call runs the real view u and the fake view v side by side
+    (numerics.side_by_side) when usable cores // BLAS threads >= 2; it must
+    give the bytes and the errors of one view after the other."""
 
     @pytest.fixture
     def workers(self, monkeypatch, fresh_pool):
@@ -798,7 +912,7 @@ class TestViewsSideBySide:
             return asked
         return set_workers
 
-    @pytest.mark.parametrize("grads", ["params", "inputs", "all"])
+    @pytest.mark.parametrize("grads", ["params", "inputs", "all", "none"])
     def test_same_bytes_at_one_and_two_workers(self, rng, workers, grads):
         # A thread switch every microsecond interleaves the two views'
         # steps as finely as the interpreter allows.
@@ -849,12 +963,10 @@ class TestViewsSideBySide:
         assert set(threading.enumerate()) == before and not fresh_pool
         # One BLAS thread on the same cores starts one pool helper, kept
         # for later calls, even in a pool with room for more; a value-only
-        # call never asks for it.
+        # call runs its views side by side as the others do.
         fresh_pool[os.getpid()] = numerics._Pool(4)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        gan_value_and_grads(f, u, v, grads="none")
-        assert set(threading.enumerate()) == before
-        for _ in range(3):
-            gan_value_and_grads(f, u, v, grads="params")
+        for grads in ("none", "params", "params"):
+            gan_value_and_grads(f, u, v, grads=grads)
         started = set(threading.enumerate()) - before
         assert [t.name.split("_")[0] for t in started] == ["unisca-helper"]

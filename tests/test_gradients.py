@@ -11,6 +11,7 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
+from unisca import distmatch
 from unisca.distmatch import (Discriminator, KernelSpec, gan_value_and_grads,
                               hsic_biased, mmd2_unbiased)
 from unisca.numerics import grad_check, substream
@@ -82,6 +83,20 @@ def test_gan_parameter_gradients(rng):
             params[ti][...] = old
             return loss, pg[ti]
         assert grad_check(fn, params[ti].copy()) <= TOL, (ti, grads)
+
+
+# The views above are one strip each; at a strip budget of one entry each
+# of their rows is a strip of its own.
+@pytest.mark.parametrize("rng", _rngs("gan"))
+def test_gan_input_gradients_in_one_row_strips(rng, monkeypatch):
+    monkeypatch.setattr(distmatch, "_STRIP", 1)
+    test_gan_input_gradients(rng)
+
+
+@pytest.mark.parametrize("rng", _rngs("gan-params"))
+def test_gan_parameter_gradients_in_one_row_strips(rng, monkeypatch):
+    monkeypatch.setattr(distmatch, "_STRIP", 1)
+    test_gan_parameter_gradients(rng)
 
 
 @pytest.mark.parametrize("rng", _rngs("quantile"))

@@ -413,6 +413,22 @@ def _round_trip_fit(mode):
     return solver.fit(ds.x1, ds.x2, solver.SolverConfig(d_c=2, **extra, **TINY))
 
 
+def test_adversarial_fit_without_hidden_layers(tmp_path):
+    # disc_hidden=() is a one-layer discriminator, logistic regression on
+    # the projections; its strips are as wide as d_c.
+    ds = small_dataset(seed=1, n=600, preset="thm1b")
+    cfg = solver.SolverConfig(d_c=2, matcher="adversarial", disc_hidden=(),
+                              **TINY)
+    result = solver.fit(ds.x1, ds.x2, cfg)
+    assert result.discriminator.hidden == ()
+    assert [w.shape for w in result.discriminator.weights] == [(1, 2)]
+    assert np.all(np.isfinite(result.trace))
+    solver.save_model(result, str(tmp_path))
+    loaded = solver.load_model(str(tmp_path))
+    assert loaded.discriminator.weights[0].tobytes() == (
+        result.discriminator.weights[0].tobytes())
+
+
 def _saved_arrays(result):
     """Every array a model directory stores, by the name it is stored under."""
     out = {"Q1": result.q1.matrix, "Q2": result.q2.matrix,
