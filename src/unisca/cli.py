@@ -10,7 +10,6 @@ threshold fails, so pipelines can gate on it.
 from __future__ import annotations
 
 import argparse
-import copy
 import logging
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import datagen, embedio, matio, metrics, solver
-from .numerics import ValidationError, side_by_side, substream
+from .numerics import ValidationError, blas_workers, side_by_side, substream
 
 log = logging.getLogger("unisca")
 
@@ -208,8 +207,7 @@ def cmd_scatter(args) -> int:
 
 def _sweep_one(cfg: dict, seed: int, out_root: str) -> dict:
     sub = os.path.join(out_root, f"seed-{seed}")
-    run_cfg = copy.deepcopy(cfg)
-    run_cfg["seed"] = seed
+    run_cfg = {**cfg, "seed": seed}  # the seeds only read cfg's sections
     dataset = _build_dataset(run_cfg)
     data_dir = os.path.join(sub, "data")
     datagen.save_dataset(dataset, data_dir, seed=seed)
@@ -228,8 +226,6 @@ def _sweep_one(cfg: dict, seed: int, out_root: str) -> dict:
 def cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _effective_config(args)
     if cfg["data"].get("test_fraction") == 0:
         raise ValidationError("config invalid at data/test_fraction: sweep "
@@ -237,7 +233,7 @@ def cmd_sweep(args) -> int:
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
     os.makedirs(args.out, exist_ok=True)
     reports = side_by_side(lambda s: _sweep_one(cfg, s, args.out), seeds,
-                           args.jobs)
+                           blas_workers())
     # Per-view metrics take their median view by view.
     medians = {name: np.median([r[name] for r in reports], axis=0).tolist()
                for name in cfgmod.GATED}
@@ -302,10 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="multi-seed gen+fit+eval with medians")
     common(p)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="seeds fitted at once (default 1); fits, restarts "
-                        "and views share one pool, so no more threads than "
-                        "usable cores work at once; the outputs do not change")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -609,8 +609,8 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
     gradients into its rows; the value is taken from the whole view's
     probabilities once the loop ends. The views only read the
     discriminator and run side by side (`numerics.side_by_side`) when each
-    has cores of its own for its BLAS threads; the parameter gradients add
-    as u + v, in u's arrays.
+    has cores of its own for its BLAS threads (`numerics.blas_workers`);
+    the parameter gradients add as u + v, in u's arrays.
     """
     params, inputs = _GRADS[grads]
 
@@ -634,9 +634,8 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
                             None if din is None else din[rows])
         return _half_loss(p, real, smoothing), pgrads, din
 
-    both = numerics.usable_cores() // numerics.blas_threads() >= 2
     (lu, gu, din_u), (lv, gv, din_v) = numerics.side_by_side(
-        side, (True, False), 2 if both else 1)
+        side, (True, False), numerics.blas_workers())
     if params:
         for a, b in zip(gu, gv):
             a += b

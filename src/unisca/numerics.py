@@ -88,9 +88,6 @@ def check_value(value, types: tuple, where: str, key: str, bounds=(),
 # Cores, BLAS threads and side-by-side runs
 # ---------------------------------------------------------------------------
 
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def usable_cores() -> int:
     """The cores this process may run on (its CPU affinity), or the
     machine's count where the platform reports no affinity."""
@@ -104,7 +101,7 @@ def blas_threads() -> int:
     """The threads each BLAS product runs on: the first of
     OPENBLAS_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, or
     else the usable cores, which is OpenBLAS's default."""
-    for var in _BLAS_VARS:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(os.environ.get(var, ""))
         except ValueError:
@@ -112,6 +109,11 @@ def blas_threads() -> int:
         if threads > 0:
             return threads
     return usable_cores()
+
+
+def blas_workers() -> int:
+    """How many threads' BLAS products fit side by side on the usable cores."""
+    return max(1, usable_cores() // blas_threads())
 
 
 class _Pool:
@@ -173,7 +175,9 @@ def side_by_side(fn, items, workers: int) -> list:
     the worker count, and the GIL-free numpy work of several items runs on
     several cores. As the caller drains the items itself, a call that finds
     every helper busy, nested or not, finishes alone. workers <= 1, or one
-    item, starts no thread."""
+    item, starts no thread. The warm start's restarts ask for the usable
+    cores; a discriminator call's two views and `unisca sweep`'s seeds ask
+    for `blas_workers()`."""
     items = list(items)
     results, failures = [None] * len(items), {}
     todo = iter(enumerate(items))

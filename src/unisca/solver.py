@@ -109,8 +109,8 @@ class SolverConfig:
     reduces to plain whitening-plus-noise initialization. Each restart draws
     from its own random stream and the training batches from theirs, so
     neither setting moves the training batches. No worker count is a
-    setting. Mode-specific fields are ignored by the other modes. The MMD
-    kernel's bandwidth (the median heuristic), the starting point's noise
+    setting or CLI flag. Mode-specific fields are ignored by other modes. The
+    MMD kernel's bandwidth (the median heuristic), the starting point's noise
     (`_INIT_NOISE`), the warm start's slice count (`_WARM_SLICES`), the
     discriminator's label smoothing and step size, the penalty weights
     (`_LAMBDA`, `_OMEGA`, `_BETA`, `_RHO`) and the heads' step sizes
@@ -668,6 +668,10 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     if private and (cfg.d_p1 < 1 or cfg.d_p2 < 1):
         raise ValidationError("with_private requires d_p1 >= 1 and d_p2 >= 1")
     v1, v2, pooled = _prepare_views(x1, x2, homogeneous)
+    if private and min(cfg.batch, v1.n, v2.n) < 4:
+        raise ValidationError(
+            f"with_private's HSIC needs 4 rows a step; got batch "
+            f"{cfg.batch}, {v1.n} rows in X1, {v2.n} in X2")
     pairs = _resolve_anchors(anchors, cfg, v1.n, v2.n)
 
     # Draw order is part of the replay contract. rng_init draws the probes,

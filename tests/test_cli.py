@@ -93,12 +93,14 @@ def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, thresholds):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+def test_sweep_takes_no_worker_count(tmp_path, capsys):
+    # How many seeds run at once is worked out, not set.
     out = tmp_path / "sweep"
-    assert cli.main(["sweep", "--config", _config(tmp_path), "--seeds", "1",
-                     "--jobs", jobs, "--out", str(out)]) == 2
-    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", _config(tmp_path), "--seeds", "1",
+                  "--jobs", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -369,15 +371,49 @@ def test_sweep_without_held_out_rows_fails_before_the_first_seed(tmp_path,
     assert not list(tmp_path.glob("**/seed-*"))
 
 
-def test_sweep_jobs_do_not_change_its_reports(tmp_path):
-    cfg = _config(tmp_path)
+def _training_counted(monkeypatch) -> list:
+    """Count the solver's trainings running at once, each held 50 ms so
+    that trainings free to overlap do; returns [running, peak]."""
+    lock, counts = threading.Lock(), [0, 0]
+    real = solver._train
+
+    def counted(*args, **kwargs):
+        with lock:
+            counts[0] += 1
+            counts[1] = max(counts[1], counts[0])
+        try:
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+        finally:
+            with lock:
+                counts[0] -= 1
+    monkeypatch.setattr(solver, "_train", counted)
+    return counts
+
+
+def _sweeps_by_cores(tmp_path, monkeypatch, cfg, seeds) -> list:
+    """sweep.json of one sweep at one usable core and one at two, each at
+    one BLAS thread, so that one and then two seeds run at once."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    asked, real = [], cli.side_by_side
+    monkeypatch.setattr(cli, "side_by_side", lambda fn, items, workers:
+                        asked.append(workers) or real(fn, items, workers))
     summaries = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs-{jobs}"
-        assert cli.main(["sweep", "--config", cfg, "--seeds", "2",
-                         "--jobs", jobs, "--out", str(out)]) == 0
+    for cores in (1, 2):
+        monkeypatch.setattr(numerics, "usable_cores", lambda: cores)
+        out = tmp_path / f"cores-{cores}"
+        assert cli.main(["sweep", "--config", cfg, "--seeds", seeds,
+                         "--out", str(out)]) == 0
         summaries.append(json.loads((out / "sweep.json").read_text()))
-    one, two = summaries
+    assert asked == [1, 2]
+    return summaries
+
+
+def test_sweep_jobs_do_not_change_its_reports(tmp_path, monkeypatch,
+                                              fresh_pool):
+    # The seeds run at once (the sweep's jobs) follow the usable cores and
+    # BLAS threads; the outputs do not.
+    one, two = _sweeps_by_cores(tmp_path, monkeypatch, _config(tmp_path), "2")
     assert one["seeds"] == two["seeds"] == [3, 4]
     assert one["reports"] == two["reports"]
     assert one["medians"] == two["medians"]
@@ -385,43 +421,40 @@ def test_sweep_jobs_do_not_change_its_reports(tmp_path):
 
 def test_sweep_jobs_share_one_bounded_pool(tmp_path, monkeypatch,
                                            fresh_pool):
-    # Eight jobs over three seeds, each fit running two restarts side by
-    # side: the fits and their restarts share one pool, so at most the
-    # caller and the pool's helpers train at once, no other thread starts,
-    # and the reports are those of one seed after the other.
-    # Two usable cores, so the pool holds one helper whatever the host.
-    monkeypatch.setattr(numerics, "usable_cores", lambda: 2)
+    # Three seeds, each fit asking for two restarts side by side: at two
+    # usable cores the fits and their restarts share one pool, so at most
+    # the caller and the pool's one helper train at once, no other thread
+    # starts, and the reports are those of one seed after the other.
     path = _config(tmp_path)
     with open(path) as f:
         cfg = json.load(f)
     cfg["solver"].update(restarts=2, warm_epochs=1)
     with open(path, "w") as f:
         json.dump(cfg, f)
-    lock, training, peak = threading.Lock(), [0], [0]
-    real = solver._train
-
-    def counted(*args, **kwargs):
-        with lock:
-            training[0] += 1
-            peak[0] = max(peak[0], training[0])
-        try:
-            time.sleep(0.05)  # so that trainings free to overlap do
-            return real(*args, **kwargs)
-        finally:
-            with lock:
-                training[0] -= 1
-    monkeypatch.setattr(solver, "_train", counted)
+    counts = _training_counted(monkeypatch)
     before = set(threading.enumerate())
-    summaries = []
-    for jobs in ("1", "8"):
-        out = tmp_path / f"jobs-{jobs}"
-        assert cli.main(["sweep", "--config", path, "--seeds", "3",
-                         "--jobs", jobs, "--out", str(out)]) == 0
-        summaries.append(json.loads((out / "sweep.json").read_text()))
-    assert summaries[0]["reports"] == summaries[1]["reports"]
+    one, two = _sweeps_by_cores(tmp_path, monkeypatch, path, "3")
+    assert one["seeds"] == two["seeds"] == [3, 4, 5]
+    assert one["reports"] == two["reports"]
+    assert one["medians"] == two["medians"]
     started = set(threading.enumerate()) - before
     assert [t.name.split("_")[0] for t in started] == ["unisca-helper"]
-    assert peak[0] <= 2
+    assert counts[1] <= 2
+
+
+def test_sweep_runs_one_seed_at_a_time_at_the_blas_default(
+        tmp_path, monkeypatch, fresh_pool):
+    # With no BLAS thread variable set, OpenBLAS takes every usable core, so
+    # the seeds run one after the other and no helper thread starts.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(numerics, "usable_cores", lambda: 2)
+    counts = _training_counted(monkeypatch)
+    before = set(threading.enumerate())
+    assert cli.main(["sweep", "--config", _config(tmp_path), "--seeds", "3",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    assert set(threading.enumerate()) == before and not fresh_pool
+    assert counts[1] == 1
 
 
 def _fitted_model(tmp_path):

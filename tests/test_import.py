@@ -28,8 +28,8 @@ def test_import_leaves_jsonschema_out():
 
 
 def test_import_leaves_concurrent_futures_out():
-    # The side-by-side helper pool is numerics' own, and `sweep --jobs`
-    # runs through it, so neither the package nor its command line loads
+    # The side-by-side helper pool is numerics' own, and `sweep` runs its
+    # seeds through it, so neither the package nor its command line loads
     # concurrent.futures.
     _import_without("unisca", "concurrent.futures")
     _import_without("unisca.cli", "concurrent.futures")

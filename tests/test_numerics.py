@@ -11,7 +11,7 @@ import pytest
 
 from unisca import numerics
 from unisca.numerics import (AdamState, ValidationError, blas_threads,
-                             grad_check, side_by_side, substream, sym_eig,
+                             blas_workers, grad_check, side_by_side, substream, sym_eig,
                              whitening_matrix)
 
 
@@ -159,6 +159,21 @@ class TestBlasThreads:
         assert blas_threads() == 6
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         assert blas_threads() == 3
+
+
+class TestBlasWorkers:
+    @pytest.mark.parametrize("cores,threads,workers", [
+        (2, "1", 2), (2, "2", 1), (2, "8", 1), (2, None, 1),
+        (1, "1", 1), (1, "2", 1), (1, None, 1)])
+    def test_usable_cores_over_blas_threads(self, monkeypatch, cores,
+                                            threads, workers):
+        # Unset, OpenBLAS takes every usable core: one worker.
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        monkeypatch.setattr(numerics, "usable_cores", lambda: cores)
+        assert blas_workers() == workers
 
 
 class TestSideBySide:

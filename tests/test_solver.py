@@ -48,6 +48,25 @@ def test_private_mode_needs_private_dimensions():
                                 solver.SolverConfig(d_c=2, d_p1=1, d_p2=1))
 
 
+@pytest.mark.parametrize("batch,rows1", [(2, 600), (3, 600), (200, 3)])
+def test_private_mode_needs_four_rows_a_step_before_any_work(
+        monkeypatch, batch, rows1):
+    # HSIC's batches and checkpoints take min(batch, n1, n2) rows, and HSIC
+    # needs 4: the fit stops before its warm start, naming the batch and
+    # both views' row counts.
+    ds = small_dataset(seed=1, n=600, preset="private-appxG")
+    x1 = ds.x1[:rows1] - ds.x1[:rows1].mean(axis=0)
+    steps = []
+    monkeypatch.setattr(solver, "_train",
+                        lambda *a, **k: steps.append(a))
+    cfg = _private_config(batch=batch, restarts=2, warm_epochs=3)
+    with pytest.raises(ValidationError, match=(
+            rf"^with_private's HSIC needs 4 rows a step; got batch {batch}, "
+            rf"{rows1} rows in X1, 600 in X2$")):
+        solver.fit(x1, ds.x2, cfg)
+    assert steps == []
+
+
 def test_private_checkpoints_form_no_hsic_gradients(monkeypatch):
     ds = small_dataset(seed=1, n=600, preset="private-appxG")
     calls, real = [], solver.hsic_biased
