@@ -33,6 +33,14 @@ backward pass forms only what its caller reads
 parameter gradients, summed over the strips in one reused product buffer,
 the projection update the input gradients, and a checkpoint the value
 alone, from forward passes that keep no activations.
+
+The discriminator computes in float32, which is not a setting: its layers,
+Adam moments, activations and parameter gradients are float32, and a strip
+is rounded to float32 on entry. Its output sigmoid, the probability clamp
+and the adversarial value and its gradient at the output stay float64, as
+do the input gradients it returns, so everything outside the net (the
+projections, MMD, HSIC) stays float64. A net built from float64 layers
+(`Discriminator.from_layers`) runs the same code in float64.
 """
 
 from __future__ import annotations
@@ -462,6 +470,12 @@ class Discriminator:
     Every pass runs over row strips of `_strip_rows(widest layer)` rows,
     the input and output layers counted (`_strips`), so no layer output or
     elementwise temporary of a strip passes _STRIP entries (1 MiB).
+
+    The net computes in the dtype of its layers: float32 as built here,
+    where the float64 Glorot draws are rounded to float32, or whatever
+    `from_layers` is given. The input strips, activations, parameter
+    gradients and Adam moments take that dtype; the probabilities and the
+    input gradients are float64 either way.
     """
 
     def __init__(self, in_dim: int, hidden: tuple = DEFAULT_HIDDEN,
@@ -470,13 +484,16 @@ class Discriminator:
         weights = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        self._take_layers(weights, [np.zeros(d) for d in dims[1:]], lr)
+            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in))
+                           .astype(np.float32))
+        self._take_layers(weights, [np.zeros(d, np.float32) for d in dims[1:]],
+                          lr)
 
     @classmethod
     def from_layers(cls, weights: list, biases: list) -> "Discriminator":
         """A discriminator with these layers, weights[i] of shape (fan_out,
-        fan_in) and biases[i] of (fan_out,), and a fresh Adam state."""
+        fan_in) and biases[i] of (fan_out,), and a fresh Adam state. It
+        computes in the layers' dtype."""
         f = cls.__new__(cls)
         f._take_layers(weights, biases)
         return f
@@ -501,11 +518,13 @@ class Discriminator:
 
     def _forward(self, x: np.ndarray, keep: bool = False):
         """(clamped probabilities, raw sigmoid, cache) of one strip of rows
-        (`_strips`). With keep the cache holds what the backward pass reads:
-        the post-activations, the input first, at most _STRIP entries each.
-        Without it the cache is None and each layer's output is dropped
-        once the next one is formed."""
-        acts, a = [x], x
+        (`_strips`), the strip taken in the layers' dtype and the two
+        probabilities float64. With keep the cache holds what the backward
+        pass reads: the post-activations, the input first, at most _STRIP
+        entries each. Without it the cache is None and each layer's output
+        is dropped once the next one is formed."""
+        a = x.astype(self.weights[0].dtype, copy=False)
+        acts = [a]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w.T
             a += b
@@ -513,7 +532,7 @@ class Discriminator:
                 np.maximum(a, _LEAK * a, out=a)
                 if keep:
                     acts.append(a)
-        p_raw = 1.0 / (1.0 + np.exp(-a[:, 0]))
+        p_raw = 1.0 / (1.0 + np.exp(-a[:, 0].astype(np.float64)))
         p = np.clip(p_raw, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         return p, p_raw, (acts if keep else None)
 
@@ -527,13 +546,14 @@ class Discriminator:
 
     def _backward(self, acts: list, dz_out: np.ndarray, grads: list | None,
                   buf: np.ndarray | None, din: np.ndarray | None) -> None:
-        """Backprop one strip's gradient at the output pre-activation down
-        to its input.
+        """Backprop one strip's gradient at the output pre-activation, a
+        float64 array, down to its input, in the layers' dtype.
 
         With `grads` (dW_0, db_0, dW_1, db_1, ..., matching self.adam's
         layout) the strip's parameter gradients are added into it; each
-        dz.T @ acts[i] is formed in the head of `buf`, a flat array of at
-        least the largest weight's size, so a view's strips reuse one
+        dz.T @ acts[i] is formed in the head of `buf`, a flat array of the
+        layers' dtype and at least the largest weight's size, so a view's
+        strips reuse one
         buffer. Forming each product anew, a 1000-row training call of the
         default net peaked at 34.4 MiB side by side, against 28.3 with the
         buffer, and was no faster. With `din` the strip's input gradient is
@@ -541,7 +561,7 @@ class Discriminator:
         weights. Each hidden activation in `acts` is dropped (set to None)
         once the pass has read it; its sign is kept for the slope.
         """
-        dz = dz_out[:, None]
+        dz = dz_out.astype(self.weights[0].dtype, copy=False)[:, None]
         for i in range(len(self.weights) - 1, -1, -1):
             if grads is not None:
                 w = self.weights[i]
@@ -555,7 +575,7 @@ class Discriminator:
             positive = acts[i] > 0
             acts[i] = None
             dz = dz @ self.weights[i]
-            dz *= np.maximum(positive, _LEAK)
+            dz *= np.maximum(positive, _LEAK, dtype=dz.dtype)
 
 
 def _half_loss(p: np.ndarray, real: bool, smoothing: float) -> float:
@@ -592,8 +612,9 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
                         smoothing: float = 0.0, *, grads: str = "all"):
     """Adversarial value mean log f(u) + mean log(1 - f(v)) and its gradients.
 
-    Returns (loss, param_grads, grad_u, grad_v). `grads` names what is
-    formed: "all", "params" (the discriminator's own step), "inputs" (the
+    Returns (loss, param_grads, grad_u, grad_v): the loss a float, the
+    parameter gradients in the net's dtype and the input gradients float64.
+    `grads` names what is formed: "all", "params" (the discriminator's own step), "inputs" (the
     projection update) or "none" (a checkpoint's value: forward passes only,
     no cache kept); a slot not formed is None. The value and every formed
     gradient are the same bytes whichever are asked for. `smoothing` > 0
@@ -623,7 +644,7 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
         if params:
             pgrads = [np.zeros_like(a) for layer in zip(f.weights, f.biases)
                       for a in layer]
-            buf = np.empty(max(w.size for w in f.weights))
+            buf = np.empty(max(w.size for w in f.weights), f.weights[0].dtype)
         if inputs:
             din = np.empty(x.shape)
         for rows in strips:

@@ -294,17 +294,22 @@ class AdamState:
         a new array. The moments update in place, in the order of operations
         of m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g, and the
         update in that of the expression, so the bytes are the expressions'
-        while the only arrays formed are two temporaries the size of param."""
-        param = np.asarray(param, dtype=np.float64)
-        grad = np.asarray(grad, dtype=np.float64)
+        while the only arrays formed are two temporaries the size of param.
+        A float32 param (the discriminator's) keeps its moments, temporaries
+        and result in float32; any other is taken as float64."""
+        param = np.asarray(param)
+        dtype = np.float32 if param.dtype == np.float32 else np.float64
+        param = param.astype(dtype, copy=False)
+        grad = np.asarray(grad, dtype=dtype)
         if param.shape != grad.shape:
             raise ValidationError(
                 f"param shape {param.shape} != grad shape {grad.shape}")
         if self.m is None:
             self.m = np.zeros_like(param)
             self.v = np.zeros_like(param)
-        if self.m.shape != param.shape:
-            raise ValidationError("Adam state shape does not match parameter")
+        if self.m.shape != param.shape or self.m.dtype != dtype:
+            raise ValidationError(
+                "Adam state shape or dtype does not match parameter")
         self.t += 1
         m, v = self.m, self.v
         m *= _BETA1

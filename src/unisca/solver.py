@@ -114,7 +114,8 @@ class SolverConfig:
     (`_INIT_NOISE`), the warm start's slice count (`_WARM_SLICES`), the
     discriminator's label smoothing and step size, the penalty weights
     (`_LAMBDA`, `_OMEGA`, `_BETA`, `_RHO`) and the heads' step sizes
-    (`_LR_Q`, `_LR_P`) are fixed, not settings.
+    (`_LR_Q`, `_LR_P`) are fixed, not settings; so is the discriminator's
+    precision: it computes in float32, the rest of a fit in float64.
 
     Each field is checked against its annotation (`_ANNOTATED`), `_BOUNDS`
     and `_CHOICES` by `numerics.check_value`, which the config file's solver
@@ -746,7 +747,8 @@ def save_model(result: FitResult, directory: str) -> None:
     """Write arrays.npz, holding Q1, Sigma1 and, unless homogeneous, Q2,
     Sigma2, and QP1, QP2 and disc_W<i>, disc_b<i> when the fit has them;
     loss_trace.csv; and model.json: kind, version, config, checkpoints,
-    wall_clock_seconds."""
+    wall_clock_seconds. Every array is float64: the discriminator's float32
+    layers are upcast, which is exact."""
     os.makedirs(directory, exist_ok=True)
     arrays = {"Q1": result.q1.matrix, "Sigma1": result.q1.covariance}
     if not result.homogeneous:
@@ -757,7 +759,8 @@ def save_model(result: FitResult, directory: str) -> None:
     if result.discriminator is not None:
         f = result.discriminator
         for i, (wt, bs) in enumerate(zip(f.weights, f.biases)):
-            arrays[f"disc_W{i}"], arrays[f"disc_b{i}"] = wt, bs
+            arrays[f"disc_W{i}"] = wt.astype(np.float64)
+            arrays[f"disc_b{i}"] = bs.astype(np.float64)
     matio.write_arrays(os.path.join(directory, matio.ARCHIVE), arrays)
     matio.write_csv(os.path.join(directory, "loss_trace.csv"), result.trace,
                     list(TRACE_COLUMNS))
@@ -797,7 +800,9 @@ def load_model(directory: str) -> FitResult:
     implies, or holding one of another dtype or shape (Q<i> has d_c rows,
     QP<i> d_p<i>, Sigma<i> is square with Q<i>'s columns, the discriminator
     follows disc_hidden); and a loss_trace.csv whose columns are not
-    TRACE_COLUMNS."""
+    TRACE_COLUMNS. The discriminator's layers are rounded to float32, the
+    dtype a fit's discriminator computes in; this is exact for an archive
+    save_model wrote from a fit's float32 layers."""
     path = os.path.join(directory, "model.json")
     meta = matio.read_json(path)
     if not isinstance(meta, dict) or meta.get("kind") != "unisca-model":
@@ -841,8 +846,9 @@ def load_model(directory: str) -> FitResult:
     qp1 = Projection(a["QP1"], q1.covariance) if private else None
     qp2 = Projection(a["QP2"], q2.covariance) if private else None
     disc = Discriminator.from_layers(
-        [a[f"disc_W{i}"] for i in range(layers)],
-        [a[f"disc_b{i}"] for i in range(layers)]) if layers else None
+        [a[f"disc_W{i}"].astype(np.float32) for i in range(layers)],
+        [a[f"disc_b{i}"].astype(np.float32) for i in range(layers)]
+    ) if layers else None
     trace_path = os.path.join(directory, "loss_trace.csv")
     trace, columns = matio.read_csv(trace_path)
     if columns != list(TRACE_COLUMNS):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unisca import datagen, numerics
+from unisca.distmatch import DEFAULT_HIDDEN, Discriminator
 from unisca.numerics import substream
 
 
@@ -42,3 +43,13 @@ def rewrite_archive(path, change) -> str:
         arrays = dict(archive)
     np.savez(path, **change(arrays))
     return str(path)
+
+
+def float64_discriminator(in_dim, hidden=DEFAULT_HIDDEN, *, rng):
+    """Discriminator(in_dim, hidden, rng=rng)'s layers, upcast to float64
+    through Discriminator.from_layers: the same code, run in float64, for
+    the tests that check it at float64 round-off. It takes the same draws
+    from rng."""
+    f = Discriminator(in_dim, hidden=hidden, rng=rng)
+    return Discriminator.from_layers([w.astype(np.float64) for w in f.weights],
+                                     [b.astype(np.float64) for b in f.biases])

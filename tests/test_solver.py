@@ -650,3 +650,40 @@ def test_restarts_on_more_workers_than_cores_give_the_same_bytes(monkeypatch):
         assert a.matrix.tobytes() == b.matrix.tobytes()
     assert alone.trace.tobytes() == pooled.trace.tobytes()
     assert alone.checkpoints == pooled.checkpoints
+
+
+def test_a_saved_discriminator_loads_in_float32_with_the_fitted_bytes(
+        tmp_path, rng):
+    # The fit's discriminator computes in float32; the archive keeps every
+    # array float64, and the upcast and the rounding back are exact.
+    result = _round_trip_fit("adversarial")
+    solver.save_model(result, str(tmp_path))
+    with np.load(tmp_path / "arrays.npz") as archive:
+        assert {archive[k].dtype for k in archive.files} == {np.dtype("<f8")}
+    fitted = result.discriminator
+    loaded = solver.load_model(str(tmp_path)).discriminator
+    assert {a.dtype for a in loaded.weights + loaded.biases} == {
+        np.dtype(np.float32)}
+    x = rng.normal(size=(300, 2))
+    assert loaded.forward(x).tobytes() == fitted.forward(x).tobytes()
+
+
+def test_an_archive_of_float64_layers_loads_them_rounded_to_float32(
+        tmp_path, rng):
+    # A model saved while the discriminator computed in float64 holds
+    # layers that float32 cannot hold exactly; they load rounded to float32.
+    solver.save_model(_round_trip_fit("adversarial"), str(tmp_path))
+    layers = {}
+
+    def float64_layers(arrays):
+        for name in arrays:
+            if name.startswith("disc_"):
+                arrays[name] = layers[name] = rng.normal(size=arrays[name].shape)
+        return arrays
+    rewrite_archive(tmp_path / "arrays.npz", float64_layers)
+    disc = solver.load_model(str(tmp_path)).discriminator
+    for i, (w, b) in enumerate(zip(disc.weights, disc.biases)):
+        for name, a in ((f"disc_W{i}", w), (f"disc_b{i}", b)):
+            assert a.dtype == np.float32, name
+            assert a.tobytes() == layers[name].astype(np.float32).tobytes(), name
+            assert not np.array_equal(a, layers[name]), name
