@@ -553,13 +553,13 @@ class Discriminator:
         layout) the strip's parameter gradients are added into it; each
         dz.T @ acts[i] is formed in the head of `buf`, a flat array of the
         layers' dtype and at least the largest weight's size, so a view's
-        strips reuse one
-        buffer. Forming each product anew, a 1000-row training call of the
-        default net peaked at 34.4 MiB side by side, against 28.3 with the
-        buffer, and was no faster. With `din` the strip's input gradient is
-        written into it; without, the pass stops before the first layer's
-        weights. Each hidden activation in `acts` is dropped (set to None)
-        once the pass has read it; its sign is kept for the slope.
+        strips reuse one buffer. Forming each product anew, a 1000-row
+        training call of the default net (float64) peaked at 34.4 MiB side
+        by side, against 28.3 with the buffer, and was no faster. With
+        `din` the strip's input gradient is written into it; without, the
+        pass stops before the first layer's weights. Each hidden activation
+        in `acts` is dropped (set to None) once the pass has read it; its
+        sign is kept for the slope.
         """
         dz = dz_out.astype(self.weights[0].dtype, copy=False)[:, None]
         for i in range(len(self.weights) - 1, -1, -1):
@@ -614,12 +614,12 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
 
     Returns (loss, param_grads, grad_u, grad_v): the loss a float, the
     parameter gradients in the net's dtype and the input gradients float64.
-    `grads` names what is formed: "all", "params" (the discriminator's own step), "inputs" (the
-    projection update) or "none" (a checkpoint's value: forward passes only,
-    no cache kept); a slot not formed is None. The value and every formed
-    gradient are the same bytes whichever are asked for. `smoothing` > 0
-    smooths the targets (used for the discriminator's own update); the
-    projection update uses the plain value.
+    `grads` names what is formed: "all", "params" (the discriminator's own
+    step), "inputs" (the projection update) or "none" (a checkpoint's value:
+    forward passes only, no cache kept); a slot not formed is None. The
+    value and every formed gradient are the same bytes whichever are asked
+    for. `smoothing` > 0 smooths the targets (used for the discriminator's
+    own update); the projection update uses the plain value.
 
     Each view, the real u and the fake v, is one loop over its row strips
     (`Discriminator._strips`), in every mode: a strip is forwarded, keeping

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unisca import datagen, numerics
-from unisca.distmatch import DEFAULT_HIDDEN, Discriminator
+from unisca.distmatch import Discriminator
 from unisca.numerics import substream
 
 
@@ -45,11 +45,9 @@ def rewrite_archive(path, change) -> str:
     return str(path)
 
 
-def float64_discriminator(in_dim, hidden=DEFAULT_HIDDEN, *, rng):
-    """Discriminator(in_dim, hidden, rng=rng)'s layers, upcast to float64
-    through Discriminator.from_layers: the same code, run in float64, for
-    the tests that check it at float64 round-off. It takes the same draws
-    from rng."""
-    f = Discriminator(in_dim, hidden=hidden, rng=rng)
+def float64_twin(f):
+    """The discriminator f with its layers upcast to float64, through
+    Discriminator.from_layers: the same code, run in float64, for the tests
+    that check it at float64 round-off."""
     return Discriminator.from_layers([w.astype(np.float64) for w in f.weights],
                                      [b.astype(np.float64) for b in f.biases])

@@ -16,7 +16,7 @@ from unisca.distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                               hsic_biased, mmd2_unbiased)
 from unisca.numerics import ValidationError, substream
 
-from conftest import float64_discriminator
+from conftest import float64_twin
 
 
 class TestKernelSpec:
@@ -735,7 +735,7 @@ class TestDiscriminator:
         assert not np.allclose(plain[1][0], smooth[1][0])
 
     def test_permutation_invariance(self, rng):
-        f = float64_discriminator(2, (6,), rng=rng)
+        f = float64_twin(Discriminator(2, hidden=(6,), rng=rng))
         u = rng.normal(size=(9, 2))
         v = rng.normal(size=(7, 2))
         l0 = gan_value_and_grads(f, u, v)[0]
@@ -813,10 +813,12 @@ class TestDiscriminatorStrips:
     float32 nets a fit builds."""
 
     @staticmethod
-    def _net_and_views(rng, hidden, n, net=float64_discriminator):
+    def _net_and_views(rng, hidden, n, float64=True):
         # A scaled output layer and a wide second view put some outputs
         # into the probability clamp at both ends.
-        f = net(3, hidden, rng=rng)
+        f = Discriminator(3, hidden=hidden, rng=rng)
+        if float64:
+            f = float64_twin(f)
         f.weights[-1] *= 30.0
         return f, rng.normal(size=(n, 3)), 4.0 * rng.normal(size=(n, 3)) + 1.0
 
@@ -858,7 +860,7 @@ class TestDiscriminatorStrips:
 
     def test_default_net_over_several_strips(self, rng, monkeypatch):
         # 300 rows of the default net are strips of 128, 128 and 44 rows.
-        f = float64_discriminator(2, DEFAULT_HIDDEN, rng=rng)
+        f = float64_twin(Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng))
         f.weights[-1] *= 1000.0
         u, v = rng.normal(size=(300, 2)), 6.0 * rng.normal(size=(300, 2))
         calls = _gan_calls(f, u, v)
@@ -884,7 +886,7 @@ class TestDiscriminatorStrips:
         # One linear layer and a sigmoid: the input gradient of view u is
         # dz times the weights, row by row, and the parameter gradient of
         # the weights is dz.T @ u; here checked against those expressions.
-        f = float64_discriminator(3, (), rng=rng)
+        f = float64_twin(Discriminator(3, hidden=(), rng=rng))
         u, v = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
         loss, pg, gu, gv = gan_value_and_grads(f, u, v)
         pu = 1.0 / (1.0 + np.exp(-(u @ f.weights[0].T + f.biases[0])[:, 0]))
@@ -904,13 +906,6 @@ class TestFloat32:
     are float32, its probabilities, value and input gradients float64. The
     bounds below were set from measurement: on these draws and on those of
     12 other seeds, the largest error seen is named at each."""
-
-    @staticmethod
-    def _twin(f):
-        """f's layers upcast to float64: the same net, run in float64."""
-        return Discriminator.from_layers(
-            [w.astype(np.float64) for w in f.weights],
-            [b.astype(np.float64) for b in f.biases])
 
     def test_layers_are_the_float64_draws_rounded(self, rng):
         draws = copy.deepcopy(rng)
@@ -932,7 +927,8 @@ class TestFloat32:
         assert [g.dtype for g in pg] == [np.float32] * 6
         assert gu.dtype == gv.dtype == f.forward(u).dtype == np.float64
         discriminator_step(f, u, v)
-        assert {a.dtype for a in f.weights + f.biases} == {np.dtype(np.float32)}
+        assert {a.dtype for a in f.weights + f.biases} == {
+            np.dtype(np.float32)}
         assert {a.m.dtype for a in f.adam} == {np.dtype(np.float32)}
         assert {a.v.dtype for a in f.adam} == {np.dtype(np.float32)}
 
@@ -950,13 +946,13 @@ class TestFloat32:
         u, v = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)) + 0.5
         TestDiscriminatorStrips._assert_close(
             gan_value_and_grads(f, u, v, 0.2),
-            gan_value_and_grads(self._twin(f), u, v, 0.2), 1e-7, 2e-5)
+            gan_value_and_grads(float64_twin(f), u, v, 0.2), 1e-7, 2e-5)
 
     def test_default_net_value_agrees_with_its_float64_twin(self, rng):
         f = Discriminator(2, hidden=DEFAULT_HIDDEN, rng=rng)
         u, v = rng.normal(size=(300, 2)), rng.normal(size=(300, 2)) + 0.5
         got = gan_value_and_grads(f, u, v, 0.2, grads="none")[0]
-        want = gan_value_and_grads(self._twin(f), u, v, 0.2, grads="none")[0]
+        want = gan_value_and_grads(float64_twin(f), u, v, 0.2, grads="none")[0]
         assert got == pytest.approx(want, rel=1e-7, abs=0)
 
     def test_default_net_gives_the_same_bytes_in_every_mode(self, rng):
@@ -976,7 +972,7 @@ class TestFloat32:
         # one row or of a few runs other BLAS kernels than a full strip's,
         # which round float32 otherwise. Every mode gives the same bytes.
         f, u, v = TestDiscriminatorStrips._net_and_views(rng, hidden, n,
-                                                         Discriminator)
+                                                         float64=False)
         widest = max(3, *hidden, 1)
         monkeypatch.setattr(distmatch, "_STRIP",
                             STRIP_BUDGETS["single"](n, widest))
@@ -992,7 +988,7 @@ class TestFloat32:
         # accuracies differed by at most 2.5e-4, and read 0.764-0.778.
         rng = substream(0, "tests", "gan-float32")
         f = Discriminator(2, hidden=(32, 16), lr=5e-3, rng=rng)
-        g = self._twin(f)
+        g = float64_twin(f)
         for adam in g.adam:
             adam.lr = 5e-3
         shift = np.array([1.5, 0.0])

@@ -4,7 +4,7 @@ Each estimator is probed on >= 20 random small instances; the relative error
 bound of 1e-4 is far above what correct gradients produce (~1e-10) and far
 below what any sign/scale mistake would produce. The discriminator, which
 computes in float32 as a fit builds it, is checked here on float64 layers
-(`float64_discriminator`): the same code, at float64 round-off.
+(`float64_twin`): the same code, at float64 round-off.
 """
 
 import itertools
@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from unisca import distmatch
-from unisca.distmatch import (KernelSpec, gan_value_and_grads, hsic_biased,
-                              mmd2_unbiased)
+from unisca.distmatch import (Discriminator, KernelSpec, gan_value_and_grads,
+                              hsic_biased, mmd2_unbiased)
 from unisca.numerics import grad_check, substream
 from unisca.solver import anchor_penalty, quantile_match, whitening_penalty
 
-from conftest import float64_discriminator
+from conftest import float64_twin
 
 TOL = 1e-4
 N_INSTANCES = 20
@@ -57,7 +57,7 @@ def test_hsic_gradients(rng):
 @pytest.mark.parametrize("rng", _rngs("gan"))
 def test_gan_input_gradients(rng):
     d = rng.integers(1, 4)
-    f = float64_discriminator(d, (6, 4), rng=rng)
+    f = float64_twin(Discriminator(d, hidden=(6, 4), rng=rng))
     u = rng.normal(size=(rng.integers(2, 5), d))
     v = rng.normal(size=(rng.integers(2, 5), d))
     for grads in ("all", "inputs"):  # the full call and the generator pass's
@@ -71,7 +71,7 @@ def test_gan_input_gradients(rng):
 @pytest.mark.parametrize("rng", _rngs("gan-params"))
 def test_gan_parameter_gradients(rng):
     d = rng.integers(1, 3)
-    f = float64_discriminator(d, (5,), rng=rng)
+    f = float64_twin(Discriminator(d, hidden=(5,), rng=rng))
     u = rng.normal(size=(3, d))
     v = rng.normal(size=(3, d))
     smoothing = float(rng.choice([0.0, 0.2]))

@@ -678,12 +678,14 @@ def test_an_archive_of_float64_layers_loads_them_rounded_to_float32(
     def float64_layers(arrays):
         for name in arrays:
             if name.startswith("disc_"):
-                arrays[name] = layers[name] = rng.normal(size=arrays[name].shape)
+                layers[name] = rng.normal(size=arrays[name].shape)
+                arrays[name] = layers[name]
         return arrays
     rewrite_archive(tmp_path / "arrays.npz", float64_layers)
     disc = solver.load_model(str(tmp_path)).discriminator
     for i, (w, b) in enumerate(zip(disc.weights, disc.biases)):
         for name, a in ((f"disc_W{i}", w), (f"disc_b{i}", b)):
             assert a.dtype == np.float32, name
-            assert a.tobytes() == layers[name].astype(np.float32).tobytes(), name
+            want = layers[name].astype(np.float32)
+            assert a.tobytes() == want.tobytes(), name
             assert not np.array_equal(a, layers[name]), name
