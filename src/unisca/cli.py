@@ -139,8 +139,9 @@ def cmd_eval(args) -> int:
     dataset = datagen.load_dataset(args.data)
     report = metrics.evaluate_fit(result, dataset)
     thresholds = {}
+    # Only the model's own echo may be absent; a --config path must exist.
     cfg_path = args.config or os.path.join(args.model, "config.json")
-    if os.path.exists(cfg_path):
+    if args.config or os.path.exists(cfg_path):
         cfg = cfgmod.validate_config(matio.read_json(cfg_path))
         thresholds = cfg.get("eval", {}).get("thresholds", {})
     doc = {"report": report.to_dict(), "thresholds": thresholds}

@@ -62,8 +62,9 @@ class DistributionSpec:
     component with probability w, then draws normal(mu, sigma).
 
     Von Mises samples follow the usual wrapped convention and land in
-    [-pi, pi]. Parameters are validated at construction and stored as floats,
-    so DistributionSpec("gamma", (1, 3)) == DistributionSpec("gamma", (1.0, 3.0)).
+    [-pi, pi]. Parameters are validated at construction, a fault naming its
+    field ("kind: ..." or "params: ..."), and stored as floats, so
+    DistributionSpec("gamma", (1, 3)) == DistributionSpec("gamma", (1.0, 3.0)).
     """
 
     kind: str
@@ -71,16 +72,17 @@ class DistributionSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
-            raise ValidationError(f"unknown distribution kind {self.kind!r}")
+            raise ValidationError(f"kind: {self.kind!r} is not one of "
+                                  f"{tuple(_KINDS)}")
         rows = _rows(self.kind, self.params)
         if rows is None:
             shape = "(w, mu, sigma) rows" if self.kind == "mixture" else "2 parameters"
-            raise ValidationError(f"{self.kind} expects {shape} of finite numbers, "
-                                  f"got {self.params!r}")
+            raise ValidationError(f"params: {self.kind} expects {shape} of finite "
+                                  f"numbers, got {self.params!r}")
         params = rows if self.kind == "mixture" else rows[0]
         check, message = _KINDS[self.kind]
         if not check(*params):
-            raise ValidationError(message)
+            raise ValidationError(f"params: {message}")
         object.__setattr__(self, "params", params)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,19 +99,13 @@ class DistributionSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "distribution") -> "DistributionSpec":
         """Build from {"kind": ..., "params": [...]}, a mixture's params being
-        [w, mu, sigma] rows; a fault raises ValidationError("<where>...: ...")."""
+        [w, mu, sigma] rows; a fault raises ValidationError("<where>/kind: ...")
+        or ("<where>/params: ...")."""
         check_keys(d, where, required=("kind", "params"))
-        kind, params = d["kind"], d["params"]
-        if not isinstance(kind, str) or kind not in _KINDS:
-            raise ValidationError(f"{where}/kind: {kind!r} is not one of "
-                                  f"{tuple(_KINDS)}")
-        if _rows(kind, params) is None:
-            raise ValidationError(f"{where}/params: expected finite numbers, "
-                                  f"got {params!r}")
         try:
-            return cls(kind, params)
+            return cls(d["kind"], d["params"])
         except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+            raise ValidationError(f"{where}/{exc}") from exc
 
 
 @dataclass(frozen=True)

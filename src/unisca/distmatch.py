@@ -517,12 +517,12 @@ class Discriminator:
         return x, [slice(i, i + step) for i in range(0, x.shape[0], step)]
 
     def _forward(self, x: np.ndarray, keep: bool = False):
-        """(clamped probabilities, raw sigmoid, cache) of one strip of rows
-        (`_strips`), the strip taken in the layers' dtype and the two
-        probabilities float64. With keep the cache holds what the backward
-        pass reads: the post-activations, the input first, at most _STRIP
-        entries each. Without it the cache is None and each layer's output
-        is dropped once the next one is formed."""
+        """(clamped probabilities, cache) of one strip of rows (`_strips`),
+        the strip taken in the layers' dtype and the probabilities float64.
+        With keep the cache holds what the backward pass reads: the
+        post-activations, the input first, at most _STRIP entries each.
+        Without it the cache is None and each layer's output is dropped once
+        the next one is formed."""
         a = x.astype(self.weights[0].dtype, copy=False)
         acts = [a]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -532,9 +532,8 @@ class Discriminator:
                 np.maximum(a, _LEAK * a, out=a)
                 if keep:
                     acts.append(a)
-        p_raw = 1.0 / (1.0 + np.exp(-a[:, 0].astype(np.float64)))
-        p = np.clip(p_raw, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        return p, p_raw, (acts if keep else None)
+        p = 1.0 / (1.0 + np.exp(-a[:, 0].astype(np.float64)))
+        return np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR), (acts if keep else None)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1), strictly clamped away from the endpoints."""
@@ -592,13 +591,13 @@ def _half_loss(p: np.ndarray, real: bool, smoothing: float) -> float:
     return float(loss / p.shape[0])
 
 
-def _half_dz(p: np.ndarray, p_raw: np.ndarray, real: bool, smoothing: float,
+def _half_dz(p: np.ndarray, real: bool, smoothing: float,
              count: int) -> np.ndarray:
     """_half_loss's gradient at the output pre-activation, for a strip of a
-    view of `count` rows. Entries where the raw probability was clamped get
-    zero gradient."""
+    view of `count` rows. Entries the clamp set to a bound (the raw sigmoid
+    at or past it, or NaN) get zero gradient."""
     s = smoothing
-    inside = (p_raw > _PROB_FLOOR) & (p_raw < 1.0 - _PROB_FLOOR)
+    inside = (p > _PROB_FLOOR) & (p < 1.0 - _PROB_FLOOR)
     dz = (((1.0 - s) - p) if real else (s - p)) / count
     return dz * inside
 
@@ -648,9 +647,9 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
         if inputs:
             din = np.empty(x.shape)
         for rows in strips:
-            p[rows], p_raw, cache = f._forward(x[rows], keep=params or inputs)
+            p[rows], cache = f._forward(x[rows], keep=params or inputs)
             if cache is not None:
-                dz = _half_dz(p[rows], p_raw, real, smoothing, n)
+                dz = _half_dz(p[rows], real, smoothing, n)
                 f._backward(cache, dz, pgrads, buf,
                             None if din is None else din[rows])
         return _half_loss(p, real, smoothing), pgrads, din

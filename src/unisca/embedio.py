@@ -21,12 +21,6 @@ class EmbeddingTable:
     tokens: list
     matrix: np.ndarray
 
-    def __post_init__(self):
-        if len(self.tokens) != self.matrix.shape[0]:
-            raise ValidationError("token count must equal row count")
-        if len(set(self.tokens)) != len(self.tokens):
-            raise ValidationError("tokens must be unique")
-
 
 def read_vec_text(path: str) -> EmbeddingTable:
     """Parse a word-vector text file; duplicate tokens keep the first row.

@@ -93,9 +93,6 @@ def check_shapes(path: str, arrays: dict, shapes: dict) -> None:
 
 def write_csv(path: str, a: np.ndarray, columns: list[str]) -> None:
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != len(columns):
-        raise ValidationError(
-            f"CSV export: array shape {a.shape} does not match {len(columns)} columns")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in a:

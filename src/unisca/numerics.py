@@ -56,14 +56,13 @@ def check_value(value, types: tuple, where: str, key: str, bounds=(),
     ValidationError("<where>: <reason>").
 
     A bool is no number, an integer is a float, a numpy integer is an integer
-    and comes back as an int. A list or tuple is an array of integers, each
-    bound by `key`'s bounds, and comes back as a tuple."""
+    and comes back as an int; np.float64 is a float, other numpy floats are
+    not. A list or tuple is an array of integers, each bound by `key`'s
+    bounds, and comes back as a tuple."""
     if isinstance(value, bool):
         typed = bool in types
     elif isinstance(value, (int, np.integer)):
         value, typed = int(value), int in types or float in types
-    elif isinstance(value, np.floating):
-        typed = float in types
     else:
         typed = (isinstance(value, types)
                  or list in types and isinstance(value, tuple))
@@ -227,7 +226,7 @@ def substream(seed: int, module: str, purpose: str) -> np.random.Generator:
 # Eigendecomposition, whitening
 # ---------------------------------------------------------------------------
 
-_SYM_TOL = 1e-8    # the relative asymmetry sym_eig accepts
+_SYM_TOL = 1e-8    # the asymmetry sym_eig accepts, relative to S's largest entry
 _RANK_TOL = 1e-10  # whitening_matrix drops eigenvalues below this x the largest
 
 
@@ -240,8 +239,10 @@ def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S = check_matrix(S, "S")
     if S.shape[0] != S.shape[1]:
         raise ValidationError(f"S must be square, got shape {S.shape}")
-    scale = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > _SYM_TOL * max(scale, 1e-300):
+    # Max-abs entries, not norms: a norm of entries near 1e154 overflows to
+    # inf, which would pass any S.
+    asymmetry = np.max(np.abs(S - S.T), initial=0.0)
+    if asymmetry > _SYM_TOL * np.max(np.abs(S), initial=0.0):
         raise ValidationError("S is not symmetric within tolerance")
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     order = np.argsort(w)[::-1]
@@ -253,19 +254,10 @@ def whitening_matrix(S: np.ndarray) -> np.ndarray:
 
     Eigenvalues below _RANK_TOL * lambda_max are truncated, so W has one row
     per retained direction, the largest's at least, and W S W^T = I on that
-    subspace; an S with no positive eigenvalue is a ValidationError. For an
-    exactly diagonal S the eigenbasis is fixed to the coordinate axes in their
-    original order (no sorting), which pins down the otherwise-arbitrary
-    orthogonal factor.
+    subspace; an S with no positive eigenvalue is a ValidationError, and
+    sym_eig checks S.
     """
-    S = check_matrix(S, "S")
-    if S.shape[0] != S.shape[1]:
-        raise ValidationError(f"covariance must be square, got {S.shape}")
-    if np.all(S == np.diag(np.diagonal(S))):
-        w = np.diagonal(S).astype(np.float64).copy()
-        V = np.eye(S.shape[0])
-    else:
-        w, V = sym_eig(S)
+    w, V = sym_eig(S)
     wmax = float(np.max(w, initial=0.0))
     if wmax <= 0.0:
         raise ValidationError("covariance has no positive eigenvalues")

@@ -290,10 +290,13 @@ def quantile_match(u: np.ndarray, v: np.ndarray, directions: np.ndarray
 # ---------------------------------------------------------------------------
 
 def _check_centered(x: np.ndarray, name: str) -> np.ndarray:
+    """x, once each column's mean is within 1e-6 times its std or within
+    the round-off of a sum of n entries of x's largest magnitude: centring a
+    constant column leaves such a mean with std 0."""
     x = check_matrix(x, name)
     mean = np.abs(x.mean(axis=0))
-    std = x.std(axis=0)
-    if np.any(mean > 1e-6 * np.maximum(std, 1e-300)):
+    roundoff = x.shape[0] * np.finfo(np.float64).eps * np.max(np.abs(x), initial=0.0)
+    if np.any(mean > np.maximum(1e-6 * x.std(axis=0), roundoff)):
         raise ValidationError(f"{name} is not centered (column mean too large)")
     return x
 

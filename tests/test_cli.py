@@ -680,3 +680,74 @@ def test_retrieve_rejects_vectors_of_another_width(tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: data has 3 columns, the projection expects 5")
+
+
+def test_eval_config_path_must_exist(tmp_path, capsys):
+    # Only the model's own config.json may be absent; a misspelt --config
+    # once gated nothing and exited 0.
+    cfg, data, model = _fitted_model(tmp_path)
+    (tmp_path / "strict").mkdir()
+    strict = _config(tmp_path / "strict", thresholds={"leakage": 0.0})
+    base = ["eval", "--model", str(model), "--data", str(data)]
+    assert cli.main(base + ["--config", strict]) == 1
+    (model / "report.json").unlink()
+    missing = str(tmp_path / "strcit.json")
+    capsys.readouterr()
+    assert cli.main(base + ["--config", missing]) == 2
+    assert missing in _one_error_line(capsys)
+    assert not (model / "report.json").exists()
+    (model / "config.json").unlink()
+    assert cli.main(base) == 0
+
+
+def test_fit_in_weakly_supervised_mode_samples_anchors_from_the_data(tmp_path,
+                                                                     capsys):
+    cfg_path = _config(tmp_path, mode="weakly_supervised")
+    cfg = {**json.loads((tmp_path / "config.json").read_text()), "anchors": 3}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    data, model = str(tmp_path / "data"), str(tmp_path / "model")
+    assert cli.main(["gen", "--config", cfg_path, "--out", data]) == 0
+    assert cli.main(["fit", "--config", cfg_path, "--data", data,
+                     "--out", model]) == 0
+    saved = solver.load_model(model)
+    dataset = datagen.load_dataset(data)
+    pairs = datagen.sample_anchors(dataset, 3,
+                                   numerics.substream(3, "cli", "anchors"))
+    want = solver.fit(dataset.x1, dataset.x2,
+                      solver.SolverConfig(seed=3, **cfg["solver"]),
+                      anchors=solver.AnchorSet(pairs))
+    assert saved.q1.matrix.tobytes() == want.q1.matrix.tobytes()
+    assert saved.q2.matrix.tobytes() == want.q2.matrix.tobytes()
+    # Word-vector files carry no alignment to sample anchors from.
+    vec = tmp_path / "v.vec"
+    vec.write_text("3 2\na 1.0 0.2\nb -0.3 1.1\nc 0.7 -0.9\n")
+    capsys.readouterr()
+    assert cli.main(["fit", "--config", cfg_path, "--emb1", str(vec),
+                     "--emb2", str(vec), "--out", str(tmp_path / "weak")]) == 2
+    assert ("weak supervision requires a dataset directory"
+            in _one_error_line(capsys))
+
+
+def test_gen_seed_flag_equals_the_config_seed(tmp_path):
+    _config(tmp_path)
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    flag_cfg = tmp_path / "flag.json"
+    flag_cfg.write_text(json.dumps({**cfg, "seed": 0}))
+    seed_cfg = tmp_path / "seed.json"
+    seed_cfg.write_text(json.dumps({**cfg, "seed": 3}))
+    by_flag, by_config = tmp_path / "by-flag", tmp_path / "by-config"
+    assert cli.main(["gen", "--config", str(flag_cfg), "--seed", "3",
+                     "--out", str(by_flag)]) == 0
+    assert cli.main(["gen", "--config", str(seed_cfg),
+                     "--out", str(by_config)]) == 0
+    for name in ("manifest.json", "config.json"):
+        assert (by_flag / name).read_bytes() == (by_config / name).read_bytes()
+    with np.load(by_flag / "arrays.npz") as a, np.load(by_config / "arrays.npz") as b:
+        assert sorted(a.files) == sorted(b.files)
+        for name in a.files:
+            assert a[name].tobytes() == b[name].tobytes(), name
+    # And the seed is what it says: seed 0 writes other draws.
+    other = tmp_path / "seed-0"
+    assert cli.main(["gen", "--config", str(flag_cfg), "--out", str(other)]) == 0
+    with np.load(by_flag / "arrays.npz") as a, np.load(other / "arrays.npz") as b:
+        assert a["X1"].tobytes() != b["X1"].tobytes()

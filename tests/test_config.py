@@ -3,6 +3,7 @@ with `config invalid at <path>` naming the key at fault."""
 
 import copy
 
+import numpy as np
 import pytest
 
 from unisca import config
@@ -130,7 +131,7 @@ _REJECTED += CRASHED + [
     pytest.param(_latent(shared=[{"kind": 1, "params": [0, 1]}]),
                  "data/latent/shared/0/kind", id="kind-number"),
     pytest.param(_latent(shared=[{"kind": "normal", "params": [0, -1]}]),
-                 "data/latent/shared/0", id="normal-negative-sigma"),
+                 "data/latent/shared/0/params", id="normal-negative-sigma"),
     pytest.param(_latent(shared=[{"kind": "cauchy", "params": [0, 1]}]),
                  "data/latent/shared/0/kind", id="kind-unknown"),
     pytest.param(_latent(shared=[]), "data/latent/shared", id="shared-empty"),
@@ -156,6 +157,17 @@ def test_solver_bounds_are_checked_at_and_past_the_bound(doc, path, accepted):
         assert config.validate_config(doc) is doc
     else:
         _rejects(doc, path)
+
+
+def test_a_numpy_float64_is_a_number_and_a_float32_is_not():
+    # np.float64 subclasses float; JSON never yields another numpy float.
+    doc = _doc(eval={"thresholds": {"leakage": np.float64(0.5)}})
+    assert config.validate_config(doc) is doc
+    with pytest.raises(ValidationError, match=(
+            "^config invalid at eval/thresholds/leakage: expected a number, "
+            "got ")):
+        config.validate_config(
+            _doc(eval={"thresholds": {"leakage": np.float32(0.5)}}))
 
 
 def test_config_without_version_is_rejected():

@@ -786,7 +786,7 @@ class TestDiscriminator:
 
     def test_forward_keeps_no_cache_and_matches_the_cached_pass(self, rng):
         f, u, _ = self._net_and_views(rng)
-        p, _, cache = f._forward(u)
+        p, cache = f._forward(u)
         assert cache is None
         assert f.forward(u).tobytes() == p.tobytes()
         assert f._forward(u, keep=True)[0].tobytes() == p.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unisca import matio
-from unisca.embedio import EmbeddingTable, read_dictionary, read_vec_text
+from unisca.embedio import read_dictionary, read_vec_text
 from unisca.numerics import ValidationError
 
 
@@ -73,10 +73,6 @@ class TestVecText:
         p.write_text("1 2\na 1 2\nnot a row\n")
         t = read_vec_text(str(p))
         assert t.tokens == ["a"]
-
-    def test_duplicate_tokens_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            EmbeddingTable(tokens=["a", "a"], matrix=rng.normal(size=(2, 2)))
 
 
 class TestDictionary:

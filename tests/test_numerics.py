@@ -38,14 +38,26 @@ class TestSymEig:
         with pytest.raises(ValidationError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_asymmetry_is_judged_at_any_scale(self, scale):
+        # Norms of entries above about 1e154 overflow to inf, which once
+        # made the tolerance infinite and let this matrix through.
+        with pytest.raises(ValidationError, match="not symmetric"):
+            sym_eig(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        w, _ = sym_eig(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(w, [3.0 * scale, scale])
+
 
 class TestWhitening:
     def test_identity(self):
-        np.testing.assert_allclose(whitening_matrix(np.eye(3)), np.eye(3))
+        w = whitening_matrix(np.eye(3))
+        np.testing.assert_allclose(w @ w.T, np.eye(3), atol=1e-15)
 
     def test_diagonal_convention(self):
+        # A diagonal S takes the one eigen path too: its rows are the axes
+        # in descending variance, each up to sign.
         w = whitening_matrix(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(w, np.diag([0.5, 1.0 / 3.0]))
+        np.testing.assert_allclose(np.abs(w), [[0.0, 1.0 / 3.0], [0.5, 0.0]])
 
     def test_rank_deficient(self):
         w = whitening_matrix(np.diag([1.0, 0.0]))
@@ -59,6 +71,7 @@ class TestWhitening:
             w = whitening_matrix(s)
             assert np.linalg.norm(w @ s @ w.T - np.eye(6)) <= 1e-6
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("diagonal,rows", [
         ([1e-300, 0.0], 1), ([1e300, 1.0], 1), ([1e300, 1e295], 2)])
     def test_any_scale_keeps_its_top_direction(self, diagonal, rows):
@@ -68,6 +81,10 @@ class TestWhitening:
         w = whitening_matrix(s)
         assert w.shape == (rows, 2)
         assert np.max(np.abs(w @ s @ w.T - np.eye(rows))) <= 1e-15
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValidationError, match=r"^S must be square, got shape \(2, 3\)$"):
+            whitening_matrix(np.ones((2, 3)))
 
     def test_degenerate(self):
         with pytest.raises(ValidationError,

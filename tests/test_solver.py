@@ -121,6 +121,8 @@ def _bad_input(case):
         x2[3, 1] = np.inf
     elif case == "uncentred":
         x1 += 1.0
+    elif case == "constant-column-uncentred":
+        x1[:, 2] = 5.0
     elif case == "d_c-above-rank":
         x1 = x1[:, :1] * np.array([1.0, -2.0, 0.5])
     elif case == "d_c-above-dimension":
@@ -139,6 +141,7 @@ def _bad_input(case):
     ("nan", "X1 contains NaN or Inf entries"),
     ("inf", "X2 contains NaN or Inf entries"),
     ("uncentred", "X1 is not centered (column mean too large)"),
+    ("constant-column-uncentred", "X1 is not centered (column mean too large)"),
     ("d_c-above-rank", "Q1: covariance rank 1 < required 2"),
     ("d_c-above-dimension", "Q1: covariance rank 3 < required 4"),
     ("n-1", "X1: covariance needs at least 2 rows, got 1"),
@@ -177,6 +180,22 @@ def test_fit_with_a_duplicated_column_whitens_the_retained_rank():
     null = np.array([1.0, 0.0, 0.0, -1.0])
     assert np.linalg.norm(q1 @ null) <= 1e-10 * np.linalg.norm(q1)
     assert np.isfinite(result.trace).all()
+
+
+def test_fit_with_a_centred_constant_column_drops_it():
+    # Centring a constant column, as `fit --emb1/--emb2` centres its files,
+    # leaves a round-off mean with std 0, once refused as not centred.
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    x1 = ds.x1.copy()
+    x1[:, 2] = 7.7
+    x1 -= x1.mean(axis=0)
+    assert x1[:, 2].mean() != 0.0 and x1[:, 2].std() == 0.0
+    view = solver._prepare_views(x1, ds.x2, False)[0]
+    assert view.w.shape == (2, 3)
+    result = solver.fit(x1, ds.x2, solver.SolverConfig(d_c=2, **TINY))
+    q1 = result.q1.matrix
+    assert np.isfinite(q1).all() and np.isfinite(result.trace).all()
+    assert np.max(np.abs(q1[:, 2])) <= 1e-10 * np.linalg.norm(q1)
 
 
 def _blow_up(entry, monkeypatch):
