@@ -40,8 +40,8 @@ class TestSymEig:
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_asymmetry_is_judged_at_any_scale(self, scale):
-        # Norms of entries above about 1e154 overflow to inf, which once
-        # made the tolerance infinite and let this matrix through.
+        # Norms of entries above about 1e154 overflow to inf, and below
+        # about 1e-154 underflow to 0; either once let this matrix through.
         with pytest.raises(ValidationError, match="not symmetric"):
             sym_eig(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
         w, _ = sym_eig(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -83,7 +83,8 @@ class TestWhitening:
         assert np.max(np.abs(w @ s @ w.T - np.eye(rows))) <= 1e-15
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValidationError, match=r"^S must be square, got shape \(2, 3\)$"):
+        with pytest.raises(ValidationError,
+                           match=r"^S must be square, got shape \(2, 3\)$"):
             whitening_matrix(np.ones((2, 3)))
 
     def test_degenerate(self):
