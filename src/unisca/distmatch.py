@@ -17,6 +17,15 @@ so no MMD call forms an n x n Gram. HSIC takes one pass over full-width
 strips of its two Grams, each formed in one of two buffers that every strip
 reuses, so no HSIC call forms an m x m Gram either.
 
+MMD computes in the dtype of its inputs, which is not a setting. A fit
+rounds its projected views to float32, so the augmented factors, each
+strip's product, clamp, exp and two-scale squares, the strip sums and the
+K @ [x, 1] products are float32. Each strip's sum is added into a float64
+total and each product into float64 sums, and the value is returned as a
+float and the gradients as float64. A float32 strip's exponents are floored
+at _FLOOR32, so no entry of it is subnormal. Float64 inputs run the same
+code in float64. HSIC and `KernelSpec.resolve` compute in float64.
+
 `KernelSpec.resolve` takes the median heuristic's median over the squared
 distances of up to _RESOLVE_POOL points in two passes over strips of at
 most _STRIP entries: one counts the distances by the top bits of their
@@ -38,9 +47,9 @@ The discriminator computes in float32, which is not a setting: its layers,
 Adam moments, activations and parameter gradients are float32, and a strip
 is rounded to float32 on entry. Its output sigmoid, the probability clamp
 and the adversarial value and its gradient at the output stay float64, as
-do the input gradients it returns, so everything outside the net (the
-projections, MMD, HSIC) stays float64. A net built from float64 layers
-(`Discriminator.from_layers`) runs the same code in float64.
+do the input gradients it returns, so the projections around the net stay
+float64. A net built from float64 layers (`Discriminator.from_layers`) runs
+the same code in float64.
 """
 
 from __future__ import annotations
@@ -249,17 +258,29 @@ def _sq_distance_strips(pool: np.ndarray, fill: float):
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
-    """[x, |x|^2, 1]: the row side of the one-product Gram."""
-    return np.hstack([x, _sqnorms(x)[:, None], np.ones((x.shape[0], 1))])
+    """[x, |x|^2, 1]: the row side of the one-product Gram, in x's dtype."""
+    return np.hstack([x, _sqnorms(x)[:, None], np.ones((x.shape[0], 1), x.dtype)])
 
 
 def _cols(y: np.ndarray, sig: float) -> np.ndarray:
     """c [-2y, 1, |y|^2] with c = -1/(2 sig^2): the column side of the
-    one-product Gram, so that _rows(x) @ _cols(y, sig).T holds
+    one-product Gram, in y's dtype, so that _rows(x) @ _cols(y, sig).T holds
     -|x_i - y_j|^2 / (2 sig^2)."""
     c = -0.5 / (sig * sig)
-    return np.hstack([(-2.0 * c) * y, np.full((y.shape[0], 1), c),
+    return np.hstack([(-2.0 * c) * y, np.full((y.shape[0], 1), c, y.dtype),
                       c * _sqnorms(y)[:, None]])
+
+
+# The least exponent a float32 Gram strip keeps. Products, exps and squares
+# that form or read float32 subnormals run 12-48x slower on an Intel Xeon
+# (Sapphire Rapids; a 131,072-entry strip: exp 726 us against 60, the two
+# squares 997 against 41, a product with it 977 against 20), and numpy
+# cannot set flush-to-zero.
+# At -21.8 the entry exp(-21.8) = 3.4e-10 and its fourth power, the
+# two-scale score's sigma/2 entry, 1.3e-38, are both normal (FLT_MIN is
+# 1.18e-38). Raising farther entries to it moves a Gram mean by at most
+# 3.4e-10, below float32's round-off of a strip sum.
+_FLOOR32 = -21.8
 
 
 def _gram(xa: np.ndarray, ya: np.ndarray,
@@ -267,23 +288,29 @@ def _gram(xa: np.ndarray, ya: np.ndarray,
     """exp(-|x_i - y_j|^2 / (2 sig^2)) from xa = _rows(x), ya = _cols(y,
     sig): one augmented product, a clamp at 0 (a distance is never negative)
     and an exp, both in the product's buffer. That buffer is new, or the
-    head of `buf`, a flat array of at least len(xa) * len(ya) entries."""
+    head of `buf`, a flat array of at least len(xa) * len(ya) entries. In
+    float32 the clamp also raises the exponent to _FLOOR32."""
     if buf is not None:
         buf = buf[:xa.shape[0] * ya.shape[0]].reshape(xa.shape[0], ya.shape[0])
     out = np.matmul(xa, ya.T, out=buf)
-    np.minimum(out, 0.0, out=out)
+    if out.dtype == np.float32:
+        np.clip(out, _FLOOR32, 0.0, out=out)
+    else:
+        np.minimum(out, 0.0, out=out)
     np.exp(out, out=out)
     return out
 
 
 def _strip_sum(out: np.ndarray, k: int) -> float:
-    """Sum of a Gram strip. Within one set (k > 0) its first k columns are
-    the diagonal block: that block's diagonal counts not at all and the
-    columns right of it twice, so the strip stands for its mirror too."""
+    """Sum of a Gram strip, as a float. Within one set (k > 0) its first k
+    columns are the diagonal block: that block's diagonal counts not at all
+    and the columns right of it twice, so the strip stands for its mirror
+    too. Each part is summed in the strip's dtype and combined in float64."""
     if not k:
-        return out.sum()
+        return float(out.sum())
     diag = out[:, :k]
-    return 2.0 * out[:, k:].sum() + (diag.sum() - np.trace(diag))
+    return 2.0 * float(out[:, k:].sum()) + (float(diag.sum())
+                                            - float(np.trace(diag)))
 
 
 def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
@@ -300,6 +327,9 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
     n x (d + 2) arrays formed once here. With two_scale, K is the sigma
     Gram plus the sigma/2 one: each strip is summed, squared twice in place
     and summed again. It takes no extension columns.
+
+    The strips and their products are in the inputs' dtype; each strip's
+    sum is added into a float64 total and each product into float64 sums.
     """
     within = y is None
     xa = _rows(x)
@@ -345,8 +375,15 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     [x, 1] and [y, 1], which give K x and the row sums. A two-scale kernel
     gives the MMD^2 at its bandwidth plus that at half of it, value-only:
     grad=True with it is a ValidationError.
+
+    The strips compute in the inputs' dtype: float32 when x and y both are
+    (a fit's views are), float64 otherwise. Either way the value is a
+    float and the gradients are float64.
     """
-    x, y = check_matrix(x, "X"), check_matrix(y, "Y")
+    x = check_matrix(x, "X", float32=True)
+    y = check_matrix(y, "Y", float32=True)
+    dtype = np.result_type(x, y)
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
         raise ValidationError("MMD needs at least 2 samples per set")
@@ -357,8 +394,8 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise ValidationError("the two-scale kernel is value-only; "
                               "call with grad=False")
     cxx, cyy, cxy = 1.0 / (m * (m - 1)), 1.0 / (n * (n - 1)), 2.0 / (m * n)
-    xe, ye = ((np.hstack([x, np.ones((m, 1))]), np.hstack([y, np.ones((n, 1))]))
-              if grad else (None, None))
+    xe, ye = ((np.hstack([x, np.ones((m, 1), dtype)]),
+               np.hstack([y, np.ones((n, 1), dtype)])) if grad else (None, None))
     sxx, pxx, _ = _gram_sum(x, sig, xe=xe, two_scale=two)
     syy, pyy, _ = _gram_sum(y, sig, xe=ye, two_scale=two)
     sxy, pxy, pyx = _gram_sum(x, sig, y, xe, ye, two_scale=two)

@@ -3,7 +3,9 @@ the cores and BLAS threads a process may use, the one pool that runs work
 side by side, and a finite-difference oracle.
 
 Everything downstream (data generation, matchers, solvers) builds on
-the helpers here. Matrices are plain float64 numpy arrays, rows = samples.
+the helpers here. Matrices are float64 numpy arrays, rows = samples; a
+float32 one keeps its dtype only where a caller asks (`check_matrix`'s
+float32=True, which the MMD passes, and `AdamState` for the discriminator).
 A view's covariance is formed where its data is checked, in the solver.
 """
 
@@ -23,8 +25,12 @@ class ValidationError(ValueError):
     """Input violates a documented precondition (shape, symmetry, finiteness)."""
 
 
-def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+def check_matrix(a: np.ndarray, name: str = "matrix",
+                 float32: bool = False) -> np.ndarray:
+    """`a` as a 2-D float64 array of finite entries, or a ValidationError
+    naming `name`. With float32=True a float32 array keeps its dtype."""
+    keep = float32 and getattr(a, "dtype", None) == np.float32
+    a = np.asarray(a, dtype=np.float32 if keep else np.float64)
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} contains NaN or Inf entries")
     if a.ndim != 2:

@@ -27,10 +27,12 @@ are the stable sort's. Restart selection uses a value-only MMD on a large
 deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
 sigma frozen, which is the sum of the MMD at both bandwidths. Every MMD is
 summed over Gram strips of a fixed size (see distmatch), so none forms an
-n x n Gram matrix. Covariances are frozen before the first step and kernel
-bandwidths are fixed by the data's probe projections, resolved on first
-read (an adversarial fit without a warm start never reads the MMD one), so
-every run is replay-deterministic under its seed.
+n x n Gram matrix, and every MMD a fit makes (training step, checkpoint,
+restart score) takes the projected views rounded to float32, so its strips
+compute in float32. Covariances are frozen before the first step and kernel
+bandwidths are fixed by the data's float64 probe projections, resolved on
+first read (an adversarial fit without a warm start never reads the MMD
+one), so every run is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
@@ -114,8 +116,10 @@ class SolverConfig:
     (`_INIT_NOISE`), the warm start's slice count (`_WARM_SLICES`), the
     discriminator's label smoothing and step size, the penalty weights
     (`_LAMBDA`, `_OMEGA`, `_BETA`, `_RHO`) and the heads' step sizes
-    (`_LR_Q`, `_LR_P`) are fixed, not settings; so is the discriminator's
-    precision: it computes in float32, the rest of a fit in float64.
+    (`_LR_Q`, `_LR_P`) are fixed, not settings; so is precision: the
+    discriminator and the MMD's Gram strips compute in float32, the rest of
+    a fit (projections, whitening, anchors, HSIC, quantile steps, Adam on
+    the heads) in float64.
 
     Each field is checked against its annotation (`_ANNOTATED`), `_BOUNDS`
     and `_CHOICES` by `numerics.check_value`, which the config file's solver
@@ -423,6 +427,15 @@ class _Term(NamedTuple):
     limit: float = np.inf
 
 
+def _float32(u: np.ndarray, v: np.ndarray) -> tuple:
+    """The views rounded to float32, the dtype the MMD's strips compute in,
+    or as they are if either overflows it. Only a diverging fit's views do
+    (entries past 3.4e38); its MMD then runs in float64, and the whitening
+    term after it names the divergence."""
+    low = u.astype(np.float32), v.astype(np.float32)
+    return low if all(np.isfinite(a).all() for a in low) else (u, v)
+
+
 class _Matcher:
     """The configured divergence between the projected shared views.
 
@@ -430,7 +443,8 @@ class _Matcher:
     step (parameter gradients only), then takes the value and the gradients at
     the projected views (input gradients only). At a checkpoint either
     matcher is value-only: the MMD summed in row blocks, the adversarial
-    value from forward passes alone. `kernel` is the MMD kernel, its
+    value from forward passes alone. The MMD takes the views in float32
+    (`_float32`). `kernel` is the MMD kernel, its
     bandwidth resolved from the probe projections u0, v0 on first read; the
     MMD matcher and the warm start's restart score read it.
     """
@@ -449,6 +463,8 @@ class _Matcher:
 
     def __call__(self, p, b1, b2, train):
         u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
+        if self.disc is None:
+            u, v = _float32(u, v)
         if not train:
             if self.disc is None:
                 value = mmd2_unbiased(u, v, self.kernel, grad=False)[0]
@@ -634,7 +650,8 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         _train(p, _shared_blocks(homogeneous), terms, v1, v2, rng,
                cfg.warm_batch, cfg.warm_epochs, f"warm-start restart {restart}")
         u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
-        return p, mmd2_unbiased(u, v, kernel, grad=False)[0]
+        return p, mmd2_unbiased(u.astype(np.float32), v.astype(np.float32),
+                                kernel, grad=False)[0]
 
     results = numerics.side_by_side(search, range(cfg.restarts),
                                     numerics.usable_cores())
