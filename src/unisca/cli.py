@@ -98,6 +98,16 @@ def _run_fit(cfg: dict, x1: np.ndarray, x2: np.ndarray,
     return solver.fit(x1, x2, sc, anchors=anchors)
 
 
+def _centred(x: np.ndarray) -> np.ndarray:
+    """x less its column means, a constant column (zero range) as exact
+    zeros. Less its mean, a column of 123.4 beside unit normals keeps a
+    residual mean of 2.2e-12 at 1000 rows, which solver.fit refuses as not
+    centred."""
+    x = x - x.mean(axis=0)
+    x[:, np.ptp(x, axis=0) == 0] = 0.0
+    return x
+
+
 def cmd_fit(args) -> int:
     cfg = _effective_config(args)
     if os.path.exists(args.out) and not os.path.isdir(args.out):
@@ -105,10 +115,8 @@ def cmd_fit(args) -> int:
     if args.emb1 or args.emb2:
         if not (args.emb1 and args.emb2):
             raise ValidationError("--emb1 and --emb2 must be given together")
-        x1 = embedio.read_vec_text(args.emb1).matrix
-        x2 = embedio.read_vec_text(args.emb2).matrix
-        x1 = x1 - x1.mean(axis=0)
-        x2 = x2 - x2.mean(axis=0)
+        x1 = _centred(embedio.read_vec_text(args.emb1).matrix)
+        x2 = _centred(embedio.read_vec_text(args.emb2).matrix)
         dataset = None
     else:
         if not args.data:
@@ -165,8 +173,7 @@ def cmd_retrieve(args) -> int:
     queries = embedio.read_vec_text(args.queries)
     references = embedio.read_vec_text(args.references)
     dictionary = embedio.read_dictionary(args.dictionary)
-    xq = queries.matrix - queries.matrix.mean(axis=0)
-    xr = references.matrix - references.matrix.mean(axis=0)
+    xq, xr = _centred(queries.matrix), _centred(references.matrix)
     eq = result.q1.apply(xq)
     er = result.q2.apply(xr)
     table = {}

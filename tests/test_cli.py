@@ -278,6 +278,37 @@ def test_fit_and_retrieve_on_word_vector_files(tmp_path):
     assert table["nn@5"] == table["csls@5"] == 100.0
 
 
+def test_fit_takes_word_vectors_with_a_large_constant_column(tmp_path):
+    # Less its mean, a column of 123.4 beside unit normals keeps a residual
+    # mean (2.2e-12 at 1000 rows) that solver.fit refuses as not centred;
+    # fit centres such a column to exact zeros, and whitening drops it.
+    rng = numerics.substream(0, "tests", "constant-column")
+    paths, views = [], []
+    for name in ("a", "b"):
+        x = np.hstack([rng.normal(size=(1000, 2)), np.full((1000, 1), 123.4)])
+        lines = [f"w{i} " + " ".join(repr(float(v)) for v in row)
+                 for i, row in enumerate(x)]
+        path = tmp_path / f"{name}.vec"
+        path.write_text("1000 3\n" + "\n".join(lines) + "\n")
+        paths.append(str(path))
+        views.append(x)
+    model = tmp_path / "model"
+    assert cli.main(["fit", "--config", _config(tmp_path), "--emb1", paths[0],
+                     "--emb2", paths[1], "--out", str(model)]) == 0
+    q1 = solver.load_model(str(model)).q1.matrix
+    assert np.isfinite(q1).all() and not q1[:, 2].any()
+    cfg = solver.SolverConfig(d_c=2, epochs=1, restarts=1, warm_epochs=0)
+    x1, x2 = (x - x.mean(axis=0) for x in views)
+    with pytest.raises(numerics.ValidationError, match="X1 is not centered"):
+        solver.fit(x1, x2, cfg)
+    # The solver's own check is unchanged: an uncentred constant column
+    # is refused.
+    x1[:, 2] = 5.0
+    x2[:, 2] = 0.0
+    with pytest.raises(numerics.ValidationError, match="X1 is not centered"):
+        solver.fit(x1, x2, cfg)
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--ks", "1,x"], "--ks must be comma-separated integers"),
     (["--ks", "0,1"], "k and k_csls must be >= 1"),
