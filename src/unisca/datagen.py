@@ -118,7 +118,7 @@ class LatentSpec:
 
     def __post_init__(self):
         if len(self.shared) < 1:
-            raise ValidationError("need at least one shared component")
+            raise ValidationError("shared: need at least one component")
 
     @property
     def d_c(self) -> int:
@@ -137,13 +137,16 @@ class LatentSpec:
         only shared required; a fault raises ValidationError("<where>...: ...")."""
         check_keys(d, where, required=("shared",), optional=("private1", "private2"))
         for name, specs in d.items():
-            if not isinstance(specs, list) or not specs and name == "shared":
+            if not isinstance(specs, list):
                 raise ValidationError(f"{where}/{name}: expected an array of "
-                                      f"distributions (one at least in shared), "
-                                      f"got {specs!r}")
-        return cls(**{name: tuple(DistributionSpec.from_dict(s, f"{where}/{name}/{i}")
-                                  for i, s in enumerate(specs))
-                      for name, specs in d.items()})
+                                      f"distributions, got {specs!r}")
+        marginals = {name: tuple(DistributionSpec.from_dict(s, f"{where}/{name}/{i}")
+                                 for i, s in enumerate(specs))
+                     for name, specs in d.items()}
+        try:
+            return cls(**marginals)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}/{exc}") from exc
 
 
 def _check_full_column_rank(a: np.ndarray, name: str) -> None:

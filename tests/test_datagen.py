@@ -145,6 +145,17 @@ class TestDistributions:
         assert np.array_equal(a, b)
 
 
+def test_a_latent_without_shared_components_names_the_field():
+    # One check, LatentSpec.__post_init__'s, serves direct construction and
+    # from_dict, which puts its path in front.
+    with pytest.raises(ValidationError,
+                       match=r"^shared: need at least one component$"):
+        LatentSpec(shared=())
+    with pytest.raises(ValidationError,
+                       match=r"^latent/shared: need at least one component$"):
+        LatentSpec.from_dict({"shared": [], "private1": []})
+
+
 class TestMixingModel:
     def test_rank_check(self):
         a = np.ones((3, 2))  # duplicate columns
