@@ -432,7 +432,8 @@ def _float32(u: np.ndarray, v: np.ndarray) -> tuple:
     or as they are if either overflows it. Only a diverging fit's views do
     (entries past 3.4e38); its MMD then runs in float64, and the whitening
     term after it names the divergence."""
-    low = u.astype(np.float32), v.astype(np.float32)
+    with np.errstate(over="ignore"):  # an overflow is the case handled here
+        low = u.astype(np.float32), v.astype(np.float32)
     return low if all(np.isfinite(a).all() for a in low) else (u, v)
 
 

@@ -1005,6 +1005,145 @@ class TestFloat32:
         assert min(acc) > 0.72
 
 
+def _float32_and_twin(x, y):
+    """x and y rounded to float32, and the same values in float64: the
+    float64 twin of a float32 MMD call."""
+    x32, y32 = np.float32(x), np.float32(y)
+    return (x32, y32), (np.float64(x32), np.float64(y32))
+
+
+class TestFloat32MMD:
+    """Given float32 sets, as a fit passes them, MMD forms its Gram strips,
+    their sums and products in float32, adds them into float64, and
+    returns a float value and float64 gradients. Each check compares it
+    with its float64 twin, the same rounded values in float64. The bounds
+    below were set from measurement: on these draws and on those of 12
+    other seeds, and on the probe views of thm1a, thm1b, thm3-laplace and
+    private-appxG at 1000 to 4096 rows, the largest error seen is named at
+    each."""
+
+    SIZES = [(2, 2), (3, 5), (363, 363), (1000, 513), (1200, 600),
+             (2048, 2048)]
+
+    @staticmethod
+    def _assert_close(got, want, value_bound, grad_bound):
+        """The values within value_bound, each gradient within grad_bound
+        of its largest entry."""
+        assert abs(got[0] - want[0]) <= value_bound
+        for g, w in zip(got[1:], want[1:]):
+            err = np.abs(g - w).max() / np.abs(w).max()
+            assert err <= grad_bound, err
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_agrees_with_its_float64_twin(self, rng, m, n):
+        # The value within 1e-6 (seen: 1.7e-7), each gradient within 5e-5
+        # of its largest entry (seen: 1.2e-5) and the two-scale score
+        # within 2e-6 (seen: 4.6e-7).
+        low, twin = _float32_and_twin(rng.normal(size=(m, 2)),
+                                      rng.normal(size=(n, 2)) + 0.5)
+        self._assert_close(mmd2_unbiased(*low, KernelSpec(0.8)),
+                           mmd2_unbiased(*twin, KernelSpec(0.8)), 1e-6, 5e-5)
+        two = KernelSpec(0.8, two_scale=True)
+        got = mmd2_unbiased(*low, two, grad=False)[0]
+        assert abs(got - mmd2_unbiased(*twin, two, grad=False)[0]) <= 2e-6
+
+    @pytest.mark.parametrize("m,n", BUDGET_SIZES)
+    def test_value_only_path_gives_the_gradient_path_s_bytes(
+            self, rng, strip_budget, m, n):
+        strip_budget(m, n)
+        low, _ = _float32_and_twin(rng.normal(size=(m, 2)),
+                                   rng.normal(size=(n, 2)) + 0.5)
+        assert TestMMDValueOnly._same(*low, KernelSpec(0.8))
+
+    @pytest.mark.parametrize("m,n", BUDGET_SIZES)
+    def test_any_strip_budget_agrees_with_one_strip(self, rng, monkeypatch,
+                                                    strip_budget, m, n):
+        # The value within 1e-6 (seen: 1.6e-7) and each gradient within
+        # 5e-5 of its largest entry (seen: 8.9e-6): a strip's float32 sums
+        # and products round by its shape.
+        low, _ = _float32_and_twin(rng.normal(size=(m, 2)),
+                                   rng.normal(size=(n, 2)) + 0.5)
+        monkeypatch.setattr(distmatch, "_STRIP", STRIP_BUDGETS["single"](m, n))
+        one = mmd2_unbiased(*low, KernelSpec(0.8))
+        strip_budget(m, n)
+        self._assert_close(mmd2_unbiased(*low, KernelSpec(0.8)), one,
+                           1e-6, 5e-5)
+
+    @pytest.mark.parametrize("scale,bound", [(1.0, 1e-5), (5.0, 2e-4)])
+    def test_coincident_points_give_one(self, rng, scale, bound):
+        # Within a few float32 eps of |x|^2 / (2 sigma^2), as the squared
+        # norms and the product's dots round apart: 1e-5 at unit scale
+        # (seen: 1.9e-6), 2e-4 at five times it (seen: 6.1e-5).
+        x = np.float32(rng.normal(size=(50, 3)) * scale)
+        k = _gram(_rows(x), _cols(x, 0.7))
+        assert k.dtype == np.float32 and np.all(k <= 1.0)
+        np.testing.assert_allclose(np.diag(k), 1.0, rtol=0, atol=bound)
+
+    def test_coincident_sets_agree_with_the_reference(self, rng):
+        # The value within 1e-6 (seen: 5.4e-8), each gradient within 1e-5
+        # of the largest term it subtracts (seen: 1.2e-6; the gradients
+        # cancel far below their terms here).
+        x = np.repeat(rng.normal(size=(10, 2)), 60, axis=0)
+        for y in (x.copy(), np.vstack([x[:300], rng.normal(size=(200, 2))])):
+            low, twin = _float32_and_twin(x, y)
+            got = mmd2_unbiased(*low, KernelSpec(0.5))
+            want = ref_mmd(*twin, 0.5)
+            assert abs(got[0] - want[0]) <= 1e-6
+            for g, w, scale in zip(got[1:], want[1:3], want[3:]):
+                assert np.abs(g - w).max() <= 1e-5 * scale
+
+    def test_far_entries_stop_at_a_normal_float32(self):
+        # Far pairs are raised to exp(_FLOOR32), whose fourth power, the
+        # two-scale score's sigma/2 entry, is still a normal float32: a
+        # subnormal made each of those steps 12-48x slower.
+        x = np.zeros((3, 2), np.float32)
+        y = np.full((4, 2), 100.0, np.float32)
+        k = _gram(_rows(x), _cols(y, 1.0))
+        assert np.all(k == np.exp(np.float32(distmatch._FLOOR32)))
+        assert np.all(k ** 4 >= np.finfo(np.float32).tiny)
+        # In float64 nothing is raised.
+        assert np.all(_gram(_rows(np.float64(x)), _cols(np.float64(y), 1.0))
+                      == 0.0)
+
+    def test_returns_a_float_and_float64_gradients(self, rng):
+        low, _ = _float32_and_twin(rng.normal(size=(20, 2)),
+                                   rng.normal(size=(30, 2)))
+        value, gx, gy = mmd2_unbiased(*low, KernelSpec(1.0))
+        assert type(value) is float
+        assert gx.dtype == gy.dtype == np.float64
+        for grad in (False, True):
+            value = mmd2_unbiased(*low, KernelSpec(1.0), grad=grad)[0]
+            assert type(value) is float
+
+    def test_one_float64_set_runs_both_in_float64(self, rng):
+        (x32, y32), (x64, y64) = _float32_and_twin(rng.normal(size=(40, 2)),
+                                                   rng.normal(size=(30, 2)))
+        want = mmd2_unbiased(x64, y64, KernelSpec(1.0))
+        for got in (mmd2_unbiased(x32, y64, KernelSpec(1.0)),
+                    mmd2_unbiased(x64, y32, KernelSpec(1.0))):
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    def test_rejects_what_float64_rejects(self):
+        x = np.ones((4, 2), np.float32)
+        x[1, 0] = np.inf
+        with pytest.raises(ValidationError, match="X contains NaN or Inf"):
+            mmd2_unbiased(x, np.ones((3, 2), np.float32), KernelSpec(1.0))
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            mmd2_unbiased(np.ones((1, 2), np.float32),
+                          np.ones((3, 2), np.float32), KernelSpec(1.0))
+
+    def test_score_holds_one_strip(self, rng):
+        # A float32 strip of 2^17 entries is 0.5 MiB; the 4096-row two-scale
+        # score peaked at 0.66 MiB, against 1.31 in float64.
+        low, _ = _float32_and_twin(rng.normal(size=(4096, 2)),
+                                   rng.normal(size=(4096, 2)))
+        kernel = KernelSpec(1.0, two_scale=True)
+        assert _peak_bytes(
+            lambda: mmd2_unbiased(*low, kernel, grad=False)) < 1 * 2**20
+
+
 class TestViewsSideBySide:
     """A call runs the real view u and the fake view v side by side
     (numerics.side_by_side) when usable cores // BLAS threads >= 2; it must

@@ -198,6 +198,57 @@ def test_fit_with_a_centred_constant_column_drops_it():
     assert np.max(np.abs(q1[:, 2])) <= 1e-10 * np.linalg.norm(q1)
 
 
+def test_every_mmd_call_takes_float32_views(monkeypatch):
+    # The MMD's strips compute in its inputs' dtype: a fit rounds the views
+    # of its training steps (200 rows here), checkpoints (300) and restart
+    # scores (400, two-scale) to float32. The bandwidth stays the one
+    # KernelSpec.resolve finds on the float64 probe projections.
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    cfg = solver.SolverConfig(d_c=2, **{**TINY, "restarts": 2,
+                                        "warm_epochs": 1, "select_rows": 400})
+    calls, resolved = [], []
+    mmd, resolve = solver.mmd2_unbiased, solver.KernelSpec.resolve
+
+    def recording_mmd(x, y, kernel, grad=True):
+        calls.append((x.dtype, y.dtype, x.shape[0], kernel, grad))
+        return mmd(x, y, kernel, grad)
+
+    def recording_resolve(*sets):
+        resolved.append(([a.dtype for a in sets], resolve(*sets)))
+        return resolved[-1][1]
+    monkeypatch.setattr(solver, "mmd2_unbiased", recording_mmd)
+    monkeypatch.setattr(solver.KernelSpec, "resolve",
+                        staticmethod(recording_resolve))
+    solver.fit(ds.x1, ds.x2, cfg)
+
+    phases = {(200, True, False): "step", (300, False, False): "checkpoint",
+              (400, False, True): "score"}
+    seen = {phases[rows, grad, k.two_scale] for _, _, rows, k, grad in calls}
+    assert seen == {"step", "checkpoint", "score"}
+    assert {(dx, dy) for dx, dy, *_ in calls} == {
+        (np.dtype(np.float32), np.dtype(np.float32))}
+    [(dtypes, kernel)] = resolved
+    assert dtypes == [np.dtype(np.float64)] * 2
+    assert {k.bandwidth for *_, k, _ in calls} == {kernel.bandwidth}
+    # The probes as fit draws them: the whitening block, without noise.
+    v1, v2, _ = solver._prepare_views(ds.x1, ds.x2, False)
+    init = substream(cfg.seed, "solver", "init")
+    p1, p2 = (solver._block_init(v.rank, slice(0, 2), 0.0, init, "Q")
+              for v in (v1, v2))
+    want = resolve(v1.z[:1000] @ p1.T, v2.z[:1000] @ p2.T)
+    assert np.float64(kernel.bandwidth).tobytes() == \
+        np.float64(want.bandwidth).tobytes()
+
+
+def test_views_past_float32_range_stay_float64():
+    # Only a diverging fit's views pass 3.4e38; kept float64, the MMD stays
+    # finite and the whitening term names the divergence.
+    u, v = np.ones((3, 2)), np.full((3, 2), 1e39)
+    assert all(a.dtype == np.float32 for a in solver._float32(u, -u))
+    got = solver._float32(u, v)
+    assert got[0] is u and got[1] is v
+
+
 def _blow_up(entry, monkeypatch):
     """Run `entry` with a shared-head learning rate so large that the first
     Adam step throws the projections out of floating-point range."""
