@@ -259,7 +259,8 @@ def _sq_distance_strips(pool: np.ndarray, fill: float):
 
 def _rows(x: np.ndarray) -> np.ndarray:
     """[x, |x|^2, 1]: the row side of the one-product Gram, in x's dtype."""
-    return np.hstack([x, _sqnorms(x)[:, None], np.ones((x.shape[0], 1), x.dtype)])
+    return np.hstack([x, _sqnorms(x)[:, None],
+                      np.ones((x.shape[0], 1), x.dtype)])
 
 
 def _cols(y: np.ndarray, sig: float) -> np.ndarray:
@@ -272,9 +273,9 @@ def _cols(y: np.ndarray, sig: float) -> np.ndarray:
 
 
 # The least exponent a float32 Gram strip keeps. Products, exps and squares
-# that form or read float32 subnormals run 12-48x slower on an Intel Xeon
-# (Sapphire Rapids; a 131,072-entry strip: exp 726 us against 60, the two
-# squares 997 against 41, a product with it 977 against 20), and numpy
+# that form or read float32 subnormals run 13-63x slower on an Intel Xeon
+# (Sapphire Rapids; a 131,072-entry strip: exp 754 us against 60, the two
+# squares 1060 against 52, a product with it 1019 against 16), and numpy
 # cannot set flush-to-zero.
 # At -21.8 the entry exp(-21.8) = 3.4e-10 and its fourth power, the
 # two-scale score's sigma/2 entry, 1.3e-38, are both normal (FLT_MIN is

@@ -651,8 +651,7 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         _train(p, _shared_blocks(homogeneous), terms, v1, v2, rng,
                cfg.warm_batch, cfg.warm_epochs, f"warm-start restart {restart}")
         u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
-        return p, mmd2_unbiased(u.astype(np.float32), v.astype(np.float32),
-                                kernel, grad=False)[0]
+        return p, mmd2_unbiased(*_float32(u, v), kernel, grad=False)[0]
 
     results = numerics.side_by_side(search, range(cfg.restarts),
                                     numerics.usable_cores())

@@ -1095,7 +1095,7 @@ class TestFloat32MMD:
     def test_far_entries_stop_at_a_normal_float32(self):
         # Far pairs are raised to exp(_FLOOR32), whose fourth power, the
         # two-scale score's sigma/2 entry, is still a normal float32: a
-        # subnormal made each of those steps 12-48x slower.
+        # subnormal made each of those steps 13-63x slower.
         x = np.zeros((3, 2), np.float32)
         y = np.full((4, 2), 100.0, np.float32)
         k = _gram(_rows(x), _cols(y, 1.0))
