@@ -17,14 +17,16 @@ so no MMD call forms an n x n Gram. HSIC takes one pass over full-width
 strips of its two Grams, each formed in one of two buffers that every strip
 reuses, so no HSIC call forms an m x m Gram either.
 
-MMD computes in the dtype of its inputs, which is not a setting. A fit
-rounds its projected views to float32, so the augmented factors, each
+MMD and HSIC compute in the dtype of their inputs, which is not a setting.
+A fit rounds its projected views to float32, so the augmented factors, each
 strip's product, clamp, exp and two-scale squares, the strip sums and the
-K @ [x, 1] products are float32. Each strip's sum is added into a float64
-total and each product into float64 sums, and the value is returned as a
-float and the gradients as float64. A float32 strip's exponents are floored
-at _FLOOR32, so no entry of it is subnormal. Float64 inputs run the same
-code in float64. HSIC and `KernelSpec.resolve` compute in float64.
+strips' products with a few columns (K @ [x, 1]; HSIC's K @ [u, 1],
+L @ [v, 1] and (K o L) @ [u, v, 1]) are float32. Each strip's sum is added
+into a float64 total and each product into float64 sums, and the value is
+returned as a float and the gradients as float64. A float32 strip's
+exponents are floored at _FLOOR32, so no entry of it is subnormal. Float64
+inputs run the same code in float64. `KernelSpec.resolve` computes in
+float64.
 
 `KernelSpec.resolve` takes the median heuristic's median over the squared
 distances of up to _RESOLVE_POOL points in two passes over strips of at
@@ -440,8 +442,18 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     share of the weighted halves to all m rows, so they need no second
     pass. grad=False forms the same strips and (K o L) products, and so
     returns the same value, with no gradients.
+
+    The strips compute in the inputs' dtype: float32 when u and v both are
+    (a fit's views are), float64 otherwise. So are the augmented factors,
+    the [u, 1], [v, 1] and [u, v, 1] columns and the strips' products with
+    them; the weighted halves' right factors are rounded to it. The row
+    sums s and r, the products' float64 sums and the value are float64
+    either way, and so are the returned gradients.
     """
-    u, v = check_matrix(u, "U"), check_matrix(v, "V")
+    u = check_matrix(u, "U", float32=True)
+    v = check_matrix(v, "V", float32=True)
+    dtype = np.result_type(u, v)
+    u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
     m = u.shape[0]
     if v.shape[0] != m:
         raise ValidationError("HSIC inputs must have equal row counts")
@@ -451,7 +463,7 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
         raise ValidationError("HSIC takes one-scale kernels")
     sig_u, sig_v = kernel_u.bandwidth, kernel_v.bandwidth
     ua, uc, va, vc = _rows(u), _cols(u, sig_u), _rows(v), _cols(v, sig_v)
-    one = np.ones((m, 1))
+    one = np.ones((m, 1), dtype)
     ue, ve = np.hstack([u, one]), np.hstack([v, one])
     uv1 = np.hstack([u, v, one])
     wu, wv = ue.shape[1], ve.shape[1]
@@ -466,7 +478,7 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     # reused, and peaked at 4.3 MiB, not 2.4, as the next pair formed
     # before the last was freed. With glibc's mmap and trim thresholds
     # raised past the strips' size, the two took the same time.
-    kbuf, lbuf = np.empty((2, min(step, m) * m))
+    kbuf, lbuf = np.empty((2, min(step, m) * m), dtype)
     for i in range(0, m, step):
         rows = slice(i, i + step)
         k, l = _gram(ua[rows], uc, kbuf), _gram(va[rows], vc, lbuf)
@@ -474,8 +486,11 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
         if grad:
             kp[rows, :wu] = k @ ue
             lp[rows, :wv] = l @ ve
-            kp[:, wu:] += k.T @ (r[rows, None] * ue[rows])
-            lp[:, wv:] += l.T @ (s[rows, None] * ve[rows])
+            # Rounded to the strip's dtype, or numpy would upcast k.T.
+            kp[:, wu:] += k.T @ (r[rows, None] * ue[rows]).astype(dtype,
+                                                                  copy=False)
+            lp[:, wv:] += l.T @ (s[rows, None] * ve[rows]).astype(dtype,
+                                                                  copy=False)
         k *= l
         klp[rows] = k @ uv1
     t = klp[:, -1].sum()

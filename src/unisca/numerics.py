@@ -5,7 +5,8 @@ side by side, and a finite-difference oracle.
 Everything downstream (data generation, matchers, solvers) builds on
 the helpers here. Matrices are float64 numpy arrays, rows = samples; a
 float32 one keeps its dtype only where a caller asks (`check_matrix`'s
-float32=True, which the MMD passes, and `AdamState` for the discriminator).
+float32=True, which MMD and HSIC pass, and `AdamState` for the
+discriminator).
 A view's covariance is formed where its data is checked, in the solver.
 """
 

@@ -27,12 +27,12 @@ are the stable sort's. Restart selection uses a value-only MMD on a large
 deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
 sigma frozen, which is the sum of the MMD at both bandwidths. Every MMD is
 summed over Gram strips of a fixed size (see distmatch), so none forms an
-n x n Gram matrix, and every MMD a fit makes (training step, checkpoint,
-restart score) takes the projected views rounded to float32, so its strips
-compute in float32. Covariances are frozen before the first step and kernel
-bandwidths are fixed by the data's float64 probe projections, resolved on
-first read (an adversarial fit without a warm start never reads the MMD
-one), so every run is replay-deterministic under its seed.
+n x n Gram matrix, and every MMD and HSIC a fit makes (training step,
+checkpoint, restart score) takes the projected views rounded to float32, so
+its strips compute in float32. Covariances are frozen before the first step
+and kernel bandwidths are fixed by the data's float64 probe projections,
+resolved on first read (an adversarial fit without a warm start never reads
+the MMD one), so every run is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ class SolverConfig:
     discriminator's label smoothing and step size, the penalty weights
     (`_LAMBDA`, `_OMEGA`, `_BETA`, `_RHO`) and the heads' step sizes
     (`_LR_Q`, `_LR_P`) are fixed, not settings; so is precision: the
-    discriminator and the MMD's Gram strips compute in float32, the rest of
-    a fit (projections, whitening, anchors, HSIC, quantile steps, Adam on
-    the heads) in float64.
+    discriminator and the MMD's and HSIC's Gram strips compute in float32,
+    the rest of a fit (projections, whitening, anchors, kernel bandwidths,
+    quantile steps, Adam on the heads) in float64.
 
     Each field is checked against its annotation (`_ANNOTATED`), `_BOUNDS`
     and `_CHOICES` by `numerics.check_value`, which the config file's solver
@@ -428,10 +428,10 @@ class _Term(NamedTuple):
 
 
 def _float32(u: np.ndarray, v: np.ndarray) -> tuple:
-    """The views rounded to float32, the dtype the MMD's strips compute in,
-    or as they are if either overflows it. Only a diverging fit's views do
-    (entries past 3.4e38); its MMD then runs in float64, and the whitening
-    term after it names the divergence."""
+    """The views rounded to float32, the dtype the MMD's and HSIC's strips
+    compute in, or as they are if either overflows it. Only a diverging
+    fit's views do (entries past 3.4e38); its MMD or HSIC then runs in
+    float64, and the whitening term after it names the divergence."""
     with np.errstate(over="ignore"):  # an overflow is the case handled here
         low = u.astype(np.float32), v.astype(np.float32)
     return low if all(np.isfinite(a).all() for a in low) else (u, v)
@@ -516,8 +516,9 @@ def _anchor_term(pairs: np.ndarray, v1: _View, v2: _View):
 
 def _hsic_term(p0: dict, v1: _View, v2: _View):
     """_RHO * sum over views of HSIC(shared, private projection); bandwidths
-    frozen from the projections p0; checkpoints are value-only, on at most
-    1024 rows."""
+    frozen from the float64 projections p0; checkpoints are value-only, on
+    at most 1024 rows. Each call takes its views in float32 (`_float32`),
+    so its Gram strips compute in float32."""
     kc1, kp1, kc2, kp2 = (KernelSpec.resolve(v.z[:1000] @ p0[slot].T)
                           for v, slot in ((v1, "q1"), (v1, "qp1"),
                                           (v2, "q2"), (v2, "qp2")))
@@ -525,10 +526,10 @@ def _hsic_term(p0: dict, v1: _View, v2: _View):
     def term(p, b1, b2, train):
         if not train:
             b1, b2 = b1[:1024], b2[:1024]
-        h1, gc1, gp1 = hsic_biased(b1 @ p["q1"].T, b1 @ p["qp1"].T, kc1, kp1,
-                                   grad=train)
-        h2, gc2, gp2 = hsic_biased(b2 @ p["q2"].T, b2 @ p["qp2"].T, kc2, kp2,
-                                   grad=train)
+        h1, gc1, gp1 = hsic_biased(*_float32(b1 @ p["q1"].T, b1 @ p["qp1"].T),
+                                   kc1, kp1, grad=train)
+        h2, gc2, gp2 = hsic_biased(*_float32(b2 @ p["q2"].T, b2 @ p["qp2"].T),
+                                   kc2, kp2, grad=train)
         value = _RHO * (h1 + h2)
         if not train:
             return value, {"hsic": value}, ()
