@@ -16,7 +16,7 @@ from unisca.distmatch import (DEFAULT_HIDDEN, Discriminator, KernelSpec,
                               hsic_biased, mmd2_unbiased)
 from unisca.numerics import ValidationError, substream
 
-from conftest import float64_twin
+from conftest import float64_twin, small_dataset
 
 
 class TestKernelSpec:
@@ -1142,6 +1142,112 @@ class TestFloat32MMD:
         kernel = KernelSpec(1.0, two_scale=True)
         assert _peak_bytes(
             lambda: mmd2_unbiased(*low, kernel, grad=False)) < 1 * 2**20
+
+
+class TestFloat32HSIC:
+    """Given float32 views, as a fit passes them, HSIC forms its two Gram
+    strips and their products in float32, adds them into float64, and
+    returns a float value and float64 gradients. Each check compares it
+    with its float64 twin. The bounds below were set from measurement: on
+    these draws and on those of 13 other seeds, and on a private-appxG
+    fit's heads (workload recipe, seeds 0-3, both views, 1000 rows: value
+    within 2.0e-9, gradients within 3.5e-5 of their largest entry), the
+    largest error seen is named at each."""
+
+    SIZES = [4, 5, 363, 1000, 1200, 2048]
+
+    @staticmethod
+    def _views(rng, m):
+        u = rng.normal(size=(m, 2))
+        return _float32_and_twin(u, rng.normal(size=(m, 1)) + u[:, :1] ** 2)
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_agrees_with_its_float64_twin(self, rng, m):
+        # The value within 2e-7 (seen: 6.2e-8 at 4 rows, 1.6e-9 from 363
+        # rows on), each gradient within 1e-4 of its largest entry (seen:
+        # 2.4e-5).
+        low, twin = self._views(rng, m)
+        ku, kv = KernelSpec(0.9), KernelSpec(1.1)
+        TestFloat32MMD._assert_close(hsic_biased(*low, ku, kv),
+                                     hsic_biased(*twin, ku, kv), 2e-7, 1e-4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_on_private_appxg_shaped_views(self, seed):
+        # The true shared code (d_c = 2) against each view's private one
+        # (d_p = 1), at 1000 rows and their own median-heuristic
+        # bandwidths: the value within 1e-8 (seen: 2.1e-9), each gradient
+        # within 2e-4 of its largest entry (seen: 6.0e-5).
+        ds = small_dataset(seed=seed, n=1000, preset="private-appxG")
+        for p in (ds.p1, ds.p2):
+            low, twin = _float32_and_twin(ds.c, p)
+            ku, kv = KernelSpec.resolve(ds.c), KernelSpec.resolve(p)
+            TestFloat32MMD._assert_close(hsic_biased(*low, ku, kv),
+                                         hsic_biased(*twin, ku, kv), 1e-8, 2e-4)
+
+    @pytest.mark.parametrize("m", [4, 363, 1000, 1200])
+    def test_value_only_path_gives_the_gradient_path_s_bytes(
+            self, rng, strip_budget, m):
+        strip_budget(m, m)
+        low, _ = self._views(rng, m)
+        ku, kv = KernelSpec(0.8), KernelSpec(1.3)
+        value, gu, gv = hsic_biased(*low, ku, kv, grad=False)
+        assert gu is None and gv is None
+        full = hsic_biased(*low, ku, kv)[0]
+        assert np.float64(value).tobytes() == np.float64(full).tobytes()
+
+    @pytest.mark.parametrize("m", [4, 363, 1000, 1200])
+    def test_any_strip_budget_agrees_with_one_strip(self, rng, monkeypatch,
+                                                    strip_budget, m):
+        # The value within 1e-7 (seen: 2.1e-8) and each gradient within
+        # 1e-4 of its largest entry (seen: 3.3e-5): a strip's float32 sums
+        # and products round by its shape.
+        low, _ = self._views(rng, m)
+        ku, kv = KernelSpec(0.8), KernelSpec(1.3)
+        monkeypatch.setattr(distmatch, "_STRIP", STRIP_BUDGETS["single"](m, m))
+        one = hsic_biased(*low, ku, kv)
+        strip_budget(m, m)
+        TestFloat32MMD._assert_close(hsic_biased(*low, ku, kv), one, 1e-7,
+                                     1e-4)
+
+    def test_returns_a_float_and_float64_gradients(self, rng):
+        low, _ = self._views(rng, 20)
+        value, gu, gv = hsic_biased(*low, KernelSpec(1.0), KernelSpec(1.0))
+        assert type(value) is float
+        assert gu.dtype == gv.dtype == np.float64
+        value = hsic_biased(*low, KernelSpec(1.0), KernelSpec(1.0),
+                            grad=False)[0]
+        assert type(value) is float
+
+    def test_one_float64_view_runs_both_in_float64(self, rng):
+        (u32, v32), (u64, v64) = self._views(rng, 40)
+        ku, kv = KernelSpec(1.0), KernelSpec(0.7)
+        want = hsic_biased(u64, v64, ku, kv)
+        for got in (hsic_biased(u32, v64, ku, kv),
+                    hsic_biased(u64, v32, ku, kv)):
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    def test_rejects_what_float64_rejects(self):
+        u = np.ones((4, 2), np.float32)
+        u[1, 0] = np.nan
+        with pytest.raises(ValidationError, match="U contains NaN or Inf"):
+            hsic_biased(u, np.ones((4, 1), np.float32), KernelSpec(1.0),
+                        KernelSpec(1.0))
+        with pytest.raises(ValidationError, match="at least 4 rows"):
+            hsic_biased(np.ones((3, 2), np.float32),
+                        np.ones((3, 1), np.float32), KernelSpec(1.0),
+                        KernelSpec(1.0))
+
+    def test_gradient_call_holds_two_float32_strips(self, rng):
+        # Two 131 x 1000 float32 strips are 0.5 MiB each; the 1000-row call
+        # with gradients peaked at 1.30 MiB, against 2.38 in float64. A
+        # strip transpose upcast to float64 by a float64 right factor would
+        # add 1 MiB.
+        low, _ = _float32_and_twin(rng.normal(size=(1000, 2)),
+                                   rng.normal(size=(1000, 1)))
+        assert _peak_bytes(lambda: hsic_biased(
+            *low, KernelSpec(1.0), KernelSpec(1.0))) < 2 * 2**20
 
 
 class TestViewsSideBySide:

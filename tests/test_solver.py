@@ -240,6 +240,53 @@ def test_every_mmd_call_takes_float32_views(monkeypatch):
         np.float64(want.bandwidth).tobytes()
 
 
+def test_every_hsic_call_takes_float32_views(monkeypatch):
+    # HSIC's strips compute in its inputs' dtype: a fit rounds both views
+    # of its training steps (200 rows here) and checkpoints (300) to
+    # float32. Its four bandwidths stay the ones KernelSpec.resolve finds
+    # on the float64 projections of the heads the term starts from.
+    ds = small_dataset(seed=1, n=600, preset="private-appxG")
+    calls, resolved, starts = [], [], []
+    hsic, resolve, term = (solver.hsic_biased, solver.KernelSpec.resolve,
+                           solver._hsic_term)
+
+    def recording_hsic(u, v, ku, kv, grad=True):
+        calls.append((u.dtype, v.dtype, u.shape[0], grad, ku, kv))
+        return hsic(u, v, ku, kv, grad=grad)
+
+    def recording_resolve(*sets):
+        resolved.append(([a.dtype for a in sets], resolve(*sets)))
+        return resolved[-1][1]
+
+    def recording_term(p0, v1, v2):
+        starts.append({k: a.copy() for k, a in p0.items()})
+        return term(p0, v1, v2)
+    monkeypatch.setattr(solver, "hsic_biased", recording_hsic)
+    monkeypatch.setattr(solver.KernelSpec, "resolve",
+                        staticmethod(recording_resolve))
+    monkeypatch.setattr(solver, "_hsic_term", recording_term)
+    solver.fit(ds.x1, ds.x2, _private_config())
+
+    assert {(rows, grad) for _, _, rows, grad, *_ in calls} == {
+        (200, True), (300, False)}
+    assert {(du, dv) for du, dv, *_ in calls} == {
+        (np.dtype(np.float32), np.dtype(np.float32))}
+    # The four HSIC kernels, each resolved on one float64 projection, then
+    # the matcher's MMD kernel on two, at its first read.
+    assert [d for d, _ in resolved] == [[np.dtype(np.float64)]] * 4 + [
+        [np.dtype(np.float64)] * 2]
+    kernels = [k for _, k in resolved[:4]]
+    assert {(ku, kv) for *_, ku, kv in calls} == {
+        (kernels[0], kernels[1]), (kernels[2], kernels[3])}
+    v1, v2, _ = solver._prepare_views(ds.x1, ds.x2, False)
+    [p0] = starts
+    for got, (v, slot) in zip(kernels, ((v1, "q1"), (v1, "qp1"),
+                                        (v2, "q2"), (v2, "qp2"))):
+        want = resolve(v.z[:1000] @ p0[slot].T)
+        assert np.float64(got.bandwidth).tobytes() == \
+            np.float64(want.bandwidth).tobytes()
+
+
 def test_views_past_float32_range_stay_float64():
     # Only a diverging fit's views pass 3.4e38; kept float64, the MMD stays
     # finite and the whitening term names the divergence.
