@@ -486,11 +486,11 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
         if grad:
             kp[rows, :wu] = k @ ue
             lp[rows, :wv] = l @ ve
-            # Rounded to the strip's dtype, or numpy would upcast k.T.
-            kp[:, wu:] += k.T @ (r[rows, None] * ue[rows]).astype(dtype,
-                                                                  copy=False)
-            lp[:, wv:] += l.T @ (s[rows, None] * ve[rows]).astype(dtype,
-                                                                  copy=False)
+            # Rounded to the strips' dtype, or numpy would upcast k.T.
+            ru = (r[rows, None] * ue[rows]).astype(dtype, copy=False)
+            sv = (s[rows, None] * ve[rows]).astype(dtype, copy=False)
+            kp[:, wu:] += k.T @ ru
+            lp[:, wv:] += l.T @ sv
         k *= l
         klp[rows] = k @ uv1
     t = klp[:, -1].sum()
