@@ -361,6 +361,15 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
     return total, px, py
 
 
+def _in_one_dtype(x, y, x_name: str, y_name: str):
+    """(x, y, dtype): both checked (`check_matrix`) and in one dtype,
+    float32 when both are float32 and float64 otherwise."""
+    x = check_matrix(x, x_name, float32=True)
+    y = check_matrix(y, y_name, float32=True)
+    dtype = np.result_type(x, y)
+    return x.astype(dtype, copy=False), y.astype(dtype, copy=False), dtype
+
+
 def _pull(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """sum_j k(a_i, b_j) (a_i - b_j), from p = K @ [b, ..., 1]."""
     return p[:, -1:] * a - p[:, :a.shape[1]]
@@ -383,10 +392,7 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     (a fit's views are), float64 otherwise. Either way the value is a
     float and the gradients are float64.
     """
-    x = check_matrix(x, "X", float32=True)
-    y = check_matrix(y, "Y", float32=True)
-    dtype = np.result_type(x, y)
-    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    x, y, dtype = _in_one_dtype(x, y, "X", "Y")
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
         raise ValidationError("MMD needs at least 2 samples per set")
@@ -450,10 +456,7 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     sums s and r, the products' float64 sums and the value are float64
     either way, and so are the returned gradients.
     """
-    u = check_matrix(u, "U", float32=True)
-    v = check_matrix(v, "V", float32=True)
-    dtype = np.result_type(u, v)
-    u, v = u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+    u, v, dtype = _in_one_dtype(u, v, "U", "V")
     m = u.shape[0]
     if v.shape[0] != m:
         raise ValidationError("HSIC inputs must have equal row counts")

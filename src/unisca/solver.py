@@ -27,12 +27,13 @@ are the stable sort's. Restart selection uses a value-only MMD on a large
 deterministic subsample under the two-scale kernel k_sigma + k_{sigma/2},
 sigma frozen, which is the sum of the MMD at both bandwidths. Every MMD is
 summed over Gram strips of a fixed size (see distmatch), so none forms an
-n x n Gram matrix, and every MMD and HSIC a fit makes (training step,
-checkpoint, restart score) takes the projected views rounded to float32, so
-its strips compute in float32. Covariances are frozen before the first step
-and kernel bandwidths are fixed by the data's float64 probe projections,
-resolved on first read (an adversarial fit without a warm start never reads
-the MMD one), so every run is replay-deterministic under its seed.
+n x n Gram matrix. Every MMD a fit makes (training step, checkpoint,
+restart score) and every HSIC (training step, checkpoint) takes the
+projected views rounded to float32, so its strips compute in float32.
+Covariances are frozen before the first step and kernel bandwidths are
+fixed by the data's float64 probe projections, resolved on first read (an
+adversarial fit without a warm start never reads the MMD one), so every run
+is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
