@@ -304,16 +304,10 @@ def _gram(xa: np.ndarray, ya: np.ndarray,
     return out
 
 
-def _strip_sum(out: np.ndarray, k: int) -> float:
-    """Sum of a Gram strip, as a float. Within one set (k > 0) its first k
-    columns are the diagonal block: that block's diagonal counts not at all
-    and the columns right of it twice, so the strip stands for its mirror
-    too. Each part is summed in the strip's dtype and combined in float64."""
-    if not k:
-        return float(out.sum())
-    diag = out[:, :k]
-    return 2.0 * float(out[:, k:].sum()) + (float(diag.sum())
-                                            - float(np.trace(diag)))
+def _row_total(out: np.ndarray, w: np.ndarray) -> float:
+    """sum_j w_j out_ij summed over the rows, as a float: one matrix-vector
+    product in the strip's dtype, its row sums added in float64."""
+    return float(np.sum(out @ w, dtype=np.float64))
 
 
 def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
@@ -327,12 +321,16 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
     their products; both products are then K @ xe.
 
     Each strip is one augmented product, clamp and exp (`_gram`) over
-    n x (d + 2) arrays formed once here. With two_scale, K is the sigma
-    Gram plus the sigma/2 one: each strip is summed, squared twice in place
-    and summed again. It takes no extension columns.
+    n x (d + 2) arrays formed once here. Within one set its diagonal is
+    then zeroed, and its sum is one product with weights (`_row_total`): 1
+    over the diagonal block and 2 right of it, so the strip stands for its
+    mirror too; across sets all 1. With two_scale, K is the sigma Gram plus
+    the sigma/2 one: each strip is summed, squared twice in place and
+    summed again. It takes no extension columns.
 
     The strips and their products are in the inputs' dtype; each strip's
-    sum is added into a float64 total and each product into float64 sums.
+    row sums are added into a float64 total and each product into float64
+    sums.
     """
     within = y is None
     xa = _rows(x)
@@ -342,19 +340,24 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
     py = px if within or px is None else np.zeros((ya.shape[0], xe.shape[1]))
     total = 0.0
     step = _strip_rows(ya.shape[0])
+    # The strip at row i takes w's first n - i entries: `step` ones over a
+    # full diagonal block, and a last strip of fewer rows holds no more.
+    w = np.ones(ya.shape[0], x.dtype)
+    if within:
+        w[step:] = 2.0
     for i in range(0, x.shape[0], step):
         j = i if within else 0
         out = _gram(xa[i:i + step], ya[j:])
         rows = out.shape[0]
         k = rows if within else 0  # y's rows j + k on take this strip's K.T
-        total += _strip_sum(out, k)
+        if within:
+            np.fill_diagonal(out[:, :rows], 0.0)
+        total += _row_total(out, w[:out.shape[1]])
         if two_scale:
             out *= out
             out *= out
-            total += _strip_sum(out, k)
+            total += _row_total(out, w[:out.shape[1]])
         if px is not None:
-            if within:
-                np.fill_diagonal(out[:, :rows], 0.0)
             px[i:i + rows] += out @ ye[j:]
             py[j + k:] += out[:, k:].T @ xe[i:i + rows]
         out = None  # free this strip before the next one forms
@@ -466,9 +469,9 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
         raise ValidationError("HSIC takes one-scale kernels")
     sig_u, sig_v = kernel_u.bandwidth, kernel_v.bandwidth
     ua, uc, va, vc = _rows(u), _cols(u, sig_u), _rows(v), _cols(v, sig_v)
-    one = np.ones((m, 1), dtype)
-    ue, ve = np.hstack([u, one]), np.hstack([v, one])
-    uv1 = np.hstack([u, v, one])
+    one = np.ones(m, dtype)
+    ue, ve = np.hstack([u, one[:, None]]), np.hstack([v, one[:, None]])
+    uv1 = np.hstack([u, v, one[:, None]])
     wu, wv = ue.shape[1], ve.shape[1]
     s, r, klp = np.empty(m), np.empty(m), np.empty(uv1.shape)
     if grad:
@@ -485,7 +488,7 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     for i in range(0, m, step):
         rows = slice(i, i + step)
         k, l = _gram(ua[rows], uc, kbuf), _gram(va[rows], vc, lbuf)
-        s[rows], r[rows] = k.sum(axis=1), l.sum(axis=1)
+        s[rows], r[rows] = k @ one, l @ one
         if grad:
             kp[rows, :wu] = k @ ue
             lp[rows, :wv] = l @ ve
