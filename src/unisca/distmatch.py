@@ -265,34 +265,41 @@ def _rows(x: np.ndarray) -> np.ndarray:
                       np.ones((x.shape[0], 1), x.dtype)])
 
 
+# log2(e), which _cols folds into the Gram's exponent so that _gram takes it
+# in base 2. A Python float: a numpy float64 would lift float32 factors.
+_LOG2E = float(np.log2(np.e))
+
+
 def _cols(y: np.ndarray, sig: float) -> np.ndarray:
-    """c [-2y, 1, |y|^2] with c = -1/(2 sig^2): the column side of the
+    """c [-2y, 1, |y|^2] with c = -log2(e)/(2 sig^2): the column side of the
     one-product Gram, in y's dtype, so that _rows(x) @ _cols(y, sig).T holds
-    -|x_i - y_j|^2 / (2 sig^2)."""
-    c = -0.5 / (sig * sig)
+    -|x_i - y_j|^2 log2(e) / (2 sig^2), the Gram's exponent in base 2."""
+    c = -0.5 * _LOG2E / (sig * sig)
     return np.hstack([(-2.0 * c) * y, np.full((y.shape[0], 1), c, y.dtype),
                       c * _sqnorms(y)[:, None]])
 
 
-# The least exponent a float32 Gram strip keeps. Products, exps and squares
-# that form or read float32 subnormals run 13-63x slower on an Intel Xeon
-# (Sapphire Rapids; a 131,072-entry strip: exp 754 us against 60, the two
-# squares 1060 against 52, a product with it 1019 against 16), and numpy
-# cannot set flush-to-zero.
-# At -21.8 the entry exp(-21.8) = 3.4e-10 and its fourth power, the
-# two-scale score's sigma/2 entry, 1.3e-38, are both normal (FLT_MIN is
-# 1.18e-38). Raising farther entries to it moves a Gram mean by at most
-# 3.4e-10, below float32's round-off of a strip sum.
-_FLOOR32 = -21.8
+# The least base-2 exponent a float32 Gram strip keeps. Products, exps and
+# squares that form or read float32 subnormals run 13-63x slower on an Intel
+# Xeon (Sapphire Rapids; a 131,072-entry strip: exp2 11,400-13,400 us
+# against 37-60, exp 1040-1090 against 66-76, the two squares 1060 against
+# 52, a product with it 1019 against 16), and numpy cannot set flush-to-zero.
+# -31.45 is -21.8 log2(e), the natural exponent -21.8 in base 2: the entry
+# 2^-31.45 = 3.4e-10 and its fourth power, the two-scale score's sigma/2
+# entry, 2^-125.8 = 1.3e-38, are both normal (FLT_MIN is 2^-126 = 1.18e-38).
+# Raising farther entries to it moves a Gram mean by at most 3.4e-10, below
+# float32's round-off of a strip sum.
+_FLOOR32 = -31.45
 
 
 def _gram(xa: np.ndarray, ya: np.ndarray,
           buf: np.ndarray | None = None) -> np.ndarray:
     """exp(-|x_i - y_j|^2 / (2 sig^2)) from xa = _rows(x), ya = _cols(y,
-    sig): one augmented product, a clamp at 0 (a distance is never negative)
-    and an exp, both in the product's buffer. That buffer is new, or the
-    head of `buf`, a flat array of at least len(xa) * len(ya) entries. In
-    float32 the clamp also raises the exponent to _FLOOR32."""
+    sig): one augmented product, which gives the exponent in base 2, a
+    clamp at 0 (a distance is never negative) and an exp2, both in the
+    product's buffer. That buffer is new, or the head of `buf`, a flat
+    array of at least len(xa) * len(ya) entries. In float32 the clamp also
+    raises the exponent to _FLOOR32."""
     if buf is not None:
         buf = buf[:xa.shape[0] * ya.shape[0]].reshape(xa.shape[0], ya.shape[0])
     out = np.matmul(xa, ya.T, out=buf)
@@ -300,7 +307,7 @@ def _gram(xa: np.ndarray, ya: np.ndarray,
         np.clip(out, _FLOOR32, 0.0, out=out)
     else:
         np.minimum(out, 0.0, out=out)
-    np.exp(out, out=out)
+    np.exp2(out, out=out)
     return out
 
 
