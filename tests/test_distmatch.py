@@ -274,9 +274,11 @@ def _peak_bytes(f) -> int:
 
 class TestMMDValueOnly:
     """Both paths sum the Grams in the same strips, each of at most
-    distmatch._STRIP entries; grad=False must return the gradient path's
-    value byte for byte, also at and across strip boundaries and at any
-    budget."""
+    distmatch._STRIP entries, by the same products; grad=False must return
+    the gradient path's value byte for byte, also at and across strip
+    boundaries and at any budget, in float64 and in float32 (a fit's
+    dtype). The two-scale score sums each sigma strip by those products
+    too, before its squares."""
 
     @staticmethod
     def _same(x, y, k):
@@ -291,11 +293,43 @@ class TestMMDValueOnly:
         y = rng.normal(size=(n, 2)) + 0.5
         assert self._same(x, y, KernelSpec(0.8))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("m,n", BUDGET_SIZES)
     def test_matches_gradient_path_at_any_strip_budget(self, rng, strip_budget,
-                                                       m, n):
+                                                       dtype, m, n):
         strip_budget(m, n)
-        self.test_matches_gradient_path(rng, m, n)
+        x = rng.normal(size=(m, 2)).astype(dtype)
+        y = (rng.normal(size=(n, 2)) + 0.5).astype(dtype)
+        assert self._same(x, y, KernelSpec(0.8))
+
+    @staticmethod
+    def _strip_totals(monkeypatch, x, y, kernel, grad):
+        """Every strip total the call adds (`distmatch._row_total`), as
+        bytes, in the order it adds them."""
+        totals, row_total = [], distmatch._row_total
+
+        def record(out, w):
+            total = row_total(out, w)
+            totals.append(np.float64(total).tobytes())
+            return total
+        monkeypatch.setattr(distmatch, "_row_total", record)
+        mmd2_unbiased(x, y, kernel, grad=grad)
+        monkeypatch.setattr(distmatch, "_row_total", row_total)
+        return totals
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m,n", BUDGET_SIZES)
+    def test_two_scale_sums_the_gradient_path_s_strips(
+            self, rng, monkeypatch, strip_budget, dtype, m, n):
+        # The score adds each strip's sigma total, then its sigma/2 total
+        # after the two squares: the sigma totals are the gradient path's.
+        strip_budget(m, n)
+        x = rng.normal(size=(m, 2)).astype(dtype)
+        y = (rng.normal(size=(n, 2)) + 0.5).astype(dtype)
+        one = self._strip_totals(monkeypatch, x, y, KernelSpec(0.8), True)
+        two = self._strip_totals(monkeypatch, x, y,
+                                 KernelSpec(0.8, two_scale=True), False)
+        assert two[::2] == one and len(two) == 2 * len(one)
 
     @pytest.mark.parametrize("bandwidth", [1e-3, 1e3])
     def test_matches_at_extreme_bandwidths(self, rng, bandwidth):
@@ -677,14 +711,13 @@ class TestHSIC:
 
     @pytest.mark.parametrize("m", [4, 5, 511, 512, 513, 1024])
     def test_value_only_matches_the_gradient_path(self, rng, m):
-        # grad=False sums K o L by a product with one column instead of the
-        # last of [u, v, 1], so the two values may differ in the last bits.
         u = rng.normal(size=(m, 2))
         v = rng.normal(size=(m, 1)) + u[:, :1] ** 2
         ku, kv = KernelSpec(0.9), KernelSpec(1.1)
         value, gu, gv = hsic_biased(u, v, ku, kv, grad=False)
         assert gu is None and gv is None
-        assert abs(value - hsic_biased(u, v, ku, kv)[0]) <= 1e-15
+        full = hsic_biased(u, v, ku, kv)[0]
+        assert np.float64(value).tobytes() == np.float64(full).tobytes()
         assert abs(value - ref_hsic(u, v, 0.9, 1.1)[0]) <= 1e-12
 
     def test_row_mismatch(self, rng):
@@ -1048,14 +1081,6 @@ class TestFloat32MMD:
         assert abs(got - mmd2_unbiased(*twin, two, grad=False)[0]) <= 2e-6
 
     @pytest.mark.parametrize("m,n", BUDGET_SIZES)
-    def test_value_only_path_gives_the_gradient_path_s_bytes(
-            self, rng, strip_budget, m, n):
-        strip_budget(m, n)
-        low, _ = _float32_and_twin(rng.normal(size=(m, 2)),
-                                   rng.normal(size=(n, 2)) + 0.5)
-        assert TestMMDValueOnly._same(*low, KernelSpec(0.8))
-
-    @pytest.mark.parametrize("m,n", BUDGET_SIZES)
     def test_any_strip_budget_agrees_with_one_strip(self, rng, monkeypatch,
                                                     strip_budget, m, n):
         # The value within 1e-6 (seen: 1.6e-7) and each gradient within
@@ -1078,6 +1103,26 @@ class TestFloat32MMD:
         k = _gram(_rows(x), _cols(x, 0.7))
         assert k.dtype == np.float32 and np.all(k <= 1.0)
         np.testing.assert_allclose(np.diag(k), 1.0, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("scale,sig,offset,bound", [
+        (1.0, 0.8, 0.0, 1e-5), (1.0, 0.3, 0.0, 5e-5), (1.0, 1.0, 5.0, 5e-5)])
+    def test_gram_agrees_with_exp_of_the_exact_exponent(self, rng, scale, sig,
+                                                        offset, bound):
+        # Each entry within `bound` of exp of the float64 exponent of the
+        # same float32 points, raised to the floor, relative to it: 1e-5
+        # at unit scale (seen: 2.2e-6), 5e-5 at sigma 0.3, where 36-41% of
+        # the entries are raised, and off the origin at 5 (seen: 1.1e-5 and
+        # 1.2e-5), over 13 seeds. Base-e strips read 2.2e-6, 1.3e-5 and
+        # 9.8e-6.
+        x = np.float32(rng.normal(size=(300, 2)) * scale + offset)
+        y = np.float32(rng.normal(size=(200, 2)) * scale + offset + 0.3)
+        d = np.float64(x)[:, None, :] - np.float64(y)[None, :, :]
+        exponent = np.einsum("ijk,ijk->ij", d, d) / (-2.0 * sig * sig)
+        want = np.exp(np.maximum(exponent,
+                                 distmatch._FLOOR32 / distmatch._LOG2E))
+        k = _gram(_rows(x), _cols(y, sig))
+        assert k.dtype == np.float32
+        assert np.max(np.abs(k - want) / want) <= bound
 
     def test_coincident_sets_agree_with_the_reference(self, rng):
         # The value within 1e-6 (seen: 5.4e-8), each gradient within 1e-5
