@@ -9,20 +9,25 @@ All gradients returned here are exact derivatives of the returned value, so
 they can be verified against central finite differences.
 
 MMD and HSIC form every RBF Gram through `_gram`: one augmented product
-that gives -|x_i - y_j|^2 / (2 sigma^2) directly, then a clamp and an exp,
-both in place. They read it only through products with a few columns, so no
-centred or rescaled copy of a Gram is made. Every MMD value and gradient
-comes from one loop over Gram strips of at most _STRIP entries, `_gram_sum`,
-so no MMD call forms an n x n Gram. HSIC takes one pass over full-width
-strips of its two Grams, each formed in one of two buffers that every strip
-reuses, so no HSIC call forms an m x m Gram either.
+that gives its exponent in base 2, -|x_i - y_j|^2 log2(e) / (2 sigma^2),
+directly, then a clamp and an exp2, both in place.
+They read it only through products with a few columns, so no centred or
+rescaled copy of a Gram is made: even a strip's sum is one matrix-vector
+product with a weight vector, its row sums added in float64. Every MMD
+value and gradient comes from one loop over Gram strips of at most _STRIP
+entries, `_gram_sum`, so no MMD call forms an n x n Gram. HSIC takes one
+pass over full-width strips of its two Grams, each formed in one of two
+buffers that every strip reuses, so no HSIC call forms an m x m Gram
+either. grad=False runs the same strips and the same sum products as the
+gradient path, so it returns that path's value bytes.
 
 MMD and HSIC compute in the dtype of their inputs, which is not a setting.
 A fit rounds its projected views to float32, so the augmented factors, each
-strip's product, clamp, exp and two-scale squares, the strip sums and the
-strips' products with a few columns (K @ [x, 1]; HSIC's K @ [u, 1],
-L @ [v, 1] and (K o L) @ [u, v, 1]) are float32. Each strip's sum is added
-into a float64 total and each product into float64 sums, and the value is
+strip's product, clamp, exp2 and two-scale squares, the weighted sums'
+products and the strips' products with a few columns (K @ [x, 1]; HSIC's
+row sums K @ 1 and L @ 1, and its K @ [u, 1], L @ [v, 1] and
+(K o L) @ [u, v, 1]) are float32. Each strip's row sums are added into a
+float64 total and each product into float64 sums, and the value is
 returned as a float and the gradients as float64. A float32 strip's
 exponents are floored at _FLOOR32, so no entry of it is subnormal. Float64
 inputs run the same code in float64. `KernelSpec.resolve` computes in
@@ -140,7 +145,7 @@ class KernelSpec:
 
 # Entries of a Gram strip in every MMD value and gradient, of each of HSIC's
 # two strips and of resolve's distances: 2^17 float64 is 1 MiB, half a 2 MiB
-# per-core L2 cache, where a strip stays through the product, clamp, exp,
+# per-core L2 cache, where a strip stays through the product, clamp, exp2,
 # sum and gradient products.
 # Chosen over 2^16 and the 512-row strips it replaced by timing MMD calls at
 # 1000, 2048 and 4096 rows; CHANGES.md has the times. It is a constant, not
@@ -280,15 +285,15 @@ def _cols(y: np.ndarray, sig: float) -> np.ndarray:
 
 
 # The least base-2 exponent a float32 Gram strip keeps. Products, exps and
-# squares that form or read float32 subnormals run 13-63x slower on an Intel
-# Xeon (Sapphire Rapids; a 131,072-entry strip: exp2 11,400-13,400 us
+# squares that form or read float32 subnormals run 13-300x slower on an
+# Intel Xeon (Sapphire Rapids; a 131,072-entry strip: exp2 11,400-13,400 us
 # against 37-60, exp 1040-1090 against 66-76, the two squares 1060 against
 # 52, a product with it 1019 against 16), and numpy cannot set flush-to-zero.
-# -31.45 is -21.8 log2(e), the natural exponent -21.8 in base 2: the entry
-# 2^-31.45 = 3.4e-10 and its fourth power, the two-scale score's sigma/2
-# entry, 2^-125.8 = 1.3e-38, are both normal (FLT_MIN is 2^-126 = 1.18e-38).
-# Raising farther entries to it moves a Gram mean by at most 3.4e-10, below
-# float32's round-off of a strip sum.
+# -31.45 is the natural exponent -21.8 in base 2, -21.8 log2(e) = -31.4508,
+# rounded up: the entry 2^-31.45 = 3.4e-10 and its fourth power, the
+# two-scale score's sigma/2 entry, 2^-125.8 = 1.35e-38, are both normal
+# (FLT_MIN is 2^-126 = 1.18e-38). Raising farther entries to it moves a Gram
+# mean by at most 3.4e-10, below float32's round-off of a strip sum.
 _FLOOR32 = -31.45
 
 
@@ -327,7 +332,7 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
     strictly upper part counts twice and, transposed, gives the later rows
     their products; both products are then K @ xe.
 
-    Each strip is one augmented product, clamp and exp (`_gram`) over
+    Each strip is one augmented product, clamp and exp2 (`_gram`) over
     n x (d + 2) arrays formed once here. Within one set its diagonal is
     then zeroed, and its sum is one product with weights (`_row_total`): 1
     over the diagonal block and 2 right of it, so the strip stands for its
@@ -452,19 +457,20 @@ def hsic_biased(u: np.ndarray, v: np.ndarray, kernel_u: KernelSpec,
     All of these come from one pass over full-width strips of
     `_strip_rows(m)` rows, each a strip of K and the same rows of L
     (`_gram`), so neither m x m Gram is formed. A strip gives its rows' s
-    and r as its row sums, and their K @ [u, 1], L @ [v, 1] and
-    (K o L) @ [u, v, 1] as products. As K and L are symmetric, a strip's
-    transpose times its rows' r o [u, 1] (s o [v, 1] for L) adds those rows'
-    share of the weighted halves to all m rows, so they need no second
-    pass. grad=False forms the same strips and (K o L) products, and so
-    returns the same value, with no gradients.
+    and r as one matrix-vector product each, with a ones vector, and their
+    K @ [u, 1], L @ [v, 1] and (K o L) @ [u, v, 1] as products. As K and L
+    are symmetric, a strip's transpose times its rows' r o [u, 1]
+    (s o [v, 1] for L) adds those rows' share of the weighted halves to all
+    m rows, so they need no second pass. grad=False forms the same strips,
+    row sums and (K o L) products, and so returns the gradient path's value
+    bytes, with no gradients.
 
     The strips compute in the inputs' dtype: float32 when u and v both are
     (a fit's views are), float64 otherwise. So are the augmented factors,
-    the [u, 1], [v, 1] and [u, v, 1] columns and the strips' products with
-    them; the weighted halves' right factors are rounded to it. The row
-    sums s and r, the products' float64 sums and the value are float64
-    either way, and so are the returned gradients.
+    the ones vector, the [u, 1], [v, 1] and [u, v, 1] columns and the
+    strips' products with them; the weighted halves' right factors are
+    rounded to it. The row sums s and r are kept in float64, as are the
+    products' sums and the value, and so are the returned gradients.
     """
     u, v, dtype = _in_one_dtype(u, v, "U", "V")
     m = u.shape[0]
