@@ -10,16 +10,16 @@ they can be verified against central finite differences.
 
 MMD and HSIC form every RBF Gram through `_gram`: one augmented product
 that gives its exponent in base 2, -|x_i - y_j|^2 log2(e) / (2 sigma^2),
-directly, then a clamp and an exp2, both in place.
-They read it only through products with a few columns, so no centred or
-rescaled copy of a Gram is made: even a strip's sum is one matrix-vector
-product with a weight vector, its row sums added in float64. Every MMD
-value and gradient comes from one loop over Gram strips of at most _STRIP
-entries, `_gram_sum`, so no MMD call forms an n x n Gram. HSIC takes one
-pass over full-width strips of its two Grams, each formed in one of two
-buffers that every strip reuses, so no HSIC call forms an m x m Gram
-either. grad=False runs the same strips and the same sum products as the
-gradient path, so it returns that path's value bytes.
+directly, then a clamp and an exp2, both in place. They read it only
+through products with a few columns, so no centred or rescaled copy of a
+Gram is made: even a strip's sum is one matrix-vector product with a
+weight vector, its row sums added in float64. Every MMD value and gradient
+comes from one loop over Gram strips of at most _STRIP entries,
+`_gram_sum`, so no MMD call forms an n x n Gram. HSIC takes one pass over
+full-width strips of its two Grams, each formed in one of two buffers that
+every strip reuses, so no HSIC call forms an m x m Gram either. grad=False
+runs the same strips and the same sum products as the gradient path, so it
+returns that path's value bytes.
 
 MMD and HSIC compute in the dtype of their inputs, which is not a setting.
 A fit rounds its projected views to float32, so the augmented factors, each
@@ -364,11 +364,12 @@ def _gram_sum(x: np.ndarray, sig: float, y: np.ndarray | None = None,
         k = rows if within else 0  # y's rows j + k on take this strip's K.T
         if within:
             np.fill_diagonal(out[:, :rows], 0.0)
-        total += _row_total(out, w[:out.shape[1]])
+        ws = w[:out.shape[1]]
+        total += _row_total(out, ws)
         if two_scale:
             out *= out
             out *= out
-            total += _row_total(out, w[:out.shape[1]])
+            total += _row_total(out, ws)
         if px is not None:
             px[i:i + rows] += out @ ye[j:]
             py[j + k:] += out[:, k:].T @ xe[i:i + rows]
