@@ -91,9 +91,12 @@ class KernelSpec:
     two_scale: bool = False
 
     def __post_init__(self):
-        b = self.bandwidth
+        # Kept as a Python float: a numpy float64 would lift the float32
+        # column factor (`_cols`), and so every strip of float32 views.
+        b = float(self.bandwidth)
         if not (np.isfinite(b) and b > 0):
             raise ValidationError("kernel bandwidth must be finite and > 0")
+        object.__setattr__(self, "bandwidth", b)
 
     @staticmethod
     def resolve(*sample_sets: np.ndarray) -> "KernelSpec":

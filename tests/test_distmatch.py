@@ -1170,6 +1170,23 @@ class TestFloat32MMD:
             assert got[1].tobytes() == want[1].tobytes()
             assert got[2].tobytes() == want[2].tobytes()
 
+    def test_a_numpy_bandwidth_keeps_the_float32_strips(self, rng):
+        # KernelSpec stores its bandwidth as a Python float, so a numpy
+        # float64 one does not lift the strips of float32 sets to float64.
+        low, _ = _float32_and_twin(rng.normal(size=(40, 2)),
+                                   rng.normal(size=(30, 2)))
+        k = KernelSpec(np.float64(0.8))
+        assert type(k.bandwidth) is float and k == KernelSpec(0.8)
+        assert _gram(_rows(low[0]), _cols(low[1], k.bandwidth)).dtype \
+            == np.float32
+        for grad in (True, False):
+            got = mmd2_unbiased(*low, k, grad=grad)
+            want = mmd2_unbiased(*low, KernelSpec(0.8), grad=grad)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            if grad:
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2].tobytes() == want[2].tobytes()
+
     def test_rejects_what_float64_rejects(self):
         x = np.ones((4, 2), np.float32)
         x[1, 0] = np.inf
