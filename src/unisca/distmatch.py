@@ -653,29 +653,20 @@ class Discriminator:
             dz *= np.maximum(positive, _LEAK, dtype=dz.dtype)
 
 
-def _half_loss(p: np.ndarray, real: bool, smoothing: float) -> float:
-    """One expectation of the adversarial value over a whole view.
-
-    real=True gives mean log f, real=False mean log(1-f); with smoothing s
-    the targets become (1-s) / s.
-    """
-    s = smoothing
-    if real:
-        loss = np.sum((1.0 - s) * np.log(p) + s * np.log1p(-p))
-    else:
-        loss = np.sum((1.0 - s) * np.log1p(-p) + s * np.log(p))
-    return float(loss / p.shape[0])
+def _half_loss(p: np.ndarray, a: float, b: float) -> float:
+    """One view's expectation of the adversarial value: the mean of
+    a log f + b log(1 - f) over its probabilities p, a and b the view's
+    target weights."""
+    return float(np.sum(a * np.log(p) + b * np.log1p(-p)) / p.shape[0])
 
 
-def _half_dz(p: np.ndarray, real: bool, smoothing: float,
-             count: int) -> np.ndarray:
-    """_half_loss's gradient at the output pre-activation, for a strip of a
-    view of `count` rows. Entries the clamp set to a bound (the raw sigmoid
-    at or past it, or NaN) get zero gradient."""
-    s = smoothing
+def _half_dz(p: np.ndarray, a: float, count: int) -> np.ndarray:
+    """_half_loss's gradient at the output pre-activation, (a - f) / count,
+    for a strip of a view of `count` rows whose target weights sum to 1.
+    Entries the clamp set to a bound (the raw sigmoid at or past it, or
+    NaN) get zero gradient."""
     inside = (p > _PROB_FLOOR) & (p < 1.0 - _PROB_FLOOR)
-    dz = (((1.0 - s) - p) if real else (s - p)) / count
-    return dz * inside
+    return (a - p) / count * inside
 
 
 # gan_value_and_grads' grads= -> (parameter grads formed, input grads formed)
@@ -693,8 +684,10 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
     step), "inputs" (the projection update) or "none" (a checkpoint's value:
     forward passes only, no cache kept); a slot not formed is None. The
     value and every formed gradient are the same bytes whichever are asked
-    for. `smoothing` > 0 smooths the targets (used for the discriminator's
-    own update); the projection update uses the plain value.
+    for. Smoothing s gives each view target weights (a, b) in the mean of
+    a log f + b log(1 - f) (`_half_loss`): (1 - s, s) for the real u and
+    (s, 1 - s) for the fake v. s > 0 is the discriminator's own update;
+    the projection update uses the plain value, s = 0.
 
     Each view, the real u and the fake v, is one loop over its row strips
     (`Discriminator._strips`), in every mode: a strip is forwarded, keeping
@@ -710,28 +703,30 @@ def gan_value_and_grads(f: Discriminator, u: np.ndarray, v: np.ndarray,
     """
     params, inputs = _GRADS[grads]
 
-    def side(real):
-        x, strips = f._strips(*((u, "discriminator input u") if real else
-                                (v, "discriminator input v")))
+    def side(view):
+        x, name, a, b = view
+        x, strips = f._strips(x, name)
         n = x.shape[0]
         p = np.empty(n)
         pgrads = buf = din = None
         if params:
-            pgrads = [np.zeros_like(a) for layer in zip(f.weights, f.biases)
-                      for a in layer]
+            pgrads = [np.zeros_like(t) for layer in zip(f.weights, f.biases)
+                      for t in layer]
             buf = np.empty(max(w.size for w in f.weights), f.weights[0].dtype)
         if inputs:
             din = np.empty(x.shape)
         for rows in strips:
             p[rows], cache = f._forward(x[rows], keep=params or inputs)
             if cache is not None:
-                dz = _half_dz(p[rows], real, smoothing, n)
-                f._backward(cache, dz, pgrads, buf,
+                f._backward(cache, _half_dz(p[rows], a, n), pgrads, buf,
                             None if din is None else din[rows])
-        return _half_loss(p, real, smoothing), pgrads, din
+        return _half_loss(p, a, b), pgrads, din
 
+    s = smoothing
     (lu, gu, din_u), (lv, gv, din_v) = numerics.side_by_side(
-        side, (True, False), numerics.blas_workers())
+        side, ((u, "discriminator input u", 1.0 - s, s),
+               (v, "discriminator input v", s, 1.0 - s)),
+        numerics.blas_workers())
     if params:
         for a, b in zip(gu, gv):
             a += b
