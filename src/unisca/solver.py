@@ -31,9 +31,10 @@ n x n Gram matrix. Every MMD a fit makes (training step, checkpoint,
 restart score) and every HSIC (training step, checkpoint) takes the
 projected views rounded to float32, so its strips compute in float32.
 Covariances are frozen before the first step and kernel bandwidths are
-fixed by the data's float64 probe projections, resolved on first read (an
-adversarial fit without a warm start never reads the MMD one), so every run
-is replay-deterministic under its seed.
+fixed by the data's float64 probe projections. The MMD kernel is a cached
+thunk that resolves its bandwidth on its first call, from the warm start's
+score or the MMD term, so an adversarial fit without a warm start never
+resolves it. Every run is replay-deterministic under its seed.
 """
 
 from __future__ import annotations
@@ -438,48 +439,32 @@ def _float32(u: np.ndarray, v: np.ndarray) -> tuple:
     return low if all(np.isfinite(a).all() for a in low) else (u, v)
 
 
-class _Matcher:
-    """The configured divergence between the projected shared views.
-
-    The adversarial one takes one discriminator step before each training
-    step (parameter gradients only), then takes the value and the gradients at
-    the projected views (input gradients only). At a checkpoint either
-    matcher is value-only: the MMD summed in row blocks, the adversarial
-    value from forward passes alone. The MMD takes the views in float32
-    (`_float32`). `kernel` is the MMD kernel, its
-    bandwidth resolved from the probe projections u0, v0 on first read; the
-    MMD matcher and the warm start's restart score read it.
-    """
-
-    def __init__(self, cfg: SolverConfig, u0: np.ndarray, v0: np.ndarray,
-                 rng: np.random.Generator):
-        self._u0, self._v0 = u0, v0
-        if cfg.matcher == "mmd":
-            self.disc = None
-        else:
-            self.disc = Discriminator(cfg.d_c, hidden=cfg.disc_hidden, rng=rng)
-
-    @functools.cached_property
-    def kernel(self) -> KernelSpec:
-        return KernelSpec.resolve(self._u0, self._v0)
-
-    def __call__(self, p, b1, b2, train):
-        u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
-        if self.disc is None:
-            u, v = _float32(u, v)
+def _mmd_term(kernel: Callable[[], KernelSpec]):
+    """The MMD matcher at the kernel `kernel()` returns, on the views in
+    float32 (`_float32`); value-only at a checkpoint."""
+    def term(p, b1, b2, train):
+        u, v = _float32(b1 @ p["q1"].T, b2 @ p["q2"].T)
+        value, gu, gv = mmd2_unbiased(u, v, kernel(), grad=train)
         if not train:
-            if self.disc is None:
-                value = mmd2_unbiased(u, v, self.kernel, grad=False)[0]
-            else:
-                value = gan_value_and_grads(self.disc, u, v, grads="none")[0]
             return value, {"matcher": value}, ()
-        if self.disc is None:
-            value, gu, gv = mmd2_unbiased(u, v, self.kernel)
-        else:
-            discriminator_step(self.disc, u, v)
-            value, _, gu, gv = gan_value_and_grads(self.disc, u, v,
-                                                   grads="inputs")
         return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
+    return _Term("matcher", term)
+
+
+def _adversarial_term(disc: Discriminator):
+    """The adversarial matcher: one discriminator step before each training
+    step (parameter gradients only), then the value and the gradients at
+    the projected views (input gradients only); at a checkpoint the value
+    from forward passes alone."""
+    def term(p, b1, b2, train):
+        u, v = b1 @ p["q1"].T, b2 @ p["q2"].T
+        if not train:
+            value = gan_value_and_grads(disc, u, v, grads="none")[0]
+            return value, {"matcher": value}, ()
+        discriminator_step(disc, u, v)
+        value, _, gu, gv = gan_value_and_grads(disc, u, v, grads="inputs")
+        return value, {"matcher": value}, (("q1", gu.T @ b1), ("q2", gv.T @ b2))
+    return _Term("matcher", term)
 
 
 def _quantile_term(cfg: SolverConfig, rng: np.random.Generator):
@@ -610,8 +595,9 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
     return trace, checkpoints
 
 
-def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
-                pairs, homogeneous: bool, rng_init: np.random.Generator):
+def _warm_start(cfg: SolverConfig, v1: _View, v2: _View,
+                kernel: Callable[[], KernelSpec], pairs, homogeneous: bool,
+                rng_init: np.random.Generator):
     """Multi-restart quantile warm start; returns the best starting point.
 
     Restart 0 starts from the whitening-plus-noise block drawn from
@@ -622,11 +608,13 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     in, and they run side by side on up to the usable cores
     (`numerics.side_by_side`).
 
-    Candidates are scored by the MMD at the matcher's frozen kernel plus a
-    half-bandwidth MMD on a large leading subsample, which separates true
-    matches from scale-local spurious ones: one value-only MMD under the
-    two-scale kernel k_sigma + k_{sigma/2}. After the search, each restart's score and then the chosen restart are
-    logged at DEBUG, in restart order; ties go to the lower restart.
+    Candidates are scored by the MMD at the frozen kernel `kernel()`
+    returns (its first call resolves the bandwidth) plus a half-bandwidth
+    MMD on a large leading subsample, which separates true matches from
+    scale-local spurious ones: one value-only MMD under the two-scale
+    kernel k_sigma + k_{sigma/2}. After the search, each restart's score
+    and then the chosen restart are logged at DEBUG, in restart order; ties
+    go to the lower restart.
     """
     d_c = cfg.d_c
     q1_spec = _block_init(v1.rank, slice(0, d_c), _INIT_NOISE, rng_init,
@@ -636,7 +624,7 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
     if cfg.warm_epochs == 0 and cfg.restarts == 1:
         return q1_spec, q2_spec
 
-    kernel = KernelSpec(matcher.kernel.bandwidth, two_scale=True)
+    two_scale = KernelSpec(kernel().bandwidth, two_scale=True)
     ns = min(cfg.select_rows, v1.n, v2.n)
 
     def search(restart: int):
@@ -653,7 +641,7 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View, matcher: _Matcher,
         _train(p, _shared_blocks(homogeneous), terms, v1, v2, rng,
                cfg.warm_batch, cfg.warm_epochs, f"warm-start restart {restart}")
         u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
-        return p, mmd2_unbiased(*_float32(u, v), kernel, grad=False)[0]
+        return p, mmd2_unbiased(*_float32(u, v), two_scale, grad=False)[0]
 
     results = numerics.side_by_side(search, range(cfg.restarts),
                                     numerics.usable_cores())
@@ -710,19 +698,22 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     probe1 = _block_init(v1.rank, slice(0, d_c), 0.0, rng_init, "Q1")
     probe2 = probe1 if homogeneous else _block_init(
         v2.rank, slice(0, d_c), 0.0, rng_init, "Q2")
-    matcher = _Matcher(cfg, v1.z[:1000] @ probe1.T, v2.z[:1000] @ probe2.T,
-                       rng_disc)
+    u0, v0 = v1.z[:1000] @ probe1.T, v2.z[:1000] @ probe2.T
+    kernel = functools.cache(lambda: KernelSpec.resolve(u0, v0))
+    disc = None if cfg.matcher == "mmd" else Discriminator(
+        d_c, hidden=cfg.disc_hidden, rng=rng_disc)
     p = {}
     if private:
         p["qp1"] = _block_init(v1.rank, slice(d_c, d_c + cfg.d_p1),
                                _INIT_NOISE, rng_init, "QP1")
         p["qp2"] = _block_init(v2.rank, slice(d_c, d_c + cfg.d_p2),
                                _INIT_NOISE, rng_init, "QP2")
-    p["q1"], p["q2"] = _warm_start(cfg, v1, v2, matcher, pairs,
+    p["q1"], p["q2"] = _warm_start(cfg, v1, v2, kernel, pairs,
                                    homogeneous, rng_init)
 
     blocks = _shared_blocks(homogeneous)
-    terms = [_Term("matcher", matcher), *_constraints(v1, v2, pairs)]
+    terms = [_mmd_term(kernel) if disc is None else _adversarial_term(disc),
+             *_constraints(v1, v2, pairs)]
     if private:
         blocks += [(("qp1",), AdamState(lr=_LR_P)),
                    (("qp2",), AdamState(lr=_LR_P))]
@@ -737,7 +728,7 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
     proj2 = proj1 if homogeneous else Projection(p["q2"] @ v2.w, v2.sigma)
     result = FitResult(q1=proj1, q2=proj2, trace=trace,
                        checkpoints=checkpoints, config=replace(cfg),
-                       discriminator=matcher.disc)
+                       discriminator=disc)
     if private:
         result.qp1 = Projection(p["qp1"] @ v1.w, v1.sigma)
         result.qp2 = Projection(p["qp2"] @ v2.w, v2.sigma)

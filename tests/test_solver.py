@@ -240,6 +240,45 @@ def test_every_mmd_call_takes_float32_views(monkeypatch):
         np.float64(want.bandwidth).tobytes()
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_adversarial_matcher_call_protocol(monkeypatch, warm):
+    # An adversarial fit resolves the MMD bandwidth only for the warm
+    # start's restart score, and then once. Each training step (200 rows)
+    # takes one discriminator step, then one call for the input gradients;
+    # each checkpoint (300 rows) one value-only call.
+    ds = small_dataset(seed=1, n=600, preset="thm1b")
+    search = {"restarts": 2, "warm_epochs": 1} if warm else {}
+    cfg = solver.SolverConfig(d_c=2, matcher="adversarial", disc_hidden=(8,),
+                              **{**TINY, **search})
+    calls = []
+    step, gan = solver.discriminator_step, solver.gan_value_and_grads
+    resolve = solver.KernelSpec.resolve
+
+    def recording_step(f, u, v):
+        calls.append(("step", u.shape[0]))
+        return step(f, u, v)
+
+    def recording_gan(f, u, v, *args, grads="all", **kwargs):
+        calls.append((grads, u.shape[0]))
+        return gan(f, u, v, *args, grads=grads, **kwargs)
+
+    def recording_resolve(*sets):
+        calls.append(("resolve", None))
+        return resolve(*sets)
+    monkeypatch.setattr(solver, "discriminator_step", recording_step)
+    monkeypatch.setattr(solver, "gan_value_and_grads", recording_gan)
+    monkeypatch.setattr(solver.KernelSpec, "resolve",
+                        staticmethod(recording_resolve))
+    solver.fit(ds.x1, ds.x2, cfg)
+
+    steps = min(len(ds.x1), len(ds.x2)) // cfg.batch
+    checkpoint = [("none", cfg.checkpoint_rows)]
+    training = [("step", cfg.batch), ("inputs", cfg.batch)] * steps
+    assert steps >= 2
+    assert calls == ([("resolve", None)] if warm else []) + checkpoint + (
+        training * cfg.epochs + checkpoint)
+
+
 def test_every_hsic_call_takes_float32_views(monkeypatch):
     # HSIC's strips compute in its inputs' dtype: a fit rounds both views
     # of its training steps (200 rows here) and checkpoints (300) to
