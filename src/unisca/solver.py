@@ -400,15 +400,12 @@ def _resolve_anchors(anchors, cfg, n1, n2):
 _WHITENING_LIMIT = 1e6
 
 
-def _guard(term: str, value: float, epoch: int, phase: str,
-           limit: float) -> None:
+def _guard(term: str, value: float, at: str, limit: float) -> None:
     if not np.isfinite(value):
-        raise DivergenceError(
-            f"{term} became non-finite at epoch {epoch} of {phase}")
+        raise DivergenceError(f"{term} became non-finite at {at}")
     if value > limit:
         raise DivergenceError(
-            f"{term} reached {value:.3g}, above its bound {limit:.3g}, "
-            f"at epoch {epoch} of {phase}")
+            f"{term} reached {value:.3g}, above its bound {limit:.3g}, at {at}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +416,8 @@ def _guard(term: str, value: float, epoch: int, phase: str,
 # its weighted value, its shares of the _SUMS columns and (slot, gradient)
 # pairs. train=False evaluates a checkpoint, where only the value is read:
 # the matcher and HSIC then compute no gradients. Gradients add per slot in
-# term order, which fixes the floating-point sums. A training step whose
-# value is not finite or exceeds the term's limit raises DivergenceError.
+# term order, which fixes the floating-point sums. A step or checkpoint
+# whose value is not finite or exceeds the term's limit is a divergence.
 # ---------------------------------------------------------------------------
 
 class _Term(NamedTuple):
@@ -431,12 +428,8 @@ class _Term(NamedTuple):
 
 def _float32(u: np.ndarray, v: np.ndarray) -> tuple:
     """The views rounded to float32, the dtype the MMD's and HSIC's strips
-    compute in, or as they are if either overflows it. Only a diverging
-    fit's views do (entries past 3.4e38); its MMD or HSIC then runs in
-    float64, and the whitening term after it names the divergence."""
-    with np.errstate(over="ignore"):  # an overflow is the case handled here
-        low = u.astype(np.float32), v.astype(np.float32)
-    return low if all(np.isfinite(a).all() for a in low) else (u, v)
+    compute in; the whitening guard stops a diverging fit before its cast."""
+    return u.astype(np.float32), v.astype(np.float32)
 
 
 def _mmd_term(kernel: Callable[[], KernelSpec]):
@@ -525,10 +518,12 @@ def _hsic_term(p0: dict, v1: _View, v2: _View):
     return _Term("hsic", term)
 
 
-def _constraints(v1: _View, v2: _View, pairs) -> list:
-    """The terms every phase adds to its matcher: shared-head whitening and,
-    with anchors (weakly_supervised mode), the anchor penalty."""
-    terms = [_whitening_term("whitening penalty", _LAMBDA, "q1", "q2", v1, v2)]
+def _terms(matcher: _Term, v1: _View, v2: _View, pairs) -> list:
+    """Every phase's terms in the order they add: shared-head whitening, whose
+    guard names a diverging state before the matcher computes on it, the
+    matcher and, with anchors (weakly_supervised mode), the anchor penalty."""
+    terms = [_whitening_term("whitening penalty", _LAMBDA, "q1", "q2", v1, v2),
+             matcher]
     if pairs is not None:
         terms.append(_anchor_term(pairs, v1, v2))
     return terms
@@ -552,41 +547,46 @@ def _train(p: dict, blocks: list, terms: list, v1: _View, v2: _View,
     """Adam on the sum of `terms`, updating the parameters `p` in place.
 
     Returns the trace (TRACE_COLUMNS) and, with checkpoint=(every, rows),
-    the (epoch, objective) checkpoints on the leading `rows` rows. Each phase
-    numbers its epochs from 0, so a DivergenceError ends with `phase`.
+    the (epoch, objective) checkpoints on the leading `rows` rows. Steps and
+    checkpoints share `evaluate`: the total in term order, the _SUMS row and
+    the gradients by slot, each value guarded. Epochs count from 0 in each
+    phase and a checkpoint by the epochs before it, so a DivergenceError
+    ends with "epoch <e> of <phase>" or "checkpoint <e> of <phase>".
     """
+    def evaluate(b1, b2, train: bool, at: str):
+        total, row, grads = 0.0, np.zeros(len(_SUMS)), {}
+        for name, term, limit in terms:
+            value, columns, term_grads = term(p, b1, b2, train)
+            _guard(name, value, at, limit)
+            total += value
+            for column, share in columns.items():
+                row[_SUMS.index(column)] += share
+            for slot, g in term_grads:
+                grads[slot] = grads[slot] + g if slot in grads else g
+        return total, row, grads
+
     checkpoints = []
 
     def record(epoch: int) -> None:
         rows = min(checkpoint[1], v1.n, v2.n)
-        z1, z2 = v1.z[:rows], v2.z[:rows]
-        value = 0.0
-        for term in terms:
-            value += term.fn(p, z1, z2, False)[0]
+        value = evaluate(v1.z[:rows], v2.z[:rows], False,
+                         f"checkpoint {epoch} of {phase}")[0]
         checkpoints.append((epoch, value))
 
     if checkpoint:
         record(0)
     trace = np.zeros((epochs, len(TRACE_COLUMNS)))
     for epoch in range(epochs):
+        at = f"epoch {epoch} of {phase}"
         sums = np.zeros(len(_SUMS))
-        steps = 0
-        for idx1, idx2 in _epoch_batches(v1.n, v2.n, batch, rng_batch):
-            b1, b2 = v1.z[idx1], v2.z[idx2]
-            row, grads = np.zeros(len(_SUMS)), {}
-            for name, term, limit in terms:
-                value, columns, term_grads = term(p, b1, b2, True)
-                _guard(name, value, epoch, phase, limit)
-                for column, share in columns.items():
-                    row[_SUMS.index(column)] += share
-                for slot, g in term_grads:
-                    grads[slot] = grads[slot] + g if slot in grads else g
+        for steps, (idx1, idx2) in enumerate(
+                _epoch_batches(v1.n, v2.n, batch, rng_batch), 1):
+            _, row, grads = evaluate(v1.z[idx1], v2.z[idx2], True, at)
             for slots, adam in blocks:
                 first, *rest = slots
                 g = sum((grads[slot] for slot in rest), grads[first])
                 p.update(dict.fromkeys(slots, adam.step(p[first], g)))
             sums += row
-            steps += 1
         mean = sums / steps
         trace[epoch] = (epoch, *mean, mean.sum())
         if checkpoint and ((epoch + 1) % checkpoint[0] == 0
@@ -637,7 +637,7 @@ def _warm_start(cfg: SolverConfig, v1: _View, v2: _View,
             q1 = _haar_init(v1.rank, d_c, rng)
             q2 = _haar_init(v2.rank, d_c, rng)
         p = {"q1": q1, "q2": q2}
-        terms = [_quantile_term(cfg, rng), *_constraints(v1, v2, pairs)]
+        terms = _terms(_quantile_term(cfg, rng), v1, v2, pairs)
         _train(p, _shared_blocks(homogeneous), terms, v1, v2, rng,
                cfg.warm_batch, cfg.warm_epochs, f"warm-start restart {restart}")
         u, v = v1.z[:ns] @ p["q1"].T, v2.z[:ns] @ p["q2"].T
@@ -712,8 +712,8 @@ def fit(x1: np.ndarray, x2: np.ndarray, cfg: SolverConfig,
                                    homogeneous, rng_init)
 
     blocks = _shared_blocks(homogeneous)
-    terms = [_mmd_term(kernel) if disc is None else _adversarial_term(disc),
-             *_constraints(v1, v2, pairs)]
+    terms = _terms(_mmd_term(kernel) if disc is None
+                   else _adversarial_term(disc), v1, v2, pairs)
     if private:
         blocks += [(("qp1",), AdamState(lr=_LR_P)),
                    (("qp2",), AdamState(lr=_LR_P))]

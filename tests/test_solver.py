@@ -326,15 +326,6 @@ def test_every_hsic_call_takes_float32_views(monkeypatch):
             np.float64(want.bandwidth).tobytes()
 
 
-def test_views_past_float32_range_stay_float64():
-    # Only a diverging fit's views pass 3.4e38; kept float64, the MMD stays
-    # finite and the whitening term names the divergence.
-    u, v = np.ones((3, 2)), np.full((3, 2), 1e39)
-    assert all(a.dtype == np.float32 for a in solver._float32(u, -u))
-    got = solver._float32(u, v)
-    assert got[0] is u and got[1] is v
-
-
 def _blow_up(entry, monkeypatch):
     """Run `entry` with a shared-head learning rate so large that the first
     Adam step throws the projections out of floating-point range."""
@@ -342,15 +333,20 @@ def _blow_up(entry, monkeypatch):
     ds = small_dataset(seed=1, n=600, preset="private-appxG")
     if entry == "fit_with_private":
         return solver.fit_with_private(ds.x1, ds.x2, _private_config())
-    warm = {"restarts": 2, "warm_epochs": 2} if entry == "warm_start" else {}
-    cfg = solver.SolverConfig(d_c=2, **{**TINY, **warm})
+    extra = {"warm_start": {"restarts": 2, "warm_epochs": 2},
+             "adversarial": {"matcher": "adversarial"}}.get(entry, {})
+    cfg = solver.SolverConfig(d_c=2, **{**TINY, **extra})
     return solver.fit(ds.x1, ds.x2, cfg)
 
 
-@pytest.mark.parametrize("entry", ["fit", "warm_start", "fit_with_private"])
+@pytest.mark.parametrize("entry", ["fit", "warm_start", "fit_with_private",
+                                   "adversarial"])
 def test_divergence_names_the_term(entry, monkeypatch):
-    # The caller's np.errstate holds in the warm start's worker threads
-    # too, so no overflow warning leaks from a restart run side by side.
+    # The shared whitening term runs before the matcher in every phase, so
+    # its guard names the divergence before the matcher computes on the
+    # thrown-out projections. The caller's np.errstate holds in the warm
+    # start's worker threads too, so no overflow warning leaks from a
+    # restart run side by side.
     with np.errstate(all="ignore"), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -358,6 +354,21 @@ def test_divergence_names_the_term(entry, monkeypatch):
                            match="whitening penalty became non-finite"):
             _blow_up(entry, monkeypatch)
     assert not caught
+
+
+def test_a_diverged_final_checkpoint_raises(monkeypatch):
+    # The fit's only step throws the projections out of range; checkpoints
+    # are guarded like steps, so the checkpoint after it raises, numbered
+    # by the epochs before it as FitResult.checkpoints numbers it.
+    monkeypatch.setattr(solver, "_LR_Q", 1e150)
+    ds = small_dataset(seed=1, n=600, preset="thm1a")
+    cfg = solver.SolverConfig(d_c=ds.d_c, seed=1, batch=1000, epochs=1,
+                              restarts=1, warm_epochs=0)
+    with np.errstate(all="ignore"), pytest.raises(
+            solver.DivergenceError,
+            match=r"^whitening penalty became non-finite at checkpoint 1 of "
+                  r"training$"):
+        solver.fit(ds.x1, ds.x2, cfg)
 
 
 @pytest.mark.parametrize("entry,term", [
