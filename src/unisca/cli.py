@@ -2,8 +2,8 @@
 
 Subcommands: gen, fit, eval, retrieve, scatter, sweep. Every output directory
 receives the effective config echo and seed; re-running with that echo
-reproduces the numeric outputs bit-identically in MMD mode (tests/test_golden.py
-checks this for every mode). `eval` and `sweep` exit nonzero when a configured
+reproduces the numeric outputs bit-identically in every mode, with either
+matcher (tests/test_golden.py checks this). `eval` and `sweep` exit nonzero when a configured
 threshold fails, so pipelines can gate on it.
 """
 

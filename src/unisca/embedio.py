@@ -8,6 +8,7 @@ centering and any other modeling steps happen downstream in the solver.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,8 +28,10 @@ def read_vec_text(path: str) -> EmbeddingTable:
 
     The header's row count is the number of data lines read, duplicates
     included; lines after them are ignored, and a file that ends before them
-    is an error. Trailing whitespace on a line (a final space, a CRLF line
-    end) is ignored.
+    is an error, as is a header of 0 rows. Trailing whitespace on a line (a
+    final space, a CRLF line end) is ignored. A non-numeric or non-finite
+    value (nan, inf, or a number past float64's range) is an error naming
+    its line.
     """
     tokens: list = []
     seen = set()
@@ -43,6 +46,8 @@ def read_vec_text(path: str) -> EmbeddingTable:
             raise ValidationError(f"{path}: non-numeric header") from exc
         if count < 0 or dim < 0:
             raise ValidationError(f"{path}: negative size in header {header!r}")
+        if count == 0:
+            raise ValidationError(f"{path}: header states 0 rows; no vectors")
         lineno = 1
         for lineno, line in enumerate(itertools.islice(fh, count), start=2):
             parts = line.rstrip().split(" ")
@@ -55,6 +60,8 @@ def read_vec_text(path: str) -> EmbeddingTable:
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}:{lineno}: non-numeric field") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"{path}:{lineno}: non-finite value")
             if token in seen:
                 warnings.warn(f"{path}:{lineno}: duplicate token '{token}' skipped")
                 continue
@@ -64,8 +71,8 @@ def read_vec_text(path: str) -> EmbeddingTable:
         if lineno - 1 < count:
             raise ValidationError(
                 f"{path}: header states {count} rows, file ends after {lineno - 1}")
-    matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
-    return EmbeddingTable(tokens=tokens, matrix=matrix)
+    return EmbeddingTable(tokens=tokens,
+                          matrix=np.array(rows, dtype=np.float64))
 
 
 def read_dictionary(path: str) -> dict:

@@ -256,18 +256,18 @@ def sym_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], V[:, order]
 
 
-def whitening_matrix(S: np.ndarray) -> np.ndarray:
+def whitening_matrix(S: np.ndarray, name: str = "covariance") -> np.ndarray:
     """Spectral whitening W = L_r^{-1/2} V_r^T over the retained spectrum.
 
     Eigenvalues below _RANK_TOL * lambda_max are truncated, so W has one row
     per retained direction, the largest's at least, and W S W^T = I on that
-    subspace; an S with no positive eigenvalue is a ValidationError, and
-    sym_eig checks S.
+    subspace; an S with no positive eigenvalue is a ValidationError naming
+    it as `name`, and sym_eig checks S.
     """
     w, V = sym_eig(S)
     wmax = float(np.max(w, initial=0.0))
     if wmax <= 0.0:
-        raise ValidationError("covariance has no positive eigenvalues")
+        raise ValidationError(f"{name} has no positive eigenvalues")
     keep = w > _RANK_TOL * wmax
     return V[:, keep].T / np.sqrt(w[keep])[:, None]
 

@@ -1,19 +1,23 @@
 """Fitting procedures for shared/private component recovery.
 
-All modes minimize a matcher divergence between the two projected views plus
-a squared whitening penalty per projection; the weakly supervised mode adds a
-squared anchor-pair penalty, the private mode adds whitening and HSIC terms
-for the private heads, and the homogeneous mode ties the two projections to a
-single matrix. One loop, `_train`, minimizes any such list of terms, in every
-mode and in the warm start; the same terms give the checkpoint objective,
-recorded at epoch 0, every checkpoint_every epochs and after the last epoch. A
-checkpoint reads only values, so its MMD and HSIC are the value-only ones and
-its adversarial value runs the discriminator forward only. A training step
-forms only the gradients it reads: the discriminator's own step its parameter
-gradients, the projection update the discriminator's input gradients. A
-step whose term is not finite, or whose whitening penalty passes a bound no
-working fit comes near, raises DivergenceError naming the term, the epoch
-and the phase: a warm-start restart or the traced training.
+All modes minimize a squared whitening penalty per projection plus a matcher
+divergence between the two projected views, added in that order; the weakly
+supervised mode adds a squared anchor-pair penalty after them, the private
+mode adds whitening and HSIC terms for the private heads, and the homogeneous
+mode ties the two projections to a single matrix. One loop, `_train`,
+minimizes any such list of terms, in every mode and in the warm start; one
+closure in it evaluates the terms for a training step and for the checkpoint
+objective, recorded at epoch 0, every checkpoint_every epochs and after the
+last epoch. A checkpoint reads only values, so its MMD and HSIC are the
+value-only ones and its adversarial value runs the discriminator forward
+only. A training step forms only the gradients it reads: the discriminator's
+own step its parameter gradients, the projection update the discriminator's
+input gradients. A step or checkpoint whose term is not finite, or whose
+whitening penalty passes a bound no working fit comes near, raises
+DivergenceError naming the term, the step's epoch or the checkpoint, and the
+phase: a warm-start restart or the traced training. The whitening term's
+guard runs before the matcher, so a diverging fit is named before its views
+are rounded to float32.
 
 Optimization runs in whitened coordinates (Q = Q~ W with W the data whitening
 matrix), which makes Adam's step size meaningful across data scales, and in
@@ -314,6 +318,7 @@ class _View:
     the data exactly."""
 
     def __init__(self, x: np.ndarray, name: str):
+        self.name = name
         self.x = _check_centered(x, name)
         self.n = x.shape[0]
         if self.n < 2:
@@ -340,9 +345,11 @@ def _prepare_views(x1: np.ndarray, x2: np.ndarray, homogeneous: bool
         raise ValidationError("homogeneous mode requires equal data dimensions")
     v1, v2 = _View(x1, "X1"), _View(x2, "X2")
     pooled = 0.5 * (v1.sigma + v2.sigma) if homogeneous else None
-    shared = None if pooled is None else whitening_matrix(pooled)
+    shared = None if pooled is None else whitening_matrix(
+        pooled, "pooled covariance of X1 and X2")
     for v in (v1, v2):
-        v.whiten(whitening_matrix(v.sigma) if shared is None else shared)
+        v.whiten(shared if shared is not None
+                 else whitening_matrix(v.sigma, f"{v.name}: covariance"))
     return v1, v2, pooled
 
 

@@ -309,6 +309,60 @@ def test_fit_takes_word_vectors_with_a_large_constant_column(tmp_path):
         solver.fit(x1, x2, cfg)
 
 
+def _vector_argv(tmp_path, command: str, path: str) -> list:
+    """`fit` or `retrieve` with `path` as its first word-vector file and the
+    tiny files _word_vector_model writes as the others."""
+    argv = _word_vector_model(tmp_path)
+    if command == "retrieve":
+        return argv[:argv.index("--queries") + 1] + [path] + \
+            argv[argv.index("--queries") + 2:]
+    return ["fit", "--emb1", path, "--emb2", str(tmp_path / "r.vec"),
+            "--out", str(tmp_path / "new-model")]
+
+
+@pytest.mark.parametrize("command", ["fit", "retrieve"])
+@pytest.mark.filterwarnings("error")
+def test_a_word_vector_file_without_vectors_is_an_error_line(tmp_path, capsys,
+                                                             command):
+    # Read as a 0 x 2 table, it once reached the centring and ended in a
+    # traceback from np.ptp after two RuntimeWarnings.
+    empty = tmp_path / "empty.vec"
+    empty.write_text("0 2\n")
+    argv = _vector_argv(tmp_path, command, str(empty))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert _one_error_line(capsys) == (
+        f"error: {empty}: header states 0 rows; no vectors\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "retrieve"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_word_vector_value_names_its_line(tmp_path, capsys,
+                                                       command, value):
+    # The value once reached the solver, warned while centring and was
+    # reported as "X1 contains NaN or Inf entries", without its file.
+    bad = tmp_path / "bad.vec"
+    bad.write_text(f"3 3\na 1.0 0.2 -0.5\nb -0.3 {value} 0.4\nc 0.7 -0.9 0.1\n")
+    argv = _vector_argv(tmp_path, command, str(bad))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert _one_error_line(capsys) == f"error: {bad}:3: non-finite value\n"
+
+
+def test_a_constant_word_vector_view_is_named(tmp_path, capsys):
+    # Every column constant, the view centres to zeros: its covariance has
+    # no positive eigenvalue, and the error says whose.
+    flat = tmp_path / "flat.vec"
+    flat.write_text("".join(["5 3\n"] + [f"w{i} 2.5 -1.0 7.0\n"
+                                          for i in range(5)]))
+    argv = _vector_argv(tmp_path, "fit", str(flat))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert _one_error_line(capsys) == (
+        "error: X1: covariance has no positive eigenvalues\n")
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--ks", "1,x"], "--ks must be comma-separated integers"),
     (["--ks", "0,1"], "k and k_csls must be >= 1"),

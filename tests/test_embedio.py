@@ -48,6 +48,21 @@ class TestVecText:
         with pytest.raises(ValidationError, match=":2"):
             read_vec_text(str(p))
 
+    @pytest.mark.parametrize("value", ["inf", "-Infinity", "nan", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        p = tmp_path / "v.vec"
+        p.write_text(f"2 2\na 1 2\nb 3 {value}\n")
+        with pytest.raises(ValidationError) as info:
+            read_vec_text(str(p))
+        assert str(info.value) == f"{p}:3: non-finite value"
+
+    def test_header_of_no_rows_rejected(self, tmp_path):
+        p = tmp_path / "v.vec"
+        p.write_text("0 2\n")
+        with pytest.raises(ValidationError) as info:
+            read_vec_text(str(p))
+        assert str(info.value) == f"{p}: header states 0 rows; no vectors"
+
     def test_duplicate_token_warns_keeps_first(self, tmp_path):
         p = tmp_path / "v.vec"
         p.write_text("3 1\na 1\na 2\nb 3\n")

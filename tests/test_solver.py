@@ -326,6 +326,32 @@ def test_every_hsic_call_takes_float32_views(monkeypatch):
             np.float64(want.bandwidth).tobytes()
 
 
+def test_projection_apply_checks_the_width():
+    proj = solver.Projection(np.array([[1.0, 2.0]]), np.eye(2))
+    np.testing.assert_array_equal(proj.apply([[1.0, 1.0], [0.0, 2.0]]),
+                                  [[3.0], [4.0]])
+    with pytest.raises(ValidationError, match=(
+            r"^data has 3 columns, the projection expects 2$")):
+        proj.apply(np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("mode,flat,name", [
+    ("unaligned", 1, "X1: covariance"), ("unaligned", 2, "X2: covariance"),
+    ("homogeneous", 3, "pooled covariance of X1 and X2")])
+def test_a_view_without_variance_is_named(mode, flat, name):
+    # flat: 1 or 2 zeroes that view, 3 both.
+    ds = small_dataset(seed=1, n=600, preset="thm1b")
+    x1, x2 = ds.x1.copy(), ds.x2.copy()
+    if flat & 1:
+        x1[:] = 0.0
+    if flat & 2:
+        x2[:] = 0.0
+    cfg = solver.SolverConfig(d_c=ds.d_c, mode=mode, **TINY)
+    with pytest.raises(ValidationError,
+                       match=rf"^{name} has no positive eigenvalues$"):
+        solver.fit(x1, x2, cfg)
+
+
 def _blow_up(entry, monkeypatch):
     """Run `entry` with a shared-head learning rate so large that the first
     Adam step throws the projections out of floating-point range."""
