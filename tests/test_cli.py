@@ -336,7 +336,7 @@ def test_a_word_vector_file_without_vectors_is_an_error_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["fit", "retrieve"])
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.filterwarnings("error")
 def test_a_non_finite_word_vector_value_names_its_line(tmp_path, capsys,
                                                        command, value):

@@ -326,15 +326,6 @@ def test_every_hsic_call_takes_float32_views(monkeypatch):
             np.float64(want.bandwidth).tobytes()
 
 
-def test_projection_apply_checks_the_width():
-    proj = solver.Projection(np.array([[1.0, 2.0]]), np.eye(2))
-    np.testing.assert_array_equal(proj.apply([[1.0, 1.0], [0.0, 2.0]]),
-                                  [[3.0], [4.0]])
-    with pytest.raises(ValidationError, match=(
-            r"^data has 3 columns, the projection expects 2$")):
-        proj.apply(np.ones((4, 3)))
-
-
 @pytest.mark.parametrize("mode,flat,name", [
     ("unaligned", 1, "X1: covariance"), ("unaligned", 2, "X2: covariance"),
     ("homogeneous", 3, "pooled covariance of X1 and X2")])
